@@ -15,6 +15,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
+    CatalogCensusMismatch,
     DirectionThroughPoint,
     DuplicateLine,
     FieldMismatch,
@@ -22,6 +23,7 @@ from .errors import (
     LineNotIncident,
     NonGenericDeformation,
     NotATriplePoint,
+    PairsIdentityViolated,
     ParseError,
     UnknownName,
 )
@@ -107,7 +109,10 @@ class WeakCombinatorics:
 
     def __post_init__(self):
         pairs = sum(t * comb(k, 2) for k, t in self.counts)
-        assert pairs == comb(self.d, 2), "pair count identity violated"
+        if pairs != comb(self.d, 2):
+            raise PairsIdentityViolated(
+                f"census {self.counts} covers {pairs} line pairs, not C({self.d},2)"
+            )
 
     @property
     def t2(self) -> int:
@@ -378,10 +383,11 @@ def catalog(name: str) -> LineArrangement:
     arrangement = builder()
     comb_actual = weak_combinatorics(arrangement)
     expected_counts = tuple((k, t) for k, t in expected if t)
-    assert arrangement.d == d and comb_actual.counts == expected_counts, (
-        f"catalog entry {name} built with combinatorics {comb_actual}, "
-        f"expected d={d}, counts={expected_counts}"
-    )
+    if arrangement.d != d or comb_actual.counts != expected_counts:
+        raise CatalogCensusMismatch(
+            f"catalog entry {name} built with combinatorics {comb_actual}, "
+            f"expected d={d}, counts={expected_counts}"
+        )
     return arrangement
 
 

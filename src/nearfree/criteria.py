@@ -71,11 +71,16 @@ class MdrResult:
 
     relation_dims[k] is the kernel dimension of the degree-k relation
     matrix for k = 0..r; it is zero below r and at least one at r.
+    certificates[k] is the certificate that settled that kernel, as
+    `nearfree.linalg.kernel_basis` names it: "full rank mod p",
+    "verified reconstruction (k primes)" or "exact elimination". It is not
+    part of any report.
     """
 
     r: int
     witness: tuple  # (a, b, c) polynomials of degree r
     relation_dims: list
+    certificates: list
 
 
 def mdr(f: Poly) -> MdrResult:
@@ -89,11 +94,12 @@ def mdr(f: Poly) -> MdrResult:
         raise OutOfRange("mdr needs a polynomial of degree >= 2")
     if f.is_zero():
         raise ValueError("mdr needs a nonzero polynomial")
-    dims = []
+    dims, certificates = [], []
     for r in range(d):
         matrix = relation_matrix(f, r)
         kernel = kernel_basis(matrix)
         dims.append(len(kernel))
+        certificates.append(kernel.certificate)
         if kernel:
             nb = len(graded_basis(r))
             vec = kernel[0]
@@ -101,7 +107,7 @@ def mdr(f: Poly) -> MdrResult:
                 Poly.from_coefficients(r, vec[k * nb:(k + 1) * nb], f.tag)
                 for k in range(3)
             )
-            return MdrResult(r=r, witness=witness, relation_dims=dims)
+            return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
     raise AssertionError("unreachable: a degree d-1 relation always exists")
 
 

@@ -77,3 +77,7 @@ class NonGenericDeformation(ToolkitError):
 
 class PairsIdentityViolated(ToolkitError):
     pass
+
+
+class CatalogCensusMismatch(ToolkitError):
+    """A catalog entry's computed lattice census differs from the recorded one."""

@@ -1,22 +1,33 @@
 """Exact dense linear algebra: rank and right-kernel bases.
 
-Two interchangeable elimination strategies sit behind one contract:
+`rank` runs Bareiss one-step fraction-free elimination on integer pairs
+a + b*w (denominators cleared per row), which avoids gcd churn.
 
-* "fraction"      - plain Gaussian elimination on field scalars;
-* "fraction_free" - Bareiss one-step elimination on integer pairs
-                    (denominators cleared per row), which avoids gcd
-                    churn and is the default.
+`kernel_basis` returns the canonical kernel basis: pivot columns are taken
+left to right, and there is one vector per free column with the other free
+coordinates zero, rescaled so its first nonzero entry is 1. It works
+modulo primes p = 1 (mod 3) first, with w sent to a cube root of unity in
+F_p, and every answer carries a certificate that has been checked:
 
-Both produce the same rank and, because pivot columns are processed left
-to right, the same canonical kernel basis: one vector per free column with
-the other free coordinates zero, rescaled so its first nonzero entry is 1.
+* "full rank mod p" - the rows, scaled to Z[w], have full column rank mod
+  p. Reduction can only lower the rank, so the kernel over Q(w) is zero.
+* "verified reconstruction (k primes)" - the RREF kernel mod p (under both
+  embeddings w -> ω and w -> ω² over Q(w)) from k primes sharing one pivot
+  profile is lifted by CRT and rational reconstruction, and each lifted
+  vector is checked exactly, in integer arithmetic, against every row.
+  There are as many as the kernel dimension mod p, which bounds the exact
+  dimension from above, so they span the exact kernel; each one's last
+  nonzero entry sits in its own free column, so those are the exact free
+  columns and the vectors are the canonical basis.
+* "exact elimination" - the primes ran out without a verified basis, so
+  the basis comes from Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import ToolkitError
@@ -107,15 +118,25 @@ def _integer_rows(m: ExactMatrix) -> list:
     data = []
     for i in range(m.rows):
         row = m.row(i)
-        scale = lcm(*(d for s in row for d in (s.a.denominator, s.b.denominator))) if row else 1
-        data.append([(int(s.a * scale), int(s.b * scale)) for s in row])
+        # the shared ZERO fills most cells; any other zero takes the general path
+        nonzero = [s for s in row if s is not ZERO]
+        scale = lcm(*(s.a.denominator for s in nonzero), *(s.b.denominator for s in nonzero))
+        data.append([
+            (0, 0) if s is ZERO else (
+                s.a.numerator * (scale // s.a.denominator),
+                s.b.numerator * (scale // s.b.denominator),
+            )
+            for s in row
+        ])
     return data
 
 
-def _echelon_fraction_free(m: ExactMatrix):
-    """Bareiss elimination; returns (pivot column list, echelon rows as Scalars)."""
-    data = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+def _bareiss(data: list, ncols: int):
+    """Bareiss elimination of integer-pair rows, in place.
+
+    Returns (pivot column list, echelon rows as Scalars).
+    """
+    nrows = len(data)
     pivots = []
     prev = (1, 0)
     pr = 0
@@ -153,75 +174,248 @@ def _echelon_fraction_free(m: ExactMatrix):
     return pivots, erows
 
 
-def _echelon_fraction(m: ExactMatrix):
-    """Textbook Gaussian elimination over the field."""
-    data = [m.row(i) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        if pr >= nrows:
-            break
-        candidates = [i for i in range(pr, nrows) if data[i][c]]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: (sum(1 for e in data[i] if e), i))
-        if best != pr:
-            data[pr], data[best] = data[best], data[pr]
-        piv = data[pr][c]
-        inv = piv.inverse()
-        for i in range(pr + 1, nrows):
-            t = data[i][c]
-            if not t:
-                continue
-            factor = t * inv
-            row_i = data[i]
-            row_p = data[pr]
-            for j in range(c, ncols):
-                if row_p[j]:
-                    row_i[j] = row_i[j] - factor * row_p[j]
-        pivots.append(c)
-        pr += 1
-    return pivots, data[: len(pivots)]
-
-
-_STRATEGIES = ("auto", "fraction", "fraction_free")
-
-
-def _echelon(m: ExactMatrix, strategy: str):
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "fraction":
-        return _echelon_fraction(m)
-    return _echelon_fraction_free(m)
-
-
-def rank(m: ExactMatrix, strategy: str = "auto") -> int:
-    pivots, _ = _echelon(m, strategy)
+def rank(m: ExactMatrix) -> int:
+    pivots, _ = _bareiss(_integer_rows(m), m.cols)
     return len(pivots)
 
 
-def kernel_basis(m: ExactMatrix, strategy: str = "auto") -> list:
-    """Basis of the right kernel; rank + len(basis) == cols always holds."""
-    pivots, erows = _echelon(m, strategy)
+def _bareiss_kernel(data: list, ncols: int) -> list:
+    pivots, erows = _bareiss(data, ncols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for jf in free:
-        vec = [ZERO] * m.cols
+    for jf in (j for j in range(ncols) if j not in pivot_set):
+        vec = [ZERO] * ncols
         vec[jf] = ONE
         for i in reversed(range(len(pivots))):
             pc = pivots[i]
             row = erows[i]
             acc = ZERO
-            for j in range(pc + 1, m.cols):
+            for j in range(pc + 1, ncols):
                 if row[j] and vec[j]:
                     acc = acc + row[j] * vec[j]
             if acc:
                 vec[pc] = -acc / row[pc]
-        lead = next(v for v in vec if v)
-        if lead != ONE:
-            inv = lead.inverse()
-            vec = [v * inv for v in vec]
+        basis.append(_lead_one(vec))
+    return basis
+
+
+def _lead_one(vec: list) -> list:
+    lead = next(v for v in vec if v)
+    if lead == ONE:
+        return vec
+    inv = lead.inverse()
+    return [v * inv for v in vec]
+
+
+# -- modular kernel ---------------------------------------------------------
+
+# Primes p = 1 (mod 3) just above 2^127, so F_p holds a cube root of unity.
+PRIMES = (2**127 + 29, 2**127 + 65, 2**127 + 101, 2**127 + 251)
+
+FULL_RANK_MOD_P = "full rank mod p"
+EXACT_ELIMINATION = "exact elimination"
+
+
+class Kernel(list):
+    """A kernel basis (a list of vectors) with the certificate that settled it."""
+
+    def __init__(self, vectors, certificate: str):
+        super().__init__(vectors)
+        self.certificate = certificate
+
+
+def _cube_root(p: int) -> int:
+    """A primitive cube root of unity mod p, for p = 1 (mod 3)."""
+    g = 2
+    while (root := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    return root
+
+
+def _pack(values: list, nbytes: int) -> int:
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+
+def _unpack(packed: int, count: int, nbytes: int) -> list:
+    raw = packed.to_bytes(count * nbytes, "little")
+    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+
+
+def _echelon_mod(data: list, ncols: int, p: int, w: int):
+    """Row echelon form of integer-pair rows a + b*w mod p, w sent to the
+    residue w: (pivot columns, pivot rows).
+
+    Pivot rows are full-length residue lists with leading entry 1. While
+    pending, a row is packed into one integer with a fixed-width slot per
+    column, so a row operation is one big-integer multiply-add. Slots only
+    ever grow by adding products of two residues, at most once per pivot,
+    so they stay below the slot width and never carry into each other; they
+    are reduced mod p only when read. The lowest slot is shifted out after
+    each column, so slot 0 always holds the current column.
+    """
+    nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
+    shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    packed_rows = (_pack([(a + b * w) % p for a, b in row], nbytes) for row in data)
+    pending = [row for row in packed_rows if row]
+    pivots, echelon = [], []
+    for c in range(ncols):
+        if not pending:
+            break
+        leads = [(row & mask) % p for row in pending]
+        k = next((i for i, t in enumerate(leads) if t), None)
+        if k is not None:
+            tail = _unpack(pending.pop(k), ncols - c, nbytes)
+            inv = pow(leads.pop(k), -1, p)
+            tail = [x * inv % p for x in tail]
+            pivots.append(c)
+            echelon.append([0] * c + tail)
+            packed = _pack(tail, nbytes)
+            pending = [row + (p - t) * packed if t else row for row, t in zip(pending, leads)]
+        pending = [row >> shift for row in pending]
+    return pivots, echelon
+
+
+def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int) -> list:
+    """Kernel vectors mod p, one per free column, that entry 1, other free 0."""
+    pivot_set = set(pivots)
+    basis = []
+    for jf in (j for j in range(ncols) if j not in pivot_set):
+        vec = [0] * ncols
+        vec[jf] = 1
+        support = [(jf, 1)]  # nonzero entries so far, all right of the next pivot
+        for pc, row in zip(reversed(pivots), reversed(echelon)):
+            if pc < jf:
+                v = -sum(row[j] * x for j, x in support) % p
+                if v:
+                    vec[pc] = v
+                    support.append((pc, v))
         basis.append(vec)
     return basis
+
+
+def _crt(x: int, m: int, y: int, p: int) -> int:
+    """The residue mod m*p that is x mod m and y mod p."""
+    return x + m * ((y - x) * pow(m, -1, p) % p)
+
+
+def _rational(u: int, m: int):
+    """n/d = u (mod m) with |n|, d <= sqrt(m/2) (Wang's algorithm), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def _reconstruct(parts: list, m: int):
+    """Lift each residue vector to rationals, or None if an entry fails."""
+    lifted = [[_rational(u, m) for u in part] for part in parts]
+    return None if any(None in vec for vec in lifted) else lifted
+
+
+def _annihilates(data: list, vectors: list) -> bool:
+    """Exact check that every vector a + b*w kills every integer-pair row.
+
+    Each column is packed into one integer with a signed slot per row, so
+    M v is the single sum of v_j times column j. The slots are wide enough
+    for any entry of M v, and a nonzero slot below 2^(width-1) in magnitude
+    cannot be cancelled by the slots above it, so M v = 0 iff the sum is 0.
+    """
+    if not data:
+        return True
+    scaled = []
+    for a, b in vectors:
+        den = lcm(*(x.denominator for x in a), *(x.denominator for x in b))
+        scaled.append(([int(x * den) for x in a], [int(y * den) for y in b]))
+    mbits = max(abs(x) for row in data for pair in row for x in pair).bit_length()
+    vbits = max(max(max(v), -min(v)) for pair in scaled for v in pair).bit_length()
+    nbytes = (mbits + vbits + (3 * len(data[0])).bit_length()) // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    offset = _pack([half] * len(data), nbytes)
+    columns = [
+        [_pack([e[k] + half for e in col], nbytes) - offset if any(e[k] for e in col) else 0
+         for k in (0, 1)]
+        for col in zip(*data)
+    ]
+    for va, vb in scaled:
+        re = im = 0
+        for (ca, cb), x, y in zip(columns, va, vb):
+            # (ra + rb w)(x + y w) = ra x - rb y + (ra y + rb x - rb y) w
+            re += x * ca - y * cb
+            im += y * ca + (x - y) * cb
+        if re or im:
+            return False
+    return True
+
+
+def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
+    """Kernel mod p as (pivot columns, residue vectors), None at full rank.
+
+    Over Q(w) the rows are reduced under both embeddings w -> ω and w -> ω²;
+    a kernel entry a + b*w then reads a + bω and a + bω², which give a and
+    b because ω - ω² is a unit mod p. Each vector becomes two residue
+    vectors, its a-part and its b-part. When the two embeddings disagree on
+    the pivot columns, the pivots returned are None.
+    """
+    w1 = _cube_root(p)
+    found = []
+    for w in ((w1, p - 1 - w1) if qw else (0,)):
+        pivots, echelon = _echelon_mod(data, ncols, p, w)
+        if len(pivots) == ncols:
+            return None
+        found.append((pivots, _kernel_from_echelon(pivots, echelon, ncols, p)))
+    pivots, vectors = found[0]
+    if not qw:
+        return pivots, vectors
+    if found[1][0] != pivots:
+        return None, []
+    inv = pow(2 * w1 + 1, -1, p)  # w1 - w2 = 2*w1 + 1 mod p
+    parts = []
+    for v1, v2 in zip(vectors, found[1][1]):
+        b = [(x - y) * inv % p for x, y in zip(v1, v2)]
+        parts.append([(x - y * w1) % p for x, y in zip(v1, b)])
+        parts.append(b)
+    return pivots, parts
+
+
+def kernel_basis(m: ExactMatrix) -> Kernel:
+    """Canonical basis of the right kernel; rank + len(basis) == cols.
+
+    The result's `certificate` says how it was settled (see the module
+    docstring); every route gives the same basis.
+    """
+    data = _integer_rows(m)
+    ncols = m.cols
+    qw = any(b for row in data for _, b in row)
+    best, modulus, primes, lifted = None, 1, 0, []
+    for p in PRIMES:
+        found = _residue_kernel(data, ncols, p, qw)
+        if found is None:
+            return Kernel([], FULL_RANK_MOD_P)
+        pivots, parts = found
+        if pivots is None:
+            continue
+        # Only primes with the same pivot columns are combined; a prime that
+        # disagrees starts afresh. Verification decides which one was right.
+        if pivots != best:
+            best, modulus, primes = pivots, 1, 0
+        lifted = parts if primes == 0 else [
+            [_crt(x, modulus, y, p) for x, y in zip(old, new)] for old, new in zip(lifted, parts)
+        ]
+        modulus *= p
+        primes += 1
+        rationals = _reconstruct(lifted, modulus)
+        if rationals is None:
+            continue
+        pairs = list(zip(rationals[0::2], rationals[1::2])) if qw else [
+            (a, [0] * ncols) for a in rationals
+        ]
+        if _annihilates(data, pairs):
+            basis = [_lead_one([Scalar(x, y) for x, y in zip(a, b)]) for a, b in pairs]
+            plural = "s" if primes > 1 else ""
+            return Kernel(basis, f"verified reconstruction ({primes} prime{plural})")
+    return Kernel(_bareiss_kernel(data, ncols), EXACT_ELIMINATION)

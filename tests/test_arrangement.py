@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +12,7 @@ from nearfree import (
     LinearForm,
     LineArrangement,
     Scalar,
+    WeakCombinatorics,
     catalog,
     catalog_names,
     defining_polynomial,
@@ -23,8 +27,10 @@ from nearfree import (
     transform,
     weak_combinatorics,
 )
+from nearfree import arrangement as arrangement_module
 from nearfree.arrangement import format_lines, intersect, normalize_point
 from nearfree.errors import (
+    CatalogCensusMismatch,
     DirectionThroughPoint,
     DuplicateLine,
     FieldMismatch,
@@ -32,6 +38,7 @@ from nearfree.errors import (
     LineNotIncident,
     NonGenericDeformation,
     NotATriplePoint,
+    PairsIdentityViolated,
     ParseError,
     UnknownName,
 )
@@ -390,3 +397,37 @@ def test_pencil_census_tracks_higher_multiplicities():
     assert wc.higher == {4: 1}
     assert milnor_number(pencil) == 9
     assert str(wc) == "(4; 0, 0, t4=1)"
+
+
+def test_pairs_identity_violation_is_raised():
+    with pytest.raises(PairsIdentityViolated):
+        WeakCombinatorics(d=5, counts=((2, 1),))
+
+
+def test_pairs_identity_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(arrangement_module.__file__))
+    code = (
+        "assert False, 'assertions are on'\n"
+        "from nearfree import WeakCombinatorics\n"
+        "from nearfree.errors import PairsIdentityViolated\n"
+        "try:\n"
+        "    WeakCombinatorics(d=5, counts=((2, 1),))\n"
+        "except PairsIdentityViolated:\n"
+        "    print('rejected')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
+
+
+def test_catalog_census_mismatch_is_raised(monkeypatch):
+    builder, _ = arrangement_module._CATALOG["A4_free"]
+    monkeypatch.setitem(arrangement_module._CATALOG, "A4_free", (builder, (4, ((2, 6),))))
+    catalog.cache_clear()
+    try:
+        with pytest.raises(CatalogCensusMismatch):
+            catalog("A4_free")
+    finally:
+        catalog.cache_clear()

@@ -9,6 +9,7 @@ from nearfree import (
     analyze_curve,
     eta,
     kernel_basis,
+    linalg,
     mdr,
     parse_poly,
     rank,
@@ -79,6 +80,32 @@ def test_mdr_relation_dims_profile():
     result = mdr(parse_poly(MACLANE_OCTIC))
     assert result.relation_dims == [0, 0, 0, 0, 3]
     assert all(d == 0 for d in result.relation_dims[:-1])
+
+
+def test_mdr_records_how_each_degree_was_settled():
+    result = mdr(parse_poly(MACLANE_OCTIC))
+    assert result.certificates[:-1] == [linalg.FULL_RANK_MOD_P] * 4
+    assert result.certificates[-1].startswith("verified reconstruction (")
+
+
+@pytest.mark.parametrize("primes", [(7,), (7, 13)])
+def test_mdr_exact_when_degrees_below_are_deficient_mod_p(monkeypatch, primes):
+    # 7*f makes every relation matrix vanish mod 7, so each degree below mdr
+    # is rank-deficient mod the first prime and must be settled another way
+    f = parse_poly("7*" + BRAID_SEXTIC)
+    monkeypatch.setattr(linalg, "PRIMES", primes)
+    result = mdr(f)
+    assert result.r == 2
+    assert result.relation_dims == [0, 0, 1]
+    a, b, c = result.witness
+    assert (a * f.partial(0) + b * f.partial(1) + c * f.partial(2)).is_zero()
+    if primes == (7,):
+        assert result.certificates == [linalg.EXACT_ELIMINATION] * 3
+    else:
+        assert result.certificates[:2] == [linalg.FULL_RANK_MOD_P] * 2
+        assert result.certificates[2] == "verified reconstruction (1 prime)"
+    monkeypatch.undo()
+    assert mdr(f).witness == result.witness
 
 
 def test_kernel_dimension_monotonicity_beyond_mdr():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nearfree import ExactMatrix, FieldTag, Scalar, kernel_basis, rank
-from nearfree.field import ONE, ZERO
+from nearfree import ExactMatrix, FieldTag, Scalar, kernel_basis, linalg, rank
+from nearfree.field import OMEGA, ONE, ZERO
 
 from support import random_nonzero_scalar, random_scalar
 
@@ -86,16 +86,6 @@ def test_rank_invariant_under_row_ops():
         assert rank(m2) == rank(m)
 
 
-def test_strategies_agree():
-    rng = random.Random(3004)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rational = rng.random() < 0.5
-        m = _random_matrix(rng, nrows, ncols, rational)
-        assert rank(m, "fraction") == rank(m, "fraction_free")
-        assert kernel_basis(m, "fraction") == kernel_basis(m, "fraction_free")
-
-
 def test_singular_square_matrices():
     rng = random.Random(3005)
     for _ in range(20):
@@ -105,9 +95,81 @@ def test_singular_square_matrices():
         rows = [[u[i] * v[j] for j in range(4)] for i in range(4)]
         m = ExactMatrix.from_rows(rows)
         assert rank(m) <= 1
-        assert rank(m, "fraction") == rank(m)
+        assert len(kernel_basis(m)) == 4 - rank(m)
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        rank(_mat([[1]]), strategy="float")
+def test_primes_are_prime_and_one_mod_three():
+    sympy = pytest.importorskip("sympy")
+    assert linalg.PRIMES
+    for p in linalg.PRIMES:
+        assert sympy.isprime(p)
+        assert p % 3 == 1
+
+
+def _exact_kernel(m, monkeypatch):
+    """kernel_basis with no primes left, i.e. Bareiss elimination alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "PRIMES", ())
+        kernel = kernel_basis(m)
+    assert kernel.certificate == linalg.EXACT_ELIMINATION
+    return kernel
+
+
+def _deficient_matrix(rng, make):
+    """Rows are combinations of a few random rows, so kernels are often large."""
+    ncols = rng.randint(1, 7)
+    base = [[make() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = [random_scalar(rng, 3) for _ in base]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), ZERO) for j in range(ncols)])
+    return ExactMatrix.from_rows(rows)
+
+
+def test_modular_matches_bareiss(monkeypatch):
+    rng = random.Random(3004)
+    p = linalg.PRIMES[0]
+    makers = [
+        lambda: Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+        lambda: random_scalar(rng, 4),
+        # large denominators and numerators, beyond one prime's reach
+        lambda: Scalar(Fraction(rng.randint(-2**140, 2**140), rng.randint(1, 2**130))),
+        lambda: Scalar(Fraction(rng.randint(-9, 9), 2**200 + rng.randint(0, 9)),
+                       Fraction(rng.randint(-2**90, 2**90), 7)),
+        # entries divisible by the primes
+        lambda: Scalar(p * rng.randint(-2, 2), linalg.PRIMES[-1] * rng.randint(-1, 1)),
+        lambda: Scalar(rng.choice([0, 1, p, 2 * p, p * p]), rng.choice([0, 0, p])),
+    ]
+    certificates = set()
+    for trial in range(120):
+        make = makers[trial % len(makers)]
+        if trial % 2:
+            m = _deficient_matrix(rng, make)
+        else:
+            ncols, nrows = rng.randint(1, 6), rng.randint(1, 6)
+            m = ExactMatrix.from_rows([[make() for _ in range(ncols)] for _ in range(nrows)])
+        kernel = kernel_basis(m)
+        assert kernel == _exact_kernel(m, monkeypatch)
+        certificates.add(kernel.certificate)
+    assert linalg.FULL_RANK_MOD_P in certificates
+    assert "verified reconstruction (1 prime)" in certificates
+    assert any(c.endswith("primes)") for c in certificates)
+
+
+def test_unlucky_prime_falls_back_to_exact_elimination(monkeypatch):
+    monkeypatch.setattr(linalg, "PRIMES", (7,))
+    # singular mod 7 but not over Q: no zero kernel may be claimed mod 7
+    for rows in ([[1, 0], [0, 7]], [[1, 0], [0, 7 * OMEGA]], [[14, 3], [7, 5]]):
+        kernel = kernel_basis(_mat(rows))
+        assert kernel == []
+        assert kernel.certificate == linalg.EXACT_ELIMINATION
+    # a kernel mod 7 larger than the exact one cannot be verified
+    kernel = kernel_basis(_mat([[1, 0, 0], [0, 7, 0]]))
+    assert kernel == [[ZERO, ZERO, ONE]]
+    assert kernel.certificate == linalg.EXACT_ELIMINATION
+    # a second prime settles what the unlucky first one could not
+    monkeypatch.setattr(linalg, "PRIMES", (7, 13))
+    assert kernel_basis(_mat([[1, 0], [0, 7]])).certificate == linalg.FULL_RANK_MOD_P
+    kernel = kernel_basis(_mat([[1, 0, 0], [0, 7, 0]]))
+    assert kernel == [[ZERO, ZERO, ONE]]
+    assert kernel.certificate == "verified reconstruction (1 prime)"
