@@ -40,6 +40,7 @@ from .criteria import (
     eta,
     mdr,
     relation_matrix,
+    tau_bounds,
     verdict,
 )
 from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar

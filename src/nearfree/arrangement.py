@@ -1,9 +1,13 @@
 """Line arrangements in the projective plane over an exact field.
 
 An arrangement is an ordered list of pairwise distinct normalized linear
-forms. All lattice computations (intersection points, multiplicities,
-Milnor number) cluster points by exact projective equality; the coefficient
-fields are exact, so no tolerances are involved anywhere.
+forms. The intersection lattice is built by `singular_points`: each line is
+scaled to Z[w] integers, every pair's cross product gets a canonical integer
+key (made unique up to scaling by the norm of its leading coordinate and the
+gcd), and pairs are clustered on that key; the Q(w) point is built once per
+cluster. The census, the Milnor number (`WeakCombinatorics.mu`) and the
+incidences all derive from that one list, so callers build it once per
+arrangement. Everything is exact; no tolerances are involved anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Optional, Sequence
+from math import comb, gcd
+from typing import Sequence
 
 from .errors import (
     CatalogCensusMismatch,
@@ -27,7 +31,16 @@ from .errors import (
     ParseError,
     UnknownName,
 )
-from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, parse_scalar, smallest_tag
+from .field import (
+    OMEGA,
+    ONE,
+    ZERO,
+    FieldTag,
+    Scalar,
+    integer_pairs,
+    pair_mul,
+    parse_scalar,
+)
 from .poly import LinearForm, Poly, product_of_forms
 
 Point = tuple  # 3 scalars, normalized so the first nonzero is 1
@@ -123,6 +136,11 @@ class WeakCombinatorics:
         return dict(self.counts).get(3, 0)
 
     @property
+    def mu(self) -> int:
+        """Total Milnor number: sum of t_k * (k - 1)^2."""
+        return sum(t * (k - 1) ** 2 for k, t in self.counts)
+
+    @property
     def higher(self) -> dict:
         return {k: t for k, t in self.counts if k >= 4}
 
@@ -131,29 +149,67 @@ class WeakCombinatorics:
         return f"({self.d}; {self.t2}, {self.t3}{extra})"
 
 
+def _det2(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a*b - c*d for Z[w] pairs."""
+    p, q = pair_mul(a, b), pair_mul(c, d)
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(u: tuple, v: tuple) -> tuple:
+    """Intersection point of the Z[w] lines u and v, as three Z[w] pairs."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (_det2(u1, v2, u2, v1), _det2(u2, v0, u0, v2), _det2(u0, v1, u1, v0))
+
+
+def _point_key(p: tuple) -> tuple:
+    """Canonical integer key of the projective point p (three Z[w] pairs).
+
+    p is multiplied by the conjugate of its first nonzero coordinate, which
+    turns that coordinate into its positive norm, and the six integers are
+    divided by their gcd. Two representatives of one point differ by a
+    scalar lambda, their products by the positive rational N(lambda), and
+    the gcd division removes it.
+    """
+    la, lb = next(c for c in p if c[0] or c[1])
+    conj = (la - lb, -lb)
+    key = tuple(n for c in p for n in pair_mul(c, conj))
+    g = gcd(*key)
+    return tuple(n // g for n in key)
+
+
 def singular_points(arrangement: LineArrangement) -> list:
-    """All intersection points, clustered exactly, in lex coordinate order."""
+    """All intersection points, clustered on exact integer keys, in lex
+    coordinate order; each point is built in Q(w) once, from its first pair."""
     clusters: dict = {}
     lines = arrangement.lines
+    ints = [integer_pairs(form.coeffs) for form in lines]
     for i in range(len(lines)):
+        u = ints[i]
         for j in range(i + 1, len(lines)):
-            p = intersect(lines[i], lines[j])
-            bucket = clusters.setdefault(p, set())
-            bucket.add(i)
-            bucket.add(j)
-    out = [
-        SingularPoint(point=p, multiplicity=len(idx), incident_lines=tuple(sorted(idx)))
-        for p, idx in clusters.items()
-    ]
+            key = _point_key(_cross(u, ints[j]))
+            bucket = clusters.get(key)
+            if bucket is None:
+                clusters[key] = {i, j}
+            else:
+                bucket.add(j)
+    out = []
+    for idx in clusters.values():
+        incident = tuple(sorted(idx))
+        point = intersect(lines[incident[0]], lines[incident[1]])
+        out.append(SingularPoint(point=point, multiplicity=len(incident), incident_lines=incident))
     out.sort(key=lambda s: tuple(c.sort_key() for c in s.point))
     return out
 
 
-def weak_combinatorics(arrangement: LineArrangement) -> WeakCombinatorics:
+def _census(d: int, points: list) -> WeakCombinatorics:
     census: dict = {}
-    for sp in singular_points(arrangement):
+    for sp in points:
         census[sp.multiplicity] = census.get(sp.multiplicity, 0) + 1
-    return WeakCombinatorics(d=arrangement.d, counts=tuple(sorted(census.items())))
+    return WeakCombinatorics(d=d, counts=tuple(sorted(census.items())))
+
+
+def weak_combinatorics(arrangement: LineArrangement) -> WeakCombinatorics:
+    return _census(arrangement.d, singular_points(arrangement))
 
 
 def milnor_number(arrangement: LineArrangement) -> int:
@@ -162,7 +218,7 @@ def milnor_number(arrangement: LineArrangement) -> int:
     For line arrangements this equals the total Tjurina number, every
     singular point being quasi-homogeneous.
     """
-    return sum((sp.multiplicity - 1) ** 2 for sp in singular_points(arrangement))
+    return weak_combinatorics(arrangement).mu
 
 
 def defining_polynomial(arrangement: LineArrangement) -> Poly:
@@ -176,14 +232,6 @@ def delete_line(arrangement: LineArrangement, index: int) -> LineArrangement:
         raise IndexOutOfRange("cannot delete the only line")
     remaining = arrangement.lines[:index] + arrangement.lines[index + 1:]
     return LineArrangement(remaining, arrangement.tag)
-
-
-def _find_singular_point(arrangement: LineArrangement, point: Sequence) -> Optional[SingularPoint]:
-    p = normalize_point(point)
-    for sp in singular_points(arrangement):
-        if sp.point == p:
-            return sp
-    return None
 
 
 def deform_triple_point(
@@ -208,7 +256,9 @@ def deform_triple_point(
         raise IndexOutOfRange(f"line index {line_index} out of range for d={arrangement.d}")
     if arrangement.tag is FieldTag.Q and not (direction.is_rational() and eps.is_rational()):
         raise FieldMismatch("deformation data must stay in the arrangement's field")
-    sp = _find_singular_point(arrangement, point)
+    points = singular_points(arrangement)
+    p = normalize_point(point)
+    sp = next((sp for sp in points if sp.point == p), None)
     if sp is None or sp.multiplicity != 3:
         raise NotATriplePoint(f"no triple point of the arrangement at the given coordinates")
     if line_index not in sp.incident_lines:
@@ -226,7 +276,7 @@ def deform_triple_point(
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
         raise NonGenericDeformation(f"deformed line collides with another line: {exc}")
-    before = dict(weak_combinatorics(arrangement).counts)
+    before = dict(_census(arrangement.d, points).counts)
     after = dict(weak_combinatorics(deformed).counts)
     expected = dict(before)
     expected[2] = expected.get(2, 0) + 3

@@ -4,8 +4,9 @@ Subcommands: analyze, classify, bounds, deform, delete, catalog. Every
 subcommand accepts --json for a machine-readable report with a fixed key
 order, so output bytes are identical across runs on the same input.
 
-Exit codes: 0 success, 2 input error, 3 field mismatch, 4 rejected
-(non-generic) deformation.
+Exit codes: 0 success, 2 input error (including a tau outside the
+du Plessis-Wall bounds), 3 field mismatch, 4 rejected (non-generic)
+deformation.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ def _load_source(source: str, field: str = None) -> arr.LineArrangement:
 
 
 def _arrangement_report(a: arr.LineArrangement, source: str) -> AnalysisReport:
-    mu = arr.milnor_number(a)
+    comb = arr.weak_combinatorics(a)
     f = arr.defining_polynomial(a)
-    report = analyze_curve(f, tau=mu, source=source)
+    report = analyze_curve(f, tau=comb.mu, source=source)
     report.field = a.tag
-    report.mu = mu
-    report.combinatorics = arr.weak_combinatorics(a)
+    report.mu = comb.mu
+    report.combinatorics = comb
     report.notes.insert(0, "tau taken equal to mu (arrangement singularities)")
     return report
 
@@ -192,12 +193,11 @@ def cmd_deform(args) -> int:
         return 2
     direction = LinearForm.parse(args.dir)
     eps = parse_scalar(args.eps)
-    before = arr.weak_combinatorics(a)
     deformed = arr.deform_triple_point(a, point, args.line, direction, eps)
-    after = arr.weak_combinatorics(deformed)
-    tau_before = arr.milnor_number(a)
     report = _arrangement_report(deformed, args.source + " (deformed)")
     before_report = _arrangement_report(a, args.source)
+    before, after = before_report.combinatorics, report.combinatorics
+    tau_before = before_report.tau
     eta_before = before_report.eta_value
     if args.json:
         payload = _report_json(report)

@@ -16,16 +16,19 @@ against the total Tjurina number tau of the curve:
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular point
-of an arrangement is quasi-homogeneous.
+of an arrangement is quasi-homogeneous. A tau outside the du Plessis-Wall
+bounds for the computed r is rejected with TauOutOfRange; for arrangements
+that is a check of the invariant tau = mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from math import comb
 from typing import Optional
 
-from .errors import OutOfRange
+from .errors import OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag
 from .linalg import ExactMatrix, kernel_basis
 from .poly import Poly, graded_basis
@@ -118,6 +121,17 @@ def eta(d: int, r: int) -> int:
     return r * r - r * (d - 1) + (d - 1) * (d - 1)
 
 
+def tau_bounds(d: int, r: int) -> tuple:
+    """du Plessis-Wall bounds on tau for a reduced curve of degree d with
+    mdr = r: (d-1)(d-r-1) <= tau <= (d-1)^2 - r(d-r-1), the upper bound
+    lowered by C(2r-d+2, 2) when 2r >= d (du Plessis-Wall 1999; Dimca 2017,
+    "Freeness versus maximal global Tjurina number")."""
+    upper = (d - 1) ** 2 - r * (d - r - 1)
+    if 2 * r >= d:
+        upper -= comb(2 * r - d + 2, 2)
+    return (d - 1) * (d - r - 1), upper
+
+
 class VerdictKind(Enum):
     FREE = "Free"
     NEARLY_FREE = "NearlyFree"
@@ -181,8 +195,10 @@ def analyze_curve(f: Poly, tau: int, source: str = "polynomial") -> AnalysisRepo
     """Run the full numeric pipeline on a defining polynomial.
 
     tau must be supplied by the caller; for line arrangements use the total
-    Milnor number. Degree < 2 input yields an Inapplicable report with a
-    note instead of an error so deletion chains can bottom out gracefully.
+    Milnor number. It must lie within tau_bounds(d, mdr), else
+    TauOutOfRange is raised. Degree < 2 input yields an Inapplicable report
+    with a note instead of an error so deletion chains can bottom out
+    gracefully.
     """
     d = f.degree
     report = AnalysisReport(source=source, field=f.tag, d=d, tau=tau)
@@ -193,6 +209,12 @@ def analyze_curve(f: Poly, tau: int, source: str = "polynomial") -> AnalysisRepo
         report.notes.append("degree < 2: verdict skipped")
         return report
     result = mdr(f)
+    lower, upper = tau_bounds(d, result.r)
+    if not lower <= tau <= upper:
+        raise TauOutOfRange(
+            f"tau={tau} is impossible for a reduced curve of degree {d} with mdr={result.r}:"
+            f" the du Plessis-Wall bounds give {lower} <= tau <= {upper}"
+        )
     report.mdr_result = result
     report.eta_value = eta(d, result.r)
     report.verdict = verdict(d, result.r, tau)

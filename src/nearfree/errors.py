@@ -47,6 +47,10 @@ class OutOfRange(ToolkitError, ValueError):
     pass
 
 
+class TauOutOfRange(ToolkitError):
+    """tau lies outside the du Plessis-Wall bounds for the computed mdr."""
+
+
 class UnknownName(ToolkitError, LookupError):
     pass
 

@@ -4,14 +4,17 @@ Every scalar is stored as a pair (a, b) of `fractions.Fraction` values and
 means a + b*w with w a primitive cube root of unity kept purely symbolic.
 Rationals are the b == 0 case, so one arithmetic layer serves both fields;
 the `FieldTag` carried by polynomials and arrangements records the smallest
-field a given object actually needs.
+field a given object actually needs. Exact elimination and the arrangement
+lattice work on Z[w] integer pairs (a, b) instead: `integer_pairs` clears
+denominators and `pair_mul` multiplies.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, ParseError
 
@@ -146,6 +149,33 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 OMEGA = Scalar(0, 1)
+
+
+# -- Z[w] integer pairs (a, b), meaning a + b*w ------------------------------
+
+
+def integer_pairs(scalars: Sequence[Scalar]) -> list:
+    """The scalars scaled by the lcm of their denominators, as Z[w] pairs."""
+    # the shared ZERO fills most matrix cells; any other zero takes the general path
+    nonzero = [s for s in scalars if s is not ZERO]
+    scale = lcm(*(s.a.denominator for s in nonzero), *(s.b.denominator for s in nonzero))
+    return [
+        (0, 0) if s is ZERO else (
+            s.a.numerator * (scale // s.a.denominator),
+            s.b.numerator * (scale // s.b.denominator),
+        )
+        for s in scalars
+    ]
+
+
+def pair_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two Z[w] pairs, with w^2 = -1 - w."""
+    xa, xb = x
+    ya, yb = y
+    if xb == 0 and yb == 0:
+        return (xa * ya, 0)
+    q = xb * yb
+    return (xa * ya - q, xa * yb + xb * ya - q)
 
 
 def smallest_tag(scalars: Iterable[Scalar]) -> FieldTag:

@@ -31,7 +31,7 @@ from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import ToolkitError
-from .field import ONE, ZERO, FieldTag, Scalar, smallest_tag
+from .field import ONE, ZERO, FieldTag, Scalar, integer_pairs, pair_mul, smallest_tag
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,6 @@ class ExactMatrix:
 # -- integer-pair helpers (a + b*w with integer a, b) -----------------------
 
 
-def _emul(x, y):
-    xa, xb = x
-    ya, yb = y
-    if xb == 0 and yb == 0:
-        return (xa * ya, 0)
-    q = xb * yb
-    return (xa * ya - q, xa * yb + xb * ya - q)
-
-
 def _ediv_exact(x, y):
     xa, xb = x
     ya, yb = y
@@ -104,7 +95,7 @@ def _ediv_exact(x, y):
             raise ToolkitError("internal: fraction-free division left a remainder")
         return (qa, qb)
     # multiply by the conjugate, then divide by the integer norm
-    na, nb = _emul(x, (ya - yb, -yb))
+    na, nb = pair_mul(x, (ya - yb, -yb))
     n = ya * ya - ya * yb + yb * yb
     qa, ra = divmod(na, n)
     qb, rb = divmod(nb, n)
@@ -115,20 +106,7 @@ def _ediv_exact(x, y):
 
 def _integer_rows(m: ExactMatrix) -> list:
     """Scale each row by the lcm of its denominators (kernel unchanged)."""
-    data = []
-    for i in range(m.rows):
-        row = m.row(i)
-        # the shared ZERO fills most cells; any other zero takes the general path
-        nonzero = [s for s in row if s is not ZERO]
-        scale = lcm(*(s.a.denominator for s in nonzero), *(s.b.denominator for s in nonzero))
-        data.append([
-            (0, 0) if s is ZERO else (
-                s.a.numerator * (scale // s.a.denominator),
-                s.b.numerator * (scale // s.b.denominator),
-            )
-            for s in row
-        ])
-    return data
+    return [integer_pairs(m.row(i)) for i in range(m.rows)]
 
 
 def _bareiss(data: list, ncols: int):
@@ -158,11 +136,11 @@ def _bareiss(data: list, ncols: int):
                 for j in range(c + 1, ncols):
                     e = row_i[j]
                     if e != (0, 0):
-                        row_i[j] = _ediv_exact(_emul(piv, e), prev)
+                        row_i[j] = _ediv_exact(pair_mul(piv, e), prev)
             else:
                 for j in range(c + 1, ncols):
-                    ua, ub = _emul(piv, row_i[j])
-                    va, vb = _emul(t, row_p[j])
+                    ua, ub = pair_mul(piv, row_i[j])
+                    va, vb = pair_mul(t, row_p[j])
                     row_i[j] = _ediv_exact((ua - va, ub - vb), prev)
                 row_i[c] = (0, 0)
         pivots.append(c)

@@ -8,10 +8,14 @@ from math import comb
 import pytest
 
 from nearfree import (
+    OMEGA,
+    ONE,
+    ZERO,
     FieldTag,
     LinearForm,
     LineArrangement,
     Scalar,
+    SingularPoint,
     WeakCombinatorics,
     catalog,
     catalog_names,
@@ -42,8 +46,15 @@ from nearfree.errors import (
     ParseError,
     UnknownName,
 )
+from nearfree.field import integer_pairs
 
-from support import random_arrangement, random_invertible_matrix
+from support import (
+    random_arrangement,
+    random_fraction,
+    random_invertible_matrix,
+    random_nonzero_scalar,
+    random_scalar,
+)
 
 
 def _forms(*texts):
@@ -86,19 +97,130 @@ def test_incident_lines_recorded():
 
 
 def _brute_force_census(arrangement):
-    # independent of the clustering code: count distinct pairwise
-    # intersection points directly
+    # independent of the integer keys: cluster the normalized Q(w) points
+    # that `intersect` returns for every pair, and require singular_points
+    # to give the same points, multiplicities, incident lines and order
     lines = arrangement.lines
     buckets = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             p = intersect(lines[i], lines[j])
             buckets.setdefault(p, set()).update((i, j))
+    reference = sorted(
+        (SingularPoint(p, len(idx), tuple(sorted(idx))) for p, idx in buckets.items()),
+        key=lambda sp: tuple(c.sort_key() for c in sp.point),
+    )
+    assert singular_points(arrangement) == reference
     census = {}
     for incident in buckets.values():
         k = len(incident)
         census[k] = census.get(k, 0) + 1
     return census
+
+
+def _distinct_lines(forms):
+    return LineArrangement(list(dict.fromkeys(forms)))
+
+
+def _roots_of_unity(m):
+    # the m-th roots of unity in Q(w) for m in {2, 3, 6}
+    w = OMEGA
+    return {2: [ONE, -ONE], 3: [ONE, w, w * w], 6: [ONE, -ONE, w, -w, w * w, -(w * w)]}[m]
+
+
+def _reflection_arrangement(m, full):
+    # A(m,m,3): x - zeta*y, y - zeta*z, z - zeta*x over the m-th roots of
+    # unity zeta; A(m,1,3) adds the coordinate lines
+    forms = []
+    for zeta in _roots_of_unity(m):
+        forms += [LinearForm(ONE, -zeta, ZERO), LinearForm(ZERO, ONE, -zeta),
+                  LinearForm(-zeta, ZERO, ONE)]
+    if full:
+        forms += _forms("x", "y", "z")
+    return LineArrangement(forms)
+
+
+def test_lattice_matches_scalar_reference_on_fractional_q_arrangements():
+    rng = random.Random(5003)
+    for _ in range(40):
+        forms, n = [], rng.randint(2, 9)
+        while len(forms) < n:
+            coeffs = [random_fraction(rng, span=2, den=3) for _ in range(3)]
+            if any(coeffs):
+                forms.append(LinearForm(*coeffs))
+        _brute_force_census(_distinct_lines(forms))
+    for name in ["A1_6", "B7_free", "A6_deformed"]:
+        moved = transform(catalog(name), random_invertible_matrix(rng))
+        lines = [LinearForm(*(c * Fraction(1, rng.randint(1, 5)) for c in form.coeffs))
+                 for form in moved.lines]
+        _brute_force_census(LineArrangement(lines))
+
+
+def test_lattice_matches_scalar_reference_on_qw_arrangements():
+    rng = random.Random(5004)
+    small = [ZERO, ONE, -ONE, OMEGA, -OMEGA, OMEGA * OMEGA, Scalar(Fraction(1, 2), 1)]
+    for _ in range(40):
+        forms, n = [], rng.randint(2, 9)
+        while len(forms) < n:
+            coeffs = [rng.choice(small) for _ in range(3)]
+            if any(coeffs):
+                forms.append(LinearForm(*coeffs))
+        _brute_force_census(_distinct_lines(forms))
+    for _ in range(10):
+        forms = [LinearForm(*(random_scalar(rng, span=2) for _ in range(3))) for _ in range(6)]
+        _brute_force_census(_distinct_lines(forms))
+    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
+    _brute_force_census(transform(catalog("DualHesse9"), shear))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lattice_matches_scalar_reference_on_catalog(name):
+    _brute_force_census(catalog(name))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_lattice_matches_scalar_reference_on_reflection_arrangements(m):
+    # A(m,m,3): three m-fold points and m^2 triples; A(m,1,3): three
+    # (m+2)-fold points, m^2 triples and 3m nodes (m = 2 merges the counts)
+    census = _brute_force_census(_reflection_arrangement(m, False))
+    expected = {3: m * m}
+    expected[m] = expected.get(m, 0) + 3
+    assert census == expected
+    census = _brute_force_census(_reflection_arrangement(m, True))
+    expected = {m + 2: 3, 3: m * m, 2: 3 * m}
+    assert census == expected
+
+
+def test_lattice_matches_scalar_reference_on_near_pencil():
+    rng = random.Random(5005)
+    slopes = rng.sample(range(-40, 41), 24)
+    forms = [LinearForm(1, Fraction(-s, 7), 0) for s in slopes] + [LinearForm(3, -2, 5)]
+    assert _brute_force_census(LineArrangement(forms)) == {24: 1, 2: 24}
+
+
+def test_point_key_is_invariant_under_scaling():
+    rng = random.Random(5006)
+    for _ in range(200):
+        coords = [random_scalar(rng, span=4) if rng.random() < 0.7 else ZERO for _ in range(3)]
+        if not any(coords):
+            continue
+        key = arrangement_module._point_key(integer_pairs(coords))
+        for _ in range(3):
+            lam = random_nonzero_scalar(rng, span=6)
+            scaled = integer_pairs([c * lam for c in coords])
+            assert arrangement_module._point_key(scaled) == key
+
+
+def test_point_key_separates_distinct_points():
+    values = [ZERO, ONE, -ONE, OMEGA, Scalar(Fraction(1, 2)), Scalar(1, 1)]
+    points = [(a, b, c) for a in values for b in values for c in values if a or b or c]
+    keys = {}
+    for p in points:
+        keys.setdefault(arrangement_module._point_key(integer_pairs(p)), set()).add(
+            normalize_point(p)
+        )
+    assert all(len(normalized) == 1 for normalized in keys.values())
+    assert len(keys) == len({normalize_point(p) for p in points})
 
 
 def test_generic_four_lines_brute_force():

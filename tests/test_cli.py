@@ -4,7 +4,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from nearfree import catalog, defining_polynomial, format_poly, milnor_number
+from nearfree import (
+    arrangement,
+    catalog,
+    catalog_names,
+    defining_polynomial,
+    format_poly,
+    milnor_number,
+)
 from nearfree.cli import main
 
 
@@ -49,6 +56,17 @@ def test_analyze_raw_polynomial():
     assert payload["b"] == 1
     assert payload["t2"] is None and payload["mu"] is None
     assert payload["field"] == "Q"
+
+
+@pytest.mark.parametrize("tau", [7, 1])
+def test_analyze_rejects_tau_outside_du_plessis_wall_bounds(tau):
+    # the cusp has d = 3 and mdr = 1, so 2 <= tau <= 3
+    code, out, err = run_cli(["analyze", "--poly", "y^2*z - x^3", "--tau", str(tau)])
+    assert code == 2
+    assert out == ""
+    assert "du Plessis-Wall" in err
+    code, _, _ = run_cli(["analyze", "--poly", "y^2*z - x^3", "--tau", "2"])
+    assert code == 0
 
 
 def test_analyze_poly_requires_tau():
@@ -281,3 +299,27 @@ def test_field_flag_promotes_rational_arrangement():
     payload = analyze_json(["@catalog:A1_6", "--field", "Qw"])
     assert payload["field"] == "Qw"
     assert payload["verdict"] == "Free"
+
+
+def _lattice_builds(monkeypatch, argv):
+    for name in catalog_names():
+        catalog(name)  # built and census-checked once, outside the count
+    calls = []
+    build = arrangement.singular_points
+
+    def counted(a):
+        calls.append(a)
+        return build(a)
+
+    monkeypatch.setattr(arrangement, "singular_points", counted)
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    return len(calls)
+
+
+def test_one_lattice_per_command(monkeypatch):
+    assert _lattice_builds(monkeypatch, ["analyze", "@catalog:A1_6", "--json"]) == 1
+    assert _lattice_builds(monkeypatch, ["delete", "@catalog:DualHesse9", "--line", "0"]) == 1
+    deform = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3", "--dir", "y",
+              "--eps", "1/2", "--json"]
+    assert _lattice_builds(monkeypatch, deform) <= 4

@@ -14,10 +14,11 @@ from nearfree import (
     parse_poly,
     rank,
     relation_matrix,
+    tau_bounds,
     verdict,
 )
 from nearfree.arrangement import catalog, catalog_names, defining_polynomial, milnor_number
-from nearfree.errors import OutOfRange
+from nearfree.errors import OutOfRange, TauOutOfRange
 from nearfree.field import ZERO
 
 from support import random_nonzero_scalar
@@ -263,3 +264,29 @@ def test_analyze_two_lines_is_free():
     assert report.mdr_result.r == 0
     assert report.verdict.kind is VerdictKind.FREE
     assert report.verdict.exponents == (0, 1)
+
+
+def test_tau_bounds():
+    # the upper bound is eta(d, r), lowered by C(2r-d+2, 2) once 2r >= d
+    assert tau_bounds(3, 1) == (2, 3)
+    assert tau_bounds(6, 2) == (15, eta(6, 2))
+    assert tau_bounds(8, 4) == (21, eta(8, 4) - 1)
+    assert tau_bounds(2, 1) == (0, 0)  # smooth conic
+
+
+def test_analyze_curve_rejects_tau_outside_bounds():
+    with pytest.raises(TauOutOfRange):
+        analyze_curve(parse_poly(CUSPIDAL_CUBIC), tau=7)
+    with pytest.raises(TauOutOfRange):
+        analyze_curve(parse_poly(CUSPIDAL_CUBIC), tau=1)
+    with pytest.raises(TauOutOfRange):
+        analyze_curve(parse_poly(BRAID_SEXTIC), tau=20)
+
+
+def test_catalog_mu_lies_within_tau_bounds():
+    # for arrangements the check is an invariant on tau = mu
+    for name in catalog_names():
+        a = catalog(name)
+        f = defining_polynomial(a)
+        lower, upper = tau_bounds(a.d, mdr(f).r)
+        assert lower <= milnor_number(a) <= upper
