@@ -1,5 +1,6 @@
 """Exact toolkit for freeness and near-freeness of plane curves and line
-arrangements, decided through minimal-degree Jacobian syzygies."""
+arrangements, decided through minimal-degree Jacobian syzygies (found on
+the logarithmic derivations for arrangements)."""
 
 from .arrangement import (
     LineArrangement,
@@ -9,6 +10,7 @@ from .arrangement import (
     catalog_names,
     defining_polynomial,
     deform_triple_point,
+    deformation,
     delete_line,
     load_lines,
     milnor_number,
@@ -37,11 +39,13 @@ from .criteria import (
     Verdict,
     VerdictKind,
     analyze_curve,
+    derivation_rows,
     eta,
     mdr,
     relation_matrix,
     tau_bounds,
     verdict,
+    verify_syzygy,
 )
 from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
 from .linalg import ExactMatrix, kernel_basis, rank

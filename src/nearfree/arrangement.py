@@ -38,6 +38,7 @@ from .field import (
     FieldTag,
     Scalar,
     integer_pairs,
+    pair_det2,
     pair_mul,
     parse_scalar,
 )
@@ -149,16 +150,10 @@ class WeakCombinatorics:
         return f"({self.d}; {self.t2}, {self.t3}{extra})"
 
 
-def _det2(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
-    """a*b - c*d for Z[w] pairs."""
-    p, q = pair_mul(a, b), pair_mul(c, d)
-    return (p[0] - q[0], p[1] - q[1])
-
-
 def _cross(u: tuple, v: tuple) -> tuple:
     """Intersection point of the Z[w] lines u and v, as three Z[w] pairs."""
     (u0, u1, u2), (v0, v1, v2) = u, v
-    return (_det2(u1, v2, u2, v1), _det2(u2, v0, u0, v2), _det2(u0, v1, u1, v0))
+    return (pair_det2(u1, v2, u2, v1), pair_det2(u2, v0, u0, v2), pair_det2(u0, v1, u1, v0))
 
 
 def _point_key(p: tuple) -> tuple:
@@ -234,20 +229,21 @@ def delete_line(arrangement: LineArrangement, index: int) -> LineArrangement:
     return LineArrangement(remaining, arrangement.tag)
 
 
-def deform_triple_point(
+def deformation(
     arrangement: LineArrangement,
     point: Sequence,
     line_index: int,
     direction: LinearForm,
     eps: Scalar,
-) -> LineArrangement:
+) -> tuple:
     """Split one triple point into three nodes by replacing one of its lines.
 
     The line at line_index is replaced by line + eps*direction. The result
     is accepted only if its multiplicity census is exactly (t2 + 3, t3 - 1)
     with everything else unchanged; any other outcome (including a duplicate
     line) raises NonGenericDeformation, and the caller may retry with a
-    different eps or direction.
+    different eps or direction. Returns (deformed arrangement, census
+    before, census after), so callers need not build either lattice again.
     """
     eps = eps if isinstance(eps, Scalar) else Scalar(eps)
     if not eps:
@@ -276,8 +272,8 @@ def deform_triple_point(
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
         raise NonGenericDeformation(f"deformed line collides with another line: {exc}")
-    before = dict(_census(arrangement.d, points).counts)
-    after = dict(weak_combinatorics(deformed).counts)
+    census_before, census_after = _census(arrangement.d, points), weak_combinatorics(deformed)
+    before, after = dict(census_before.counts), dict(census_after.counts)
     expected = dict(before)
     expected[2] = expected.get(2, 0) + 3
     expected[3] = expected.get(3, 0) - 1
@@ -287,7 +283,18 @@ def deform_triple_point(
             f"combinatorics changed from {sorted(before.items())} to {sorted(after.items())},"
             f" expected {sorted(expected.items())}"
         )
-    return deformed
+    return deformed, census_before, census_after
+
+
+def deform_triple_point(
+    arrangement: LineArrangement,
+    point: Sequence,
+    line_index: int,
+    direction: LinearForm,
+    eps: Scalar,
+) -> LineArrangement:
+    """The deformed arrangement of `deformation`."""
+    return deformation(arrangement, point, line_index, direction, eps)[0]
 
 
 def tjurina_drop_check(before: LineArrangement, after: LineArrangement) -> bool:

@@ -5,8 +5,11 @@ subcommand accepts --json for a machine-readable report with a fixed key
 order, so output bytes are identical across runs on the same input.
 
 Exit codes: 0 success, 2 input error (including a tau outside the
-du Plessis-Wall bounds), 3 field mismatch, 4 rejected (non-generic)
-deformation.
+du Plessis-Wall bounds) or a failed internal check such as NotASyzygy,
+3 field mismatch, 4 rejected (non-generic) deformation.
+
+Arrangement commands pass the lines to `analyze_curve`, so mdr is found on
+the logarithmic derivations; `--poly` curves use the Jacobian route.
 """
 
 from __future__ import annotations
@@ -37,10 +40,15 @@ def _load_source(source: str, field: str = None) -> arr.LineArrangement:
     return a
 
 
-def _arrangement_report(a: arr.LineArrangement, source: str) -> AnalysisReport:
-    comb = arr.weak_combinatorics(a)
+def _arrangement_report(
+    a: arr.LineArrangement, source: str, comb: arr.WeakCombinatorics = None
+) -> AnalysisReport:
+    """The analysis of an arrangement; comb is its census when the caller
+    already has it, so the lattice is not built again."""
+    if comb is None:
+        comb = arr.weak_combinatorics(a)
     f = arr.defining_polynomial(a)
-    report = analyze_curve(f, tau=comb.mu, source=source)
+    report = analyze_curve(f, tau=comb.mu, source=source, lines=a.lines)
     report.field = a.tag
     report.mu = comb.mu
     report.combinatorics = comb
@@ -193,9 +201,9 @@ def cmd_deform(args) -> int:
         return 2
     direction = LinearForm.parse(args.dir)
     eps = parse_scalar(args.eps)
-    deformed = arr.deform_triple_point(a, point, args.line, direction, eps)
-    report = _arrangement_report(deformed, args.source + " (deformed)")
-    before_report = _arrangement_report(a, args.source)
+    deformed, census_before, census_after = arr.deformation(a, point, args.line, direction, eps)
+    report = _arrangement_report(deformed, args.source + " (deformed)", census_after)
+    before_report = _arrangement_report(a, args.source, census_before)
     before, after = before_report.combinatorics, report.combinatorics
     tau_before = before_report.tau
     eta_before = before_report.eta_value

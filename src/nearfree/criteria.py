@@ -14,22 +14,44 @@ against the total Tjurina number tau of the curve:
 * inapplicable when 2r > d (the comparison is only valid up to d/2);
 * neither otherwise.
 
-tau is an input here: callers working with line arrangements obtain it as
-the total Milnor number, which agrees with tau because every singular point
-of an arrangement is quasi-homogeneous. A tau outside the du Plessis-Wall
-bounds for the computed r is rejected with TauOutOfRange; for arrangements
-that is a check of the invariant tau = mu.
+`mdr` finds r on one of two routes with the same kernel dimensions:
+
+* For a curve given by its polynomial (`--poly`), the kernel of the
+  relation matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z in each degree
+  (`relation_matrix`). There is nothing else to go on.
+* For a line arrangement alpha_0 ... alpha_{d-1}, the logarithmic
+  derivations theta that kill the first line, D_H0(A)_r = {theta of degree
+  r : theta(alpha_0) = 0, theta(alpha_i) in (alpha_i) for i >= 1} (Saito
+  1980; Terao 1980). With E the Euler derivation, D(A)_r = S_{r-1} E +
+  D_H0(A)_r = S_{r-1} E + AR(f)_r, both sums direct, so dim D_H0(A)_r =
+  dim AR(f)_r in every degree. `derivation_rows` solves theta(alpha_0) = 0
+  for the component at alpha_0's pivot coordinate and asks each other
+  line's condition on its restriction: r + 1 rows per line on
+  2*C(r+2, 2) unknowns, built as Z[w] integer pairs straight from the line
+  coefficients, against C(r+d+1, 2) rows of expanded coefficients of f on
+  the Jacobian route. The witness theta is mapped to AR(f)_r by
+  (a, b, c) = theta - (g/d)(x, y, z) with g = sum theta(alpha_i)/alpha_i,
+  since theta(f) = g*f and E(f) = d*f, and `verify_syzygy` then checks
+  a*f_x + b*f_y + c*f_z = 0 exactly.
+
+Either way each kernel comes from `nearfree.linalg.kernel_basis` with its
+certificate. tau is an input here: callers working with line arrangements
+obtain it as the total Milnor number, which agrees with tau because every
+singular point of an arrangement is quasi-homogeneous. A tau outside the
+du Plessis-Wall bounds for the computed r is rejected with TauOutOfRange;
+for arrangements that is a check of the invariant tau = mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from math import comb
-from typing import Optional
+from fractions import Fraction
+from math import comb, lcm
+from typing import Optional, Sequence
 
-from .errors import OutOfRange, TauOutOfRange
-from .field import ZERO, FieldTag
+from .errors import NotASyzygy, OutOfRange, TauOutOfRange
+from .field import ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_det2, pair_mul
 from .linalg import ExactMatrix, kernel_basis
 from .poly import Poly, graded_basis
 
@@ -68,16 +90,242 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
     return ExactMatrix(nrows, ncols, tuple(entries), f.tag)
 
 
+def _pivot_split(line: tuple) -> tuple:
+    """(p, j1, j2): the first coordinate where the Z[w] line is nonzero,
+    then the other two in order."""
+    p = next(k for k, c in enumerate(line) if c != (0, 0))
+    return (p,) + tuple(k for k in range(3) if k != p)
+
+
+def _beta_gamma(first: tuple, line: tuple) -> tuple:
+    """(beta, gamma) with first,p0 * theta(line) = beta*theta_j1 +
+    gamma*theta_j2 when theta(first) = 0, for Z[w] lines."""
+    p0, j1, j2 = _pivot_split(first)
+    return (pair_det2(line[j1], first[p0], line[p0], first[j1]),
+            pair_det2(line[j2], first[p0], line[p0], first[j2]))
+
+
+def _powers(x: tuple, n: int) -> list:
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(pair_mul(out[-1], x))
+    return out
+
+
+def derivation_rows(lines: Sequence, r: int) -> list:
+    """Rows, as Z[w] integer pairs, whose kernel is D_H0(A)_r.
+
+    lines are the arrangement's lines as Z[w] pairs (`integer_pairs` of
+    each form's coefficients). With p0 the pivot coordinate of alpha_0 and
+    j1 < j2 the other two, theta_p0 is solved from theta(alpha_0) = 0, so
+    the columns are the theta_j1 block, then the theta_j2 block, each
+    indexed by graded_basis(r). Then alpha_0,p0 * theta(alpha_i) =
+    beta_i*theta_j1 + gamma_i*theta_j2 with beta_i = alpha_i,j1*alpha_0,p0
+    - alpha_i,p0*alpha_0,j1 and gamma_i likewise with j2, and it lies in
+    (alpha_i) iff it vanishes on alpha_i = 0. On that line A_q x_q =
+    -A_k x_k - A_l x_l, where q is alpha_i's pivot and A its coefficients,
+    so A_q^r times the restriction is a binary form of degree r in x_k,
+    x_l with coefficients in Z[w]. Its r + 1 coefficients (x_k^s x_l^(r-s),
+    s = 0..r) are line i's rows.
+    """
+    basis = graded_basis(r)
+    nb = len(basis)
+    rows = []
+    for line in lines[1:]:
+        beta, gamma = _beta_gamma(lines[0], line)
+        q, k, l = _pivot_split(line)
+        lead = _powers(line[q], r)
+        minus_k = _powers((-line[k][0], -line[k][1]), r)
+        minus_l = _powers((-line[l][0], -line[l][1]), r)
+        # x_q^e x_k^a x_l^b restricts to the sum over t of
+        # A_q^(r-e) C(e,t) (-A_k)^t (-A_l)^(e-t) x_k^(a+t) x_l^(b+e-t)
+        by_beta, by_gamma = [], []
+        for e in range(r + 1):
+            terms = [pair_mul(lead[r - e], pair_mul(minus_k[t], minus_l[e - t]))
+                     for t in range(e + 1)]
+            terms = [(a * comb(e, t), b * comb(e, t)) for t, (a, b) in enumerate(terms)]
+            by_beta.append([pair_mul(beta, x) for x in terms])
+            by_gamma.append([pair_mul(gamma, x) for x in terms])
+        block = [[(0, 0)] * (2 * nb) for _ in range(r + 1)]
+        for c, mono in enumerate(basis):
+            e, a = mono[q], mono[k]
+            for t in range(e + 1):
+                block[a + t][c] = by_beta[e][t]
+                block[a + t][nb + c] = by_gamma[e][t]
+        rows.extend(block)
+    return rows
+
+
+def _quotient(h: dict, line: tuple) -> tuple:
+    """(L, L * h / line) for a Z[w] term map h divisible by the Z[w] line,
+    whose pivot coefficient is the positive integer L (lines are normalized
+    to pivot 1 before scaling). Z[w] is a unique factorization domain, so
+    by Gauss's lemma h / line has no denominator beyond the content of the
+    line, which divides L. Long division keeps L * h / line integral: each
+    quotient coefficient is an exact division by L."""
+    q, k, l = _pivot_split(line)
+    scale = line[q][0]
+    tail = [(v, line[v]) for v in (k, l) if line[v] != (0, 0)]
+    rem = {m: (a * scale, b * scale) for m, (a, b) in h.items()}
+    quot = {}
+    while rem:
+        lead = max(rem)  # the pivot is the first nonzero coordinate, so this holds x_q
+        a, b = rem.pop(lead)
+        if not lead[q] or a % scale or b % scale:
+            raise NotASyzygy(f"the derivation is not tangent to the line {line}")
+        c = (a // scale, b // scale)
+        mono = list(lead)
+        mono[q] -= 1
+        quot[tuple(mono)] = c
+        for v, coef in tail:
+            up_mono = list(mono)
+            up_mono[v] += 1
+            up_mono = tuple(up_mono)
+            ca, cb = pair_mul(c, coef)
+            pa, pb = rem.pop(up_mono, (0, 0))
+            if pa != ca or pb != cb:
+                rem[up_mono] = (pa - ca, pb - cb)
+    return scale, quot
+
+
+def _derivation_witness(f: Poly, ints: Sequence, r: int, vec: list) -> tuple:
+    """The syzygy theta - (g/d)(x, y, z), g = sum theta(alpha_i)/alpha_i,
+    of the derivation theta read from a kernel vector of derivation_rows.
+
+    It is computed in Z[w] integer pairs: with s the scale that makes the
+    kernel vector integral and L0 the first line's scaled pivot
+    coefficient, Theta = L0*s*theta has Theta(A_i) = beta_i*theta_j1 +
+    gamma_i*theta_j2 (as in derivation_rows). Each Theta(A_i)/A_i is
+    Q_i / L_i (see _quotient), so with M = lcm(L_i) and G = sum (M / L_i)
+    Q_i, the integral W = d*M*Theta - G*(x, y, z) is the witness times
+    d*M*L0*s.
+    """
+    d = f.degree
+    basis = graded_basis(r)
+    nb = len(basis)
+    pairs = integer_pairs(vec)
+    s = next(a for a, b in pairs if a or b)  # the canonical vector's lead entry is 1
+    first = ints[0]
+    p0, j1, j2 = _pivot_split(first)
+    low, high = dict(zip(basis, pairs[:nb])), dict(zip(basis, pairs[nb:]))
+    lead = first[p0][0]
+    theta = [{}, {}, {}]
+    for mono in basis:  # theta_p0 from theta(alpha_0) = 0
+        t1, t2 = pair_mul(first[j1], low[mono]), pair_mul(first[j2], high[mono])
+        theta[p0][mono] = (-t1[0] - t2[0], -t1[1] - t2[1])
+    theta[j1] = {m: (lead * a, lead * b) for m, (a, b) in low.items()}
+    theta[j2] = {m: (lead * a, lead * b) for m, (a, b) in high.items()}
+    quotients = []
+    for line in ints[1:]:
+        beta, gamma = _beta_gamma(first, line)
+        image = {}
+        for mono in basis:
+            x, y = pair_mul(beta, low[mono]), pair_mul(gamma, high[mono])
+            if x[0] + y[0] or x[1] + y[1]:
+                image[mono] = (x[0] + y[0], x[1] + y[1])
+        quotients.append(_quotient(image, line))
+    m = lcm(*(scale for scale, _ in quotients))
+    g = {}
+    for scale, quot in quotients:
+        k = m // scale
+        for mono, (a, b) in quot.items():
+            ga, gb = g.get(mono, (0, 0))
+            g[mono] = (ga + k * a, gb + k * b)
+    witness = []
+    for j in range(3):
+        terms = {mono: (d * m * a, d * m * b) for mono, (a, b) in theta[j].items()}
+        for mono, (a, b) in g.items():
+            up_mono = list(mono)
+            up_mono[j] += 1
+            up_mono = tuple(up_mono)
+            ta, tb = terms.get(up_mono, (0, 0))
+            terms[up_mono] = (ta - a, tb - b)
+        witness.append(terms)
+    den = d * m * lead * s
+    return tuple(
+        Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den)) for mono, (a, b) in t.items()},
+             f.tag)
+        for t in witness
+    )
+
+
+def verify_syzygy(f: Poly, witness: tuple) -> None:
+    """Raise NotASyzygy unless a*f_x + b*f_y + c*f_z = 0, checked exactly.
+
+    The witness and the partials are scaled to Z[w] integer pairs, and each
+    polynomial's real and w parts are packed into one integer each, with
+    x^i y^j z^k in slot i*width + j: a product's y-exponent stays below
+    width = r + d, so the packed products add up slot by slot. The slots
+    are signed and wider than twice any coefficient of the sum, so the
+    packed sum is zero iff every coefficient is.
+    """
+    if not any(witness):
+        raise NotASyzygy("the zero triple is no witness")
+    (scaled,) = _scaled_terms([f.terms])
+    jac = []
+    for var in range(3):
+        part = {}
+        for mono, (a, b) in scaled.items():
+            e = mono[var]
+            if e:
+                lowered = list(mono)
+                lowered[var] = e - 1
+                part[tuple(lowered)] = (a * e, b * e)
+        jac.append(part)
+    wit = _scaled_terms([p.terms for p in witness])
+    width = witness[0].degree + f.degree
+    bits = [max((abs(x).bit_length() for t in polys for pair in t.values() for x in pair),
+                default=0) for polys in (jac, wit)]
+    count = min(max(len(t) for t in jac), max(len(t) for t in wit))
+    nbytes = (sum(bits) + (9 * count).bit_length() + 1) // 8 + 1
+    re = im = 0
+    for fx, a in zip(jac, wit):
+        if not fx or not a:
+            continue
+        (fa, fb), (aa, ab) = _packed(fx, width, nbytes), _packed(a, width, nbytes)
+        # (aa + ab w)(fa + fb w) = aa fa - ab fb + (aa fb + ab fa - ab fb) w
+        re += aa * fa - ab * fb
+        im += aa * fb + ab * fa - ab * fb
+    if re or im:
+        raise NotASyzygy("the witness does not satisfy a*f_x + b*f_y + c*f_z = 0")
+
+
+def _scaled_terms(polys: list) -> list:
+    """Term maps of scalars, scaled together to Z[w] integer pairs."""
+    flat = integer_pairs([c for terms in polys for c in terms.values()])
+    out, k = [], 0
+    for terms in polys:
+        out.append(dict(zip(terms, flat[k:k + len(terms)])))
+        k += len(terms)
+    return out
+
+
+def _packed(terms: dict, width: int, nbytes: int) -> tuple:
+    """Real and w parts of a Z[w] term map packed into signed slots."""
+    size = max(m[0] * width + m[1] for m in terms) + 1
+    slots = [[0] * size for _ in range(4)]  # real +, real -, w +, w -
+    for mono, (a, b) in terms.items():
+        k = mono[0] * width + mono[1]
+        slots[a < 0][k] = abs(a)
+        slots[2 + (b < 0)][k] = abs(b)
+    packed = [pack_slots(s, nbytes) for s in slots]
+    return packed[0] - packed[1], packed[2] - packed[3]
+
+
 @dataclass
 class MdrResult:
     """Minimal syzygy degree with a verified witness.
 
-    relation_dims[k] is the kernel dimension of the degree-k relation
-    matrix for k = 0..r; it is zero below r and at least one at r.
-    certificates[k] is the certificate that settled that kernel, as
+    relation_dims[k] is the kernel dimension in degree k for k = 0..r, of
+    the relation matrix for a polynomial or of derivation_rows for an
+    arrangement (the two are equal); it is zero below r and at least one
+    at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p",
     "verified reconstruction (k primes)" or "exact elimination". It is not
-    part of any report.
+    part of any report. The witness (a, b, c) is the first canonical
+    kernel vector on the Jacobian route; on the derivation route it is the
+    first canonical derivation mapped to AR(f)_r and checked by
+    verify_syzygy, a different syzygy of the same degree.
     """
 
     r: int
@@ -86,30 +334,42 @@ class MdrResult:
     certificates: list
 
 
-def mdr(f: Poly) -> MdrResult:
+def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
     """Smallest degree of a nonzero relation among the partials of f.
 
-    The search always terminates by degree d-1 because (0, f_z, -f_y) is a
-    relation in that degree. f is assumed reduced; that is not checked.
+    With lines (the LinearForms whose product is f) the search runs on the
+    logarithmic derivations of the arrangement, otherwise on the Jacobian
+    relation matrices; see the module docstring. The search always
+    terminates by degree d-1 because (0, f_z, -f_y) is a relation in that
+    degree. f is assumed reduced; that is not checked.
     """
     d = f.degree
     if d < 2:
         raise OutOfRange("mdr needs a polynomial of degree >= 2")
     if f.is_zero():
         raise ValueError("mdr needs a nonzero polynomial")
+    if lines is not None:
+        if len(lines) != d:
+            raise ValueError(f"{len(lines)} lines cannot define a curve of degree {d}")
+        ints = [integer_pairs(form.coeffs) for form in lines]
     dims, certificates = [], []
     for r in range(d):
-        matrix = relation_matrix(f, r)
-        kernel = kernel_basis(matrix)
+        if lines is None:
+            kernel = kernel_basis(relation_matrix(f, r))
+        else:
+            kernel = kernel_basis(derivation_rows(ints, r))
         dims.append(len(kernel))
         certificates.append(kernel.certificate)
         if kernel:
-            nb = len(graded_basis(r))
-            vec = kernel[0]
-            witness = tuple(
-                Poly.from_coefficients(r, vec[k * nb:(k + 1) * nb], f.tag)
-                for k in range(3)
-            )
+            if lines is None:
+                nb = len(graded_basis(r))
+                witness = tuple(
+                    Poly.from_coefficients(r, kernel[0][k * nb:(k + 1) * nb], f.tag)
+                    for k in range(3)
+                )
+            else:
+                witness = _derivation_witness(f, ints, r, kernel[0])
+                verify_syzygy(f, witness)
             return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
     raise AssertionError("unreachable: a degree d-1 relation always exists")
 
@@ -191,11 +451,14 @@ class AnalysisReport:
     notes: list = dataclass_field(default_factory=list)
 
 
-def analyze_curve(f: Poly, tau: int, source: str = "polynomial") -> AnalysisReport:
+def analyze_curve(
+    f: Poly, tau: int, source: str = "polynomial", lines: Sequence = None
+) -> AnalysisReport:
     """Run the full numeric pipeline on a defining polynomial.
 
     tau must be supplied by the caller; for line arrangements use the total
-    Milnor number. It must lie within tau_bounds(d, mdr), else
+    Milnor number, and pass the lines so that mdr searches the logarithmic
+    derivations. tau must lie within tau_bounds(d, mdr), else
     TauOutOfRange is raised. Degree < 2 input yields an Inapplicable report
     with a note instead of an error so deletion chains can bottom out
     gracefully.
@@ -208,7 +471,7 @@ def analyze_curve(f: Poly, tau: int, source: str = "polynomial") -> AnalysisRepo
         )
         report.notes.append("degree < 2: verdict skipped")
         return report
-    result = mdr(f)
+    result = mdr(f, lines)
     lower, upper = tau_bounds(d, result.r)
     if not lower <= tau <= upper:
         raise TauOutOfRange(

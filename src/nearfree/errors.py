@@ -85,3 +85,7 @@ class PairsIdentityViolated(ToolkitError):
 
 class CatalogCensusMismatch(ToolkitError):
     """A catalog entry's computed lattice census differs from the recorded one."""
+
+
+class NotASyzygy(ToolkitError):
+    """A syzygy witness fails a*f_x + b*f_y + c*f_z = 0 in the exact check."""

@@ -6,7 +6,9 @@ Rationals are the b == 0 case, so one arithmetic layer serves both fields;
 the `FieldTag` carried by polynomials and arrangements records the smallest
 field a given object actually needs. Exact elimination and the arrangement
 lattice work on Z[w] integer pairs (a, b) instead: `integer_pairs` clears
-denominators and `pair_mul` multiplies.
+denominators, `pair_mul` multiplies and `pair_det2` takes a 2x2
+determinant. `pack_slots` packs a row of such integers into one big integer
+for the elimination mod p and the exact checks.
 """
 
 from __future__ import annotations
@@ -176,6 +178,18 @@ def pair_mul(x: tuple, y: tuple) -> tuple:
         return (xa * ya, 0)
     q = xb * yb
     return (xa * ya - q, xa * yb + xb * ya - q)
+
+
+def pair_det2(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a*b - c*d for Z[w] pairs."""
+    p, q = pair_mul(a, b), pair_mul(c, d)
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def pack_slots(values: list, nbytes: int) -> int:
+    """The non-negative integers `values` packed into one integer, value k in
+    the k-th slot of nbytes bytes, lowest slot first."""
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
 
 
 def smallest_tag(scalars: Iterable[Scalar]) -> FieldTag:

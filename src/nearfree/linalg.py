@@ -31,7 +31,7 @@ from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import ToolkitError
-from .field import ONE, ZERO, FieldTag, Scalar, integer_pairs, pair_mul, smallest_tag
+from .field import ONE, ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_mul, smallest_tag
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,6 @@ def _cube_root(p: int) -> int:
     return root
 
 
-def _pack(values: list, nbytes: int) -> int:
-    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
-
-
 def _unpack(packed: int, count: int, nbytes: int) -> list:
     raw = packed.to_bytes(count * nbytes, "little")
     return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
@@ -233,7 +229,7 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
     """
     nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
     shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    packed_rows = (_pack([(a + b * w) % p for a, b in row], nbytes) for row in data)
+    packed_rows = (pack_slots([(a + b * w) % p for a, b in row], nbytes) for row in data)
     pending = [row for row in packed_rows if row]
     pivots, echelon = [], []
     for c in range(ncols):
@@ -247,7 +243,7 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
             tail = [x * inv % p for x in tail]
             pivots.append(c)
             echelon.append([0] * c + tail)
-            packed = _pack(tail, nbytes)
+            packed = pack_slots(tail, nbytes)
             pending = [row + (p - t) * packed if t else row for row, t in zip(pending, leads)]
         pending = [row >> shift for row in pending]
     return pivots, echelon
@@ -313,9 +309,9 @@ def _annihilates(data: list, vectors: list) -> bool:
     vbits = max(max(max(v), -min(v)) for pair in scaled for v in pair).bit_length()
     nbytes = (mbits + vbits + (3 * len(data[0])).bit_length()) // 8 + 1
     half = 1 << (8 * nbytes - 1)
-    offset = _pack([half] * len(data), nbytes)
+    offset = pack_slots([half] * len(data), nbytes)
     columns = [
-        [_pack([e[k] + half for e in col], nbytes) - offset if any(e[k] for e in col) else 0
+        [pack_slots([e[k] + half for e in col], nbytes) - offset if any(e[k] for e in col) else 0
          for k in (0, 1)]
         for col in zip(*data)
     ]
@@ -360,14 +356,19 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
     return pivots, parts
 
 
-def kernel_basis(m: ExactMatrix) -> Kernel:
+def kernel_basis(m: ExactMatrix | list) -> Kernel:
     """Canonical basis of the right kernel; rank + len(basis) == cols.
 
+    m is an ExactMatrix, or a non-empty list of equal-length rows of Z[w]
+    integer pairs (a, b) meaning a + b*w, such as the logarithmic-derivation
+    rows that `nearfree.criteria` builds without going through scalars.
     The result's `certificate` says how it was settled (see the module
     docstring); every route gives the same basis.
     """
-    data = _integer_rows(m)
-    ncols = m.cols
+    if isinstance(m, ExactMatrix):
+        data, ncols = _integer_rows(m), m.cols
+    else:
+        data, ncols = m, len(m[0])
     qw = any(b for row in data for _, b in row)
     best, modulus, primes, lifted = None, 1, 0, []
     for p in PRIMES:
@@ -396,4 +397,5 @@ def kernel_basis(m: ExactMatrix) -> Kernel:
             basis = [_lead_one([Scalar(x, y) for x, y in zip(a, b)]) for a, b in pairs]
             plural = "s" if primes > 1 else ""
             return Kernel(basis, f"verified reconstruction ({primes} prime{plural})")
-    return Kernel(_bareiss_kernel(data, ncols), EXACT_ELIMINATION)
+    # Bareiss works in place; the rows may be the caller's
+    return Kernel(_bareiss_kernel([list(row) for row in data], ncols), EXACT_ELIMINATION)

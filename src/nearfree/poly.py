@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ZeroDerivativeDomain,
 )
-from .field import ONE, ZERO, FieldTag, Scalar, format_scalar, smallest_tag
+from .field import ONE, ZERO, FieldTag, Scalar, _scan_rational, format_scalar, smallest_tag
 
 Monomial = tuple  # (i, j, k) exponents
 VARIABLES = ("x", "y", "z")
@@ -37,11 +37,6 @@ def graded_basis(r: int) -> tuple:
     return tuple(
         (i, j, r - i - j) for i in range(r, -1, -1) for j in range(r - i, -1, -1)
     )
-
-
-@lru_cache(maxsize=None)
-def _basis_index(r: int) -> dict:
-    return {m: k for k, m in enumerate(graded_basis(r))}
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -190,10 +185,6 @@ class Poly:
         return Poly(self.degree - 1, terms, self.tag)
 
     # -- views ----------------------------------------------------------
-
-    def coefficient_vector(self) -> list:
-        """Coefficients against graded_basis(self.degree), zeros included."""
-        return [self.terms.get(m, ZERO) for m in graded_basis(self.degree)]
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, ZERO)
@@ -354,31 +345,12 @@ def _tokenize(text: str):
             tokens.append((_W, None, i))
             i += 1
         elif ch.isdigit():
-            value, j = _scan_number(s, i)
+            value, j = _scan_rational(s, i)
             tokens.append((_NUM, value, i))
             i = j
         else:
             raise ParseError(f"unexpected character {ch!r}", position=i)
     return tokens
-
-
-def _scan_number(s: str, i: int):
-    j = i
-    n = len(s)
-    while j < n and s[j].isdigit():
-        j += 1
-    num = int(s[i:j])
-    if j < n and s[j] == "/":
-        k = j + 1
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == j + 1:
-            raise ParseError("expected digits after '/'", position=j + 1)
-        den = int(s[j + 1:k])
-        if den == 0:
-            raise ParseError("zero denominator", position=j + 1)
-        return Fraction(num, den), k
-    return Fraction(num), j
 
 
 class _Parser:

@@ -2,7 +2,17 @@
 
 from fractions import Fraction
 
-from nearfree import FieldTag, LinearForm, LineArrangement, Poly, Scalar
+from nearfree import (
+    OMEGA,
+    ONE,
+    ZERO,
+    FieldTag,
+    LinearForm,
+    LineArrangement,
+    Poly,
+    Scalar,
+    weak_combinatorics,
+)
 from nearfree.poly import graded_basis
 
 
@@ -67,3 +77,29 @@ def random_invertible_matrix(rng, span=2):
         )
         if det != 0:
             return m
+
+
+def roots_of_unity(m):
+    # the m-th roots of unity in Q(w) for m in {2, 3, 6}
+    w = OMEGA
+    return {2: [ONE, -ONE], 3: [ONE, w, w * w], 6: [ONE, -ONE, w, -w, w * w, -(w * w)]}[m]
+
+
+def reflection_arrangement(m, full):
+    # A(m,m,3): x - zeta*y, y - zeta*z, z - zeta*x over the m-th roots of
+    # unity zeta; A(m,1,3) adds the coordinate lines
+    forms = []
+    for zeta in roots_of_unity(m):
+        forms += [LinearForm(ONE, -zeta, ZERO), LinearForm(ZERO, ONE, -zeta),
+                  LinearForm(-zeta, ZERO, ONE)]
+    if full:
+        forms += [LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(0, 0, 1)]
+    return LineArrangement(forms)
+
+
+def random_nodal_arrangement(rng, d, span=4):
+    # redrawn until no three lines meet: only nodes, so mdr = d - 2
+    while True:
+        a = random_arrangement(rng, d, span)
+        if weak_combinatorics(a).counts == ((2, d * (d - 1) // 2),):
+            return a

@@ -54,6 +54,7 @@ from support import (
     random_invertible_matrix,
     random_nonzero_scalar,
     random_scalar,
+    reflection_arrangement,
 )
 
 
@@ -122,24 +123,6 @@ def _distinct_lines(forms):
     return LineArrangement(list(dict.fromkeys(forms)))
 
 
-def _roots_of_unity(m):
-    # the m-th roots of unity in Q(w) for m in {2, 3, 6}
-    w = OMEGA
-    return {2: [ONE, -ONE], 3: [ONE, w, w * w], 6: [ONE, -ONE, w, -w, w * w, -(w * w)]}[m]
-
-
-def _reflection_arrangement(m, full):
-    # A(m,m,3): x - zeta*y, y - zeta*z, z - zeta*x over the m-th roots of
-    # unity zeta; A(m,1,3) adds the coordinate lines
-    forms = []
-    for zeta in _roots_of_unity(m):
-        forms += [LinearForm(ONE, -zeta, ZERO), LinearForm(ZERO, ONE, -zeta),
-                  LinearForm(-zeta, ZERO, ONE)]
-    if full:
-        forms += _forms("x", "y", "z")
-    return LineArrangement(forms)
-
-
 def test_lattice_matches_scalar_reference_on_fractional_q_arrangements():
     rng = random.Random(5003)
     for _ in range(40):
@@ -182,11 +165,11 @@ def test_lattice_matches_scalar_reference_on_catalog(name):
 def test_lattice_matches_scalar_reference_on_reflection_arrangements(m):
     # A(m,m,3): three m-fold points and m^2 triples; A(m,1,3): three
     # (m+2)-fold points, m^2 triples and 3m nodes (m = 2 merges the counts)
-    census = _brute_force_census(_reflection_arrangement(m, False))
+    census = _brute_force_census(reflection_arrangement(m, False))
     expected = {3: m * m}
     expected[m] = expected.get(m, 0) + 3
     assert census == expected
-    census = _brute_force_census(_reflection_arrangement(m, True))
+    census = _brute_force_census(reflection_arrangement(m, True))
     expected = {m + 2: 3, 3: m * m, 2: 3 * m}
     assert census == expected
 

@@ -322,4 +322,22 @@ def test_one_lattice_per_command(monkeypatch):
     assert _lattice_builds(monkeypatch, ["delete", "@catalog:DualHesse9", "--line", "0"]) == 1
     deform = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3", "--dir", "y",
               "--eps", "1/2", "--json"]
-    assert _lattice_builds(monkeypatch, deform) <= 4
+    assert _lattice_builds(monkeypatch, deform) == 2
+
+
+def test_arrangements_take_the_derivation_route(monkeypatch):
+    # arrangement commands search logarithmic derivations; --poly curves
+    # have no lines and build Jacobian relation matrices
+    from nearfree import criteria
+
+    calls = []
+    build = criteria.relation_matrix
+    monkeypatch.setattr(criteria, "relation_matrix", lambda f, r: calls.append(r) or build(f, r))
+    code, _, err = run_cli(["analyze", "@catalog:MacLane8", "--witness"])
+    assert code == 0, err
+    code, _, err = run_cli(["delete", "@catalog:DualHesse9", "--line", "0"])
+    assert code == 0, err
+    assert calls == []
+    code, _, err = run_cli(["analyze", "--poly", "x*y*z*(x-y)*(y-z)*(x-z)", "--tau", "19"])
+    assert code == 0, err
+    assert calls == [0, 1, 2]

@@ -1,0 +1,221 @@
+"""The two mdr routes cross-check each other: the Jacobian relation matrices
+of the expanded f, and the logarithmic derivations of the arrangement that
+kill its first line (same kernel dimension in every degree)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nearfree import (
+    OMEGA,
+    FieldTag,
+    criteria,
+    divide_exact,
+    kernel_basis,
+    LinearForm,
+    LineArrangement,
+    Poly,
+    Scalar,
+    catalog,
+    catalog_names,
+    defining_polynomial,
+    linalg,
+    mdr,
+    weak_combinatorics,
+)
+from nearfree.criteria import derivation_rows, verify_syzygy
+from nearfree.errors import NotASyzygy
+from nearfree.field import integer_pairs
+
+from support import random_arrangement, random_nodal_arrangement, reflection_arrangement
+
+
+def _is_syzygy(f, witness):
+    # independent of verify_syzygy: the Poly product over Q(w)
+    a, b, c = witness
+    return (a * f.partial(0) + b * f.partial(1) + c * f.partial(2)).is_zero()
+
+
+def _both_routes(a):
+    f = defining_polynomial(a)
+    jacobian, derivation = mdr(f), mdr(f, a.lines)
+    assert derivation.r == jacobian.r
+    assert derivation.relation_dims == jacobian.relation_dims
+    for result in (jacobian, derivation):
+        assert all(p.degree == result.r and p.tag is f.tag for p in result.witness)
+        assert any(result.witness)
+        assert _is_syzygy(f, result.witness)
+    return derivation
+
+
+def _with_triple_points(rng, qw, count):
+    values = [Scalar(v) for v in (0, 1, -1, 2, Fraction(1, 2))]
+    if qw:
+        values += [OMEGA, -OMEGA, Scalar(1, 1), Scalar(Fraction(1, 3), Fraction(-1, 3))]
+    found = []
+    while len(found) < count:
+        d = rng.randint(5, 8)
+        forms = set()
+        while len(forms) < d:
+            coeffs = [rng.choice(values) for _ in range(3)]
+            if any(coeffs):
+                forms.add(LinearForm(*coeffs))
+        a = LineArrangement(sorted(forms, key=LinearForm.sort_key))
+        if weak_combinatorics(a).t3 and (a.tag is FieldTag.QW) == qw:
+            found.append(a)
+    return found
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_routes_agree_on_catalog(name):
+    _both_routes(catalog(name))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("full", [False, True])
+def test_routes_agree_on_reflection_arrangements(m, full):
+    # free with exponents (m+1, 2m-2) for A(m,m,3), (m+1, 2m+1) for A(m,1,3)
+    result = _both_routes(reflection_arrangement(m, full))
+    assert result.r == (m + 1 if full else min(m + 1, 2 * m - 2))
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 9])
+def test_routes_agree_on_nodal_arrangements(d):
+    a = random_nodal_arrangement(random.Random(9000 + d), d)
+    assert _both_routes(a).r == d - 2
+
+
+@pytest.mark.parametrize("qw", [False, True])
+def test_routes_agree_on_arrangements_with_triple_points(qw):
+    for a in _with_triple_points(random.Random(9100 + qw), qw, 6):
+        _both_routes(a)
+
+
+@pytest.mark.parametrize("primes", [(7,), (7, 13)])
+def test_derivation_route_with_unlucky_primes(monkeypatch, primes):
+    cases = [catalog(name) for name in catalog_names()]
+    cases += [random_arrangement(random.Random(9200), 7, span=3), reflection_arrangement(3, True)]
+    expected = [mdr(defining_polynomial(a), a.lines) for a in cases]
+    monkeypatch.setattr(linalg, "PRIMES", primes)
+    certificates = set()
+    for a, want in zip(cases, expected):
+        got = mdr(defining_polynomial(a), a.lines)
+        assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
+        certificates.update(got.certificates)
+    # mod 7 alone, some degree is settled by Bareiss; with 13, by two primes
+    assert (linalg.EXACT_ELIMINATION if primes == (7,) else
+            "verified reconstruction (2 primes)") in certificates
+
+
+def _scalar_witness(a, r):
+    # theta - (g/d)(x, y, z) from the first canonical kernel vector, in
+    # Poly arithmetic over Q(w): theta_p0 from theta(alpha_0) = 0, and
+    # g = sum theta(alpha_i)/alpha_i by exact division
+    f = defining_polynomial(a)
+    ints = [integer_pairs(form.coeffs) for form in a.lines]
+    vec = kernel_basis(derivation_rows(ints, r))[0]
+    nb = len(vec) // 2
+    alpha0 = a.lines[0].coeffs
+    p0 = next(k for k in range(3) if alpha0[k])
+    j1, j2 = (k for k in range(3) if k != p0)
+    theta = [None] * 3
+    theta[j1] = Poly.from_coefficients(r, vec[:nb], f.tag)
+    theta[j2] = Poly.from_coefficients(r, vec[nb:], f.tag)
+    theta[p0] = -(theta[j1].scale(alpha0[j1]) + theta[j2].scale(alpha0[j2]))
+    g = Poly.zero(r - 1, f.tag)
+    for form in a.lines[1:]:
+        cx, cy, cz = form.coeffs
+        image = theta[0].scale(cx) + theta[1].scale(cy) + theta[2].scale(cz)
+        g = g + divide_exact(image, form)
+    g = g.scale(Fraction(-1, a.d))
+    return tuple(theta[k] + g * Poly.variable(k, f.tag) for k in range(3))
+
+
+@pytest.mark.parametrize("name", ["A1_6", "MacLane8", "DualHesse9", "B7_deformed"])
+def test_witness_is_theta_minus_g_over_d_times_euler(name):
+    a = catalog(name)
+    result = mdr(defining_polynomial(a), a.lines)
+    assert result.witness == _scalar_witness(a, result.r)
+
+
+def test_witness_map_over_non_primitive_qw_lines():
+    # (1 - w)/3 scales to the pair coefficient 1 - w beside the pivot 3:
+    # the scaled line has content 1 - w, so the exact division needs the
+    # factor L = 3
+    for a in _with_triple_points(random.Random(9300), True, 4):
+        result = mdr(defining_polynomial(a), a.lines)
+        assert result.witness == _scalar_witness(a, result.r)
+
+
+def test_mdr_checks_the_derivation_witness(monkeypatch):
+    a = catalog("A1_6")
+    f = defining_polynomial(a)
+    good = criteria._derivation_witness
+    monkeypatch.setattr(criteria, "_derivation_witness",
+                        lambda *args: tuple(p.scale(k + 1) for k, p in enumerate(good(*args))))
+    with pytest.raises(NotASyzygy):
+        mdr(f, a.lines)
+
+
+def test_derivation_rows_shapes():
+    # d = 8, r = 6: 7 lines times 7 rows on 2*C(8,2) unknowns
+    a = random_nodal_arrangement(random.Random(9008), 8)
+    rows = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], 6)
+    assert (len(rows), len(rows[0])) == (49, 56)
+    rows = derivation_rows(
+        [integer_pairs(form.coeffs) for form in reflection_arrangement(6, True).lines], 7)
+    assert (len(rows), len(rows[0])) == (160, 72)
+    pencil = [LinearForm(1, -s, 0) for s in range(-29, 30)] + [LinearForm(1, 2, 1)]
+    rows = derivation_rows([integer_pairs(form.coeffs) for form in pencil], 1)
+    assert (len(rows), len(rows[0])) == (118, 6)
+
+
+def test_pencil_is_free_with_exponents_one_and_d_minus_two():
+    pencil = LineArrangement([LinearForm(1, -s, 0) for s in range(-29, 30)] + [LinearForm(1, 2, 1)])
+    result = mdr(defining_polynomial(pencil), pencil.lines)
+    assert result.r == 1 and result.relation_dims == [0, 1]
+
+
+def test_exact_witness_check_rejects_a_non_syzygy():
+    a = catalog("A1_6")
+    f = defining_polynomial(a)
+    witness = mdr(f, a.lines).witness
+    verify_syzygy(f, witness)
+    x, y, z = (Poly.variable(k, f.tag) for k in range(3))
+    with pytest.raises(NotASyzygy):  # Euler: x f_x + y f_y + z f_z = 6 f
+        verify_syzygy(f, (x, y, z))
+    nudged = (witness[0] + (x * y).scale(Fraction(1, 10**30)), witness[1], witness[2])
+    with pytest.raises(NotASyzygy):
+        verify_syzygy(f, nudged)
+
+
+def test_exact_witness_check_over_qw():
+    a = catalog("DualHesse9")
+    f = defining_polynomial(a)
+    witness = mdr(f, a.lines).witness
+    verify_syzygy(f, witness)
+    w = Scalar(0, 1)
+    with pytest.raises(NotASyzygy):  # the w part alone breaks it
+        verify_syzygy(f, (witness[0].scale(w), witness[1], witness[2]))
+    with pytest.raises(NotASyzygy):
+        verify_syzygy(f, (witness[0], witness[1], witness[2].scale(1 + w)))
+
+
+def test_derivation_route_rejects_wrong_line_count():
+    a = catalog("A1_6")
+    with pytest.raises(ValueError):
+        mdr(defining_polynomial(a), a.lines[:-1])
+
+
+def test_two_lines():
+    a = LineArrangement([LinearForm(1, 0, 0), LinearForm(1, 1, 1)])
+    result = _both_routes(a)
+    assert result.r == 0
+
+
+def test_exact_witness_check_rejects_the_zero_triple():
+    f = defining_polynomial(catalog("A1_6"))
+    zero = Poly.zero(2, f.tag)
+    with pytest.raises(NotASyzygy):
+        verify_syzygy(f, (zero, zero, zero))
