@@ -4,10 +4,12 @@ An arrangement is an ordered list of pairwise distinct normalized linear
 forms. The intersection lattice is built by `singular_points`: each line is
 scaled to Z[w] integers, every pair's cross product gets a canonical integer
 key (made unique up to scaling by the norm of its leading coordinate and the
-gcd), and pairs are clustered on that key; the Q(w) point is built once per
-cluster. The census, the Milnor number (`WeakCombinatorics.mu`) and the
-incidences all derive from that one list, so callers build it once per
-arrangement. Everything is exact; no tolerances are involved anywhere.
+gcd), and pairs are clustered on that key; the Q(w) point is read off the
+key once per cluster, the only Scalars the lattice makes. The census, the
+Milnor number (`WeakCombinatorics.mu`) and the incidences all derive from
+that one list, so callers build it once per arrangement. The defining
+polynomial is expanded in Z[w] integers too (`poly.product_of_forms`).
+Everything is exact; no tolerances are involved anywhere.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def _point_key(p: tuple) -> tuple:
 
 def singular_points(arrangement: LineArrangement) -> list:
     """All intersection points, clustered on exact integer keys, in lex
-    coordinate order; each point is built in Q(w) once, from its first pair."""
+    coordinate order; each point is built in Q(w) once, from its key
+    (`intersect` is the independent Scalar route to the same points)."""
     clusters: dict = {}
     lines = arrangement.lines
     ints = [integer_pairs(form.coeffs) for form in lines]
@@ -188,9 +191,12 @@ def singular_points(arrangement: LineArrangement) -> list:
             else:
                 bucket.add(j)
     out = []
-    for idx in clusters.values():
+    for key, idx in clusters.items():
+        # the key's first nonzero coordinate is (N, 0) with N > 0, so the
+        # normalized point is key / N
+        n = next(k for k in key if k)
+        point = tuple(Scalar(Fraction(key[k], n), Fraction(key[k + 1], n)) for k in (0, 2, 4))
         incident = tuple(sorted(idx))
-        point = intersect(lines[incident[0]], lines[incident[1]])
         out.append(SingularPoint(point=point, multiplicity=len(incident), incident_lines=incident))
     out.sort(key=lambda s: tuple(c.sort_key() for c in s.point))
     return out
@@ -459,7 +465,7 @@ def parse_lines(text: str) -> LineArrangement:
     """Parse the `.lines` format: optional `field:` header, `#` comments,
     then one line per linear form as three whitespace-separated scalars."""
     tag = None
-    forms = []
+    forms, seen = [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -484,8 +490,9 @@ def parse_lines(text: str) -> LineArrangement:
         if all(not c for c in coeffs):
             raise ParseError("zero line", line=lineno)
         form = LinearForm(*coeffs)
-        if form in forms:
+        if form in seen:
             raise DuplicateLine(f"duplicate line {form} (line {lineno})")
+        seen.add(form)
         forms.append(form)
     if not forms:
         raise ParseError("no lines in input")

@@ -5,8 +5,8 @@ subcommand accepts --json for a machine-readable report with a fixed key
 order, so output bytes are identical across runs on the same input.
 
 Exit codes: 0 success, 2 input error (including a tau outside the
-du Plessis-Wall bounds) or a failed internal check such as NotASyzygy,
-3 field mismatch, 4 rejected (non-generic) deformation.
+du Plessis-Wall bounds) or a failed internal check such as NotASyzygy or
+NoSyzygyFound, 3 field mismatch, 4 rejected (non-generic) deformation.
 
 Arrangement commands pass the lines to `analyze_curve`, so mdr is found on
 the logarithmic derivations; `--poly` curves use the Jacobian route.

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .errors import NotASyzygy, OutOfRange, TauOutOfRange
+from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_det2, pair_mul
 from .linalg import ExactMatrix, kernel_basis
 from .poly import Poly, graded_basis
@@ -188,9 +188,10 @@ def _quotient(h: dict, line: tuple) -> tuple:
     return scale, quot
 
 
-def _derivation_witness(f: Poly, ints: Sequence, r: int, vec: list) -> tuple:
+def _derivation_witness(f: Poly, ints: Sequence, r: int, pairs: list) -> tuple:
     """The syzygy theta - (g/d)(x, y, z), g = sum theta(alpha_i)/alpha_i,
-    of the derivation theta read from a kernel vector of derivation_rows.
+    of the derivation theta read from a kernel vector of derivation_rows,
+    given as the Z[w] pairs of `Kernel.integral`.
 
     It is computed in Z[w] integer pairs: with s the scale that makes the
     kernel vector integral and L0 the first line's scaled pivot
@@ -203,7 +204,6 @@ def _derivation_witness(f: Poly, ints: Sequence, r: int, vec: list) -> tuple:
     d = f.degree
     basis = graded_basis(r)
     nb = len(basis)
-    pairs = integer_pairs(vec)
     s = next(a for a, b in pairs if a or b)  # the canonical vector's lead entry is 1
     first = ints[0]
     p0, j1, j2 = _pivot_split(first)
@@ -368,10 +368,10 @@ def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
                     for k in range(3)
                 )
             else:
-                witness = _derivation_witness(f, ints, r, kernel[0])
+                witness = _derivation_witness(f, ints, r, kernel.integral[0])
                 verify_syzygy(f, witness)
             return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
-    raise AssertionError("unreachable: a degree d-1 relation always exists")
+    raise NoSyzygyFound(f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
 
 
 def eta(d: int, r: int) -> int:

@@ -89,3 +89,7 @@ class CatalogCensusMismatch(ToolkitError):
 
 class NotASyzygy(ToolkitError):
     """A syzygy witness fails a*f_x + b*f_y + c*f_z = 0 in the exact check."""
+
+
+class NoSyzygyFound(ToolkitError):
+    """mdr found no syzygy below degree d, where (0, f_z, -f_y) always is one."""

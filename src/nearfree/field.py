@@ -4,11 +4,14 @@ Every scalar is stored as a pair (a, b) of `fractions.Fraction` values and
 means a + b*w with w a primitive cube root of unity kept purely symbolic.
 Rationals are the b == 0 case, so one arithmetic layer serves both fields;
 the `FieldTag` carried by polynomials and arrangements records the smallest
-field a given object actually needs. Exact elimination and the arrangement
-lattice work on Z[w] integer pairs (a, b) instead: `integer_pairs` clears
-denominators, `pair_mul` multiplies and `pair_det2` takes a 2x2
-determinant. `pack_slots` packs a row of such integers into one big integer
-for the elimination mod p and the exact checks.
+field a given object actually needs. Past the parsed lines, the
+arrangement path works on Z[w] integer pairs (a, b) instead:
+`integer_pairs` clears denominators, `pair_mul` multiplies and `pair_det2`
+takes a 2x2 determinant. `pack_slots` packs a row of such integers into
+one big integer, for the elimination mod p, the expansion of f and the
+exact checks, and `unpack_slots` reads the slots back. Scalars are made
+only for what leaves the library: the expanded f, the lattice points, the
+kernel vectors a caller reads and the witness.
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ class Scalar:
             return NotImplemented
         return o * self.inverse()
 
-    def conjugate(self) -> "Scalar":
-        """Image under w -> w^2, the nontrivial field automorphism."""
-        return Scalar(self.a - self.b, -self.b)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - a*b + b^2; zero iff the scalar is zero."""
         return self.a * self.a - self.a * self.b + self.b * self.b
@@ -190,6 +189,13 @@ def pack_slots(values: list, nbytes: int) -> int:
     """The non-negative integers `values` packed into one integer, value k in
     the k-th slot of nbytes bytes, lowest slot first."""
     return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+
+def unpack_slots(packed: int, count: int, nbytes: int) -> list:
+    """The count slots of nbytes bytes of the non-negative packed integer,
+    lowest first; the inverse of pack_slots, in one pass."""
+    raw = packed.to_bytes(count * nbytes, "little")
+    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
 
 
 def smallest_tag(scalars: Iterable[Scalar]) -> FieldTag:

@@ -13,25 +13,41 @@ F_p, and every answer carries a certificate that has been checked:
   p. Reduction can only lower the rank, so the kernel over Q(w) is zero.
 * "verified reconstruction (k primes)" - the RREF kernel mod p (under both
   embeddings w -> ω and w -> ω² over Q(w)) from k primes sharing one pivot
-  profile is lifted by CRT and rational reconstruction, and each lifted
+  profile is lifted by CRT and rational reconstruction, each vector to
+  Z[w] integers over one common denominator (`_lift`), and each lifted
   vector is checked exactly, in integer arithmetic, against every row.
   There are as many as the kernel dimension mod p, which bounds the exact
   dimension from above, so they span the exact kernel; each one's last
   nonzero entry sits in its own free column, so those are the exact free
   columns and the vectors are the canonical basis.
 * "exact elimination" - the primes ran out without a verified basis, so
-  the basis comes from Bareiss elimination.
+  the basis comes from Bareiss elimination and fraction-free back
+  substitution over Z[w].
+
+Every route ends in Z[w] integers: each vector is normalized by the
+conjugate of its lead entry and its content (`Kernel.integral`), and the
+Scalar vectors are built from those only when a caller reads them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Sequence
+from itertools import chain
+from math import gcd, isqrt
 
 from .errors import ToolkitError
-from .field import ONE, ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_mul, smallest_tag
+from .field import (
+    ZERO,
+    FieldTag,
+    Scalar,
+    integer_pairs,
+    pack_slots,
+    pair_mul,
+    smallest_tag,
+    unpack_slots,
+)
 
 
 @dataclass(frozen=True)
@@ -59,9 +75,6 @@ class ExactMatrix:
         if tag is None:
             tag = smallest_tag(flat)
         return cls(len(rows), ncols, tuple(flat), tag)
-
-    def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
@@ -112,7 +125,7 @@ def _integer_rows(m: ExactMatrix) -> list:
 def _bareiss(data: list, ncols: int):
     """Bareiss elimination of integer-pair rows, in place.
 
-    Returns (pivot column list, echelon rows as Scalars).
+    Returns (pivot column list, echelon rows as integer pairs).
     """
     nrows = len(data)
     pivots = []
@@ -146,10 +159,7 @@ def _bareiss(data: list, ncols: int):
         pivots.append(c)
         prev = piv
         pr += 1
-    erows = [
-        [Scalar(Fraction(a), Fraction(b)) for a, b in data[i]] for i in range(len(pivots))
-    ]
-    return pivots, erows
+    return pivots, data[:len(pivots)]
 
 
 def rank(m: ExactMatrix) -> int:
@@ -158,31 +168,36 @@ def rank(m: ExactMatrix) -> int:
 
 
 def _bareiss_kernel(data: list, ncols: int) -> list:
-    pivots, erows = _bareiss(data, ncols)
+    """Kernel vectors, one per free column, as Z[w] pairs up to scale.
+
+    Back substitution keeps the vector up to a rational factor: solving
+    pivot row i, x_pc = -(row i . x) / piv, multiplies the vector by the
+    norm N(piv) and sets x_pc = -(row i . x) * conj(piv), so no division is
+    needed; the vector is then divided by the gcd of its parts.
+    """
+    pivots, rows = _bareiss(data, ncols)
     pivot_set = set(pivots)
     basis = []
     for jf in (j for j in range(ncols) if j not in pivot_set):
-        vec = [ZERO] * ncols
-        vec[jf] = ONE
-        for i in reversed(range(len(pivots))):
-            pc = pivots[i]
-            row = erows[i]
-            acc = ZERO
-            for j in range(pc + 1, ncols):
-                if row[j] and vec[j]:
-                    acc = acc + row[j] * vec[j]
-            if acc:
-                vec[pc] = -acc / row[pc]
-        basis.append(_lead_one(vec))
+        vec = [(0, 0)] * ncols
+        vec[jf] = (1, 0)
+        for pc, row in zip(reversed(pivots), reversed(rows)):
+            if pc > jf:
+                continue
+            acc_a = acc_b = 0
+            for j in range(pc + 1, jf + 1):
+                if vec[j] != (0, 0) and row[j] != (0, 0):
+                    a, b = pair_mul(row[j], vec[j])
+                    acc_a, acc_b = acc_a + a, acc_b + b
+            if acc_a or acc_b:
+                pa, pb = row[pc]
+                norm = pa * pa - pa * pb + pb * pb
+                vec = [(a * norm, b * norm) for a, b in vec]
+                vec[pc] = pair_mul((-acc_a, -acc_b), (pa - pb, -pb))
+                g = gcd(*(n for x in vec for n in x))
+                vec = [(a // g, b // g) for a, b in vec]
+        basis.append(vec)
     return basis
-
-
-def _lead_one(vec: list) -> list:
-    lead = next(v for v in vec if v)
-    if lead == ONE:
-        return vec
-    inv = lead.inverse()
-    return [v * inv for v in vec]
 
 
 # -- modular kernel ---------------------------------------------------------
@@ -194,12 +209,56 @@ FULL_RANK_MOD_P = "full rank mod p"
 EXACT_ELIMINATION = "exact elimination"
 
 
-class Kernel(list):
-    """A kernel basis (a list of vectors) with the certificate that settled it."""
+class Kernel(Sequence):
+    """A kernel basis, a sequence of Scalar vectors, with the certificate
+    that settled it. `integral` holds the same vectors in Z[w]: each one
+    times the lcm s of its denominators, as integer pairs, its lead entry
+    (s, 0). The Scalar vectors are built once, on first access, so a caller
+    that reads only `integral` never builds them."""
 
     def __init__(self, vectors, certificate: str):
-        super().__init__(vectors)
+        self.integral = [_canonical(vec) for vec in vectors]
         self.certificate = certificate
+        self._scalars = None
+
+    def __len__(self):
+        return len(self.integral)
+
+    def __getitem__(self, k):
+        if self._scalars is None:
+            self._scalars = [_scalar_vector(vec) for vec in self.integral]
+        return self._scalars[k]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Kernel)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Kernel({list(self)!r}, {self.certificate!r})"
+
+
+def _lead(vec: list) -> tuple:
+    return next(x for x in vec if x != (0, 0))
+
+
+def _scalar_vector(vec: list) -> list:
+    s = _lead(vec)[0]
+    return [ZERO if x == (0, 0) else Scalar(Fraction(x[0], s), Fraction(x[1], s)) for x in vec]
+
+
+def _canonical(vec: list) -> list:
+    """A nonzero Z[w] vector rescaled so its lead entry is a positive integer
+    and its parts have no common factor: the vector with lead 1, times the
+    lcm of its denominators. Multiplying by the conjugate of the lead entry
+    turns it into its norm; the gcd division then leaves the lead (s, 0)."""
+    la, lb = _lead(vec)
+    conj = (la - lb, -lb)
+    out = [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
+    g = gcd(*(n for x in out for n in x))
+    return [(a // g, b // g) for a, b in out]
 
 
 def _cube_root(p: int) -> int:
@@ -208,11 +267,6 @@ def _cube_root(p: int) -> int:
     while (root := pow(g, (p - 1) // 3, p)) == 1:
         g += 1
     return root
-
-
-def _unpack(packed: int, count: int, nbytes: int) -> list:
-    raw = packed.to_bytes(count * nbytes, "little")
-    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
 
 
 def _echelon_mod(data: list, ncols: int, p: int, w: int):
@@ -238,7 +292,7 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
         leads = [(row & mask) % p for row in pending]
         k = next((i for i, t in enumerate(leads) if t), None)
         if k is not None:
-            tail = _unpack(pending.pop(k), ncols - c, nbytes)
+            tail = unpack_slots(pending.pop(k), ncols - c, nbytes)
             inv = pow(leads.pop(k), -1, p)
             tail = [x * inv % p for x in tail]
             pivots.append(c)
@@ -272,9 +326,9 @@ def _crt(x: int, m: int, y: int, p: int) -> int:
     return x + m * ((y - x) * pow(m, -1, p) % p)
 
 
-def _rational(u: int, m: int):
-    """n/d = u (mod m) with |n|, d <= sqrt(m/2) (Wang's algorithm), or None."""
-    bound = isqrt(m // 2)
+def _rational(u: int, m: int, bound: int):
+    """(n, e) with n = e*u (mod m), |n| <= bound and 0 < e <= bound, in lowest
+    terms (Wang's algorithm), or None."""
     r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -282,45 +336,67 @@ def _rational(u: int, m: int):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound:
         return None
-    return Fraction(r1, s1)
+    g = gcd(r1, s1)
+    return (r1 // g, s1 // g) if s1 > 0 else (-r1 // g, -s1 // g)
 
 
-def _reconstruct(parts: list, m: int):
-    """Lift each residue vector to rationals, or None if an entry fails."""
-    lifted = [[_rational(u, m) for u in part] for part in parts]
-    return None if any(None in vec for vec in lifted) else lifted
+def _lift(residues: list, m: int):
+    """Integers v and D with v = D*u (mod m) for the residue list u, |v_k| and
+    D at most sqrt(m/2), or None. Two such lifts v/D and v'/D' agree, as
+    |v*D' - v'*D| < m, so this is the rational vector u if it fits at all.
+
+    One running common denominator D is kept: an entry is u*D mod m in the
+    symmetric range when that fits the bound, and only otherwise runs
+    Wang's algorithm, whose denominator then multiplies D.
+    """
+    bound = isqrt(m // 2)
+    den, out = 1, []
+    for u in residues:
+        v = u * den % m
+        if v > bound and m - v > bound:
+            found = _rational(v, m, bound)
+            if found is None:
+                return None
+            v, e = found
+            den *= e
+            if den > bound:
+                return None
+            out = [x * e for x in out]
+        elif v > bound:
+            v -= m
+        out.append(v)
+    return out if max(map(abs, out)) <= bound else None
 
 
 def _annihilates(data: list, vectors: list) -> bool:
-    """Exact check that every vector a + b*w kills every integer-pair row.
+    """Exact check that every Z[w] vector kills every integer-pair row.
 
-    Each column is packed into one integer with a signed slot per row, so
-    M v is the single sum of v_j times column j. The slots are wide enough
-    for any entry of M v, and a nonzero slot below 2^(width-1) in magnitude
-    cannot be cancelled by the slots above it, so M v = 0 iff the sum is 0.
+    Entry j of all the vectors is packed into one integer per part, vector
+    k in signed slot k, so a row's products with every vector are one sum
+    over the row's nonzero entries. The slots are wide enough for any such
+    product, and a nonzero slot below 2^(width-1) in magnitude cannot be
+    cancelled by the slots above it, so the sum is 0 iff every product is.
     """
     if not data:
         return True
-    scaled = []
-    for a, b in vectors:
-        den = lcm(*(x.denominator for x in a), *(x.denominator for x in b))
-        scaled.append(([int(x * den) for x in a], [int(y * den) for y in b]))
-    mbits = max(abs(x) for row in data for pair in row for x in pair).bit_length()
-    vbits = max(max(max(v), -min(v)) for pair in scaled for v in pair).bit_length()
+    mbits = max(map(abs, chain.from_iterable(chain.from_iterable(data)))).bit_length()
+    vbits = max(map(abs, chain.from_iterable(chain.from_iterable(vectors)))).bit_length()
     nbytes = (mbits + vbits + (3 * len(data[0])).bit_length()) // 8 + 1
     half = 1 << (8 * nbytes - 1)
-    offset = pack_slots([half] * len(data), nbytes)
-    columns = [
-        [pack_slots([e[k] + half for e in col], nbytes) - offset if any(e[k] for e in col) else 0
-         for k in (0, 1)]
-        for col in zip(*data)
-    ]
-    for va, vb in scaled:
+    offset = pack_slots([half] * len(vectors), nbytes)
+    packed = [[pack_slots([x[k] + half for x in entry], nbytes) - offset for k in (0, 1)]
+              for entry in zip(*vectors)]
+    for row in data:
         re = im = 0
-        for (ca, cb), x, y in zip(columns, va, vb):
-            # (ra + rb w)(x + y w) = ra x - rb y + (ra y + rb x - rb y) w
-            re += x * ca - y * cb
-            im += y * ca + (x - y) * cb
+        for (ra, rb), (xa, xb) in zip(row, packed):
+            # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
+            if rb:
+                t = rb * xb
+                re += ra * xa - t
+                im += ra * xb + rb * xa - t
+            elif ra:
+                re += ra * xa
+                im += ra * xb
         if re or im:
             return False
     return True
@@ -331,9 +407,9 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
 
     Over Q(w) the rows are reduced under both embeddings w -> ω and w -> ω²;
     a kernel entry a + b*w then reads a + bω and a + bω², which give a and
-    b because ω - ω² is a unit mod p. Each vector becomes two residue
-    vectors, its a-part and its b-part. When the two embeddings disagree on
-    the pivot columns, the pivots returned are None.
+    b because ω - ω² is a unit mod p. Each vector becomes one residue
+    list, its a-part followed by its b-part (zeros over Q). When the two
+    embeddings disagree on the pivot columns, the pivots returned are None.
     """
     w1 = _cube_root(p)
     found = []
@@ -344,15 +420,14 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
         found.append((pivots, _kernel_from_echelon(pivots, echelon, ncols, p)))
     pivots, vectors = found[0]
     if not qw:
-        return pivots, vectors
+        return pivots, [v + [0] * ncols for v in vectors]
     if found[1][0] != pivots:
         return None, []
     inv = pow(2 * w1 + 1, -1, p)  # w1 - w2 = 2*w1 + 1 mod p
     parts = []
     for v1, v2 in zip(vectors, found[1][1]):
         b = [(x - y) * inv % p for x, y in zip(v1, v2)]
-        parts.append([(x - y * w1) % p for x, y in zip(v1, b)])
-        parts.append(b)
+        parts.append([(x - y * w1) % p for x, y in zip(v1, b)] + b)
     return pivots, parts
 
 
@@ -387,15 +462,12 @@ def kernel_basis(m: ExactMatrix | list) -> Kernel:
         ]
         modulus *= p
         primes += 1
-        rationals = _reconstruct(lifted, modulus)
-        if rationals is None:
+        vectors = [_lift(u, modulus) for u in lifted]
+        if any(v is None for v in vectors):
             continue
-        pairs = list(zip(rationals[0::2], rationals[1::2])) if qw else [
-            (a, [0] * ncols) for a in rationals
-        ]
-        if _annihilates(data, pairs):
-            basis = [_lead_one([Scalar(x, y) for x, y in zip(a, b)]) for a, b in pairs]
+        vectors = [list(zip(v[:ncols], v[ncols:])) for v in vectors]
+        if _annihilates(data, vectors):
             plural = "s" if primes > 1 else ""
-            return Kernel(basis, f"verified reconstruction ({primes} prime{plural})")
+            return Kernel(vectors, f"verified reconstruction ({primes} prime{plural})")
     # Bareiss works in place; the rows may be the caller's
     return Kernel(_bareiss_kernel([list(row) for row in data], ncols), EXACT_ELIMINATION)

@@ -3,7 +3,11 @@
 Monomials are exponent triples (i, j, k) meaning x^i y^j z^k, ordered
 graded-lexicographically with x > y > z; that order fixes every basis
 enumeration and therefore every matrix layout downstream. Polynomials are
-immutable values: arithmetic always returns a new object.
+immutable values: arithmetic always returns a new object. `Poly` and the
+expression parser share one term-map arithmetic (`_map_add`, `_map_mul`);
+the product of an arrangement's lines (`product_of_forms`) is expanded in
+Z[w] integers by Kronecker substitution and turned into Scalars once, at
+the end.
 """
 
 from __future__ import annotations
@@ -20,7 +24,18 @@ from .errors import (
     ParseError,
     ZeroDerivativeDomain,
 )
-from .field import ONE, ZERO, FieldTag, Scalar, _scan_rational, format_scalar, smallest_tag
+from .field import (
+    ONE,
+    ZERO,
+    FieldTag,
+    Scalar,
+    _scan_rational,
+    format_scalar,
+    integer_pairs,
+    pack_slots,
+    smallest_tag,
+    unpack_slots,
+)
 
 Monomial = tuple  # (i, j, k) exponents
 VARIABLES = ("x", "y", "z")
@@ -41,6 +56,40 @@ def graded_basis(r: int) -> tuple:
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+
+
+# -- term-map arithmetic, shared by Poly and the expression parser ----------
+
+
+def _map_neg(m):
+    return {mono: -c for mono, c in m.items()}
+
+
+def _map_add(m1, m2):
+    out = dict(m1)
+    for mono, c in m2.items():
+        prev = out.get(mono)
+        c = c if prev is None else prev + c
+        if c:
+            out[mono] = c
+        elif prev is not None:
+            del out[mono]
+    return out
+
+
+def _map_mul(m1, m2):
+    out: dict = {}
+    for mono1, c1 in m1.items():
+        for mono2, c2 in m2.items():
+            mono = _mono_mul(mono1, mono2)
+            c = c1 * c2
+            prev = out.get(mono)
+            c = c if prev is None else prev + c
+            if c:
+                out[mono] = c
+            elif prev is not None:
+                del out[mono]
+    return out
 
 
 def _mono_str(m: Monomial) -> str:
@@ -124,21 +173,13 @@ class Poly:
             raise DegreeMismatch(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            acc = terms.get(mono)
-            coef = coef if acc is None else acc + coef
-            if coef:
-                terms[mono] = coef
-            elif acc is not None:
-                del terms[mono]
-        return Poly(self.degree, terms, self.tag)
+        return Poly(self.degree, _map_add(self.terms, other.terms), self.tag)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.degree, {m: -c for m, c in self.terms.items()}, self.tag)
+        return Poly(self.degree, _map_neg(self.terms), self.tag)
 
     def scale(self, scalar) -> "Poly":
         c = scalar if isinstance(scalar, Scalar) else Scalar(scalar)
@@ -152,18 +193,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_tag(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                prev = acc.get(mono)
-                c = c if prev is None else prev + c
-                if c:
-                    acc[mono] = c
-                elif prev is not None:
-                    del acc[mono]
-        return Poly(self.degree + other.degree, acc, self.tag)
+        return Poly(self.degree + other.degree, _map_mul(self.terms, other.terms), self.tag)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -273,15 +303,55 @@ class LinearForm:
 
 
 def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
-    """Expand the product of the given (normalized) linear forms."""
+    """Expand the product of the given (normalized) linear forms.
+
+    The forms are scaled to Z[w] pairs, pivot 1 becoming a positive integer
+    L, and f(x, y, 1) is expanded by Kronecker substitution: its real and w
+    parts are one big integer each, x^i y^j z^(d-i-j) in signed slot
+    i*(d+1) + j, so a rational line costs three shifted multiply-adds per
+    part (twelve in all with a w part). With |p| + |q| as the size of
+    p + q*w, a product is at most twice the product of the sizes (once if
+    a factor is rational), so the slots hold the product of the lines'
+    sizes, doubled per line with a w part. Adding half the slot range makes
+    every slot non-negative for one `unpack_slots`; the Scalars are built
+    once, divided by the product of the L.
+    """
     if not forms:
         raise ValueError("need at least one linear form")
     if tag is None:
         tag = FieldTag.Q if all(f.is_rational() for f in forms) else FieldTag.QW
-    result = forms[0].to_poly(tag)
-    for form in forms[1:]:
-        result = result * form.to_poly(tag)
-    return result
+    lines = [integer_pairs(form.coeffs) for form in forms]
+    d = len(lines)
+    bound = scale = 1
+    for line in lines:
+        bound *= sum(abs(a) + abs(b) for a, b in line) << any(b for _, b in line)
+        scale *= next(a for a, _ in line if a)
+    nbytes = bound.bit_length() // 8 + 1
+    shifts = (8 * nbytes * (d + 1), 8 * nbytes, 0)  # times x, times y, times z
+
+    def times(part: int, coeffs) -> int:
+        return sum(c * (part << s) for c, s in zip(coeffs, shifts) if c)
+
+    re, im = 1, 0
+    for line in lines:
+        real, wpart = [a for a, _ in line], [b for _, b in line]
+        if not any(wpart):
+            re, im = times(re, real), times(im, real)
+            continue
+        # (re + im w)(real + wpart w) with w^2 = -1 - w
+        cross = times(im, wpart)
+        re, im = times(re, real) - cross, times(re, wpart) + times(im, real) - cross
+    count = d * (d + 1) + 1
+    half = 1 << (8 * nbytes - 1)
+    offset = pack_slots([half] * count, nbytes)
+    re_slots = unpack_slots(re + offset, count, nbytes)
+    im_slots = unpack_slots(im + offset, count, nbytes) if im else [half] * count
+    terms = {}
+    for k, (a, b) in enumerate(zip(re_slots, im_slots)):
+        if a != half or b != half:
+            i, j = divmod(k, d + 1)
+            terms[(i, j, d - i - j)] = Scalar(Fraction(a - half, scale), Fraction(b - half, scale))
+    return Poly(d, terms, tag)
 
 
 def divide_exact(f: Poly, form: LinearForm) -> Poly:
@@ -437,37 +507,6 @@ class _Parser:
         if kind is _NUM:
             return {(0, 0, 0): Scalar(payload)}
         raise ParseError(f"unexpected token {payload!r}", position=pos)
-
-
-def _map_neg(m):
-    return {mono: -c for mono, c in m.items()}
-
-
-def _map_add(m1, m2):
-    out = dict(m1)
-    for mono, c in m2.items():
-        prev = out.get(mono)
-        c = c if prev is None else prev + c
-        if c:
-            out[mono] = c
-        elif prev is not None:
-            del out[mono]
-    return out
-
-
-def _map_mul(m1, m2):
-    out: dict = {}
-    for mono1, c1 in m1.items():
-        for mono2, c2 in m2.items():
-            mono = _mono_mul(mono1, mono2)
-            c = c1 * c2
-            prev = out.get(mono)
-            c = c if prev is None else prev + c
-            if c:
-                out[mono] = c
-            elif prev is not None:
-                del out[mono]
-    return out
 
 
 def _map_pow(m, e):

@@ -477,6 +477,13 @@ def test_parse_lines_duplicate():
         parse_lines("1 0 0\n2 0 0\n")
 
 
+def test_parse_lines_duplicate_names_the_line():
+    text = "field: Q\n# a pencil\n" + "".join(f"1 {s} 0\n" for s in range(60)) + "2 6 0\n"
+    with pytest.raises(DuplicateLine) as info:
+        parse_lines(text)
+    assert str(info.value) == "duplicate line x+3*y (line 63)"
+
+
 def test_parse_lines_errors():
     with pytest.raises(ParseError):
         parse_lines("1 0\n")

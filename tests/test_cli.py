@@ -8,8 +8,10 @@ from nearfree import (
     arrangement,
     catalog,
     catalog_names,
+    criteria,
     defining_polynomial,
     format_poly,
+    linalg,
     milnor_number,
 )
 from nearfree.cli import main
@@ -341,3 +343,14 @@ def test_arrangements_take_the_derivation_route(monkeypatch):
     code, _, err = run_cli(["analyze", "--poly", "x*y*z*(x-y)*(y-z)*(x-z)", "--tau", "19"])
     assert code == 0, err
     assert calls == [0, 1, 2]
+
+
+@pytest.mark.parametrize("args", [["@catalog:A4_free"], ["--poly", "x*y*z", "--tau", "3"]])
+def test_missing_syzygy_is_an_error_not_a_traceback(monkeypatch, args):
+    # a kernel_basis that never finds a syzygy breaks mdr's invariant that
+    # (0, f_z, -f_y) is one in degree d - 1
+    empty = linalg.Kernel([], linalg.FULL_RANK_MOD_P)
+    monkeypatch.setattr(criteria, "kernel_basis", lambda m: empty)
+    code, out, err = run_cli(["analyze"] + args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no syzygy found in degrees below d=")

@@ -1,8 +1,13 @@
-"""Byte identity of --json reports against committed golden files.
+"""Byte identity of reports against committed golden files.
 
-The files under golden/ hold the exact stdout of each command as it was
-before mdr moved to the logarithmic-derivation route for arrangements; any
-change to a report's bytes must show up here.
+The `.json` files under golden/ hold the exact stdout of each `--json`
+command as it was before mdr moved to the logarithmic-derivation route for
+arrangements. The `witness-*.txt` files hold the text report with
+`--witness` of `analyze` on the 10 catalog entries and on the three
+`.lines` files in golden/inputs (A(6,1,3) over Q(w), a seeded nodal
+arrangement of 8 lines, a near pencil of 40 lines), as they were before
+the arrangement path moved to Z[w] integer arithmetic. Any change to a
+report's bytes, the witness included, must show up here.
 """
 
 import io
@@ -15,21 +20,36 @@ from nearfree import catalog_names
 from nearfree.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = ("A6_1_3", "nodal8", "pencil40")
 
 COMMANDS = {f"analyze-{n}": ["analyze", f"@catalog:{n}", "--json"] for n in catalog_names()}
 COMMANDS["delete-DualHesse9-line0"] = ["delete", "@catalog:DualHesse9", "--line", "0", "--json"]
 COMMANDS["deform-A1_6"] = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3",
                            "--dir", "y", "--eps", "1/2", "--json"]
 
+# run from golden/, so the `input:` row reads the same relative path
+WITNESS = {f"witness-{n}": ["analyze", f"@catalog:{n}", "--witness"] for n in catalog_names()}
+WITNESS.update({f"witness-{s}": ["analyze", f"inputs/{s}.lines", "--witness"] for s in INPUTS})
+
+
+def _stdout(argv) -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode("utf-8")
+
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(WITNESS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_json_report_matches_golden_bytes(name):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(COMMANDS[name]) == 0
-    expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert out.getvalue().encode("utf-8") == expected
+    assert _stdout(COMMANDS[name]) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS))
+def test_witness_text_matches_golden_bytes(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert _stdout(WITNESS[name]) == (GOLDEN / f"{name}.txt").read_bytes()

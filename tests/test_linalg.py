@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -173,3 +174,62 @@ def test_unlucky_prime_falls_back_to_exact_elimination(monkeypatch):
     kernel = kernel_basis(_mat([[1, 0, 0], [0, 7, 0]]))
     assert kernel == [[ZERO, ZERO, ONE]]
     assert kernel.certificate == "verified reconstruction (1 prime)"
+
+
+def _kernel_with_denominators(rng, dens):
+    # rows (-a_i, 0, ..., q_i at column i, ...) span the complement of
+    # v = (1, a_1/q_1, ..., a_k/q_k), so the kernel is spanned by v, whose
+    # entries have pairwise different denominators; random combinations of
+    # the rows hide the structure from the elimination
+    k = len(dens)
+    numerators = [Scalar(rng.choice([-3, -1, 1, 2]), rng.choice([0, 1])) for _ in dens]
+    base = []
+    for i, q in enumerate(dens):
+        row = [ZERO] * (k + 1)
+        row[0], row[i + 1] = -numerators[i], Scalar(q)
+        base.append(row)
+    mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    rows = [[sum((c * r[j] for c, r in zip(mix[i][i + 1:], base[i + 1:])), base[i][j])
+             for j in range(k + 1)] for i in range(k)]
+    v = [ONE] + [n / q for n, q in zip(numerators, dens)]
+    return ExactMatrix.from_rows(rows), v
+
+
+@pytest.mark.parametrize("dens, certificate", [
+    ((3, 5, 7, 11, 13, 17), "verified reconstruction (1 prime)"),
+    # the common denominator exceeds sqrt(p/2) for one prime p, though
+    # every entry alone would fit
+    ((2**21 + 7, 2**21 + 17, 2**21 + 27, 2**21 + 29), "verified reconstruction (2 primes)"),
+])
+def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, certificate):
+    rng = random.Random(3006)
+    for _ in range(3):
+        m, v = _kernel_with_denominators(rng, dens)
+        kernel = kernel_basis(m)
+        assert kernel == [v] == _exact_kernel(m, monkeypatch)
+        assert kernel.certificate == certificate
+        (vec,) = kernel.integral
+        s = vec[0][0]
+        assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec] == v
+
+
+def test_lift_bounds_the_common_denominator():
+    p = linalg.PRIMES[0]
+    bound = isqrt(p // 2)
+    q1, q2 = 2**40 + 15, 2**40 + 21  # each fits the bound, their product does not
+    assert q1 < bound < q1 * q2
+    assert linalg._lift([pow(q1, -1, p), pow(q2, -1, p)], p) is None
+    assert linalg._lift([pow(q1, -1, p), 5 * pow(q1, -1, p) % p], p) == [1, 5]
+    # numerators scaled by a later denominator must stay in bound too
+    assert linalg._lift([2**62 % p, pow(q1, -1, p)], p) is None
+
+
+def test_integral_vectors_are_the_scaled_canonical_basis():
+    rng = random.Random(3007)
+    for _ in range(30):
+        m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
+        kernel = kernel_basis(m)
+        for vec, ints in zip(kernel, kernel.integral):
+            s = next(a for a, b in ints if a or b)
+            assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
+            assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in ints] == vec

@@ -25,7 +25,7 @@ from nearfree.errors import (
     ZeroDerivativeDomain,
 )
 
-from support import random_form, random_poly
+from support import random_form, random_poly, random_rational_scalar, reflection_arrangement
 
 X = Poly.variable(0, FieldTag.Q)
 Y = Poly.variable(1, FieldTag.Q)
@@ -90,6 +90,64 @@ def test_product_of_forms_braid():
 
 def test_product_of_single_form():
     assert product_of_forms([LinearForm.parse("x")]) == parse_poly("x")
+
+
+def _iterated_product(forms, tag):
+    # the reference: one Poly.__mul__ per line, in Scalar arithmetic
+    result = forms[0].to_poly(tag)
+    for form in forms[1:]:
+        result = result * form.to_poly(tag)
+    return result
+
+
+def _near_pencil(rng, d):
+    slopes = rng.sample(range(-40, 41), d - 1)
+    return [LinearForm(1, -s, 0) for s in slopes] + [LinearForm(rng.randint(-4, 4), 3, 1)]
+
+
+def _kronecker_cases():
+    rng = random.Random(4401)
+    cases = []
+    for d in (3, 5, 7, 9):  # Q, fractional coefficients
+        cases.append([LinearForm(*(random_rational_scalar(rng) for _ in range(3)))
+                      for _ in range(d)])
+    # Q(w); (1 - w)/3 scales to 1 - w beside the pivot 3, so the scaled
+    # line has the Z[w] content 1 - w
+    values = [ONE, -ONE, OMEGA, Scalar(1, 1), Scalar(Fraction(1, 3), Fraction(-1, 3)),
+              Scalar(Fraction(2, 7), Fraction(5, 3)), Scalar(0)]
+    for d in (4, 6, 8):
+        cases.append([LinearForm(ONE, rng.choice(values), rng.choice(values)) for _ in range(d)])
+    for m in (2, 3, 6):
+        for full in (False, True):
+            cases.append(list(reflection_arrangement(m, full).lines))
+    cases += [_near_pencil(rng, 40), _near_pencil(rng, 60)]
+    cases += [[LinearForm(0, 0, 1)], [LinearForm(3, Fraction(-1, 2), Scalar(0, 1))]]
+    # coefficients near 2^40: each product coefficient fills its slot
+    big = 2**40
+    cases.append([LinearForm(1, big - 3, -(big - 5))])
+    cases.append([LinearForm(1, big - k, k - big) for k in range(1, 5)])
+    cases.append([LinearForm(1, Scalar(big - 7, big - 11), Scalar(-big, 3 - big)),
+                  LinearForm(1, Scalar(1 - big, big), -big)])
+    return cases
+
+
+KRONECKER_CASES = _kronecker_cases()
+
+
+@pytest.mark.parametrize("case", range(len(KRONECKER_CASES)))
+def test_kronecker_product_equals_iterated_product(case):
+    forms = KRONECKER_CASES[case]
+    tag = FieldTag.Q if all(f.is_rational() for f in forms) else FieldTag.QW
+    for t in {tag, FieldTag.QW}:
+        assert product_of_forms(forms, t) == _iterated_product(forms, t)
+
+
+def test_kronecker_product_is_exact_at_the_slot_width():
+    # x + (2^40 - 3) y - (2^40 - 5) z: the largest coefficient takes 41 of
+    # the 48 bits of the 6-byte slots; one byte fewer would drop it
+    big = 2**40
+    f = product_of_forms([LinearForm(1, big - 3, -(big - 5))])
+    assert f.terms[(0, 1, 0)] == Scalar(big - 3) and f.terms[(0, 0, 1)] == Scalar(5 - big)
 
 
 def _dual_hesse_raw_factors():
