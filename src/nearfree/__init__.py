@@ -48,7 +48,7 @@ from .criteria import (
     verify_syzygy,
 )
 from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
-from .linalg import ExactMatrix, kernel_basis, rank
+from .linalg import ExactMatrix, kernel_basis
 from .poly import (
     LinearForm,
     Poly,

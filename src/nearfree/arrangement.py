@@ -43,6 +43,7 @@ from .field import (
     pair_det2,
     pair_mul,
     parse_scalar,
+    smallest_tag,
 )
 from .poly import LinearForm, Poly, product_of_forms
 
@@ -81,10 +82,10 @@ class LineArrangement:
             if form in seen:
                 raise DuplicateLine(f"duplicate line {form}")
             seen.add(form)
-        rational = all(form.is_rational() for form in lines)
+        smallest = smallest_tag(c for form in lines for c in form.coeffs)
         if tag is None:
-            tag = FieldTag.Q if rational else FieldTag.QW
-        elif tag is FieldTag.Q and not rational:
+            tag = smallest
+        elif tag is FieldTag.Q and smallest is FieldTag.QW:
             raise FieldMismatch("arrangement tagged Q contains non-rational lines")
         self.lines = lines
         self.tag = tag
@@ -321,10 +322,8 @@ def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineA
                 a * m[0][2] + b * m[1][2] + c * m[2][2],
             )
         )
-    tag = arrangement.tag
-    if tag is FieldTag.Q and any(not f.is_rational() for f in new_lines):
-        tag = FieldTag.QW
-    return LineArrangement(new_lines, tag)
+    # a Q arrangement moves to the smallest field of its new lines
+    return LineArrangement(new_lines, None if arrangement.tag is FieldTag.Q else FieldTag.QW)
 
 
 # ---------------------------------------------------------------------------

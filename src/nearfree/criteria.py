@@ -320,9 +320,9 @@ class MdrResult:
     the relation matrix for a polynomial or of derivation_rows for an
     arrangement (the two are equal); it is zero below r and at least one
     at r. certificates[k] is the certificate that settled that kernel, as
-    `nearfree.linalg.kernel_basis` names it: "full rank mod p",
-    "verified reconstruction (k primes)" or "exact elimination". It is not
-    part of any report. The witness (a, b, c) is the first canonical
+    `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
+    "verified reconstruction (k primes)". It is not part of any report.
+    The witness (a, b, c) is the first canonical
     kernel vector on the Jacobian route; on the derivation route it is the
     first canonical derivation mapped to AR(f)_r and checked by
     verify_syzygy, a different syzygy of the same degree.

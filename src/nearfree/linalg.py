@@ -1,13 +1,11 @@
-"""Exact dense linear algebra: rank and right-kernel bases.
-
-`rank` runs Bareiss one-step fraction-free elimination on integer pairs
-a + b*w (denominators cleared per row), which avoids gcd churn.
+"""Exact dense linear algebra: certified right-kernel bases.
 
 `kernel_basis` returns the canonical kernel basis: pivot columns are taken
 left to right, and there is one vector per free column with the other free
 coordinates zero, rescaled so its first nonzero entry is 1. It works
-modulo primes p = 1 (mod 3) first, with w sent to a cube root of unity in
-F_p, and every answer carries a certificate that has been checked:
+modulo the primes of `prime_stream`, each proven prime by Proth's theorem
+and p = 1 (mod 3), with w sent to a cube root of unity in F_p. It takes
+primes until one of two certificates holds, and each has been checked:
 
 * "full rank mod p" - the rows, scaled to Z[w], have full column rank mod
   p. Reduction can only lower the rank, so the kernel over Q(w) is zero.
@@ -20,13 +18,13 @@ F_p, and every answer carries a certificate that has been checked:
   dimension from above, so they span the exact kernel; each one's last
   nonzero entry sits in its own free column, so those are the exact free
   columns and the vectors are the canonical basis.
-* "exact elimination" - the primes ran out without a verified basis, so
-  the basis comes from Bareiss elimination and fraction-free back
-  substitution over Z[w].
 
-Every route ends in Z[w] integers: each vector is normalized by the
-conjugate of its lead entry and its content (`Kernel.integral`), and the
-Scalar vectors are built from those only when a caller reads them.
+The loop always ends: only finitely many primes change the rank or the
+pivot columns, and the Hadamard bound caps the entries of the canonical
+basis, so enough primes with the right pivots lift it and the check holds.
+Each vector is normalized in Z[w] integers by the conjugate of its lead
+entry and its content (`Kernel.integral`), and the Scalar vectors are
+built from those only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -34,10 +32,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt
 
-from .errors import ToolkitError
 from .field import (
     ZERO,
     FieldTag,
@@ -95,118 +92,48 @@ class ExactMatrix:
         return out
 
 
-# -- integer-pair helpers (a + b*w with integer a, b) -----------------------
-
-
-def _ediv_exact(x, y):
-    xa, xb = x
-    ya, yb = y
-    if yb == 0:
-        qa, ra = divmod(xa, ya)
-        qb, rb = divmod(xb, ya)
-        if ra or rb:
-            raise ToolkitError("internal: fraction-free division left a remainder")
-        return (qa, qb)
-    # multiply by the conjugate, then divide by the integer norm
-    na, nb = pair_mul(x, (ya - yb, -yb))
-    n = ya * ya - ya * yb + yb * yb
-    qa, ra = divmod(na, n)
-    qb, rb = divmod(nb, n)
-    if ra or rb:
-        raise ToolkitError("internal: fraction-free division left a remainder")
-    return (qa, qb)
-
-
 def _integer_rows(m: ExactMatrix) -> list:
     """Scale each row by the lcm of its denominators (kernel unchanged)."""
     return [integer_pairs(m.row(i)) for i in range(m.rows)]
 
 
-def _bareiss(data: list, ncols: int):
-    """Bareiss elimination of integer-pair rows, in place.
-
-    Returns (pivot column list, echelon rows as integer pairs).
-    """
-    nrows = len(data)
-    pivots = []
-    prev = (1, 0)
-    pr = 0
-    for c in range(ncols):
-        if pr >= nrows:
-            break
-        candidates = [i for i in range(pr, nrows) if data[i][c] != (0, 0)]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: (sum(1 for e in data[i] if e != (0, 0)), i))
-        if best != pr:
-            data[pr], data[best] = data[best], data[pr]
-        piv = data[pr][c]
-        for i in range(pr + 1, nrows):
-            row_i = data[i]
-            row_p = data[pr]
-            t = row_i[c]
-            if t == (0, 0):
-                for j in range(c + 1, ncols):
-                    e = row_i[j]
-                    if e != (0, 0):
-                        row_i[j] = _ediv_exact(pair_mul(piv, e), prev)
-            else:
-                for j in range(c + 1, ncols):
-                    ua, ub = pair_mul(piv, row_i[j])
-                    va, vb = pair_mul(t, row_p[j])
-                    row_i[j] = _ediv_exact((ua - va, ub - vb), prev)
-                row_i[c] = (0, 0)
-        pivots.append(c)
-        prev = piv
-        pr += 1
-    return pivots, data[:len(pivots)]
-
-
-def rank(m: ExactMatrix) -> int:
-    pivots, _ = _bareiss(_integer_rows(m), m.cols)
-    return len(pivots)
-
-
-def _bareiss_kernel(data: list, ncols: int) -> list:
-    """Kernel vectors, one per free column, as Z[w] pairs up to scale.
-
-    Back substitution keeps the vector up to a rational factor: solving
-    pivot row i, x_pc = -(row i . x) / piv, multiplies the vector by the
-    norm N(piv) and sets x_pc = -(row i . x) * conj(piv), so no division is
-    needed; the vector is then divided by the gcd of its parts.
-    """
-    pivots, rows = _bareiss(data, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for jf in (j for j in range(ncols) if j not in pivot_set):
-        vec = [(0, 0)] * ncols
-        vec[jf] = (1, 0)
-        for pc, row in zip(reversed(pivots), reversed(rows)):
-            if pc > jf:
-                continue
-            acc_a = acc_b = 0
-            for j in range(pc + 1, jf + 1):
-                if vec[j] != (0, 0) and row[j] != (0, 0):
-                    a, b = pair_mul(row[j], vec[j])
-                    acc_a, acc_b = acc_a + a, acc_b + b
-            if acc_a or acc_b:
-                pa, pb = row[pc]
-                norm = pa * pa - pa * pb + pb * pb
-                vec = [(a * norm, b * norm) for a, b in vec]
-                vec[pc] = pair_mul((-acc_a, -acc_b), (pa - pb, -pb))
-                g = gcd(*(n for x in vec for n in x))
-                vec = [(a // g, b // g) for a, b in vec]
-        basis.append(vec)
-    return basis
-
-
 # -- modular kernel ---------------------------------------------------------
 
-# Primes p = 1 (mod 3) just above 2^127, so F_p holds a cube root of unity.
-PRIMES = (2**127 + 29, 2**127 + 65, 2**127 + 101, 2**127 + 251)
-
 FULL_RANK_MOD_P = "full rank mod p"
-EXACT_ELIMINATION = "exact elimination"
+
+# Every p = k*2^64 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
+# squares mod p and can never prove it prime; the bases start at 5.
+_PROTH_BASES = (5, 7, 11, 13, 17, 19, 23, 29)
+_PROVEN = []  # the stream so far, so each prime is proven once per process
+
+
+def _proth_prime(p: int) -> bool:
+    """True when Proth's theorem proves p = k*2^64 + 1, k < 2^64, prime: some
+    base a has a^((p-1)/2) = -1 (mod p). False when a residue other than
+    +-1 proves p composite, or when no base decides."""
+    for a in _PROTH_BASES:
+        x = pow(a, p >> 1, p)
+        if x == p - 1:
+            return True
+        if x != 1:
+            return False
+    return False
+
+
+def prime_stream():
+    """The proven primes p = k*2^64 + 1 with 3 | k < 2^63, largest first.
+
+    Each is 127 bits long and 1 (mod 3), so F_p holds a cube root of unity.
+    The stream does not end: there are about 2^63/3 candidates.
+    """
+    for i in count():
+        if i == len(_PROVEN):
+            # (1 << 63) - 2 is the largest multiple of 3 below 2^63
+            k = (_PROVEN[-1] >> 64) - 3 if _PROVEN else (1 << 63) - 2
+            while not _proth_prime((k << 64) + 1):
+                k -= 3
+            _PROVEN.append((k << 64) + 1)
+        yield _PROVEN[i]
 
 
 class Kernel(Sequence):
@@ -321,11 +248,6 @@ def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int) -> lis
     return basis
 
 
-def _crt(x: int, m: int, y: int, p: int) -> int:
-    """The residue mod m*p that is x mod m and y mod p."""
-    return x + m * ((y - x) * pow(m, -1, p) % p)
-
-
 def _rational(u: int, m: int, bound: int):
     """(n, e) with n = e*u (mod m), |n| <= bound and 0 < e <= bound, in lowest
     terms (Wang's algorithm), or None."""
@@ -437,8 +359,9 @@ def kernel_basis(m: ExactMatrix | list) -> Kernel:
     m is an ExactMatrix, or a non-empty list of equal-length rows of Z[w]
     integer pairs (a, b) meaning a + b*w, such as the logarithmic-derivation
     rows that `nearfree.criteria` builds without going through scalars.
-    The result's `certificate` says how it was settled (see the module
-    docstring); every route gives the same basis.
+    Primes are taken from `prime_stream` until the rank is full mod p or a
+    reconstruction is verified; the result's `certificate` says which (see
+    the module docstring).
     """
     if isinstance(m, ExactMatrix):
         data, ncols = _integer_rows(m), m.cols
@@ -446,7 +369,7 @@ def kernel_basis(m: ExactMatrix | list) -> Kernel:
         data, ncols = m, len(m[0])
     qw = any(b for row in data for _, b in row)
     best, modulus, primes, lifted = None, 1, 0, []
-    for p in PRIMES:
+    for p in prime_stream():
         found = _residue_kernel(data, ncols, p, qw)
         if found is None:
             return Kernel([], FULL_RANK_MOD_P)
@@ -457,17 +380,19 @@ def kernel_basis(m: ExactMatrix | list) -> Kernel:
         # disagrees starts afresh. Verification decides which one was right.
         if pivots != best:
             best, modulus, primes = pivots, 1, 0
+        # by CRT, the residue mod modulus*p that is x mod modulus and y mod p
+        inv = pow(modulus, -1, p)
         lifted = parts if primes == 0 else [
-            [_crt(x, modulus, y, p) for x, y in zip(old, new)] for old, new in zip(lifted, parts)
+            [x + modulus * ((y - x) * inv % p) for x, y in zip(old, new)]
+            for old, new in zip(lifted, parts)
         ]
         modulus *= p
         primes += 1
-        vectors = [_lift(u, modulus) for u in lifted]
-        if any(v is None for v in vectors):
-            continue
-        vectors = [list(zip(v[:ncols], v[ncols:])) for v in vectors]
-        if _annihilates(data, vectors):
+        vectors = []
+        for u in lifted:  # stop at the first vector that does not lift yet
+            if (v := _lift(u, modulus)) is None:
+                break
+            vectors.append(list(zip(v[:ncols], v[ncols:])))
+        if len(vectors) == len(lifted) and _annihilates(data, vectors):
             plural = "s" if primes > 1 else ""
             return Kernel(vectors, f"verified reconstruction ({primes} prime{plural})")
-    # Bareiss works in place; the rows may be the caller's
-    return Kernel(_bareiss_kernel([list(row) for row in data], ncols), EXACT_ELIMINATION)

@@ -319,7 +319,7 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
     if not forms:
         raise ValueError("need at least one linear form")
     if tag is None:
-        tag = FieldTag.Q if all(f.is_rational() for f in forms) else FieldTag.QW
+        tag = smallest_tag(c for form in forms for c in form.coeffs)
     lines = [integer_pairs(form.coeffs) for form in forms]
     d = len(lines)
     bound = scale = 1

@@ -1,6 +1,9 @@
-"""Shared randomized-input generators for the test suite (seeded callers)."""
+"""Shared randomized-input generators for the test suite (seeded callers),
+and a way to make `nearfree.linalg` meet unlucky primes first."""
 
+import re
 from fractions import Fraction
+from itertools import chain
 
 from nearfree import (
     OMEGA,
@@ -11,9 +14,13 @@ from nearfree import (
     LineArrangement,
     Poly,
     Scalar,
+    linalg,
     weak_combinatorics,
 )
 from nearfree.poly import graded_basis
+
+# the two certificates `linalg.kernel_basis` may give
+CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)")
 
 
 def random_fraction(rng, span=9, den=9):
@@ -103,3 +110,22 @@ def random_nodal_arrangement(rng, d, span=4):
         a = random_arrangement(rng, d, span)
         if weak_combinatorics(a).counts == ((2, d * (d - 1) // 2),):
             return a
+
+
+def unlucky_primes_first(monkeypatch, primes):
+    """Put the given small primes in front of the proven prime stream of
+    `nearfree.linalg`. Returns a list that records, as the kernels are
+    computed, each zero-kernel claim made at one of those primes, as
+    (p, integer-pair rows, column count)."""
+    stream, residue_kernel = linalg.prime_stream, linalg._residue_kernel
+    claims = []
+
+    def spy(data, ncols, p, qw):
+        found = residue_kernel(data, ncols, p, qw)
+        if found is None and p in primes:
+            claims.append((p, [list(row) for row in data], ncols))
+        return found
+
+    monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))
+    monkeypatch.setattr(linalg, "_residue_kernel", spy)
+    return claims

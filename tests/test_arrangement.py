@@ -467,6 +467,17 @@ def test_parse_lines_infers_field():
     assert parse_lines("1 -w 0\n0 1 -1\n").tag is FieldTag.QW
 
 
+def test_transform_moves_to_the_smallest_field():
+    a = catalog("A4_free")
+    assert a.tag is FieldTag.Q
+    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    assert transform(a, shear).tag is FieldTag.QW
+    assert transform(a, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]).tag is FieldTag.Q
+    # a Q(w) arrangement stays one, even when its new lines are rational
+    qw = LineArrangement(a.lines, FieldTag.QW)
+    assert transform(qw, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).tag is FieldTag.QW
+
+
 def test_parse_lines_field_mismatch():
     with pytest.raises(FieldMismatch):
         parse_lines("field: Q\n1 -w 0\n0 1 0\n")

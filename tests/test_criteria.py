@@ -12,7 +12,6 @@ from nearfree import (
     linalg,
     mdr,
     parse_poly,
-    rank,
     relation_matrix,
     tau_bounds,
     verdict,
@@ -21,7 +20,8 @@ from nearfree.arrangement import catalog, catalog_names, defining_polynomial, mi
 from nearfree.errors import OutOfRange, TauOutOfRange
 from nearfree.field import ZERO
 
-from support import random_nonzero_scalar
+from bareiss import rank
+from support import CERTIFICATE, random_nonzero_scalar, unlucky_primes_first
 
 BRAID_SEXTIC = "x*y*z*(x-y)*(y-z)*(x-z)"
 MACLANE_OCTIC = "(x^2+x*y+y^2)*(y^3-z^3)*(z^3-x^3)"
@@ -92,21 +92,20 @@ def test_mdr_records_how_each_degree_was_settled():
 @pytest.mark.parametrize("primes", [(7,), (7, 13)])
 def test_mdr_exact_when_degrees_below_are_deficient_mod_p(monkeypatch, primes):
     # 7*f makes every relation matrix vanish mod 7, so each degree below mdr
-    # is rank-deficient mod the first prime and must be settled another way
+    # is rank-deficient mod the first prime and must be settled by the next
     f = parse_poly("7*" + BRAID_SEXTIC)
-    monkeypatch.setattr(linalg, "PRIMES", primes)
+    want = mdr(f)
+    claims = unlucky_primes_first(monkeypatch, primes)
     result = mdr(f)
+    assert (result.r, result.relation_dims, result.witness) == (want.r, want.relation_dims, want.witness)
     assert result.r == 2
     assert result.relation_dims == [0, 0, 1]
     a, b, c = result.witness
     assert (a * f.partial(0) + b * f.partial(1) + c * f.partial(2)).is_zero()
-    if primes == (7,):
-        assert result.certificates == [linalg.EXACT_ELIMINATION] * 3
-    else:
-        assert result.certificates[:2] == [linalg.FULL_RANK_MOD_P] * 2
-        assert result.certificates[2] == "verified reconstruction (1 prime)"
-    monkeypatch.undo()
-    assert mdr(f).witness == result.witness
+    assert all(CERTIFICATE.fullmatch(c) for c in result.certificates)
+    assert result.certificates[:2] == [linalg.FULL_RANK_MOD_P] * 2
+    # no zero kernel is claimed mod 7; 13 settles the empty degrees
+    assert [p for p, _, _ in claims] == ([] if primes == (7,) else [13, 13])
 
 
 def test_kernel_dimension_monotonicity_beyond_mdr():

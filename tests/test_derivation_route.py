@@ -28,7 +28,14 @@ from nearfree.criteria import derivation_rows, verify_syzygy
 from nearfree.errors import NotASyzygy
 from nearfree.field import integer_pairs
 
-from support import random_arrangement, random_nodal_arrangement, reflection_arrangement
+import bareiss
+from support import (
+    CERTIFICATE,
+    random_arrangement,
+    random_nodal_arrangement,
+    reflection_arrangement,
+    unlucky_primes_first,
+)
 
 
 def _is_syzygy(f, witness):
@@ -97,15 +104,20 @@ def test_derivation_route_with_unlucky_primes(monkeypatch, primes):
     cases = [catalog(name) for name in catalog_names()]
     cases += [random_arrangement(random.Random(9200), 7, span=3), reflection_arrangement(3, True)]
     expected = [mdr(defining_polynomial(a), a.lines) for a in cases]
-    monkeypatch.setattr(linalg, "PRIMES", primes)
-    certificates = set()
+    claims = unlucky_primes_first(monkeypatch, primes)
+    certificates = []
     for a, want in zip(cases, expected):
         got = mdr(defining_polynomial(a), a.lines)
         assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
-        certificates.update(got.certificates)
-    # mod 7 alone, some degree is settled by Bareiss; with 13, by two primes
-    assert (linalg.EXACT_ELIMINATION if primes == (7,) else
-            "verified reconstruction (2 primes)") in certificates
+        certificates += got.certificates
+    assert all(CERTIFICATE.fullmatch(c) for c in certificates)
+    assert "verified reconstruction (2 primes)" in certificates
+    # full rank mod a small prime is a proof too, and each zero kernel
+    # claimed there has full rank over Q(w); mod 7 alone one empty degree is
+    # rank-deficient and a later prime settles it, with 13 next 13 does
+    for _, rows, ncols in claims:
+        assert len(bareiss._bareiss(rows, ncols)[0]) == ncols
+    assert len(claims) == certificates.count(linalg.FULL_RANK_MOD_P) - (primes == (7,))
 
 
 def _scalar_witness(a, r):

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import gcd, isqrt
 
 import pytest
 
-from nearfree import ExactMatrix, FieldTag, Scalar, kernel_basis, linalg, rank
+from nearfree import ExactMatrix, FieldTag, Scalar, kernel_basis, linalg
 from nearfree.field import OMEGA, ONE, ZERO
 
-from support import random_nonzero_scalar, random_scalar
+from bareiss import exact_kernel, rank
+from support import random_nonzero_scalar, random_scalar, unlucky_primes_first
 
 
 def _mat(rows, tag=None):
@@ -99,21 +101,26 @@ def test_singular_square_matrices():
         assert len(kernel_basis(m)) == 4 - rank(m)
 
 
-def test_primes_are_prime_and_one_mod_three():
-    sympy = pytest.importorskip("sympy")
-    assert linalg.PRIMES
-    for p in linalg.PRIMES:
+def test_prime_stream_is_proven_distinct_and_descending():
+    # every "full rank mod p" certificate rests on these primes, so a
+    # missing sympy must fail this test, not skip it
+    import sympy
+
+    primes = list(islice(linalg.prime_stream(), 64))
+    for p in primes:
         assert sympy.isprime(p)
-        assert p % 3 == 1
-
-
-def _exact_kernel(m, monkeypatch):
-    """kernel_basis with no primes left, i.e. Bareiss elimination alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "PRIMES", ())
-        kernel = kernel_basis(m)
-    assert kernel.certificate == linalg.EXACT_ELIMINATION
-    return kernel
+        assert p % 3 == 1 and p.bit_length() == 127
+    assert primes == sorted(set(primes), reverse=True)
+    assert list(islice(linalg.prime_stream(), 64)) == primes
+    k = (1 << 63) - 2
+    composites = [n for n in (((k - 3 * i) << 64) + 1 for i in range(200)) if not sympy.isprime(n)]
+    assert len(composites) > 150
+    assert not any(linalg._proth_prime(n) for n in composites)
+    # a prime modulo which 5, 7, ..., 29 are all squares is not proven, so
+    # the stream skips it
+    unproven = ((k - 3 * 2952) << 64) + 1
+    assert sympy.isprime(unproven) and not linalg._proth_prime(unproven)
+    assert unproven not in takewhile(lambda p: p >= unproven, linalg.prime_stream())
 
 
 def _deficient_matrix(rng, make):
@@ -127,9 +134,9 @@ def _deficient_matrix(rng, make):
     return ExactMatrix.from_rows(rows)
 
 
-def test_modular_matches_bareiss(monkeypatch):
+def test_modular_matches_bareiss():
     rng = random.Random(3004)
-    p = linalg.PRIMES[0]
+    p, _, _, q = islice(linalg.prime_stream(), 4)
     makers = [
         lambda: Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
         lambda: random_scalar(rng, 4),
@@ -138,7 +145,7 @@ def test_modular_matches_bareiss(monkeypatch):
         lambda: Scalar(Fraction(rng.randint(-9, 9), 2**200 + rng.randint(0, 9)),
                        Fraction(rng.randint(-2**90, 2**90), 7)),
         # entries divisible by the primes
-        lambda: Scalar(p * rng.randint(-2, 2), linalg.PRIMES[-1] * rng.randint(-1, 1)),
+        lambda: Scalar(p * rng.randint(-2, 2), q * rng.randint(-1, 1)),
         lambda: Scalar(rng.choice([0, 1, p, 2 * p, p * p]), rng.choice([0, 0, p])),
     ]
     certificates = set()
@@ -150,30 +157,30 @@ def test_modular_matches_bareiss(monkeypatch):
             ncols, nrows = rng.randint(1, 6), rng.randint(1, 6)
             m = ExactMatrix.from_rows([[make() for _ in range(ncols)] for _ in range(nrows)])
         kernel = kernel_basis(m)
-        assert kernel == _exact_kernel(m, monkeypatch)
+        assert kernel == exact_kernel(m)
         certificates.add(kernel.certificate)
     assert linalg.FULL_RANK_MOD_P in certificates
     assert "verified reconstruction (1 prime)" in certificates
     assert any(c.endswith("primes)") for c in certificates)
 
 
-def test_unlucky_prime_falls_back_to_exact_elimination(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIMES", (7,))
-    # singular mod 7 but not over Q: no zero kernel may be claimed mod 7
-    for rows in ([[1, 0], [0, 7]], [[1, 0], [0, 7 * OMEGA]], [[14, 3], [7, 5]]):
-        kernel = kernel_basis(_mat(rows))
-        assert kernel == []
-        assert kernel.certificate == linalg.EXACT_ELIMINATION
-    # a kernel mod 7 larger than the exact one cannot be verified
-    kernel = kernel_basis(_mat([[1, 0, 0], [0, 7, 0]]))
-    assert kernel == [[ZERO, ZERO, ONE]]
-    assert kernel.certificate == linalg.EXACT_ELIMINATION
-    # a second prime settles what the unlucky first one could not
-    monkeypatch.setattr(linalg, "PRIMES", (7, 13))
-    assert kernel_basis(_mat([[1, 0], [0, 7]])).certificate == linalg.FULL_RANK_MOD_P
-    kernel = kernel_basis(_mat([[1, 0, 0], [0, 7, 0]]))
-    assert kernel == [[ZERO, ZERO, ONE]]
-    assert kernel.certificate == "verified reconstruction (1 prime)"
+@pytest.mark.parametrize("primes", [(7,), (7, 13)])
+def test_unlucky_primes_are_never_trusted(monkeypatch, primes):
+    # singular mod 7 but not over Q; the second matrix's kernel mod 7 is
+    # larger than the exact one and cannot be verified
+    matrices = [_mat(rows) for rows in (
+        [[1, 0], [0, 7]], [[1, 0], [0, 7 * OMEGA]], [[14, 3], [7, 5]], [[1, 0, 0], [0, 7, 0]],
+    )]
+    expected = [kernel_basis(m) for m in matrices]
+    claims = unlucky_primes_first(monkeypatch, primes)
+    kernels = [kernel_basis(m) for m in matrices]
+    assert kernels == expected == [exact_kernel(m) for m in matrices]
+    assert kernels[-1] == [[ZERO, ZERO, ONE]]
+    # the lift from 7 fails its check, and the next prime starts afresh
+    assert [k.certificate for k in kernels] == [linalg.FULL_RANK_MOD_P] * 3 + [
+        "verified reconstruction (1 prime)"]
+    # no zero kernel is claimed mod 7; 13 is a lucky prime for them all
+    assert [p for p, _, _ in claims] == ([] if primes == (7,) else [13, 13, 13])
 
 
 def _kernel_with_denominators(rng, dens):
@@ -200,13 +207,15 @@ def _kernel_with_denominators(rng, dens):
     # the common denominator exceeds sqrt(p/2) for one prime p, though
     # every entry alone would fit
     ((2**21 + 7, 2**21 + 17, 2**21 + 27, 2**21 + 29), "verified reconstruction (2 primes)"),
+    # a common denominator near 2^780, beyond the reach of four 127-bit primes
+    (tuple(2**130 + k for k in (3, 5, 7, 11, 13, 17)), "verified reconstruction (13 primes)"),
 ])
-def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, certificate):
+def test_kernel_with_distinct_denominators_matches_bareiss(dens, certificate):
     rng = random.Random(3006)
     for _ in range(3):
         m, v = _kernel_with_denominators(rng, dens)
         kernel = kernel_basis(m)
-        assert kernel == [v] == _exact_kernel(m, monkeypatch)
+        assert kernel == [v] == exact_kernel(m)
         assert kernel.certificate == certificate
         (vec,) = kernel.integral
         s = vec[0][0]
@@ -214,7 +223,7 @@ def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, ce
 
 
 def test_lift_bounds_the_common_denominator():
-    p = linalg.PRIMES[0]
+    p = next(linalg.prime_stream())
     bound = isqrt(p // 2)
     q1, q2 = 2**40 + 15, 2**40 + 21  # each fits the bound, their product does not
     assert q1 < bound < q1 * q2
