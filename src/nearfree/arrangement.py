@@ -3,13 +3,14 @@
 An arrangement is an ordered list of pairwise distinct normalized linear
 forms. The intersection lattice is built by `singular_points`: each line is
 scaled to Z[w] integers, every pair's cross product gets a canonical integer
-key (made unique up to scaling by the norm of its leading coordinate and the
-gcd), and pairs are clustered on that key; the Q(w) point is read off the
-key once per cluster, the only Scalars the lattice makes. The census, the
-Milnor number (`WeakCombinatorics.mu`) and the incidences all derive from
-that one list, so callers build it once per arrangement. The defining
-polynomial is expanded in Z[w] integers too (`poly.product_of_forms`).
-Everything is exact; no tolerances are involved anywhere.
+key (`field.primitive_pairs`, made unique up to scaling by the norm of its
+leading coordinate and the gcd), and pairs are clustered on that key; the
+Q(w) point is read off the key once per cluster, the only Scalars the
+lattice makes. The census, the Milnor number (`WeakCombinatorics.mu`) and
+the incidences all derive from that one list, so callers build it once per
+arrangement. The defining polynomial is expanded in Z[w] integers too
+(`poly.product_of_forms`). Everything is exact; no tolerances are involved
+anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -41,8 +42,8 @@ from .field import (
     Scalar,
     integer_pairs,
     pair_det2,
-    pair_mul,
     parse_scalar,
+    primitive_pairs,
     smallest_tag,
 )
 from .poly import LinearForm, Poly, product_of_forms
@@ -159,22 +160,6 @@ def _cross(u: tuple, v: tuple) -> tuple:
     return (pair_det2(u1, v2, u2, v1), pair_det2(u2, v0, u0, v2), pair_det2(u0, v1, u1, v0))
 
 
-def _point_key(p: tuple) -> tuple:
-    """Canonical integer key of the projective point p (three Z[w] pairs).
-
-    p is multiplied by the conjugate of its first nonzero coordinate, which
-    turns that coordinate into its positive norm, and the six integers are
-    divided by their gcd. Two representatives of one point differ by a
-    scalar lambda, their products by the positive rational N(lambda), and
-    the gcd division removes it.
-    """
-    la, lb = next(c for c in p if c[0] or c[1])
-    conj = (la - lb, -lb)
-    key = tuple(n for c in p for n in pair_mul(c, conj))
-    g = gcd(*key)
-    return tuple(n // g for n in key)
-
-
 def singular_points(arrangement: LineArrangement) -> list:
     """All intersection points, clustered on exact integer keys, in lex
     coordinate order; each point is built in Q(w) once, from its key
@@ -185,7 +170,7 @@ def singular_points(arrangement: LineArrangement) -> list:
     for i in range(len(lines)):
         u = ints[i]
         for j in range(i + 1, len(lines)):
-            key = _point_key(_cross(u, ints[j]))
+            key = primitive_pairs(_cross(u, ints[j]))
             bucket = clusters.get(key)
             if bucket is None:
                 clusters[key] = {i, j}
@@ -195,8 +180,8 @@ def singular_points(arrangement: LineArrangement) -> list:
     for key, idx in clusters.items():
         # the key's first nonzero coordinate is (N, 0) with N > 0, so the
         # normalized point is key / N
-        n = next(k for k in key if k)
-        point = tuple(Scalar(Fraction(key[k], n), Fraction(key[k + 1], n)) for k in (0, 2, 4))
+        n = next(a for a, b in key if a or b)
+        point = tuple(Scalar(Fraction(a, n), Fraction(b, n)) for a, b in key)
         incident = tuple(sorted(idx))
         out.append(SingularPoint(point=point, multiplicity=len(incident), incident_lines=incident))
     out.sort(key=lambda s: tuple(c.sort_key() for c in s.point))

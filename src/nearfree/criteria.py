@@ -31,15 +31,19 @@ against the total Tjurina number tau of the curve:
   coefficients, against C(r+d+1, 2) rows of expanded coefficients of f on
   the Jacobian route. The witness theta is mapped to AR(f)_r by
   (a, b, c) = theta - (g/d)(x, y, z) with g = sum theta(alpha_i)/alpha_i,
-  since theta(f) = g*f and E(f) = d*f, and `verify_syzygy` then checks
-  a*f_x + b*f_y + c*f_z = 0 exactly.
+  since theta(f) = g*f and E(f) = d*f.
 
 Either way each kernel comes from `nearfree.linalg.kernel_basis` with its
-certificate. tau is an input here: callers working with line arrangements
-obtain it as the total Milnor number, which agrees with tau because every
-singular point of an arrangement is quasi-homogeneous. A tau outside the
-du Plessis-Wall bounds for the computed r is rejected with TauOutOfRange;
-for arrangements that is a check of the invariant tau = mu.
+certificate, as canonical Z[w] integer vectors. The witness stays in Z[w]
+integers, three term maps over one denominator, until `verify_syzygy` has
+checked a*f_x + b*f_y + c*f_z = 0 exactly against f scaled to Z[w]; only
+then are its polynomials built.
+
+tau is an input here: callers working with line arrangements obtain it as
+the total Milnor number, which agrees with tau because every singular
+point of an arrangement is quasi-homogeneous. A tau outside the du
+Plessis-Wall bounds for the computed r is rejected with TauOutOfRange; for
+arrangements that is a check of the invariant tau = mu.
 """
 
 from __future__ import annotations
@@ -188,23 +192,22 @@ def _quotient(h: dict, line: tuple) -> tuple:
     return scale, quot
 
 
-def _derivation_witness(f: Poly, ints: Sequence, r: int, pairs: list) -> tuple:
-    """The syzygy theta - (g/d)(x, y, z), g = sum theta(alpha_i)/alpha_i,
-    of the derivation theta read from a kernel vector of derivation_rows,
-    given as the Z[w] pairs of `Kernel.integral`.
+def _derivation_witness(d: int, ints: Sequence, r: int, pairs: tuple) -> tuple:
+    """(W, D): the syzygy theta - (g/d)(x, y, z), g = sum
+    theta(alpha_i)/alpha_i, of the derivation theta read from a canonical
+    kernel vector of derivation_rows, as three Z[w] term maps W over one
+    denominator D.
 
-    It is computed in Z[w] integer pairs: with s the scale that makes the
-    kernel vector integral and L0 the first line's scaled pivot
-    coefficient, Theta = L0*s*theta has Theta(A_i) = beta_i*theta_j1 +
-    gamma_i*theta_j2 (as in derivation_rows). Each Theta(A_i)/A_i is
-    Q_i / L_i (see _quotient), so with M = lcm(L_i) and G = sum (M / L_i)
-    Q_i, the integral W = d*M*Theta - G*(x, y, z) is the witness times
-    d*M*L0*s.
+    With s the kernel vector's lead (the scale that made it integral) and
+    L0 the first line's scaled pivot coefficient, Theta = L0*s*theta has
+    Theta(A_i) = beta_i*theta_j1 + gamma_i*theta_j2 (as in
+    derivation_rows). Each Theta(A_i)/A_i is Q_i / L_i (see _quotient), so
+    with M = lcm(L_i) and G = sum (M / L_i) Q_i, the integral W = d*M*Theta
+    - G*(x, y, z) is the witness times D = d*M*L0*s.
     """
-    d = f.degree
     basis = graded_basis(r)
     nb = len(basis)
-    s = next(a for a, b in pairs if a or b)  # the canonical vector's lead entry is 1
+    s = next(a for a, b in pairs if a or b)  # the lead entry (s, 0)
     first = ints[0]
     p0, j1, j2 = _pivot_split(first)
     low, high = dict(zip(basis, pairs[:nb])), dict(zip(basis, pairs[nb:]))
@@ -241,45 +244,40 @@ def _derivation_witness(f: Poly, ints: Sequence, r: int, pairs: list) -> tuple:
             ta, tb = terms.get(up_mono, (0, 0))
             terms[up_mono] = (ta - a, tb - b)
         witness.append(terms)
-    den = d * m * lead * s
-    return tuple(
-        Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den)) for mono, (a, b) in t.items()},
-             f.tag)
-        for t in witness
-    )
+    return tuple(witness), d * m * lead * s
 
 
-def verify_syzygy(f: Poly, witness: tuple) -> None:
+def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
     """Raise NotASyzygy unless a*f_x + b*f_y + c*f_z = 0, checked exactly.
 
-    The witness and the partials are scaled to Z[w] integer pairs, and each
-    polynomial's real and w parts are packed into one integer each, with
+    f_terms is f and witness is (a, b, c), each a term map of Z[w] integer
+    pairs of a homogeneous polynomial, a, b and c of one degree r; a common
+    factor of a, b and c does not matter. Each partial of f and each of a,
+    b, c has its real and w parts packed into one integer each, with
     x^i y^j z^k in slot i*width + j: a product's y-exponent stays below
     width = r + d, so the packed products add up slot by slot. The slots
     are signed and wider than twice any coefficient of the sum, so the
     packed sum is zero iff every coefficient is.
     """
-    if not any(witness):
+    if not any(a or b for t in witness for a, b in t.values()):
         raise NotASyzygy("the zero triple is no witness")
-    (scaled,) = _scaled_terms([f.terms])
     jac = []
     for var in range(3):
         part = {}
-        for mono, (a, b) in scaled.items():
+        for mono, (a, b) in f_terms.items():
             e = mono[var]
             if e:
                 lowered = list(mono)
                 lowered[var] = e - 1
                 part[tuple(lowered)] = (a * e, b * e)
         jac.append(part)
-    wit = _scaled_terms([p.terms for p in witness])
-    width = witness[0].degree + f.degree
+    width = sum(next(iter(f_terms))) + sum(next(m for t in witness for m in t))
     bits = [max((abs(x).bit_length() for t in polys for pair in t.values() for x in pair),
-                default=0) for polys in (jac, wit)]
-    count = min(max(len(t) for t in jac), max(len(t) for t in wit))
+                default=0) for polys in (jac, witness)]
+    count = min(max(len(t) for t in jac), max(len(t) for t in witness))
     nbytes = (sum(bits) + (9 * count).bit_length() + 1) // 8 + 1
     re = im = 0
-    for fx, a in zip(jac, wit):
+    for fx, a in zip(jac, witness):
         if not fx or not a:
             continue
         (fa, fb), (aa, ab) = _packed(fx, width, nbytes), _packed(a, width, nbytes)
@@ -288,16 +286,6 @@ def verify_syzygy(f: Poly, witness: tuple) -> None:
         im += aa * fb + ab * fa - ab * fb
     if re or im:
         raise NotASyzygy("the witness does not satisfy a*f_x + b*f_y + c*f_z = 0")
-
-
-def _scaled_terms(polys: list) -> list:
-    """Term maps of scalars, scaled together to Z[w] integer pairs."""
-    flat = integer_pairs([c for terms in polys for c in terms.values()])
-    out, k = [], 0
-    for terms in polys:
-        out.append(dict(zip(terms, flat[k:k + len(terms)])))
-        k += len(terms)
-    return out
 
 
 def _packed(terms: dict, width: int, nbytes: int) -> tuple:
@@ -322,10 +310,11 @@ class MdrResult:
     at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
     "verified reconstruction (k primes)". It is not part of any report.
-    The witness (a, b, c) is the first canonical
-    kernel vector on the Jacobian route; on the derivation route it is the
-    first canonical derivation mapped to AR(f)_r and checked by
-    verify_syzygy, a different syzygy of the same degree.
+    The witness (a, b, c) is the first canonical kernel vector on the
+    Jacobian route; on the derivation route it is the first canonical
+    derivation mapped to AR(f)_r, a different syzygy of the same degree.
+    On both routes verify_syzygy checks it in Z[w] integers before its
+    polynomials are built.
     """
 
     r: int
@@ -361,15 +350,17 @@ def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
         dims.append(len(kernel))
         certificates.append(kernel.certificate)
         if kernel:
-            if lines is None:
-                nb = len(graded_basis(r))
-                witness = tuple(
-                    Poly.from_coefficients(r, kernel[0][k * nb:(k + 1) * nb], f.tag)
-                    for k in range(3)
-                )
+            if lines is None:  # the three blocks of the vector, over its lead
+                basis = graded_basis(r)
+                terms = tuple({mono: x for mono, x in zip(basis, kernel[0][k * len(basis):])
+                               if x != (0, 0)} for k in range(3))
+                den = next(a for a, b in kernel[0] if a or b)
             else:
-                witness = _derivation_witness(f, ints, r, kernel.integral[0])
-                verify_syzygy(f, witness)
+                terms, den = _derivation_witness(d, ints, r, kernel[0])
+            f_terms = dict(zip(f.terms, integer_pairs(list(f.terms.values()))))
+            verify_syzygy(f_terms, terms)
+            witness = tuple(Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den))
+                                     for mono, (a, b) in t.items()}, f.tag) for t in terms)
             return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
     raise NoSyzygyFound(f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
 

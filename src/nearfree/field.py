@@ -6,19 +6,20 @@ Rationals are the b == 0 case, so one arithmetic layer serves both fields;
 the `FieldTag` carried by polynomials and arrangements records the smallest
 field a given object actually needs. Past the parsed lines, the
 arrangement path works on Z[w] integer pairs (a, b) instead:
-`integer_pairs` clears denominators, `pair_mul` multiplies and `pair_det2`
-takes a 2x2 determinant. `pack_slots` packs a row of such integers into
-one big integer, for the elimination mod p, the expansion of f and the
-exact checks, and `unpack_slots` reads the slots back. Scalars are made
-only for what leaves the library: the expanded f, the lattice points, the
-kernel vectors a caller reads and the witness.
+`integer_pairs` clears denominators, `pair_mul` multiplies, `pair_det2`
+takes a 2x2 determinant and `primitive_pairs` gives a vector's canonical
+multiple, the key of a lattice point and the form of a kernel vector.
+`pack_slots` packs a row of such integers into one big integer, for the
+elimination mod p, the expansion of f and the exact checks, and
+`unpack_slots` reads the slots back. Scalars are made only for what leaves
+the library: the expanded f, the lattice points and the witness.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, ParseError
@@ -183,6 +184,21 @@ def pair_det2(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
     """a*b - c*d for Z[w] pairs."""
     p, q = pair_mul(a, b), pair_mul(c, d)
     return (p[0] - q[0], p[1] - q[1])
+
+
+def primitive_pairs(vec: Sequence[tuple]) -> tuple:
+    """The canonical representative of the Q(w)-line through a nonzero Z[w]
+    vector: vec times the conjugate of its first nonzero entry, which turns
+    that entry into its positive norm, divided by the gcd of all its
+    integers. Two vectors that differ by a scalar lambda have products that
+    differ by the positive rational N(lambda), which the gcd removes; so the
+    result is the vector with lead entry 1 times the lcm s of its
+    denominators, its lead entry (s, 0)."""
+    la, lb = next(x for x in vec if x != (0, 0))
+    conj = (la - lb, -lb)
+    out = [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
+    g = gcd(*(n for x in out for n in x))
+    return tuple((a // g, b // g) for a, b in out)
 
 
 def pack_slots(values: list, nbytes: int) -> int:

@@ -22,16 +22,14 @@ primes until one of two certificates holds, and each has been checked:
 The loop always ends: only finitely many primes change the rank or the
 pivot columns, and the Hadamard bound caps the entries of the canonical
 basis, so enough primes with the right pivots lift it and the check holds.
-Each vector is normalized in Z[w] integers by the conjugate of its lead
-entry and its content (`Kernel.integral`), and the Scalar vectors are
-built from those only when a caller reads them.
+The basis stays in Z[w] integers: each vector is returned times the lcm
+of its denominators (`Kernel`), and no Scalar is made.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count
 from math import gcd, isqrt
 
@@ -41,7 +39,7 @@ from .field import (
     Scalar,
     integer_pairs,
     pack_slots,
-    pair_mul,
+    primitive_pairs,
     smallest_tag,
     unpack_slots,
 )
@@ -136,56 +134,15 @@ def prime_stream():
         yield _PROVEN[i]
 
 
-class Kernel(Sequence):
-    """A kernel basis, a sequence of Scalar vectors, with the certificate
-    that settled it. `integral` holds the same vectors in Z[w]: each one
-    times the lcm s of its denominators, as integer pairs, its lead entry
-    (s, 0). The Scalar vectors are built once, on first access, so a caller
-    that reads only `integral` never builds them."""
+class Kernel(list):
+    """A kernel basis, a list of the canonical vectors in Z[w], with the
+    certificate that settled it. Each vector is the kernel vector with lead
+    entry 1 times the lcm s of its denominators: a tuple of integer pairs
+    with lead entry (s, 0) and no common factor (`field.primitive_pairs`)."""
 
     def __init__(self, vectors, certificate: str):
-        self.integral = [_canonical(vec) for vec in vectors]
+        super().__init__(primitive_pairs(vec) for vec in vectors)
         self.certificate = certificate
-        self._scalars = None
-
-    def __len__(self):
-        return len(self.integral)
-
-    def __getitem__(self, k):
-        if self._scalars is None:
-            self._scalars = [_scalar_vector(vec) for vec in self.integral]
-        return self._scalars[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, Kernel)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Kernel({list(self)!r}, {self.certificate!r})"
-
-
-def _lead(vec: list) -> tuple:
-    return next(x for x in vec if x != (0, 0))
-
-
-def _scalar_vector(vec: list) -> list:
-    s = _lead(vec)[0]
-    return [ZERO if x == (0, 0) else Scalar(Fraction(x[0], s), Fraction(x[1], s)) for x in vec]
-
-
-def _canonical(vec: list) -> list:
-    """A nonzero Z[w] vector rescaled so its lead entry is a positive integer
-    and its parts have no common factor: the vector with lead 1, times the
-    lcm of its denominators. Multiplying by the conjugate of the lead entry
-    turns it into its norm; the gcd division then leaves the lead (s, 0)."""
-    la, lb = _lead(vec)
-    conj = (la - lb, -lb)
-    out = [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
-    g = gcd(*(n for x in out for n in x))
-    return [(a // g, b // g) for a, b in out]
 
 
 def _cube_root(p: int) -> int:
@@ -354,7 +311,8 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
 
 
 def kernel_basis(m: ExactMatrix | list) -> Kernel:
-    """Canonical basis of the right kernel; rank + len(basis) == cols.
+    """Canonical basis of the right kernel, as Z[w] integer vectors (see
+    `Kernel`); rank + len(basis) == cols.
 
     m is an ExactMatrix, or a non-empty list of equal-length rows of Z[w]
     integer pairs (a, b) meaning a + b*w, such as the logarithmic-derivation

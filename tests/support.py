@@ -1,5 +1,6 @@
 """Shared randomized-input generators for the test suite (seeded callers),
-and a way to make `nearfree.linalg` meet unlucky primes first."""
+a way to make `nearfree.linalg` meet unlucky primes first, and the Scalar
+and Z[w] integer forms that kernel vectors and witnesses are compared in."""
 
 import re
 from fractions import Fraction
@@ -17,10 +18,26 @@ from nearfree import (
     linalg,
     weak_combinatorics,
 )
+from nearfree.field import integer_pairs
 from nearfree.poly import graded_basis
 
 # the two certificates `linalg.kernel_basis` may give
 CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)")
+
+
+def scalar_vector(vec):
+    """A canonical Z[w] kernel vector, lead entry (s, 0), as the Scalar
+    vector with lead entry 1."""
+    s = next(a for a, b in vec if a or b)
+    return [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec]
+
+
+def integer_terms(*polys):
+    """The term maps of the polys in Z[w] integer pairs, all scaled by one
+    common factor, the lcm of every denominator, so that a triple (a, b, c)
+    keeps its ratios."""
+    flat = iter(integer_pairs([c for p in polys for c in p.terms.values()]))
+    return [{mono: next(flat) for mono in p.terms} for p in polys]
 
 
 def random_fraction(rng, span=9, den=9):

@@ -46,7 +46,7 @@ from nearfree.errors import (
     ParseError,
     UnknownName,
 )
-from nearfree.field import integer_pairs
+from nearfree.field import integer_pairs, primitive_pairs
 
 from support import (
     random_arrangement,
@@ -187,11 +187,11 @@ def test_point_key_is_invariant_under_scaling():
         coords = [random_scalar(rng, span=4) if rng.random() < 0.7 else ZERO for _ in range(3)]
         if not any(coords):
             continue
-        key = arrangement_module._point_key(integer_pairs(coords))
+        key = primitive_pairs(integer_pairs(coords))
         for _ in range(3):
             lam = random_nonzero_scalar(rng, span=6)
             scaled = integer_pairs([c * lam for c in coords])
-            assert arrangement_module._point_key(scaled) == key
+            assert primitive_pairs(scaled) == key
 
 
 def test_point_key_separates_distinct_points():
@@ -199,9 +199,7 @@ def test_point_key_separates_distinct_points():
     points = [(a, b, c) for a in values for b in values for c in values if a or b or c]
     keys = {}
     for p in points:
-        keys.setdefault(arrangement_module._point_key(integer_pairs(p)), set()).add(
-            normalize_point(p)
-        )
+        keys.setdefault(primitive_pairs(integer_pairs(p)), set()).add(normalize_point(p))
     assert all(len(normalized) == 1 for normalized in keys.values())
     assert len(keys) == len({normalize_point(p) for p in points})
 

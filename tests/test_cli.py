@@ -13,8 +13,10 @@ from nearfree import (
     format_poly,
     linalg,
     milnor_number,
+    parse_poly,
 )
 from nearfree.cli import main
+from nearfree.errors import NotASyzygy
 
 
 def run_cli(args):
@@ -354,3 +356,18 @@ def test_missing_syzygy_is_an_error_not_a_traceback(monkeypatch, args):
     code, out, err = run_cli(["analyze"] + args)
     assert (code, out) == (2, "")
     assert err.startswith("error: no syzygy found in degrees below d=")
+
+
+def test_poly_route_checks_its_witness(monkeypatch):
+    # a kernel_basis that claims e_1 = (1, 0, 0) in degree 0, which is no
+    # syzygy of the cusp (f_x = -3x^2): the Jacobian witness is checked
+    # exactly before it is reported
+    def fake(m):
+        return linalg.Kernel([[(1, 0)] + [(0, 0)] * (m.cols - 1)], "verified reconstruction (1 prime)")
+
+    monkeypatch.setattr(criteria, "kernel_basis", fake)
+    with pytest.raises(NotASyzygy):
+        criteria.mdr(parse_poly("y^2*z - x^3"))
+    code, out, err = run_cli(["analyze", "--poly", "y^2*z - x^3", "--tau", "2", "--witness"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the witness does not satisfy")

@@ -31,9 +31,11 @@ from nearfree.field import integer_pairs
 import bareiss
 from support import (
     CERTIFICATE,
+    integer_terms,
     random_arrangement,
     random_nodal_arrangement,
     reflection_arrangement,
+    scalar_vector,
     unlucky_primes_first,
 )
 
@@ -126,7 +128,7 @@ def _scalar_witness(a, r):
     # g = sum theta(alpha_i)/alpha_i by exact division
     f = defining_polynomial(a)
     ints = [integer_pairs(form.coeffs) for form in a.lines]
-    vec = kernel_basis(derivation_rows(ints, r))[0]
+    vec = scalar_vector(kernel_basis(derivation_rows(ints, r))[0])
     nb = len(vec) // 2
     alpha0 = a.lines[0].coeffs
     p0 = next(k for k in range(3) if alpha0[k])
@@ -164,8 +166,13 @@ def test_mdr_checks_the_derivation_witness(monkeypatch):
     a = catalog("A1_6")
     f = defining_polynomial(a)
     good = criteria._derivation_witness
-    monkeypatch.setattr(criteria, "_derivation_witness",
-                        lambda *args: tuple(p.scale(k + 1) for k, p in enumerate(good(*args))))
+
+    def scaled(*args):  # (a, 2b, 3c) over the same denominator
+        terms, den = good(*args)
+        return tuple({m: (a * (k + 1), b * (k + 1)) for m, (a, b) in t.items()}
+                     for k, t in enumerate(terms)), den
+
+    monkeypatch.setattr(criteria, "_derivation_witness", scaled)
     with pytest.raises(NotASyzygy):
         mdr(f, a.lines)
 
@@ -192,26 +199,28 @@ def test_pencil_is_free_with_exponents_one_and_d_minus_two():
 def test_exact_witness_check_rejects_a_non_syzygy():
     a = catalog("A1_6")
     f = defining_polynomial(a)
+    (f_terms,) = integer_terms(f)
     witness = mdr(f, a.lines).witness
-    verify_syzygy(f, witness)
+    verify_syzygy(f_terms, integer_terms(*witness))
     x, y, z = (Poly.variable(k, f.tag) for k in range(3))
     with pytest.raises(NotASyzygy):  # Euler: x f_x + y f_y + z f_z = 6 f
-        verify_syzygy(f, (x, y, z))
+        verify_syzygy(f_terms, integer_terms(x, y, z))
     nudged = (witness[0] + (x * y).scale(Fraction(1, 10**30)), witness[1], witness[2])
     with pytest.raises(NotASyzygy):
-        verify_syzygy(f, nudged)
+        verify_syzygy(f_terms, integer_terms(*nudged))
 
 
 def test_exact_witness_check_over_qw():
     a = catalog("DualHesse9")
     f = defining_polynomial(a)
+    (f_terms,) = integer_terms(f)
     witness = mdr(f, a.lines).witness
-    verify_syzygy(f, witness)
+    verify_syzygy(f_terms, integer_terms(*witness))
     w = Scalar(0, 1)
     with pytest.raises(NotASyzygy):  # the w part alone breaks it
-        verify_syzygy(f, (witness[0].scale(w), witness[1], witness[2]))
+        verify_syzygy(f_terms, integer_terms(witness[0].scale(w), witness[1], witness[2]))
     with pytest.raises(NotASyzygy):
-        verify_syzygy(f, (witness[0], witness[1], witness[2].scale(1 + w)))
+        verify_syzygy(f_terms, integer_terms(witness[0], witness[1], witness[2].scale(1 + w)))
 
 
 def test_derivation_route_rejects_wrong_line_count():
@@ -230,4 +239,6 @@ def test_exact_witness_check_rejects_the_zero_triple():
     f = defining_polynomial(catalog("A1_6"))
     zero = Poly.zero(2, f.tag)
     with pytest.raises(NotASyzygy):
-        verify_syzygy(f, (zero, zero, zero))
+        verify_syzygy(integer_terms(f)[0], integer_terms(zero, zero, zero))
+    with pytest.raises(NotASyzygy):  # zero coefficients are no witness either
+        verify_syzygy(integer_terms(f)[0], ({(2, 0, 0): (0, 0)}, {}, {}))

@@ -6,8 +6,11 @@ arrangements. The `witness-*.txt` files hold the text report with
 `--witness` of `analyze` on the 10 catalog entries and on the three
 `.lines` files in golden/inputs (A(6,1,3) over Q(w), a seeded nodal
 arrangement of 8 lines, a near pencil of 40 lines), as they were before
-the arrangement path moved to Z[w] integer arithmetic. Any change to a
-report's bytes, the witness included, must show up here.
+the arrangement path moved to Z[w] integer arithmetic. The
+`witness-poly-*.txt` files hold `analyze --poly ... --tau ... --witness` on
+five curves, the Jacobian route, as they were before its witness was
+checked by `verify_syzygy`. Any change to a report's bytes, the witness
+included, must show up here.
 """
 
 import io
@@ -30,6 +33,15 @@ COMMANDS["deform-A1_6"] = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--lin
 # run from golden/, so the `input:` row reads the same relative path
 WITNESS = {f"witness-{n}": ["analyze", f"@catalog:{n}", "--witness"] for n in catalog_names()}
 WITNESS.update({f"witness-{s}": ["analyze", f"inputs/{s}.lines", "--witness"] for s in INPUTS})
+POLY = {
+    "cusp": ("y^2*z-x^3", 2),
+    "A1_6": ("x*y*z*(x-y)*(y-z)*(x-z)", 19),
+    "MacLane8": ("(x^2+x*y+y^2)*(y^3-z^3)*(z^3-x^3)", 36),
+    "DualHesse9": ("(x^3-y^3)*(y^3-z^3)*(z^3-x^3)", 48),
+    "Qw5": ("x*y*(x-y)*(x-w*y)*z", 13),
+}
+WITNESS.update({f"witness-poly-{n}": ["analyze", "--poly", f, "--tau", str(tau), "--witness"]
+                for n, (f, tau) in POLY.items()})
 
 
 def _stdout(argv) -> bytes:

@@ -8,8 +8,8 @@ import pytest
 from nearfree import ExactMatrix, FieldTag, Scalar, kernel_basis, linalg
 from nearfree.field import OMEGA, ONE, ZERO
 
-from bareiss import exact_kernel, rank
-from support import random_nonzero_scalar, random_scalar, unlucky_primes_first
+from bareiss import _bareiss_kernel, exact_kernel, rank
+from support import random_nonzero_scalar, random_scalar, scalar_vector, unlucky_primes_first
 
 
 def _mat(rows, tag=None):
@@ -35,15 +35,19 @@ def test_rank_zero_row_matrix():
 def test_kernel_of_zero_row():
     basis = kernel_basis(_mat([[0, 0, 0]]))
     assert len(basis) == 3
+    assert basis == [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0))]
     expected = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    assert basis == expected
+    assert [scalar_vector(vec) for vec in basis] == expected
 
 
 def test_kernel_vectors_lead_with_one():
-    m = _mat([[1, 2, 3], [0, 0, 1]])
-    for vec in kernel_basis(m):
-        lead = next(v for v in vec if v)
-        assert lead == ONE
+    # in Z[w] the lead entry is (s, 0) with s > 0, so it reads 1 over s
+    kernels = [kernel_basis(_mat(rows)) for rows in ([[1, 2, 3], [0, 0, 1]], [[OMEGA, 1, 0]])]
+    assert [len(k) for k in kernels] == [1, 2]
+    for vec in kernels[0] + kernels[1]:
+        lead = next(v for v in vec if v != (0, 0))
+        assert lead[0] > 0 and lead[1] == 0
+        assert next(v for v in scalar_vector(vec) if v) == ONE
 
 
 def _random_matrix(rng, nrows, ncols, rational=True):
@@ -63,7 +67,7 @@ def test_kernel_annihilates_randomized():
         basis = kernel_basis(m)
         assert rank(m) + len(basis) == ncols
         for vec in basis:
-            assert all(not v for v in m.matvec(vec))
+            assert all(not v for v in m.matvec(scalar_vector(vec)))
 
 
 def test_kernel_basis_is_independent():
@@ -73,7 +77,7 @@ def test_kernel_basis_is_independent():
         basis = kernel_basis(m)
         if not basis:
             continue
-        stacked = ExactMatrix.from_rows(basis)
+        stacked = ExactMatrix.from_rows([scalar_vector(vec) for vec in basis])
         assert rank(stacked) == len(basis)
 
 
@@ -175,7 +179,7 @@ def test_unlucky_primes_are_never_trusted(monkeypatch, primes):
     claims = unlucky_primes_first(monkeypatch, primes)
     kernels = [kernel_basis(m) for m in matrices]
     assert kernels == expected == [exact_kernel(m) for m in matrices]
-    assert kernels[-1] == [[ZERO, ZERO, ONE]]
+    assert kernels[-1] == [((0, 0), (0, 0), (1, 0))]
     # the lift from 7 fails its check, and the next prime starts afresh
     assert [k.certificate for k in kernels] == [linalg.FULL_RANK_MOD_P] * 3 + [
         "verified reconstruction (1 prime)"]
@@ -215,9 +219,9 @@ def test_kernel_with_distinct_denominators_matches_bareiss(dens, certificate):
     for _ in range(3):
         m, v = _kernel_with_denominators(rng, dens)
         kernel = kernel_basis(m)
-        assert kernel == [v] == exact_kernel(m)
+        assert kernel == exact_kernel(m)
         assert kernel.certificate == certificate
-        (vec,) = kernel.integral
+        (vec,) = kernel
         s = vec[0][0]
         assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec] == v
 
@@ -234,11 +238,15 @@ def test_lift_bounds_the_common_denominator():
 
 
 def test_integral_vectors_are_the_scaled_canonical_basis():
+    # against Bareiss's own kernel vectors, divided by their lead in Q(w)
     rng = random.Random(3007)
     for _ in range(30):
         m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
         kernel = kernel_basis(m)
-        for vec, ints in zip(kernel, kernel.integral):
+        raw = _bareiss_kernel(linalg._integer_rows(m), m.cols)
+        assert len(kernel) == len(raw)
+        for ints, exact in zip(kernel, raw):
             s = next(a for a, b in ints if a or b)
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
-            assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in ints] == vec
+            lead = Scalar(*next(x for x in exact if x != (0, 0)))
+            assert scalar_vector(ints) == [Scalar(a, b) / lead for a, b in exact]
