@@ -44,6 +44,16 @@ the total Milnor number, which agrees with tau because every singular
 point of an arrangement is quasi-homogeneous. A tau outside the du
 Plessis-Wall bounds for the computed r is rejected with TauOutOfRange; for
 arrangements that is a check of the invariant tau = mu.
+
+tau also orders the search. The bounds confine r to a window whose top hi
+is the largest r that admits tau. Both spaces are modules over the
+polynomial ring (x*theta is again a derivation or syzygy), so the kernel
+dimension never drops as r grows, and full rank in degree hi-1 proves
+every lower degree empty. `mdr` screens that one degree modulo the
+word-size prime of `nearfree.linalg.full_rank_mod_screen` and, when the
+screen certifies, starts the usual upward scan at hi instead of 0. An
+unlucky prime, a wrong tau or mdr < hi only costs the full scan; r, the
+dimensions and the witness never depend on tau.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_det2, pair_mul
-from .linalg import ExactMatrix, kernel_basis
+from .linalg import ExactMatrix, full_rank_mod_screen, kernel_basis
 from .poly import Poly, graded_basis
 
 
@@ -309,7 +319,9 @@ class MdrResult:
     arrangement (the two are equal); it is zero below r and at least one
     at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
-    "verified reconstruction (k primes)". It is not part of any report.
+    "verified reconstruction (k primes)". When a tau let the search skip
+    degrees 0..h (see `mdr`), each of them reads "implied by full rank at
+    h" instead. It is not part of any report.
     The witness (a, b, c) is the first canonical kernel vector on the
     Jacobian route; on the derivation route it is the first canonical
     derivation mapped to AR(f)_r, a different syzygy of the same degree.
@@ -323,7 +335,7 @@ class MdrResult:
     certificates: list
 
 
-def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
+def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     """Smallest degree of a nonzero relation among the partials of f.
 
     With lines (the LinearForms whose product is f) the search runs on the
@@ -331,6 +343,13 @@ def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
     relation matrices; see the module docstring. The search always
     terminates by degree d-1 because (0, f_z, -f_y) is a relation in that
     degree. f is assumed reduced; that is not checked.
+
+    With tau, hi is the largest r whose tau_bounds(d, r) admit tau. When
+    the rows of degree hi-1 have full rank mod the screening prime
+    (`full_rank_mod_screen`), degrees 0..hi-1 are recorded as empty, each
+    with the certificate "implied by full rank at hi-1", and the scan
+    starts at hi; otherwise it starts at 0. r, relation_dims and the
+    witness do not depend on tau (see the module docstring).
     """
     d = f.degree
     if d < 2:
@@ -341,12 +360,15 @@ def mdr(f: Poly, lines: Sequence = None) -> MdrResult:
         if len(lines) != d:
             raise ValueError(f"{len(lines)} lines cannot define a curve of degree {d}")
         ints = [integer_pairs(form.coeffs) for form in lines]
-    dims, certificates = [], []
-    for r in range(d):
-        if lines is None:
-            kernel = kernel_basis(relation_matrix(f, r))
-        else:
-            kernel = kernel_basis(derivation_rows(ints, r))
+
+    def rows(r):
+        return relation_matrix(f, r) if lines is None else derivation_rows(ints, r)
+
+    hi = _window_top(d, tau) if tau is not None else None
+    start = hi if hi and full_rank_mod_screen(rows(hi - 1)) else 0
+    dims, certificates = [0] * start, [f"implied by full rank at {start - 1}"] * start
+    for r in range(start, d):
+        kernel = kernel_basis(rows(r))
         dims.append(len(kernel))
         certificates.append(kernel.certificate)
         if kernel:
@@ -370,6 +392,12 @@ def eta(d: int, r: int) -> int:
     if not 0 <= r <= d - 1:
         raise OutOfRange(f"need 0 <= r <= d-1, got r={r}, d={d}")
     return r * r - r * (d - 1) + (d - 1) * (d - 1)
+
+
+def _window_top(d: int, tau: int) -> Optional[int]:
+    """The largest r in [0, d-1] whose tau_bounds admit tau, or None."""
+    return max((r for r in range(d) if tau_bounds(d, r)[0] <= tau <= tau_bounds(d, r)[1]),
+               default=None)
 
 
 def tau_bounds(d: int, r: int) -> tuple:
@@ -449,10 +477,10 @@ def analyze_curve(
 
     tau must be supplied by the caller; for line arrangements use the total
     Milnor number, and pass the lines so that mdr searches the logarithmic
-    derivations. tau must lie within tau_bounds(d, mdr), else
-    TauOutOfRange is raised. Degree < 2 input yields an Inapplicable report
-    with a note instead of an error so deletion chains can bottom out
-    gracefully.
+    derivations. tau goes to mdr too, where it only orders the degree
+    search. tau must lie within tau_bounds(d, mdr), else TauOutOfRange is
+    raised. Degree < 2 input yields an Inapplicable report with a note
+    instead of an error so deletion chains can bottom out gracefully.
     """
     d = f.degree
     report = AnalysisReport(source=source, field=f.tag, d=d, tau=tau)
@@ -462,7 +490,7 @@ def analyze_curve(
         )
         report.notes.append("degree < 2: verdict skipped")
         return report
-    result = mdr(f, lines)
+    result = mdr(f, lines, tau=tau)
     lower, upper = tau_bounds(d, result.r)
     if not lower <= tau <= upper:
         raise TauOutOfRange(

@@ -24,12 +24,17 @@ pivot columns, and the Hadamard bound caps the entries of the canonical
 basis, so enough primes with the right pivots lift it and the check holds.
 The basis stays in Z[w] integers: each vector is returned times the lcm
 of its denominators (`Kernel`), and no Scalar is made.
+
+`full_rank_mod_screen` tries the first certificate alone, cheaply: one
+elimination modulo the word-size `screen_prime()` under one embedding
+w -> ω. True proves the kernel zero; False proves nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, count
 from math import gcd, isqrt
 
@@ -106,7 +111,7 @@ _PROVEN = []  # the stream so far, so each prime is proven once per process
 
 
 def _proth_prime(p: int) -> bool:
-    """True when Proth's theorem proves p = k*2^64 + 1, k < 2^64, prime: some
+    """True when Proth's theorem proves p = k*2^n + 1, k < 2^n, prime: some
     base a has a^((p-1)/2) = -1 (mod p). False when a residue other than
     +-1 proves p composite, or when no base decides."""
     for a in _PROTH_BASES:
@@ -132,6 +137,17 @@ def prime_stream():
                 k -= 3
             _PROVEN.append((k << 64) + 1)
         yield _PROVEN[i]
+
+
+@cache
+def screen_prime() -> int:
+    """p = 3*2^30 + 1, proven prime by Proth's theorem on first use (3 < 2^30)
+    and memoised. It is 1 (mod 3), so F_p holds a cube root of unity, and
+    its residues fit a machine word."""
+    p = (3 << 30) + 1
+    if not _proth_prime(p):
+        raise ArithmeticError(f"Proth's theorem did not prove {p} prime")
+    return p
 
 
 class Kernel(list):
@@ -310,6 +326,26 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
     return pivots, parts
 
 
+def _data(m: ExactMatrix | list) -> tuple:
+    """(integer-pair rows, column count) of an ExactMatrix or of rows
+    already in Z[w] integer pairs."""
+    if isinstance(m, ExactMatrix):
+        return _integer_rows(m), m.cols
+    return m, len(m[0])
+
+
+def full_rank_mod_screen(m: ExactMatrix | list) -> bool:
+    """True when m, taken as in `kernel_basis`, has full column rank modulo
+    `screen_prime()` with w sent to a cube root of unity ω. w -> ω is a
+    ring map from Z[w] onto F_p, and reduction can only lower the rank, so
+    True proves the kernel over Q(w) zero. False proves nothing: the prime
+    may be unlucky."""
+    data, ncols = _data(m)
+    p = screen_prime()
+    pivots, _ = _echelon_mod(data, ncols, p, _cube_root(p))
+    return len(pivots) == ncols
+
+
 def kernel_basis(m: ExactMatrix | list) -> Kernel:
     """Canonical basis of the right kernel, as Z[w] integer vectors (see
     `Kernel`); rank + len(basis) == cols.
@@ -321,10 +357,7 @@ def kernel_basis(m: ExactMatrix | list) -> Kernel:
     reconstruction is verified; the result's `certificate` says which (see
     the module docstring).
     """
-    if isinstance(m, ExactMatrix):
-        data, ncols = _integer_rows(m), m.cols
-    else:
-        data, ncols = m, len(m[0])
+    data, ncols = _data(m)
     qw = any(b for row in data for _, b in row)
     best, modulus, primes, lifted = None, 1, 0, []
     for p in prime_stream():

@@ -21,8 +21,10 @@ from nearfree import (
 from nearfree.field import integer_pairs
 from nearfree.poly import graded_basis
 
-# the two certificates `linalg.kernel_basis` may give
-CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)")
+# the two certificates `linalg.kernel_basis` may give, and the one `criteria.mdr`
+# records for the degrees that a full-rank screen lets it skip
+CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)"
+                         r"|implied by full rank at \d+")
 
 
 def scalar_vector(vec):
