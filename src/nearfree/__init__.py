@@ -35,6 +35,7 @@ from .classify import (
 )
 from .criteria import (
     AnalysisReport,
+    ExactMatrix,
     MdrResult,
     Verdict,
     VerdictKind,
@@ -48,7 +49,7 @@ from .criteria import (
     verify_syzygy,
 )
 from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
-from .linalg import ExactMatrix, kernel_basis
+from .linalg import kernel_basis
 from .poly import (
     LinearForm,
     Poly,

@@ -320,20 +320,16 @@ _Y = LinearForm(0, 1, 0)
 _Z = LinearForm(0, 0, 1)
 
 
-def _form(cx, cy, cz) -> LinearForm:
-    return LinearForm(Scalar(cx), Scalar(cy), Scalar(cz))
-
-
 def _build_a4_free():
-    return LineArrangement([_X, _Y, _form(1, -1, 0), _Z])
+    return LineArrangement([_X, _Y, LinearForm(1, -1, 0), _Z])
 
 
 def _build_a4_generic():
-    return LineArrangement([_X, _Y, _Z, _form(1, 1, 1)])
+    return LineArrangement([_X, _Y, _Z, LinearForm(1, 1, 1)])
 
 
 def _build_a5_free():
-    return LineArrangement([_X, _Y, _form(1, -1, 0), _Z, _form(1, 0, -1)])
+    return LineArrangement([_X, _Y, LinearForm(1, -1, 0), _Z, LinearForm(1, 0, -1)])
 
 
 def _build_a5_nearlyfree():
@@ -343,13 +339,13 @@ def _build_a5_nearlyfree():
 
 def _build_a1_6():
     return LineArrangement(
-        [_X, _Y, _Z, _form(1, -1, 0), _form(0, 1, -1), _form(1, 0, -1)]
+        [_X, _Y, _Z, LinearForm(1, -1, 0), LinearForm(0, 1, -1), LinearForm(1, 0, -1)]
     )
 
 
 def _build_a6_deformed():
     return LineArrangement(
-        [_X, _Y, _Z, _form(1, Fraction(-1, 2), 0), _form(0, 1, -1), _form(1, 0, -1)]
+        [_X, _Y, _Z, LinearForm(1, Fraction(-1, 2), 0), LinearForm(0, 1, -1), LinearForm(1, 0, -1)]
     )
 
 
@@ -357,12 +353,12 @@ def _build_b7_free():
     return LineArrangement(
         [
             _Z,
-            _form(1, 0, -1),
-            _form(1, 0, 1),
-            _form(0, 1, -1),
-            _form(0, 1, 1),
-            _form(1, -1, 0),
-            _form(1, 1, 0),
+            LinearForm(1, 0, -1),
+            LinearForm(1, 0, 1),
+            LinearForm(0, 1, -1),
+            LinearForm(0, 1, 1),
+            LinearForm(1, -1, 0),
+            LinearForm(1, 1, 0),
         ]
     )
 
@@ -371,27 +367,23 @@ def _build_b7_deformed():
     # move x - y off the triple at (1:1:-1) along x - z; the triple at
     # (1:1:1) survives because the direction vanishes there
     return deform_triple_point(
-        _build_b7_free(), (1, 1, -1), 5, _form(1, 0, -1), Scalar(1)
+        _build_b7_free(), (1, 1, -1), 5, LinearForm(1, 0, -1), Scalar(1)
     )
-
-
-def _omega_form(cx, cy, cz) -> LinearForm:
-    return LinearForm(cx, cy, cz)
 
 
 def _build_dual_hesse():
     w = OMEGA
     w2 = w * w
     forms = [
-        _omega_form(ONE, -ONE, ZERO),
-        _omega_form(ONE, -w, ZERO),
-        _omega_form(ONE, -w2, ZERO),
-        _omega_form(ZERO, ONE, -ONE),
-        _omega_form(ZERO, ONE, -w),
-        _omega_form(ZERO, ONE, -w2),
-        _omega_form(-ONE, ZERO, ONE),
-        _omega_form(-w, ZERO, ONE),
-        _omega_form(-w2, ZERO, ONE),
+        LinearForm(ONE, -ONE, ZERO),
+        LinearForm(ONE, -w, ZERO),
+        LinearForm(ONE, -w2, ZERO),
+        LinearForm(ZERO, ONE, -ONE),
+        LinearForm(ZERO, ONE, -w),
+        LinearForm(ZERO, ONE, -w2),
+        LinearForm(-ONE, ZERO, ONE),
+        LinearForm(-w, ZERO, ONE),
+        LinearForm(-w2, ZERO, ONE),
     ]
     return LineArrangement(forms, FieldTag.QW)
 

@@ -189,14 +189,10 @@ def has_integer_root(d: int, t2: int, t3: int) -> Optional[int]:
         raise PairsIdentityViolated(
             f"t2 + 3*t3 = {t2 + 3 * t3} but C({d},2) = {comb(d, 2)}"
         )
-    window = mdr_window(d)
-    if window is None:
-        return None
-    target = t2 + 4 * t3 + 1
-    for r in range(window[1], window[0] - 1, -1):
-        if eta(d, r) == target:
-            return r
-    return None
+    # given the pairs identity, eta(d, r) = t2 + 4*t3 + 1 iff (t2, t3) is r's
+    # candidate, and enumerate_candidates keeps the largest such r
+    return next((rec.r for rec in enumerate_candidates(d, no_exclusions())
+                 if (rec.t2, rec.t3) == (t2, t3)), None)
 
 
 def check_combinatorics(d: int, t2: int, t3: int, config: ExclusionConfig = None) -> CandidateRecord:

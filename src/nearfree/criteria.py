@@ -18,7 +18,8 @@ against the total Tjurina number tau of the curve:
 
 * For a curve given by its polynomial (`--poly`), the kernel of the
   relation matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z in each degree
-  (`relation_matrix`). There is nothing else to go on.
+  (`relation_matrix`, an `ExactMatrix` of Scalars, which `mdr` scales
+  row by row to Z[w] integer pairs). There is nothing else to go on.
 * For a line arrangement alpha_0 ... alpha_{d-1}, the logarithmic
   derivations theta that kill the first line, D_H0(A)_r = {theta of degree
   r : theta(alpha_0) = 0, theta(alpha_i) in (alpha_i) for i >= 1} (Saito
@@ -33,11 +34,11 @@ against the total Tjurina number tau of the curve:
   (a, b, c) = theta - (g/d)(x, y, z) with g = sum theta(alpha_i)/alpha_i,
   since theta(f) = g*f and E(f) = d*f.
 
-Either way each kernel comes from `nearfree.linalg.kernel_basis` with its
-certificate, as canonical Z[w] integer vectors. The witness stays in Z[w]
-integers, three term maps over one denominator, until `verify_syzygy` has
-checked a*f_x + b*f_y + c*f_z = 0 exactly against f scaled to Z[w]; only
-then are its polynomials built.
+Either way each kernel comes from `nearfree.linalg.kernel_basis`, which
+takes Z[w] integer rows only, with its certificate, as canonical Z[w]
+integer vectors. The witness stays in Z[w] integers, three term maps over
+one denominator, until `verify_syzygy` has checked a*f_x + b*f_y + c*f_z
+= 0 exactly against f scaled to Z[w]; only then are its polynomials built.
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular
@@ -66,8 +67,19 @@ from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_det2, pair_mul
-from .linalg import ExactMatrix, full_rank_mod_screen, kernel_basis
+from .linalg import full_rank_mod_screen, kernel_basis
 from .poly import Poly, graded_basis
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    """A relation matrix as `relation_matrix` builds it: rows x cols Scalar
+    entries, row-major, over the field tag of f."""
+
+    rows: int
+    cols: int
+    entries: tuple
+    tag: FieldTag
 
 
 def relation_matrix(f: Poly, r: int) -> ExactMatrix:
@@ -75,7 +87,9 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
 
     Columns are the a-block, then b-block, then c-block, each indexed by
     graded_basis(r); rows are indexed by graded_basis(r + d - 1). Kernel
-    vectors of this matrix are exactly the degree-r syzygies.
+    vectors of this matrix are exactly the degree-r syzygies. In column
+    (b, s) the distinct terms of the b-th partial times the s-th monomial
+    land in distinct rows, so each cell is written at most once.
     """
     if f.degree < 2:
         raise OutOfRange("relation matrix needs a polynomial of degree >= 2")
@@ -84,24 +98,16 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
     if r < 0:
         raise OutOfRange("relation degree must be non-negative")
     source = graded_basis(r)
-    target = graded_basis(r + f.degree - 1)
-    index = {mono: k for k, mono in enumerate(target)}
-    nrows = len(target)
+    index = {mono: k for k, mono in enumerate(graded_basis(r + f.degree - 1))}
     ncols = 3 * len(source)
-    column_major = [[None] * nrows for _ in range(ncols)]
+    entries = [ZERO] * (len(index) * ncols)
     for block in range(3):
-        part = f.partial(block)
-        for s, mono in enumerate(source):
-            col = column_major[block * len(source) + s]
-            for pm, coef in part.terms.items():
+        part = f.partial(block).terms
+        for col, mono in enumerate(source, block * len(source)):
+            for pm, coef in part.items():
                 row = index[(pm[0] + mono[0], pm[1] + mono[1], pm[2] + mono[2])]
-                col[row] = coef if col[row] is None else col[row] + coef
-    entries = []
-    for i in range(nrows):
-        for col in column_major:
-            v = col[i]
-            entries.append(ZERO if v is None else v)
-    return ExactMatrix(nrows, ncols, tuple(entries), f.tag)
+                entries[row * ncols + col] = coef
+    return ExactMatrix(len(index), ncols, tuple(entries), f.tag)
 
 
 def _pivot_split(line: tuple) -> tuple:
@@ -361,8 +367,11 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
             raise ValueError(f"{len(lines)} lines cannot define a curve of degree {d}")
         ints = [integer_pairs(form.coeffs) for form in lines]
 
-    def rows(r):
-        return relation_matrix(f, r) if lines is None else derivation_rows(ints, r)
+    def rows(r):  # Z[w] integer-pair rows, each relation row scaled by its own lcm
+        if lines is not None:
+            return derivation_rows(ints, r)
+        m = relation_matrix(f, r)
+        return [integer_pairs(m.entries[i:i + m.cols]) for i in range(0, len(m.entries), m.cols)]
 
     hi = _window_top(d, tau) if tau is not None else None
     start = hi if hi and full_rank_mod_screen(rows(hi - 1)) else 0

@@ -1,5 +1,9 @@
 """Exact dense linear algebra: certified right-kernel bases.
 
+Both entry points take one input type: a non-empty list of equal-length
+rows of Z[w] integer pairs (a, b), meaning a + b*w. Callers scale their
+own Scalar rows (`nearfree.criteria.mdr` does, row by row).
+
 `kernel_basis` returns the canonical kernel basis: pivot columns are taken
 left to right, and there is one vector per free column with the other free
 coordinates zero, rescaled so its first nonzero entry is 1. It works
@@ -7,8 +11,8 @@ modulo the primes of `prime_stream`, each proven prime by Proth's theorem
 and p = 1 (mod 3), with w sent to a cube root of unity in F_p. It takes
 primes until one of two certificates holds, and each has been checked:
 
-* "full rank mod p" - the rows, scaled to Z[w], have full column rank mod
-  p. Reduction can only lower the rank, so the kernel over Q(w) is zero.
+* "full rank mod p" - the rows have full column rank mod p. Reduction can
+  only lower the rank, so the kernel over Q(w) is zero.
 * "verified reconstruction (k primes)" - the RREF kernel mod p (under both
   embeddings w -> ω and w -> ω² over Q(w)) from k primes sharing one pivot
   profile is lifted by CRT and rational reconstruction, each vector to
@@ -32,75 +36,11 @@ w -> ω. True proves the kernel zero; False proves nothing.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, count
 from math import gcd, isqrt
 
-from .field import (
-    ZERO,
-    FieldTag,
-    Scalar,
-    integer_pairs,
-    pack_slots,
-    primitive_pairs,
-    smallest_tag,
-    unpack_slots,
-)
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major scalars, length rows*cols
-    tag: FieldTag
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], tag: FieldTag = None) -> "ExactMatrix":
-        flat = []
-        ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for v in row:
-                flat.append(v if isinstance(v, Scalar) else Scalar(v))
-        if tag is None:
-            tag = smallest_tag(flat)
-        return cls(len(rows), ncols, tuple(flat), tag)
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def matvec(self, vec: Sequence[Scalar]) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            base = i * self.cols
-            for j in range(self.cols):
-                e = self.entries[base + j]
-                v = vec[j]
-                if e and v:
-                    acc = acc + e * v
-            out.append(acc)
-        return out
-
-
-def _integer_rows(m: ExactMatrix) -> list:
-    """Scale each row by the lcm of its denominators (kernel unchanged)."""
-    return [integer_pairs(m.row(i)) for i in range(m.rows)]
-
-
-# -- modular kernel ---------------------------------------------------------
+from .field import pack_slots, primitive_pairs, unpack_slots
 
 FULL_RANK_MOD_P = "full rank mod p"
 
@@ -272,8 +212,6 @@ def _annihilates(data: list, vectors: list) -> bool:
     product, and a nonzero slot below 2^(width-1) in magnitude cannot be
     cancelled by the slots above it, so the sum is 0 iff every product is.
     """
-    if not data:
-        return True
     mbits = max(map(abs, chain.from_iterable(chain.from_iterable(data)))).bit_length()
     vbits = max(map(abs, chain.from_iterable(chain.from_iterable(vectors)))).bit_length()
     nbytes = (mbits + vbits + (3 * len(data[0])).bit_length()) // 8 + 1
@@ -326,38 +264,29 @@ def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
     return pivots, parts
 
 
-def _data(m: ExactMatrix | list) -> tuple:
-    """(integer-pair rows, column count) of an ExactMatrix or of rows
-    already in Z[w] integer pairs."""
-    if isinstance(m, ExactMatrix):
-        return _integer_rows(m), m.cols
-    return m, len(m[0])
-
-
-def full_rank_mod_screen(m: ExactMatrix | list) -> bool:
-    """True when m, taken as in `kernel_basis`, has full column rank modulo
-    `screen_prime()` with w sent to a cube root of unity ω. w -> ω is a
-    ring map from Z[w] onto F_p, and reduction can only lower the rank, so
-    True proves the kernel over Q(w) zero. False proves nothing: the prime
-    may be unlucky."""
-    data, ncols = _data(m)
+def full_rank_mod_screen(rows: list) -> bool:
+    """True when the Z[w] integer-pair rows, as in `kernel_basis`, have full
+    column rank modulo `screen_prime()` with w sent to a cube root of unity
+    ω. w -> ω is a ring map from Z[w] onto F_p, and reduction can only
+    lower the rank, so True proves the kernel over Q(w) zero. False proves
+    nothing: the prime may be unlucky."""
+    ncols = len(rows[0])
     p = screen_prime()
-    pivots, _ = _echelon_mod(data, ncols, p, _cube_root(p))
+    pivots, _ = _echelon_mod(rows, ncols, p, _cube_root(p))
     return len(pivots) == ncols
 
 
-def kernel_basis(m: ExactMatrix | list) -> Kernel:
+def kernel_basis(data: list) -> Kernel:
     """Canonical basis of the right kernel, as Z[w] integer vectors (see
-    `Kernel`); rank + len(basis) == cols.
+    `Kernel`); rank + len(basis) == number of columns.
 
-    m is an ExactMatrix, or a non-empty list of equal-length rows of Z[w]
-    integer pairs (a, b) meaning a + b*w, such as the logarithmic-derivation
-    rows that `nearfree.criteria` builds without going through scalars.
+    data is a non-empty list of equal-length rows of Z[w] integer pairs
+    (a, b) meaning a + b*w, such as `nearfree.criteria.derivation_rows`.
     Primes are taken from `prime_stream` until the rank is full mod p or a
     reconstruction is verified; the result's `certificate` says which (see
     the module docstring).
     """
-    data, ncols = _data(m)
+    ncols = len(data[0])
     qw = any(b for row in data for _, b in row)
     best, modulus, primes, lifted = None, 1, 0, []
     for p in prime_stream():

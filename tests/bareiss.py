@@ -1,8 +1,9 @@
 """Bareiss elimination over Z[w], the tests' independent reference for
 `nearfree.linalg.kernel_basis`.
 
-`rank` runs Bareiss one-step fraction-free elimination on integer pairs
-a + b*w (denominators cleared per row), which avoids gcd churn, and
+Both take rows of Z[w] integer pairs (a, b) meaning a + b*w, as
+`kernel_basis` does, and leave them unchanged. `rank` runs Bareiss
+one-step fraction-free elimination, which avoids gcd churn, and
 `exact_kernel` back-substitutes fraction-free to the canonical kernel
 basis. Neither shares the modular arithmetic of `kernel_basis`.
 """
@@ -11,7 +12,7 @@ from math import gcd
 
 from nearfree.errors import ToolkitError
 from nearfree.field import pair_mul
-from nearfree.linalg import ExactMatrix, Kernel, _integer_rows
+from nearfree.linalg import Kernel
 
 
 def _ediv_exact(x, y):
@@ -73,8 +74,8 @@ def _bareiss(data: list, ncols: int):
     return pivots, data[:len(pivots)]
 
 
-def rank(m: ExactMatrix) -> int:
-    pivots, _ = _bareiss(_integer_rows(m), m.cols)
+def rank(rows: list) -> int:
+    pivots, _ = _bareiss([list(row) for row in rows], len(rows[0]))
     return len(pivots)
 
 
@@ -111,6 +112,7 @@ def _bareiss_kernel(data: list, ncols: int) -> list:
     return basis
 
 
-def exact_kernel(m: ExactMatrix) -> Kernel:
-    """The canonical kernel basis of m by Bareiss elimination alone."""
-    return Kernel(_bareiss_kernel(_integer_rows(m), m.cols), "exact elimination")
+def exact_kernel(rows: list) -> Kernel:
+    """The canonical kernel basis of the rows by Bareiss elimination alone."""
+    return Kernel(_bareiss_kernel([list(row) for row in rows], len(rows[0])),
+                  "exact elimination")

@@ -1,6 +1,7 @@
 """Shared randomized-input generators for the test suite (seeded callers),
-a way to make `nearfree.linalg` meet unlucky primes first, and the Scalar
-and Z[w] integer forms that kernel vectors and witnesses are compared in."""
+a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
+integer rows that `nearfree.linalg` takes, and the Scalar and Z[w] integer
+forms that kernel vectors and witnesses are compared in."""
 
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from nearfree import (
     Poly,
     Scalar,
     linalg,
+    relation_matrix,
     weak_combinatorics,
 )
 from nearfree.field import integer_pairs
@@ -32,6 +34,20 @@ def scalar_vector(vec):
     vector with lead entry 1."""
     s = next(a for a, b in vec if a or b)
     return [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec]
+
+
+def zw_rows(rows):
+    """Rows of Scalars or ints as the Z[w] integer-pair rows that
+    `nearfree.linalg` takes, each row scaled by the lcm of its denominators
+    (its kernel unchanged)."""
+    return [integer_pairs([v if isinstance(v, Scalar) else Scalar(v) for v in row])
+            for row in rows]
+
+
+def relation_rows(f, r):
+    """`relation_matrix(f, r)` as Z[w] integer-pair rows (see `zw_rows`)."""
+    m = relation_matrix(f, r)
+    return zw_rows(m.entries[i:i + m.cols] for i in range(0, len(m.entries), m.cols))
 
 
 def integer_terms(*polys):

@@ -363,7 +363,8 @@ def test_poly_route_checks_its_witness(monkeypatch):
     # syzygy of the cusp (f_x = -3x^2): the Jacobian witness is checked
     # exactly before it is reported
     def fake(m):
-        return linalg.Kernel([[(1, 0)] + [(0, 0)] * (m.cols - 1)], "verified reconstruction (1 prime)")
+        return linalg.Kernel([[(1, 0)] + [(0, 0)] * (len(m[0]) - 1)],
+                             "verified reconstruction (1 prime)")
 
     monkeypatch.setattr(criteria, "kernel_basis", fake)
     with pytest.raises(NotASyzygy):

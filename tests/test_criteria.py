@@ -18,10 +18,12 @@ from nearfree import (
 )
 from nearfree.arrangement import catalog, catalog_names, defining_polynomial, milnor_number
 from nearfree.errors import OutOfRange, TauOutOfRange
-from nearfree.field import ZERO
+from nearfree.field import ONE, ZERO
+from nearfree.poly import graded_basis
 
 from bareiss import rank
-from support import CERTIFICATE, random_nonzero_scalar, unlucky_primes_first
+from support import CERTIFICATE, random_nonzero_scalar, relation_rows, unlucky_primes_first
+from test_golden import POLY
 
 BRAID_SEXTIC = "x*y*z*(x-y)*(y-z)*(x-z)"
 MACLANE_OCTIC = "(x^2+x*y+y^2)*(y^3-z^3)*(z^3-x^3)"
@@ -30,10 +32,11 @@ CUSPIDAL_CUBIC = "y^2*z-x^3"
 
 
 def test_relation_matrix_shape_and_rank_for_smooth_quadric():
-    m = relation_matrix(parse_poly("x^2+y^2+z^2"), 0)
+    f = parse_poly("x^2+y^2+z^2")
+    m = relation_matrix(f, 0)
     assert (m.rows, m.cols) == (3, 3)
-    assert rank(m) == 3
-    assert kernel_basis(m) == []
+    assert rank(relation_rows(f, 0)) == 3
+    assert kernel_basis(relation_rows(f, 0)) == []
 
 
 def test_relation_matrix_column_count_formula():
@@ -44,9 +47,24 @@ def test_relation_matrix_column_count_formula():
         assert m.rows == (r + f.degree) * (r + f.degree + 1) // 2
 
 
+@pytest.mark.parametrize("f", [defining_polynomial(catalog(n)) for n in catalog_names()]
+                         + [parse_poly(text) for text, _ in POLY.values()])
+def test_relation_matrix_columns_are_shifted_partials(f):
+    # column (b, s) holds the coefficients of x^s * d_b f, against Poly arithmetic
+    for r in range(4):
+        m = relation_matrix(f, r)
+        source, target = graded_basis(r), graded_basis(r + f.degree - 1)
+        assert (m.rows, m.cols, m.tag) == (len(target), 3 * len(source), f.tag)
+        for b in range(3):
+            for s, mono in enumerate(source):
+                col = b * len(source) + s
+                shifted = Poly(r, {mono: ONE}, f.tag) * f.partial(b)
+                assert [m.entries[i * m.cols + col] for i in range(m.rows)] == [
+                    shifted.coefficient(t) for t in target]
+
+
 def test_braid_sextic_kernel_dimension_at_two():
-    m = relation_matrix(parse_poly(BRAID_SEXTIC), 2)
-    assert len(kernel_basis(m)) == 1
+    assert len(kernel_basis(relation_rows(parse_poly(BRAID_SEXTIC), 2))) == 1
 
 
 @pytest.mark.parametrize(
@@ -113,7 +131,7 @@ def test_kernel_dimension_monotonicity_beyond_mdr():
         f = parse_poly(text)
         r = mdr(f).r
         if r + 1 <= f.degree - 1:
-            beyond = kernel_basis(relation_matrix(f, r + 1))
+            beyond = kernel_basis(relation_rows(f, r + 1))
             assert len(beyond) >= 1
 
 

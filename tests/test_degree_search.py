@@ -16,7 +16,6 @@ import pytest
 import sympy
 
 from nearfree import (
-    Scalar,
     catalog,
     catalog_names,
     criteria,
@@ -31,7 +30,7 @@ from nearfree.arrangement import delete_line
 from nearfree.cli import main
 
 from bareiss import exact_kernel
-from support import CERTIFICATE, random_nodal_arrangement, reflection_arrangement
+from support import CERTIFICATE, random_nodal_arrangement, reflection_arrangement, relation_rows
 from test_golden import POLY
 
 SCREEN_PRIME = 3 * 2**30 + 1
@@ -106,9 +105,7 @@ def test_full_rank_mod_screen_is_a_certificate():
         m = [[(rng.randint(-2, 2), rng.randint(-1, 1) * (trial % 2)) for _ in range(cols)]
              for _ in range(rows)]
         full = linalg.full_rank_mod_screen(m)
-        from_rows = linalg.ExactMatrix.from_rows(
-            [[Scalar(a, b) for a, b in row] for row in m])
-        assert full == (not exact_kernel(from_rows))
+        assert full == (not exact_kernel(m))
         seen.add(full)
     assert seen == {True, False}
 
@@ -117,7 +114,7 @@ def test_screen_prime_multiple_falls_back_to_the_full_scan():
     # p*f makes every relation matrix vanish mod the screen prime
     f = parse_poly(BRAID_SEXTIC)
     pf = parse_poly(f"{SCREEN_PRIME}*{BRAID_SEXTIC}")
-    assert not linalg.full_rank_mod_screen(criteria.relation_matrix(pf, 1))
+    assert not linalg.full_rank_mod_screen(relation_rows(pf, 1))
     want, got = mdr(f), mdr(pf, tau=19)
     assert (got.r, got.relation_dims, got.witness, got.certificates) == (
         want.r, want.relation_dims, want.witness, want.certificates)
