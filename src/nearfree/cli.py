@@ -20,7 +20,7 @@ import sys
 
 from . import arrangement as arr
 from . import classify as cls
-from .criteria import AnalysisReport, VerdictKind, analyze_curve
+from .criteria import AnalysisReport, analyze_curve
 from .errors import FieldMismatch, NonGenericDeformation, ToolkitError
 from .field import FieldTag, parse_scalar
 from .poly import LinearForm, format_poly, parse_poly

@@ -10,8 +10,6 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
-import pytest
-
 from nearfree import (
     CandidateStatus,
     LinearForm,
@@ -28,16 +26,14 @@ from nearfree import (
     kernel_basis,
     mdr,
     milnor_number,
-    schonheim_u3,
     singular_points,
-    t3_lower_bound,
     tjurina_drop_check,
     transform,
     weak_combinatorics,
 )
-from nearfree.classify import mdr_window, no_exclusions
+from nearfree.classify import no_exclusions
 from nearfree.cli import main
-from nearfree.errors import DirectionThroughPoint, NonGenericDeformation
+from nearfree.errors import NonGenericDeformation
 from nearfree.field import OMEGA, ONE
 from nearfree.poly import Poly
 

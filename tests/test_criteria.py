@@ -18,7 +18,7 @@ from nearfree import (
 )
 from nearfree.arrangement import catalog, catalog_names, defining_polynomial, milnor_number
 from nearfree.errors import OutOfRange, TauOutOfRange
-from nearfree.field import ONE, ZERO
+from nearfree.field import ONE
 from nearfree.poly import graded_basis
 
 from bareiss import rank

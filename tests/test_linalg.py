@@ -1,17 +1,26 @@
 import random
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 
-from nearfree import Scalar, kernel_basis, linalg
-from nearfree.field import OMEGA, ONE, ZERO
+from nearfree import (
+    LineArrangement,
+    LinearForm,
+    Scalar,
+    derivation_rows,
+    kernel_basis,
+    linalg,
+    weak_combinatorics,
+)
+from nearfree.field import OMEGA, ONE, ZERO, integer_pairs
 
 from bareiss import _bareiss_kernel, exact_kernel, rank
 from support import (
     random_nonzero_scalar,
     random_scalar,
+    reflection_arrangement,
     scalar_vector,
     unlucky_primes_first,
     zw_rows,
@@ -257,3 +266,75 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
             lead = Scalar(*next(x for x in exact if x != (0, 0)))
             assert scalar_vector(ints) == [Scalar(a, b) / lead for a, b in exact]
+
+
+def _pair_rows(rng, nrows, ncols, share, qw, p):
+    """Random Z[w] integer-pair rows (b = 0 over Q) with about `share` of the
+    cells nonzero, some of them divisible by p, then a zero row, a duplicate
+    row and a row that is p times another."""
+    def cell():
+        if rng.random() >= share:
+            return (0, 0)
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9) if qw else 0
+        return (a * p, b * p) if rng.random() < 0.1 else (a, b)
+
+    rows = [[cell() for _ in range(ncols)] for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = [(0, 0)] * ncols
+    rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    rows[rng.randrange(nrows)] = [(a * p, b * p) for a, b in rows[rng.randrange(nrows)]]
+    return rows
+
+
+@pytest.mark.parametrize("prime", ["screen", "stream"])
+def test_sparse_and_dense_eliminations_agree(prime):
+    # the routes may choose different pivot rows, never different pivot
+    # columns or kernel residues
+    p = linalg.screen_prime() if prime == "screen" else next(linalg.prime_stream())
+    w1 = linalg._cube_root(p)
+    rng = random.Random(3010)
+    for trial in range(90):
+        n = rng.randint(2, 10)
+        nrows, ncols = [(n + rng.randint(1, n), n), (n, n + rng.randint(1, n)), (n, n)][trial % 3]
+        qw = trial % 2 == 1
+        rows = _pair_rows(rng, nrows, ncols, rng.uniform(0.05, 0.6), qw, p)
+        for w in ((w1, p - 1 - w1) if qw else (0,)):
+            residues = [[(a + b * w) % p for a, b in row] for row in rows]
+            found = []
+            for eliminate in (linalg._echelon_dense, linalg._echelon_sparse):
+                pivots, echelon = eliminate(residues, ncols, p)
+                for pc, row in zip(pivots, echelon):
+                    assert row[pc] == 1 and not any(row[:pc]) and all(0 <= x < p for x in row)
+                found.append((pivots, linalg._kernel_from_echelon(pivots, echelon, ncols, p)))
+            assert found[0] == found[1]
+
+
+def _nodal_without_zero_coefficients(rng, d):
+    """d lines with coefficients in [-4, 4] other than 0 and only nodes, like
+    the arrangements of the benchmark's generic workload."""
+    while True:
+        forms = [LinearForm(*(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(3)))
+                 for _ in range(d)]
+        if len(set(forms)) == d:
+            a = LineArrangement(forms)
+            if weak_combinatorics(a).counts == ((2, comb(d, 2)),):
+                return a
+
+
+def test_benchmark_rows_take_the_faster_route(monkeypatch):
+    # 9% of the cells of A(6,1,3)'s rows at its mdr 7 are nonzero, and the
+    # sparse route eliminated them about 3.5x faster; a nodal octic's rows at
+    # its mdr 6 are about 40% nonzero, and the dense route was 1.5x faster
+    routes = []
+    for name in ("_echelon_dense", "_echelon_sparse"):
+        def spy(*args, name=name, eliminate=getattr(linalg, name)):
+            routes.append(name)
+            return eliminate(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    for a, r, route in [
+        (reflection_arrangement(6, True), 7, "_echelon_sparse"),
+        (_nodal_without_zero_coefficients(random.Random(3011), 8), 6, "_echelon_dense"),
+    ]:
+        rows = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], r)
+        routes.clear()
+        assert kernel_basis(rows) and not linalg.full_rank_mod_screen(rows)
+        assert routes and set(routes) == {route}
