@@ -16,7 +16,6 @@ from .arrangement import (
     milnor_number,
     parse_lines,
     singular_points,
-    tjurina_drop_check,
     transform,
     weak_combinatorics,
 )
@@ -53,7 +52,6 @@ from .linalg import kernel_basis
 from .poly import (
     LinearForm,
     Poly,
-    divide_exact,
     format_poly,
     graded_basis,
     parse_poly,

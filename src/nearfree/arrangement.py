@@ -62,13 +62,6 @@ def normalize_point(p: Sequence) -> Point:
     return coords
 
 
-def intersect(l1: LinearForm, l2: LinearForm) -> Point:
-    """Intersection point of two distinct lines (cross product of coefficients)."""
-    a1, b1, c1 = l1.coeffs
-    a2, b2, c2 = l2.coeffs
-    return normalize_point((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
-
-
 class LineArrangement:
     """d >= 1 pairwise distinct projective lines with a field tag."""
 
@@ -162,8 +155,7 @@ def _cross(u: tuple, v: tuple) -> tuple:
 
 def singular_points(arrangement: LineArrangement) -> list:
     """All intersection points, clustered on exact integer keys, in lex
-    coordinate order; each point is built in Q(w) once, from its key
-    (`intersect` is the independent Scalar route to the same points)."""
+    coordinate order; each point is built in Q(w) once, from its key."""
     clusters: dict = {}
     lines = arrangement.lines
     ints = [integer_pairs(form.coeffs) for form in lines]
@@ -287,11 +279,6 @@ def deform_triple_point(
 ) -> LineArrangement:
     """The deformed arrangement of `deformation`."""
     return deformation(arrangement, point, line_index, direction, eps)[0]
-
-
-def tjurina_drop_check(before: LineArrangement, after: LineArrangement) -> bool:
-    """True iff the deformation dropped the total Tjurina number by exactly 1."""
-    return milnor_number(before) == milnor_number(after) + 1
 
 
 def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineArrangement:

@@ -15,6 +15,7 @@ the logarithmic derivations; `--poly` curves use the Jacobian route.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -271,6 +272,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state, so repeated main() calls share one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearfree",

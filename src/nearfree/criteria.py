@@ -38,7 +38,9 @@ Either way each kernel comes from `nearfree.linalg.kernel_basis`, which
 takes Z[w] integer rows only, with its certificate, as canonical Z[w]
 integer vectors. The witness stays in Z[w] integers, three term maps over
 one denominator, until `verify_syzygy` has checked a*f_x + b*f_y + c*f_z
-= 0 exactly against f scaled to Z[w]; only then are its polynomials built.
+= 0 exactly, multiplying out its term maps against the partials of f
+scaled to Z[w] and comparing every coefficient with 0; only then are its
+polynomials built.
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular
@@ -66,7 +68,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
-from .field import ZERO, FieldTag, Scalar, integer_pairs, pack_slots, pair_det2, pair_mul
+from .field import ZERO, FieldTag, Scalar, integer_pairs, pair_det2, pair_mul
 from .linalg import full_rank_mod_screen, kernel_basis
 from .poly import Poly, graded_basis
 
@@ -268,52 +270,30 @@ def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
 
     f_terms is f and witness is (a, b, c), each a term map of Z[w] integer
     pairs of a homogeneous polynomial, a, b and c of one degree r; a common
-    factor of a, b and c does not matter. Each partial of f and each of a,
-    b, c has its real and w parts packed into one integer each, with
-    x^i y^j z^k in slot i*width + j: a product's y-exponent stays below
-    width = r + d, so the packed products add up slot by slot. The slots
-    are signed and wider than twice any coefficient of the sum, so the
-    packed sum is zero iff every coefficient is.
+    factor of a, b and c does not matter. Each term of each partial of f is
+    multiplied by each term of its component of the witness, and the
+    products are added up per monomial. Every product has degree
+    r + d - 1, so x^i y^j z^k is keyed by i*width + j with width = r + d,
+    which exceeds j. The check passes iff every sum is (0, 0).
     """
     if not any(a or b for t in witness for a, b in t.values()):
         raise NotASyzygy("the zero triple is no witness")
-    jac = []
-    for var in range(3):
-        part = {}
-        for mono, (a, b) in f_terms.items():
-            e = mono[var]
-            if e:
-                lowered = list(mono)
-                lowered[var] = e - 1
-                part[tuple(lowered)] = (a * e, b * e)
-        jac.append(part)
     width = sum(next(iter(f_terms))) + sum(next(m for t in witness for m in t))
-    bits = [max((abs(x).bit_length() for t in polys for pair in t.values() for x in pair),
-                default=0) for polys in (jac, witness)]
-    count = min(max(len(t) for t in jac), max(len(t) for t in witness))
-    nbytes = (sum(bits) + (9 * count).bit_length() + 1) // 8 + 1
-    re = im = 0
-    for fx, a in zip(jac, witness):
-        if not fx or not a:
-            continue
-        (fa, fb), (aa, ab) = _packed(fx, width, nbytes), _packed(a, width, nbytes)
-        # (aa + ab w)(fa + fb w) = aa fa - ab fb + (aa fb + ab fa - ab fb) w
-        re += aa * fa - ab * fb
-        im += aa * fb + ab * fa - ab * fb
-    if re or im:
+    sums = {}
+    for var, component in enumerate(witness):
+        # the partial in var: lowering x takes width off the key, lowering y one
+        shift = (width, 1, 0)[var]
+        part = [(mono[0] * width + mono[1] - shift, fa * mono[var], fb * mono[var])
+                for mono, (fa, fb) in f_terms.items() if mono[var]]
+        for (i, j, _), (a, b) in component.items():
+            key = i * width + j
+            for k, fa, fb in part:
+                # (fa + fb w)(a + b w) = fa a - fb b + (fa b + fb a - fb b) w
+                cross = fb * b
+                sa, sb = sums.get(key + k, (0, 0))
+                sums[key + k] = (sa + fa * a - cross, sb + fa * b + fb * a - cross)
+    if any(a or b for a, b in sums.values()):
         raise NotASyzygy("the witness does not satisfy a*f_x + b*f_y + c*f_z = 0")
-
-
-def _packed(terms: dict, width: int, nbytes: int) -> tuple:
-    """Real and w parts of a Z[w] term map packed into signed slots."""
-    size = max(m[0] * width + m[1] for m in terms) + 1
-    slots = [[0] * size for _ in range(4)]  # real +, real -, w +, w -
-    for mono, (a, b) in terms.items():
-        k = mono[0] * width + mono[1]
-        slots[a < 0][k] = abs(a)
-        slots[2 + (b < 0)][k] = abs(b)
-    packed = [pack_slots(s, nbytes) for s in slots]
-    return packed[0] - packed[1], packed[2] - packed[3]
 
 
 @dataclass

@@ -35,10 +35,6 @@ class NotHomogeneous(ToolkitError):
     pass
 
 
-class NotDivisible(ToolkitError):
-    pass
-
-
 class ZeroDerivativeDomain(ToolkitError):
     pass
 

@@ -19,7 +19,6 @@ from typing import Sequence
 from .errors import (
     DegreeMismatch,
     FieldMismatch,
-    NotDivisible,
     NotHomogeneous,
     ParseError,
     ZeroDerivativeDomain,
@@ -134,23 +133,6 @@ class Poly:
     def zero(cls, degree: int, tag: FieldTag) -> "Poly":
         return cls(degree, {}, tag)
 
-    @classmethod
-    def constant(cls, value, tag: FieldTag) -> "Poly":
-        c = value if isinstance(value, Scalar) else Scalar(value)
-        return cls(0, {(0, 0, 0): c}, tag)
-
-    @classmethod
-    def variable(cls, index: int, tag: FieldTag) -> "Poly":
-        mono = tuple(1 if k == index else 0 for k in range(3))
-        return cls(1, {mono: ONE}, tag)
-
-    @classmethod
-    def from_coefficients(cls, degree: int, coeffs: Sequence[Scalar], tag: FieldTag) -> "Poly":
-        basis = graded_basis(degree)
-        if len(coeffs) != len(basis):
-            raise ValueError("coefficient vector has the wrong length")
-        return cls(degree, dict(zip(basis, coeffs)), tag)
-
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -218,9 +200,6 @@ class Poly:
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, ZERO)
-
-    def retag(self, tag: FieldTag) -> "Poly":
-        return Poly(self.degree, self.terms, tag)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -352,35 +331,6 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
             i, j = divmod(k, d + 1)
             terms[(i, j, d - i - j)] = Scalar(Fraction(a - half, scale), Fraction(b - half, scale))
     return Poly(d, terms, tag)
-
-
-def divide_exact(f: Poly, form: LinearForm) -> Poly:
-    """Quotient f / form when the division is exact, else NotDivisible."""
-    if f.degree == 0:
-        raise NotDivisible("cannot divide a degree-0 polynomial by a linear form")
-    pivot = next(i for i, c in enumerate(form.coeffs) if c)  # coefficient there is 1
-    tail = [(i, c) for i, c in enumerate(form.coeffs) if c and i != pivot]
-    rem = dict(f.terms)
-    quot: dict = {}
-    while rem:
-        lead = max(rem)
-        if lead[pivot] == 0:
-            raise NotDivisible(f"{form} does not divide the polynomial")
-        qc = rem.pop(lead)
-        qm = list(lead)
-        qm[pivot] -= 1
-        quot[tuple(qm)] = qc
-        for i, c in tail:
-            mono = list(qm)
-            mono[i] += 1
-            mono = tuple(mono)
-            prev = rem.get(mono)
-            val = -qc * c if prev is None else prev - qc * c
-            if val:
-                rem[mono] = val
-            elif prev is not None:
-                del rem[mono]
-    return Poly(f.degree - 1, quot, f.tag)
 
 
 # ---------------------------------------------------------------------------

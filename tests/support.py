@@ -1,7 +1,8 @@
 """Shared randomized-input generators for the test suite (seeded callers),
 a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
-integer rows that `nearfree.linalg` takes, and the Scalar and Z[w] integer
-forms that kernel vectors and witnesses are compared in."""
+integer rows that `nearfree.linalg` takes, the Scalar and Z[w] integer
+forms that kernel vectors and witnesses are compared in, and the
+independent Scalar references `intersect` and `divide_exact`."""
 
 import re
 from fractions import Fraction
@@ -20,6 +21,8 @@ from nearfree import (
     relation_matrix,
     weak_combinatorics,
 )
+from nearfree.arrangement import normalize_point
+from nearfree.errors import ToolkitError
 from nearfree.field import integer_pairs
 from nearfree.poly import graded_basis
 
@@ -164,3 +167,47 @@ def unlucky_primes_first(monkeypatch, primes):
     monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))
     monkeypatch.setattr(linalg, "_residue_kernel", spy)
     return claims
+
+
+def intersect(l1, l2):
+    """Intersection point of two distinct lines (cross product of
+    coefficients), in Scalar arithmetic: the independent route to the
+    points that `nearfree.arrangement.singular_points` reads off its
+    integer keys."""
+    a1, b1, c1 = l1.coeffs
+    a2, b2, c2 = l2.coeffs
+    return normalize_point((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
+
+
+class NotDivisible(ToolkitError):
+    pass
+
+
+def divide_exact(f, form):
+    """Quotient f / form when the division is exact, else NotDivisible, in
+    Scalar arithmetic; form is normalized, its pivot coefficient 1."""
+    if f.degree == 0:
+        raise NotDivisible("cannot divide a degree-0 polynomial by a linear form")
+    pivot = next(i for i, c in enumerate(form.coeffs) if c)  # coefficient there is 1
+    tail = [(i, c) for i, c in enumerate(form.coeffs) if c and i != pivot]
+    rem = dict(f.terms)
+    quot: dict = {}
+    while rem:
+        lead = max(rem)
+        if lead[pivot] == 0:
+            raise NotDivisible(f"{form} does not divide the polynomial")
+        qc = rem.pop(lead)
+        qm = list(lead)
+        qm[pivot] -= 1
+        quot[tuple(qm)] = qc
+        for i, c in tail:
+            mono = list(qm)
+            mono[i] += 1
+            mono = tuple(mono)
+            prev = rem.get(mono)
+            val = -qc * c if prev is None else prev - qc * c
+            if val:
+                rem[mono] = val
+            elif prev is not None:
+                del rem[mono]
+    return Poly(f.degree - 1, quot, f.tag)

@@ -27,7 +27,6 @@ from nearfree import (
     mdr,
     milnor_number,
     singular_points,
-    tjurina_drop_check,
     transform,
     weak_combinatorics,
 )
@@ -157,11 +156,8 @@ def test_criterion_9_property_suite():
         result = mdr(f)
 
         # Euler identity for the defining polynomial
-        euler = (
-            Poly.variable(0, f.tag) * f.partial(0)
-            + Poly.variable(1, f.tag) * f.partial(1)
-            + Poly.variable(2, f.tag) * f.partial(2)
-        )
+        x, y, z = (Poly(1, {m: ONE}, f.tag) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        euler = x * f.partial(0) + y * f.partial(1) + z * f.partial(2)
         assert euler == f * d
 
         # witness exactness
@@ -202,7 +198,7 @@ def test_criterion_10_deformation_contract():
         after = weak_combinatorics(deformed)
         assert after.t3 == before.t3 - 1
         assert after.t2 == before.t2 + 3
-        assert tjurina_drop_check(a, deformed)
+        assert milnor_number(a) == milnor_number(deformed) + 1
         after_report = analyze_curve(
             defining_polynomial(deformed), tau=milnor_number(deformed)
         )

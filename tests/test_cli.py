@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -289,6 +292,28 @@ def test_catalog_show_unknown():
 def test_usage_error_exit_code():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+def test_repeated_main_calls_print_what_separate_runs_print():
+    # one process runs the commands in turn, with a usage error between
+    # them, and each command also runs alone in a fresh interpreter
+    commands = [
+        ["analyze", "@catalog:A1_6", "--witness"],
+        ["analyze", "@catalog:A1_6", "--bogus"],
+        ["bounds", "--d", "7", "--json"],
+        ["frobnicate"],
+        ["analyze", "--poly", "y^2*z - x^3", "--tau", "2", "--json"],
+        ["analyze", "@catalog:A1_6", "--witness"],
+    ]
+    in_process = [run_cli(args) for args in commands]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0, 0]
+    src = os.path.dirname(os.path.dirname(arrangement.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for args, got in zip(commands, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-c", "import sys; from nearfree.cli import main; sys.exit(main())",
+             *args], env=env, capture_output=True, text=True, timeout=60)
+        assert got == (alone.returncode, alone.stdout, alone.stderr)
 
 
 def test_analyze_reports_higher_multiplicities(tmp_path):

@@ -244,7 +244,7 @@ def test_mdr_scaling_invariance():
         base = mdr(f).r
         for _ in range(5):
             c = random_nonzero_scalar(rng, 4)
-            g = f.retag(FieldTag.QW).scale(c)
+            g = Poly(f.degree, f.terms, FieldTag.QW).scale(c)
             assert mdr(g).r == base
 
 

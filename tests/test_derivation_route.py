@@ -9,9 +9,9 @@ import pytest
 
 from nearfree import (
     OMEGA,
+    ONE,
     FieldTag,
     criteria,
-    divide_exact,
     kernel_basis,
     LinearForm,
     LineArrangement,
@@ -20,6 +20,7 @@ from nearfree import (
     catalog,
     catalog_names,
     defining_polynomial,
+    graded_basis,
     linalg,
     mdr,
     weak_combinatorics,
@@ -31,9 +32,11 @@ from nearfree.field import integer_pairs
 import bareiss
 from support import (
     CERTIFICATE,
+    divide_exact,
     integer_terms,
     random_arrangement,
     random_nodal_arrangement,
+    random_poly,
     reflection_arrangement,
     scalar_vector,
     unlucky_primes_first,
@@ -44,6 +47,10 @@ def _is_syzygy(f, witness):
     # independent of verify_syzygy: the Poly product over Q(w)
     a, b, c = witness
     return (a * f.partial(0) + b * f.partial(1) + c * f.partial(2)).is_zero()
+
+
+def _xyz(tag):
+    return tuple(Poly(1, {mono: ONE}, tag) for mono in graded_basis(1))
 
 
 def _both_routes(a):
@@ -134,8 +141,8 @@ def _scalar_witness(a, r):
     p0 = next(k for k in range(3) if alpha0[k])
     j1, j2 = (k for k in range(3) if k != p0)
     theta = [None] * 3
-    theta[j1] = Poly.from_coefficients(r, vec[:nb], f.tag)
-    theta[j2] = Poly.from_coefficients(r, vec[nb:], f.tag)
+    theta[j1] = Poly(r, dict(zip(graded_basis(r), vec[:nb])), f.tag)
+    theta[j2] = Poly(r, dict(zip(graded_basis(r), vec[nb:])), f.tag)
     theta[p0] = -(theta[j1].scale(alpha0[j1]) + theta[j2].scale(alpha0[j2]))
     g = Poly.zero(r - 1, f.tag)
     for form in a.lines[1:]:
@@ -143,7 +150,7 @@ def _scalar_witness(a, r):
         image = theta[0].scale(cx) + theta[1].scale(cy) + theta[2].scale(cz)
         g = g + divide_exact(image, form)
     g = g.scale(Fraction(-1, a.d))
-    return tuple(theta[k] + g * Poly.variable(k, f.tag) for k in range(3))
+    return tuple(theta[k] + g * v for k, v in enumerate(_xyz(f.tag)))
 
 
 @pytest.mark.parametrize("name", ["A1_6", "MacLane8", "DualHesse9", "B7_deformed"])
@@ -196,18 +203,74 @@ def test_pencil_is_free_with_exponents_one_and_d_minus_two():
     assert result.r == 1 and result.relation_dims == [0, 1]
 
 
-def test_exact_witness_check_rejects_a_non_syzygy():
-    a = catalog("A1_6")
+def _near_pencil():
+    # 59 lines x - s*y with slopes s drawn from [-40, 40] and one line off
+    # their centre: f has 119 terms with coefficients of up to 234 bits
+    slopes = random.Random(9400).sample(range(-40, 41), 59)
+    return LineArrangement([LinearForm(1, -s, 0) for s in slopes] + [LinearForm(3, -2, 1)])
+
+
+@pytest.mark.parametrize("name", ["A1_6", "near_pencil"])
+def test_exact_witness_check_rejects_a_non_syzygy(name):
+    a = _near_pencil() if name == "near_pencil" else catalog(name)
     f = defining_polynomial(a)
     (f_terms,) = integer_terms(f)
     witness = mdr(f, a.lines).witness
+    r = witness[0].degree
     verify_syzygy(f_terms, integer_terms(*witness))
-    x, y, z = (Poly.variable(k, f.tag) for k in range(3))
-    with pytest.raises(NotASyzygy):  # Euler: x f_x + y f_y + z f_z = 6 f
-        verify_syzygy(f_terms, integer_terms(x, y, z))
-    nudged = (witness[0] + (x * y).scale(Fraction(1, 10**30)), witness[1], witness[2])
+    with pytest.raises(NotASyzygy):  # Euler: x f_x + y f_y + z f_z = d f
+        verify_syzygy(f_terms, integer_terms(*_xyz(f.tag)))
+    tiny = Poly(r, {(0, r, 0): Scalar(Fraction(1, 10**30))}, f.tag)
+    nudged = (witness[0] + tiny, witness[1], witness[2])
     with pytest.raises(NotASyzygy):
         verify_syzygy(f_terms, integer_terms(*nudged))
+
+
+def _koszul_combination(rng, f, k):
+    # g1 (f_y, -f_x, 0) + g2 (f_z, 0, -f_x) + g3 (0, f_z, -f_y) for random
+    # forms g1, g2, g3 of degree k: a syzygy of degree d - 1 + k
+    fx, fy, fz = (f.partial(v) for v in range(3))
+    g1, g2, g3 = (random_poly(rng, k, f.tag, span=3) for _ in range(3))
+    return (g1 * fy + g2 * fz, g3 * fz - g1 * fx, -(g2 * fx) - g3 * fy)
+
+
+def _change_one_term(rng, witness, pure_w):
+    # add c*m to one component: c = n*w with pure_w, else a rational c
+    k = rng.randrange(3)
+    mono = rng.choice(graded_basis(witness[k].degree))
+    n = rng.choice([-2, -1, 1, 2])
+    c = Scalar(0, n) if pure_w else Scalar(Fraction(n, rng.randint(1, 5)))
+    changed = list(witness)
+    changed[k] = witness[k] + Poly(witness[k].degree, {mono: c}, witness[k].tag)
+    return tuple(changed)
+
+
+@pytest.mark.parametrize("tag", [FieldTag.Q, FieldTag.QW])
+def test_exact_witness_check_matches_the_poly_product(tag):
+    # verify_syzygy against the Poly route on random forms: Koszul
+    # combinations pass, and one changed term fails exactly when the Poly
+    # product says so (it need not, where that partial of f is zero)
+    rng = random.Random(9500 + (tag is FieldTag.QW))
+    outcomes = set()
+    for _ in range(40):
+        f = random_poly(rng, rng.randint(2, 5), tag, span=4)
+        if f.is_zero():
+            continue
+        (f_terms,) = integer_terms(f)
+        witness = _koszul_combination(rng, f, rng.randint(0, 2))
+        candidates = [witness, _change_one_term(rng, witness, pure_w=False)]
+        if tag is FieldTag.QW:
+            candidates.append(_change_one_term(rng, witness, pure_w=True))
+        for candidate in candidates:
+            expected = any(candidate) and _is_syzygy(f, candidate)
+            try:
+                verify_syzygy(f_terms, integer_terms(*candidate))
+                passed = True
+            except NotASyzygy:
+                passed = False
+            assert passed == expected
+            outcomes.add(passed)
+    assert outcomes == {True, False}
 
 
 def test_exact_witness_check_over_qw():

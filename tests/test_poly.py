@@ -10,7 +10,6 @@ from nearfree import (
     LinearForm,
     Poly,
     Scalar,
-    divide_exact,
     format_poly,
     graded_basis,
     parse_poly,
@@ -19,17 +18,21 @@ from nearfree import (
 from nearfree.errors import (
     DegreeMismatch,
     FieldMismatch,
-    NotDivisible,
     NotHomogeneous,
     ParseError,
     ZeroDerivativeDomain,
 )
 
-from support import random_form, random_poly, random_rational_scalar, reflection_arrangement
+from support import (
+    NotDivisible,
+    divide_exact,
+    random_form,
+    random_poly,
+    random_rational_scalar,
+    reflection_arrangement,
+)
 
-X = Poly.variable(0, FieldTag.Q)
-Y = Poly.variable(1, FieldTag.Q)
-Z = Poly.variable(2, FieldTag.Q)
+X, Y, Z = (parse_poly(v) for v in "xyz")
 
 
 def test_mul_difference_of_squares():
@@ -63,7 +66,7 @@ def test_partial_of_cuspidal_cubic():
 
 def test_partial_degree_zero_rejected():
     with pytest.raises(ZeroDerivativeDomain):
-        Poly.constant(3, FieldTag.Q).partial(0)
+        Poly(0, {(0, 0, 0): Scalar(3)}, FieldTag.Q).partial(0)
 
 
 def test_euler_identity_braid_sextic():
