@@ -49,14 +49,20 @@ Plessis-Wall bounds for the computed r is rejected with TauOutOfRange; for
 arrangements that is a check of the invariant tau = mu.
 
 tau also orders the search. The bounds confine r to a window whose top hi
-is the largest r that admits tau. Both spaces are modules over the
-polynomial ring (x*theta is again a derivation or syzygy), so the kernel
-dimension never drops as r grows, and full rank in degree hi-1 proves
-every lower degree empty. `mdr` screens that one degree modulo the
-word-size prime of `nearfree.linalg.full_rank_mod_screen` and, when the
-screen certifies, starts the usual upward scan at hi instead of 0. An
-unlucky prime, a wrong tau or mdr < hi only costs the full scan; r, the
-dimensions and the witness never depend on tau.
+is the largest r that admits tau, and `mdr` walks the degrees from there
+(from 0 without tau), computing each kernel at most once. Both spaces are
+modules over the polynomial ring (x*theta is again a derivation or
+syzygy), so a zero kernel at r proves every lower degree empty: step up.
+A nonzero kernel at r ends the walk when r = 0, when degree r-1 is known
+empty, or when its basis certifies r-1 empty by restriction: for theta !=
+0 of degree r-1 and a linear form l, l*theta is a nonzero kernel element
+at r vanishing on l = 0, so if no nonzero combination of the basis does
+(`_restriction_rows`, one small elimination modulo the word-size prime
+of `nearfree.linalg.full_rank_mod_screen`), there is no such theta. This
+is sound for any l; with l = x - c*y not a line (c = 0 for --poly) it is
+also complete, as D_H0(A) and AR(f) are saturated by l, so the exact
+kernel of the restriction is the kernel at r-1. Otherwise step down. r,
+the dimensions and the witness never depend on tau.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import comb, lcm
 from typing import Optional, Sequence
 
@@ -305,9 +312,10 @@ class MdrResult:
     arrangement (the two are equal); it is zero below r and at least one
     at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
-    "verified reconstruction (k primes)". When a tau let the search skip
-    degrees 0..h (see `mdr`), each of them reads "implied by full rank at
-    h" instead. It is not part of any report.
+    "verified reconstruction (k primes)". A degree that the walk of `mdr`
+    never eliminated reads "implied by the kernel at r" when the
+    restriction test certified it, or "implied by full rank at j" when
+    degree j had a zero kernel. It is not part of any report.
     The witness (a, b, c) is the first canonical kernel vector on the
     Jacobian route; on the derivation route it is the first canonical
     derivation mapped to AR(f)_r, a different syzygy of the same degree.
@@ -330,12 +338,12 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     terminates by degree d-1 because (0, f_z, -f_y) is a relation in that
     degree. f is assumed reduced; that is not checked.
 
-    With tau, hi is the largest r whose tau_bounds(d, r) admit tau. When
-    the rows of degree hi-1 have full rank mod the screening prime
-    (`full_rank_mod_screen`), degrees 0..hi-1 are recorded as empty, each
-    with the certificate "implied by full rank at hi-1", and the scan
-    starts at hi; otherwise it starts at 0. r, relation_dims and the
-    witness do not depend on tau (see the module docstring).
+    The walk starts at hi, the largest r whose tau_bounds(d, r) admit tau,
+    or at 0 without tau. At a zero kernel it steps up; at a nonzero kernel
+    it stops when r = 0, when r-1 is known empty, or when the restricted
+    basis has full rank mod the screening prime, and otherwise steps down
+    (see the module docstring). Without tau this is the plain upward scan.
+    r, relation_dims and the witness do not depend on tau.
     """
     d = f.degree
     if d < 2:
@@ -353,27 +361,53 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
         m = relation_matrix(f, r)
         return [integer_pairs(m.entries[i:i + m.cols]) for i in range(0, len(m.entries), m.cols)]
 
+    # x - c*y with the least c >= 0 that is not one of the lines; any c on --poly
+    c = 0 if lines is None else next(c for c in count() if all(
+        line[2] != (0, 0) or line[1] != (-c * line[0][0], -c * line[0][1]) for line in ints))
     hi = _window_top(d, tau) if tau is not None else None
-    start = hi if hi and full_rank_mod_screen(rows(hi - 1)) else 0
-    dims, certificates = [0] * start, [f"implied by full rank at {start - 1}"] * start
-    for r in range(start, d):
-        kernel = kernel_basis(rows(r))
-        dims.append(len(kernel))
-        certificates.append(kernel.certificate)
-        if kernel:
-            if lines is None:  # the three blocks of the vector, over its lead
-                basis = graded_basis(r)
-                terms = tuple({mono: x for mono, x in zip(basis, kernel[0][k * len(basis):])
-                               if x != (0, 0)} for k in range(3))
-                den = next(a for a, b in kernel[0] if a or b)
-            else:
-                terms, den = _derivation_witness(d, ints, r, kernel[0])
-            f_terms = dict(zip(f.terms, integer_pairs(list(f.terms.values()))))
-            verify_syzygy(f_terms, terms)
-            witness = tuple(Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den))
-                                     for mono, (a, b) in t.items()}, f.tag) for t in terms)
-            return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
-    raise NoSyzygyFound(f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
+    r, kernels, empty = hi or 0, {}, -1  # every degree <= empty has a zero kernel
+    while True:
+        if r not in kernels:
+            kernels[r] = kernel_basis(rows(r))
+        if not kernels[r]:
+            empty, r = r, r + 1
+            if r == d:
+                raise NoSyzygyFound(
+                    f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
+        elif r - 1 == empty or full_rank_mod_screen(_restriction_rows(kernels[r], r, c)):
+            break
+        else:
+            r -= 1
+    implied = f"implied by full rank at {empty}" if empty >= 0 else f"implied by the kernel at {r}"
+    dims = [len(kernels[k]) if k in kernels else 0 for k in range(r + 1)]
+    certificates = [kernels[k].certificate if k in kernels else implied for k in range(r + 1)]
+    kernel = kernels[r]
+    if lines is None:  # the three blocks of the vector, over its lead
+        basis = graded_basis(r)
+        terms = tuple({mono: x for mono, x in zip(basis, kernel[0][k * len(basis):])
+                       if x != (0, 0)} for k in range(3))
+        den = next(a for a, b in kernel[0] if a or b)
+    else:
+        terms, den = _derivation_witness(d, ints, r, kernel[0])
+    f_terms = dict(zip(f.terms, integer_pairs(list(f.terms.values()))))
+    verify_syzygy(f_terms, terms)
+    witness = tuple(Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den))
+                             for mono, (a, b) in t.items()}, f.tag) for t in terms)
+    return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
+
+
+def _restriction_rows(kernel: list, r: int, c: int) -> list:
+    """The degree-r kernel vectors restricted to the line x = c*y, one
+    column per vector, as Z[w] integer-pair rows. Each block of a vector
+    restricts to a binary form of degree r in y, z, whose coefficient of
+    y^(r-k) z^k is the sum over i of v_(i, r-k-i, k) c^i; the rows are
+    those coefficients, block by block. Full column rank proves that no
+    nonzero combination of the vectors vanishes on the line (see `mdr`).
+    """
+    index = {mono: n for n, mono in enumerate(graded_basis(r))}
+    return [[tuple(sum(vec[start + index[i, r - k - i, k]][part] * c ** i for i in range(r - k + 1))
+                   for part in (0, 1)) for vec in kernel]
+            for start in range(0, len(kernel[0]), len(index)) for k in range(r + 1)]
 
 
 def eta(d: int, r: int) -> int:

@@ -26,10 +26,10 @@ from nearfree.errors import ToolkitError
 from nearfree.field import integer_pairs
 from nearfree.poly import graded_basis
 
-# the two certificates `linalg.kernel_basis` may give, and the one `criteria.mdr`
-# records for the degrees that a full-rank screen lets it skip
+# the two certificates `linalg.kernel_basis` may give, and the two `criteria.mdr`
+# records for the degrees below mdr that its walk never eliminated
 CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)"
-                         r"|implied by full rank at \d+")
+                         r"|implied by full rank at \d+|implied by the kernel at \d+")
 
 
 def scalar_vector(vec):

@@ -369,7 +369,7 @@ def test_arrangements_take_the_derivation_route(monkeypatch):
     assert calls == []
     code, _, err = run_cli(["analyze", "--poly", "x*y*z*(x-y)*(y-z)*(x-z)", "--tau", "19"])
     assert code == 0, err
-    assert calls == [1, 2]  # the screen at hi - 1 = 1, then the scan from hi = 2
+    assert calls == [2]  # the kernel at hi = 2 certifies degree 1 by restriction
 
 
 @pytest.mark.parametrize("args", [["@catalog:A4_free"], ["--poly", "x*y*z", "--tau", "3"]])
