@@ -2,10 +2,14 @@
 
 An arrangement is an ordered list of pairwise distinct normalized linear
 forms. The intersection lattice is built by `singular_points`: each line is
-scaled to Z[w] integers, every pair's cross product gets a canonical integer
-key (`field.primitive_pairs`, made unique up to scaling by the norm of its
-leading coordinate and the gcd), and pairs are clustered on that key; the
-Q(w) point is read off the key once per cluster, the only Scalars the
+scaled to Z[w] integers, and each line i is crossed with every later line j
+that it does not already meet at a point found from an earlier line. Each
+cross product gets a canonical integer key (`field.primitive_pairs`, made
+unique up to scaling by the norm of its leading coordinate and the gcd),
+and the lines j of one key form one point with line i. Two lines meet in
+one point only, so the skipped pairs are exactly those on points already
+found, and the lattice takes sum over P of (m_P - 1) keys, not C(d, 2).
+The Q(w) point is read off the key once per point, the only Scalars the
 lattice makes. The census, the Milnor number (`WeakCombinatorics.mu`) and
 the incidences all derive from that one list, so callers build it once per
 arrangement. The defining polynomial is expanded in Z[w] integers too
@@ -155,27 +159,29 @@ def _cross(u: tuple, v: tuple) -> tuple:
 
 def singular_points(arrangement: LineArrangement) -> list:
     """All intersection points, clustered on exact integer keys, in lex
-    coordinate order; each point is built in Q(w) once, from its key."""
-    clusters: dict = {}
+    coordinate order; each point is built in Q(w) once, from its key.
+    Each point is found whole from its smallest line i, which is crossed
+    only with the lines j > i it does not meet at a point found earlier:
+    sum over P of (m_P - 1) keys, not C(d, 2) (see the module docstring)."""
     lines = arrangement.lines
     ints = [integer_pairs(form.coeffs) for form in lines]
-    for i in range(len(lines)):
-        u = ints[i]
-        for j in range(i + 1, len(lines)):
-            key = primitive_pairs(_cross(u, ints[j]))
-            bucket = clusters.get(key)
-            if bucket is None:
-                clusters[key] = {i, j}
-            else:
-                bucket.add(j)
+    met = [set() for _ in lines]  # met[j]: the lines of the points found through j
     out = []
-    for key, idx in clusters.items():
-        # the key's first nonzero coordinate is (N, 0) with N > 0, so the
-        # normalized point is key / N
-        n = next(a for a, b in key if a or b)
-        point = tuple(Scalar(Fraction(a, n), Fraction(b, n)) for a, b in key)
-        incident = tuple(sorted(idx))
-        out.append(SingularPoint(point=point, multiplicity=len(incident), incident_lines=incident))
+    for i, u in enumerate(ints):
+        clusters: dict = {}
+        seen = met[i]
+        for j in range(i + 1, len(lines)):
+            if j not in seen:
+                clusters.setdefault(primitive_pairs(_cross(u, ints[j])), [i]).append(j)
+        for key, incident in clusters.items():
+            for j in incident[1:]:
+                met[j].update(incident)
+            # the key's first nonzero coordinate is (N, 0) with N > 0, so the
+            # normalized point is key / N
+            n = next(a for a, b in key if a or b)
+            point = tuple(Scalar(Fraction(a, n), Fraction(b, n)) for a, b in key)
+            out.append(SingularPoint(point=point, multiplicity=len(incident),
+                                     incident_lines=tuple(incident)))
     out.sort(key=lambda s: tuple(c.sort_key() for c in s.point))
     return out
 

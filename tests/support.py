@@ -7,6 +7,7 @@ independent Scalar references `intersect` and `divide_exact`."""
 import re
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 from nearfree import (
     OMEGA,
@@ -101,7 +102,17 @@ def random_form(rng, span=3):
             return LinearForm(*coeffs)
 
 
+def line_count(span):
+    """The number of distinct lines whose integer coefficients all lie in
+    [-span, span]: the primitive integer vectors of that box, up to sign."""
+    r = range(-span, span + 1)
+    return sum(gcd(a, b, c) == 1 for a in r for b in r for c in r) // 2
+
+
 def random_arrangement(rng, d, span=3):
+    available = line_count(span)
+    if d > available:
+        raise ValueError(f"span {span} allows only {available} distinct lines, not {d}")
     forms = []
     seen = set()
     while len(forms) < d:

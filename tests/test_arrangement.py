@@ -49,9 +49,12 @@ from nearfree.field import integer_pairs, primitive_pairs
 from support import (
     divide_exact,
     intersect,
+    line_count,
     random_arrangement,
+    random_form,
     random_fraction,
     random_invertible_matrix,
+    random_nodal_arrangement,
     random_nonzero_scalar,
     random_scalar,
     reflection_arrangement,
@@ -179,6 +182,91 @@ def test_lattice_matches_scalar_reference_on_near_pencil():
     slopes = rng.sample(range(-40, 41), 24)
     forms = [LinearForm(1, Fraction(-s, 7), 0) for s in slopes] + [LinearForm(3, -2, 5)]
     assert _brute_force_census(LineArrangement(forms)) == {24: 1, 2: 24}
+
+
+def _near_pencil(rng, d):
+    # as the benchmark's cli_mix draws them: d - 1 lines x - s*y through
+    # (0:0:1), and one line a*x + b*y + z that misses it
+    slopes = rng.sample(range(-40, 41), d - 1)
+    return LineArrangement([LinearForm(1, -s, 0) for s in slopes]
+                           + [LinearForm(rng.randint(-4, 4), rng.randint(-4, 4), 1)])
+
+
+def _deformed_span2():
+    # split the first triple point of a span-2 arrangement into three nodes
+    rng = random.Random(5007)
+    a = random_arrangement(rng, 12, span=2)
+    triple = next(p for p in singular_points(a) if p.multiplicity == 3)
+    while True:
+        direction = random_form(rng)
+        if direction.evaluate(triple.point):
+            try:
+                return deform_triple_point(a, triple.point, triple.incident_lines[0],
+                                           direction, Scalar(rng.randint(1, 5)))
+            except NonGenericDeformation:
+                pass
+
+
+# inputs with many points of multiplicity 3 and more, where the lattice
+# crosses far fewer than C(d, 2) pairs; the span-2 ones reach t7
+LATTICE_INPUTS = {
+    **{f"span2-seed{s}-d{d}": lambda s=s, d=d: random_arrangement(random.Random(s), d, span=2)
+       for s in range(3) for d in (12, 16, 24)},
+    "near-pencil-d60": lambda: _near_pencil(random.Random(5008), 60),
+    "moved-A(6,1,3)": lambda: transform(reflection_arrangement(6, True),
+                                        random_invertible_matrix(random.Random(5009))),
+    "deformed-span2": _deformed_span2,
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_INPUTS)
+def test_lattice_matches_scalar_reference_on_points_of_high_multiplicity(name):
+    _brute_force_census(LATTICE_INPUTS[name]())
+
+
+def _counted_crosses(monkeypatch, arrangement):
+    # the points of `arrangement` and the number of cross products taken
+    calls = []
+    cross = arrangement_module._cross
+
+    def counted(u, v):
+        calls.append(None)
+        return cross(u, v)
+
+    monkeypatch.setattr(arrangement_module, "_cross", counted)
+    points = singular_points(arrangement)
+    monkeypatch.setattr(arrangement_module, "_cross", cross)
+    return points, len(calls)
+
+
+@pytest.mark.parametrize("name", LATTICE_INPUTS)
+def test_lattice_crosses_each_point_from_its_first_line_only(monkeypatch, name):
+    points, crosses = _counted_crosses(monkeypatch, LATTICE_INPUTS[name]())
+    assert crosses == sum(p.multiplicity - 1 for p in points)
+
+
+def test_lattice_crosses_2d_minus_3_pairs_of_a_near_pencil(monkeypatch):
+    rng = random.Random(5010)
+    for d in (3, 4, 10, 40, 60):
+        points, crosses = _counted_crosses(monkeypatch, _near_pencil(rng, d))
+        assert crosses == 2 * d - 3
+        assert sorted(p.multiplicity for p in points)[-1] == d - 1
+
+
+def test_lattice_crosses_every_pair_of_a_nodal_arrangement(monkeypatch):
+    for seed, d in [(5011, 4), (5012, 6), (5013, 8)]:
+        points, crosses = _counted_crosses(monkeypatch, random_nodal_arrangement(random.Random(seed), d))
+        assert crosses == len(points) == comb(d, 2)
+
+
+def test_random_arrangement_rejects_more_lines_than_its_span_allows():
+    # span 1 allows exactly 13 lines; asking for more used to loop forever
+    assert line_count(1) == 13
+    assert len(set(random_arrangement(random.Random(0), 13, span=1).lines)) == 13
+    with pytest.raises(ValueError):
+        random_arrangement(random.Random(0), 16, span=1)
+    with pytest.raises(ValueError):
+        random_arrangement(random.Random(0), line_count(2) + 1, span=2)
 
 
 def test_point_key_is_invariant_under_scaling():
