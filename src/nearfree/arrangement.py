@@ -252,10 +252,8 @@ def deformation(
     if not direction.evaluate(sp.point):
         raise DirectionThroughPoint("direction form vanishes at the triple point")
     old = arrangement.lines[line_index]
-    moved_poly = old.to_poly(arrangement.tag) + direction.to_poly(arrangement.tag).scale(eps)
-    if moved_poly.is_zero():
-        raise NonGenericDeformation("deformed line degenerates to zero")
-    moved = LinearForm.from_poly(moved_poly)
+    # old vanishes at the point and direction does not, so moved is nonzero
+    moved = LinearForm(*(o + eps * v for o, v in zip(old.coeffs, direction.coeffs)))
     new_lines = list(arrangement.lines)
     new_lines[line_index] = moved
     try:

@@ -9,10 +9,8 @@ arrangement path works on Z[w] integer pairs (a, b) instead:
 `integer_pairs` clears denominators, `pair_mul` multiplies, `pair_det2`
 takes a 2x2 determinant and `primitive_pairs` gives a vector's canonical
 multiple, the key of a lattice point and the form of a kernel vector.
-`pack_slots` packs a row of such integers into one big integer, for the
-elimination mod p, the expansion of f and the exact checks, and
-`unpack_slots` reads the slots back. Scalars are made only for what leaves
-the library: the expanded f, the lattice points and the witness.
+Scalars are made only for what leaves the library: the expanded f, the
+lattice points and the witness.
 """
 
 from __future__ import annotations
@@ -199,19 +197,6 @@ def primitive_pairs(vec: Sequence[tuple]) -> tuple:
     out = [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
     g = gcd(*(n for x in out for n in x))
     return tuple((a // g, b // g) for a, b in out)
-
-
-def pack_slots(values: list, nbytes: int) -> int:
-    """The non-negative integers `values` packed into one integer, value k in
-    the k-th slot of nbytes bytes, lowest slot first."""
-    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
-
-
-def unpack_slots(packed: int, count: int, nbytes: int) -> list:
-    """The count slots of nbytes bytes of the non-negative packed integer,
-    lowest first; the inverse of pack_slots, in one pass."""
-    raw = packed.to_bytes(count * nbytes, "little")
-    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
 
 
 def smallest_tag(scalars: Iterable[Scalar]) -> FieldTag:

@@ -17,7 +17,8 @@ primes until one of two certificates holds, and each has been checked:
   embeddings w -> ω and w -> ω² over Q(w)) from k primes sharing one pivot
   profile is lifted by CRT and rational reconstruction, each vector to
   Z[w] integers over one common denominator (`_lift`), and each lifted
-  vector is checked exactly, in integer arithmetic, against every row.
+  vector is checked exactly, in integer arithmetic, against every row
+  (`_annihilates`).
   There are as many as the kernel dimension mod p, which bounds the exact
   dimension from above, so they span the exact kernel; each one's last
   nonzero entry sits in its own free column, so those are the exact free
@@ -37,23 +38,24 @@ Every elimination mod p (`_echelon_mod`) takes one of two routes, chosen
 per call from the rows reduced mod p. When at most a third of the
 residues are nonzero (`SPARSE_SHARE`), rows are dicts of their nonzero
 residues and each column's pivot row is the one with the fewest nonzeros
-(`_echelon_sparse`); otherwise rows are packed into big integers
-(`_echelon_dense`). The choice of pivot rows changes neither the pivot
-columns, since column c is a pivot iff it is not in the span mod p of the
-columns to its left, nor the kernel residues, since the kernel vector
-with 1 at one free column and 0 at the others is unique. So both routes
-hand the CRT, the lift and the check the same input, and every
-certificate is the same.
+(`_echelon_sparse`); otherwise rows are packed into big integers, a
+fixed-width slot per column (`_echelon_dense`, the package's only slot
+format). The choice of pivot rows changes neither the pivot columns,
+since column c is a pivot iff it is not in the span mod p of the columns
+to its left, nor the kernel residues, since the kernel vector with 1 at
+one free column and 0 at the others is unique. So both routes hand the
+CRT, the lift and the check the same input, and every certificate is the
+same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import gcd, isqrt
 
-from .field import pack_slots, primitive_pairs, unpack_slots
+from .field import primitive_pairs
 
 FULL_RANK_MOD_P = "full rank mod p"
 # `_echelon_mod` eliminates sparsely when at most this share of the residues
@@ -151,6 +153,19 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
     return route(rows, ncols, p)
 
 
+def _pack_slots(values: list, nbytes: int) -> int:
+    """The non-negative integers `values` packed into one integer, value k in
+    the k-th slot of nbytes bytes, lowest slot first."""
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+
+def _unpack_slots(packed: int, nslots: int, nbytes: int) -> list:
+    """The nslots slots of nbytes bytes of the non-negative packed integer,
+    lowest first; the inverse of _pack_slots, in one pass."""
+    raw = packed.to_bytes(nslots * nbytes, "little")
+    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+
+
 def _echelon_dense(rows: list, ncols: int, p: int):
     """`_echelon_mod` on residue rows, each pending row packed into one
     integer, a fixed-width slot per column, so a row operation is one
@@ -166,7 +181,7 @@ def _echelon_dense(rows: list, ncols: int, p: int):
     """
     nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
     shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    pending = [packed for packed in (pack_slots(row, nbytes) for row in rows) if packed]
+    pending = [packed for packed in (_pack_slots(row, nbytes) for row in rows) if packed]
     pivots, echelon = [], []
     for c in range(ncols):
         if not pending:
@@ -174,12 +189,12 @@ def _echelon_dense(rows: list, ncols: int, p: int):
         leads = [(row & mask) % p for row in pending]
         k = next((i for i, t in enumerate(leads) if t), None)
         if k is not None:
-            tail = unpack_slots(pending.pop(k), ncols - c, nbytes)
+            tail = _unpack_slots(pending.pop(k), ncols - c, nbytes)
             inv = pow(leads.pop(k), -1, p)
             tail = [x * inv % p for x in tail]
             pivots.append(c)
             echelon.append([0] * c + tail)
-            packed = pack_slots(tail, nbytes)
+            packed = _pack_slots(tail, nbytes)
             pending = [row + (p - t) * packed if t else row for row, t in zip(pending, leads)]
         pending = [row >> shift for row in pending]
     return pivots, echelon
@@ -288,34 +303,25 @@ def _lift(residues: list, m: int):
 
 
 def _annihilates(data: list, vectors: list) -> bool:
-    """Exact check that every Z[w] vector kills every integer-pair row.
-
-    Entry j of all the vectors is packed into one integer per part, vector
-    k in signed slot k, so a row's products with every vector are one sum
-    over the row's nonzero entries. The slots are wide enough for any such
-    product, and a nonzero slot below 2^(width-1) in magnitude cannot be
-    cancelled by the slots above it, so the sum is 0 iff every product is.
-    """
-    mbits = max(map(abs, chain.from_iterable(chain.from_iterable(data)))).bit_length()
-    vbits = max(map(abs, chain.from_iterable(chain.from_iterable(vectors)))).bit_length()
-    nbytes = (mbits + vbits + (3 * len(data[0])).bit_length()) // 8 + 1
-    half = 1 << (8 * nbytes - 1)
-    offset = pack_slots([half] * len(vectors), nbytes)
-    packed = [[pack_slots([x[k] + half for x in entry], nbytes) - offset for k in (0, 1)]
-              for entry in zip(*vectors)]
+    """Exact check that every Z[w] vector kills every integer-pair row: the
+    row's nonzero cells are listed once, then each vector's sum of Z[w]
+    products over them must be 0."""
     for row in data:
-        re = im = 0
-        for (ra, rb), (xa, xb) in zip(row, packed):
-            # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
-            if rb:
-                t = rb * xb
-                re += ra * xa - t
-                im += ra * xb + rb * xa - t
-            elif ra:
-                re += ra * xa
-                im += ra * xb
-        if re or im:
-            return False
+        cells = [(j, ra, rb) for j, (ra, rb) in enumerate(row) if ra or rb]
+        for vec in vectors:
+            re = im = 0
+            for j, ra, rb in cells:
+                xa, xb = vec[j]
+                # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
+                if rb:
+                    t = rb * xb
+                    re += ra * xa - t
+                    im += ra * xb + rb * xa - t
+                else:
+                    re += ra * xa
+                    im += ra * xb
+            if re or im:
+                return False
     return True
 
 

@@ -5,9 +5,9 @@ graded-lexicographically with x > y > z; that order fixes every basis
 enumeration and therefore every matrix layout downstream. Polynomials are
 immutable values: arithmetic always returns a new object. `Poly` and the
 expression parser share one term-map arithmetic (`_map_add`, `_map_mul`);
-the product of an arrangement's lines (`product_of_forms`) is expanded in
-Z[w] integers by Kronecker substitution and turned into Scalars once, at
-the end.
+the product of an arrangement's lines (`product_of_forms`) is expanded on
+two term maps of Z[w] integers, the real and the w part, and turned into
+Scalars once, at the end.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from .field import (
     _scan_rational,
     format_scalar,
     integer_pairs,
-    pack_slots,
     smallest_tag,
-    unpack_slots,
 )
 
 Monomial = tuple  # (i, j, k) exponents
@@ -285,15 +283,10 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
     """Expand the product of the given (normalized) linear forms.
 
     The forms are scaled to Z[w] pairs, pivot 1 becoming a positive integer
-    L, and f(x, y, 1) is expanded by Kronecker substitution: its real and w
-    parts are one big integer each, x^i y^j z^(d-i-j) in signed slot
-    i*(d+1) + j, so a rational line costs three shifted multiply-adds per
-    part (twelve in all with a w part). With |p| + |q| as the size of
-    p + q*w, a product is at most twice the product of the sizes (once if
-    a factor is rational), so the slots hold the product of the lines'
-    sizes, doubled per line with a w part. Adding half the slot range makes
-    every slot non-negative for one `unpack_slots`; the Scalars are built
-    once, divided by the product of the L.
+    L, and multiplied in one at a time into two integer term maps, the real
+    and the w part, x^i y^j z^(d-i-j) under the key i*(d+1) + j: times x
+    adds d + 1 to a key, times y adds 1, times z adds 0. The Scalars are
+    built once, in ascending key order, divided by the product of the L.
     """
     if not forms:
         raise ValueError("need at least one linear form")
@@ -301,35 +294,32 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
         tag = smallest_tag(c for form in forms for c in form.coeffs)
     lines = [integer_pairs(form.coeffs) for form in forms]
     d = len(lines)
-    bound = scale = 1
+    scale = 1
+    re, im = {0: 1}, {}
     for line in lines:
-        bound *= sum(abs(a) + abs(b) for a, b in line) << any(b for _, b in line)
         scale *= next(a for a, _ in line if a)
-    nbytes = bound.bit_length() // 8 + 1
-    shifts = (8 * nbytes * (d + 1), 8 * nbytes, 0)  # times x, times y, times z
-
-    def times(part: int, coeffs) -> int:
-        return sum(c * (part << s) for c, s in zip(coeffs, shifts) if c)
-
-    re, im = 1, 0
-    for line in lines:
-        real, wpart = [a for a, _ in line], [b for _, b in line]
-        if not any(wpart):
-            re, im = times(re, real), times(im, real)
-            continue
-        # (re + im w)(real + wpart w) with w^2 = -1 - w
-        cross = times(im, wpart)
-        re, im = times(re, real) - cross, times(re, wpart) + times(im, real) - cross
-    count = d * (d + 1) + 1
-    half = 1 << (8 * nbytes - 1)
-    offset = pack_slots([half] * count, nbytes)
-    re_slots = unpack_slots(re + offset, count, nbytes)
-    im_slots = unpack_slots(im + offset, count, nbytes) if im else [half] * count
+        new_re, new_im = {}, {}
+        for (a, b), step in zip(line, (d + 1, 1, 0)):
+            if not (a or b):
+                continue
+            # (s + t w)(a + b w) = s a - t b + (s b + t a - t b) w, w^2 = -1 - w
+            for key, s in re.items():
+                k = key + step
+                new_re[k] = new_re.get(k, 0) + s * a
+                if b:
+                    new_im[k] = new_im.get(k, 0) + s * b
+            for key, t in im.items():
+                k = key + step
+                new_im[k] = new_im.get(k, 0) + t * (a - b)
+                if b:
+                    new_re[k] = new_re.get(k, 0) - t * b
+        re, im = new_re, new_im
     terms = {}
-    for k, (a, b) in enumerate(zip(re_slots, im_slots)):
-        if a != half or b != half:
-            i, j = divmod(k, d + 1)
-            terms[(i, j, d - i - j)] = Scalar(Fraction(a - half, scale), Fraction(b - half, scale))
+    for key in sorted(re.keys() | im.keys()):
+        a, b = re.get(key, 0), im.get(key, 0)
+        if a or b:
+            i, j = divmod(key, d + 1)
+            terms[(i, j, d - i - j)] = Scalar(Fraction(a, scale), Fraction(b, scale))
     return Poly(d, terms, tag)
 
 

@@ -19,6 +19,7 @@ from nearfree.field import OMEGA, ONE, ZERO, integer_pairs
 from bareiss import _bareiss_kernel, exact_kernel, rank
 from support import (
     random_nonzero_scalar,
+    random_rational_scalar,
     random_scalar,
     reflection_arrangement,
     scalar_vector,
@@ -266,6 +267,54 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
             lead = Scalar(*next(x for x in exact if x != (0, 0)))
             assert scalar_vector(ints) == [Scalar(a, b) / lead for a, b in exact]
+
+
+def _annihilated_by_scalars(rows, vectors):
+    # the reference: every row times every vector in Scalar arithmetic
+    return all(not sum((Scalar(*e) * Scalar(*x) for e, x in zip(row, vec)), ZERO)
+               for row in rows for vec in vectors)
+
+
+@pytest.mark.parametrize("qw", [False, True])
+def test_annihilates_matches_a_scalar_reference(qw):
+    rng = random.Random(3012 + qw)
+    make = (lambda: random_scalar(rng, 4)) if qw else (lambda: random_rational_scalar(rng, 5))
+    checked = 0
+    for _ in range(40):
+        # rank at most ncols - 2, so every kernel has two vectors or more
+        ncols = rng.randint(3, 7)
+        base = [[make() for _ in range(ncols)] for _ in range(rng.randint(1, ncols - 2))]
+        rows = zw_rows([[sum((c * row[j] for c, row in zip(coeffs, base)), ZERO)
+                         for j in range(ncols)]
+                        for coeffs in ([make() for _ in base] for _ in range(rng.randint(1, 6)))])
+        filled = [j for j in range(ncols) if any(row[j] != (0, 0) for row in rows)]
+        if not filled:
+            continue
+        kernel = [list(vec) for vec in exact_kernel(rows)]
+        j, k = rng.choice(filled), rng.randrange(len(kernel))
+
+        def changed(vec, da, db):
+            (a, b), out = vec[j], list(vec)
+            out[j] = (a + da, b + db)
+            return out
+
+        # a column that is not zero turns any change of its entry into a
+        # nonzero product with some row
+        cases = [
+            (kernel, True),
+            (kernel[:k] + [changed(kernel[k], 1, 0)] + kernel[k + 1:], False),
+            (kernel[:k] + [changed(kernel[k], 0, 1)] + kernel[k + 1:], False),
+            ([kernel[0], changed(kernel[1], -1, 0)], False),
+        ]
+        if not qw:
+            # a w part outside the kernel beside a real kernel vector: the
+            # real parts of the products vanish, their w parts do not
+            cases.append(([changed(kernel[k], 0, rng.choice([-2, 1, 3]))], False))
+        for vectors, expected in cases:
+            assert linalg._annihilates(rows, vectors) is expected
+            assert _annihilated_by_scalars(rows, vectors) is expected
+        checked += 1
+    assert checked >= 30
 
 
 def _pair_rows(rng, nrows, ncols, share, qw, p):

@@ -125,7 +125,13 @@ def _kronecker_cases():
             cases.append(list(reflection_arrangement(m, full).lines))
     cases += [_near_pencil(rng, 40), _near_pencil(rng, 60)]
     cases += [[LinearForm(0, 0, 1)], [LinearForm(3, Fraction(-1, 2), Scalar(0, 1))]]
-    # coefficients near 2^40: each product coefficient fills its slot
+    # Q(w) lines whose pivot is y or z, so the first coefficients are zero
+    cases.append([LinearForm(0, 1, OMEGA), LinearForm(0, 0, 1), LinearForm(1, OMEGA, -ONE),
+                  LinearForm(0, 1, Scalar(Fraction(2, 3), -1))])
+    # (x - y)(x - wy)(x - w^2 y) = x^3 - y^3: the middle terms cancel
+    cases.append([LinearForm(1, -ONE, 0), LinearForm(1, -OMEGA, 0),
+                  LinearForm(1, -OMEGA * OMEGA, 0), LinearForm(1, 0, 1)])
+    # coefficients near 2^40, so those of the products run to 160 bits
     big = 2**40
     cases.append([LinearForm(1, big - 3, -(big - 5))])
     cases.append([LinearForm(1, big - k, k - big) for k in range(1, 5)])
@@ -146,8 +152,8 @@ def test_kronecker_product_equals_iterated_product(case):
 
 
 def test_kronecker_product_is_exact_at_the_slot_width():
-    # x + (2^40 - 3) y - (2^40 - 5) z: the largest coefficient takes 41 of
-    # the 48 bits of the 6-byte slots; one byte fewer would drop it
+    # x + (2^40 - 3) y - (2^40 - 5) z: one line's coefficients come back
+    # unchanged, however large
     big = 2**40
     f = product_of_forms([LinearForm(1, big - 3, -(big - 5))])
     assert f.terms[(0, 1, 0)] == Scalar(big - 3) and f.terms[(0, 0, 1)] == Scalar(5 - big)
