@@ -1,28 +1,32 @@
 """Line arrangements in the projective plane over an exact field.
 
-An arrangement is an ordered list of pairwise distinct normalized linear
-forms. The intersection lattice is built by `singular_points`: each line is
-scaled to Z[w] integers, and each line i is crossed with every later line j
-that it does not already meet at a point found from an earlier line. Each
-cross product gets a canonical integer key (`field.primitive_pairs`, made
-unique up to scaling by the norm of its leading coordinate and the gcd),
-and the lines j of one key form one point with line i. Two lines meet in
-one point only, so the skipped pairs are exactly those on points already
-found, and the lattice takes sum over P of (m_P - 1) keys, not C(d, 2).
-The Q(w) point is read off the key once per point, the only Scalars the
-lattice makes. The census, the Milnor number (`WeakCombinatorics.mu`) and
-the incidences all derive from that one list, so callers build it once per
-arrangement. The defining polynomial is expanded in Z[w] integers too
-(`poly.product_of_forms`). Everything is exact; no tolerances are involved
-anywhere.
+An arrangement is an ordered list of pairwise distinct linear forms, each
+held as its primitive Z[w] triple (`LinearForm.ints`), which `parse_lines`
+builds straight from the integers when a line's tokens are plain ASCII
+integers. The intersection lattice is built by `singular_points` on those
+triples: each line i is crossed with every later line j that it does not
+already meet at a point found from an earlier line. Each cross product gets
+a canonical integer key (`field.primitive_pairs`, made unique up to scaling
+by the norm of its leading coordinate and the gcd), and the lines j of one
+key form one point with line i. Two lines meet in one point only, so the
+skipped pairs are exactly those on points already found, and the lattice
+takes sum over P of (m_P - 1) keys, not C(d, 2). The Q(w) point is read off
+the key once per point, the only Scalars the lattice makes; the points are
+sorted on integer keys (each key times L/N, L the lcm of the leads N of all
+keys), the lex order of those points. The census, the Milnor number
+(`WeakCombinatorics.mu`) and the incidences all derive from that one list,
+so callers build it once per arrangement. The defining polynomial is
+expanded in Z[w] integers too (`poly.product_of_forms`). Everything is
+exact; no tolerances are involved anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import (
@@ -44,11 +48,9 @@ from .field import (
     ZERO,
     FieldTag,
     Scalar,
-    integer_pairs,
     pair_det2,
     parse_scalar,
     primitive_pairs,
-    smallest_tag,
 )
 from .poly import LinearForm, Poly, product_of_forms
 
@@ -80,7 +82,7 @@ class LineArrangement:
             if form in seen:
                 raise DuplicateLine(f"duplicate line {form}")
             seen.add(form)
-        smallest = smallest_tag(c for form in lines for c in form.coeffs)
+        smallest = FieldTag.Q if all(form.is_rational() for form in lines) else FieldTag.QW
         if tag is None:
             tag = smallest
         elif tag is FieldTag.Q and smallest is FieldTag.QW:
@@ -163,14 +165,13 @@ def singular_points(arrangement: LineArrangement) -> list:
     Each point is found whole from its smallest line i, which is crossed
     only with the lines j > i it does not meet at a point found earlier:
     sum over P of (m_P - 1) keys, not C(d, 2) (see the module docstring)."""
-    lines = arrangement.lines
-    ints = [integer_pairs(form.coeffs) for form in lines]
-    met = [set() for _ in lines]  # met[j]: the lines of the points found through j
-    out = []
+    ints = [form.ints for form in arrangement.lines]
+    met = [set() for _ in ints]  # met[j]: the lines of the points found through j
+    found = []
     for i, u in enumerate(ints):
         clusters: dict = {}
         seen = met[i]
-        for j in range(i + 1, len(lines)):
+        for j in range(i + 1, len(ints)):
             if j not in seen:
                 clusters.setdefault(primitive_pairs(_cross(u, ints[j])), [i]).append(j)
         for key, incident in clusters.items():
@@ -178,12 +179,14 @@ def singular_points(arrangement: LineArrangement) -> list:
                 met[j].update(incident)
             # the key's first nonzero coordinate is (N, 0) with N > 0, so the
             # normalized point is key / N
-            n = next(a for a, b in key if a or b)
-            point = tuple(Scalar(Fraction(a, n), Fraction(b, n)) for a, b in key)
-            out.append(SingularPoint(point=point, multiplicity=len(incident),
-                                     incident_lines=tuple(incident)))
-    out.sort(key=lambda s: tuple(c.sort_key() for c in s.point))
-    return out
+            found.append((key, next(a for a, b in key if a or b), incident))
+    # key * (L / N), L the lcm of all the N, is the point times L: sorting on
+    # it is the lex order of the normalized coordinates, without Fractions
+    scale = lcm(*(n for _, n, _ in found))
+    found.sort(key=lambda p: tuple((a * (scale // p[1]), b * (scale // p[1])) for a, b in p[0]))
+    return [SingularPoint(point=tuple(Scalar(Fraction(a, n), Fraction(b, n)) for a, b in key),
+                          multiplicity=len(incident), incident_lines=tuple(incident))
+            for key, n, incident in found]
 
 
 def _census(d: int, points: list) -> WeakCombinatorics:
@@ -426,11 +429,16 @@ def catalog(name: str) -> LineArrangement:
 # ---------------------------------------------------------------------------
 
 _FIELD_NAMES = {"Q": FieldTag.Q, "Qw": FieldTag.QW}
+# a scalar that is a plain integer skips parse_scalar; ASCII digits only,
+# as int() would also take '1_000' and '٣'
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_lines(text: str) -> LineArrangement:
     """Parse the `.lines` format: optional `field:` header, `#` comments,
-    then one line per linear form as three whitespace-separated scalars."""
+    then one line per linear form as three whitespace-separated scalars.
+    A scalar of an optional sign and ASCII digits is read by `int`, any
+    other by `parse_scalar`."""
     tag = None
     forms, seen = [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -451,7 +459,7 @@ def parse_lines(text: str) -> LineArrangement:
                 f"expected three scalars, got {len(parts)}", line=lineno
             )
         try:
-            coeffs = [parse_scalar(p) for p in parts]
+            coeffs = [int(p) if _INTEGER.fullmatch(p) else parse_scalar(p) for p in parts]
         except ParseError as exc:
             raise ParseError(f"bad scalar: {exc}", line=lineno)
         if all(not c for c in coeffs):

@@ -144,13 +144,13 @@ def _powers(x: tuple, n: int) -> list:
 def derivation_rows(lines: Sequence, r: int) -> list:
     """Rows, as Z[w] integer pairs, whose kernel is D_H0(A)_r.
 
-    lines are the arrangement's lines as Z[w] pairs (`integer_pairs` of
-    each form's coefficients). With p0 the pivot coordinate of alpha_0 and
-    j1 < j2 the other two, theta_p0 is solved from theta(alpha_0) = 0, so
-    the columns are the theta_j1 block, then the theta_j2 block, each
-    indexed by graded_basis(r). Then alpha_0,p0 * theta(alpha_i) =
-    beta_i*theta_j1 + gamma_i*theta_j2 with beta_i = alpha_i,j1*alpha_0,p0
-    - alpha_i,p0*alpha_0,j1 and gamma_i likewise with j2, and it lies in
+    lines are the arrangement's lines as Z[w] pairs (each form's `ints`).
+    With p0 the pivot coordinate of alpha_0 and j1 < j2 the other two,
+    theta_p0 is solved from theta(alpha_0) = 0, so the columns are the
+    theta_j1 block, then the theta_j2 block, each indexed by
+    graded_basis(r). Then alpha_0,p0 * theta(alpha_i) = beta_i*theta_j1 +
+    gamma_i*theta_j2 with beta_i = alpha_i,j1*alpha_0,p0 -
+    alpha_i,p0*alpha_0,j1 and gamma_i likewise with j2, and it lies in
     (alpha_i) iff it vanishes on alpha_i = 0. On that line A_q x_q =
     -A_k x_k - A_l x_l, where q is alpha_i's pivot and A its coefficients,
     so A_q^r times the restriction is a binary form of degree r in x_k,
@@ -353,7 +353,7 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     if lines is not None:
         if len(lines) != d:
             raise ValueError(f"{len(lines)} lines cannot define a curve of degree {d}")
-        ints = [integer_pairs(form.coeffs) for form in lines]
+        ints = [form.ints for form in lines]
 
     def rows(r):  # Z[w] integer-pair rows, each relation row scaled by its own lcm
         if lines is not None:

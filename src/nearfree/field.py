@@ -4,13 +4,15 @@ Every scalar is stored as a pair (a, b) of `fractions.Fraction` values and
 means a + b*w with w a primitive cube root of unity kept purely symbolic.
 Rationals are the b == 0 case, so one arithmetic layer serves both fields;
 the `FieldTag` carried by polynomials and arrangements records the smallest
-field a given object actually needs. Past the parsed lines, the
-arrangement path works on Z[w] integer pairs (a, b) instead:
-`integer_pairs` clears denominators, `pair_mul` multiplies, `pair_det2`
-takes a 2x2 determinant and `primitive_pairs` gives a vector's canonical
-multiple, the key of a lattice point and the form of a kernel vector.
-Scalars are made only for what leaves the library: the expanded f, the
-lattice points and the witness.
+field a given object actually needs. The arrangement path works on Z[w]
+integer pairs (a, b) instead, from the parsed line on: `integer_pairs`
+clears denominators, `pair_mul` multiplies, `pair_det2` takes a 2x2
+determinant and `primitive_pairs` gives a vector's canonical multiple,
+which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
+point and the form of a kernel vector. Scalars are made only for what
+leaves the library: a line's normalized coefficients, the expanded f, the
+lattice points and the witness. The scalar grammar (`parse_scalar`) reads
+ASCII digits only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Sequence, Union
 from .errors import DivisionByZero, ParseError
 
 RationalLike = Union[int, Fraction]
+DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also admits '²' and '٣'
 
 
 class FieldTag(Enum):
@@ -222,14 +225,14 @@ def format_scalar(s: Scalar) -> str:
 def _scan_rational(text: str, i: int) -> tuple[Fraction, int]:
     start = i
     n = len(text)
-    while i < n and text[i].isdigit():
+    while i < n and text[i] in DIGITS:
         i += 1
     if i == start:
         raise ParseError("expected a digit", position=start)
     num = int(text[start:i])
     if i < n and text[i] == "/":
         j = i + 1
-        while j < n and text[j].isdigit():
+        while j < n and text[j] in DIGITS:
             j += 1
         if j == i + 1:
             raise ParseError("expected digits after '/'", position=i + 1)

@@ -5,9 +5,10 @@ graded-lexicographically with x > y > z; that order fixes every basis
 enumeration and therefore every matrix layout downstream. Polynomials are
 immutable values: arithmetic always returns a new object. `Poly` and the
 expression parser share one term-map arithmetic (`_map_add`, `_map_mul`);
-the product of an arrangement's lines (`product_of_forms`) is expanded on
-two term maps of Z[w] integers, the real and the w part, and turned into
-Scalars once, at the end.
+the product of an arrangement's lines (`product_of_forms`) is expanded
+from their primitive Z[w] triples (`LinearForm.ints`) on two term maps of
+Z[w] integers, the real and the w part, and turned into Scalars once, at
+the end.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     ZeroDerivativeDomain,
 )
 from .field import (
+    DIGITS,
     ONE,
     ZERO,
     FieldTag,
@@ -31,6 +33,7 @@ from .field import (
     _scan_rational,
     format_scalar,
     integer_pairs,
+    primitive_pairs,
     smallest_tag,
 )
 
@@ -219,20 +222,29 @@ class Poly:
 
 
 class LinearForm:
-    """A projective line a*x + b*y + c*z = 0, normalized so the first
-    nonzero coefficient is 1; equal normalized forms are the same line."""
+    """A projective line a*x + b*y + c*z = 0, held as `ints`, its primitive
+    Z[w] triple (`field.primitive_pairs`: lead (s, 0) with s > 0, content 1).
+    Q(w)-multiples of one line share it, so == and hash use it; `coeffs`,
+    the Scalars `ints` / s with first nonzero 1, is built on first use."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "_coeffs")
 
     def __init__(self, cx, cy, cz):
-        coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in (cx, cy, cz))
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
+        if type(cx) is int and type(cy) is int and type(cz) is int:
+            pairs = [(cx, 0), (cy, 0), (cz, 0)]
+        else:
+            pairs = integer_pairs([c if isinstance(c, Scalar) else Scalar(c) for c in (cx, cy, cz)])
+        if pairs == [(0, 0)] * 3:
             raise ValueError("a linear form needs at least one nonzero coefficient")
-        if lead != ONE:
-            inv = lead.inverse()
-            coeffs = tuple(c * inv for c in coeffs)
-        self.coeffs = coeffs
+        self.ints = primitive_pairs(pairs)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            s = next(a for a, _ in self.ints if a)
+            self._coeffs = tuple(Scalar(Fraction(a, s), Fraction(b, s)) for a, b in self.ints)
+        return self._coeffs
 
     @classmethod
     def from_poly(cls, p: Poly) -> "LinearForm":
@@ -255,11 +267,11 @@ class LinearForm:
 
     def to_poly(self, tag: FieldTag = None) -> Poly:
         if tag is None:
-            tag = smallest_tag(self.coeffs)
+            tag = FieldTag.Q if self.is_rational() else FieldTag.QW
         return Poly(1, {(1, 0, 0): self.coeffs[0], (0, 1, 0): self.coeffs[1], (0, 0, 1): self.coeffs[2]}, tag)
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return not any(b for _, b in self.ints)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coeffs)
@@ -267,10 +279,10 @@ class LinearForm:
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.ints)
 
     def __str__(self):
         return format_poly(self.to_poly())
@@ -280,19 +292,19 @@ class LinearForm:
 
 
 def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
-    """Expand the product of the given (normalized) linear forms.
+    """Expand the product of the given linear forms.
 
-    The forms are scaled to Z[w] pairs, pivot 1 becoming a positive integer
-    L, and multiplied in one at a time into two integer term maps, the real
-    and the w part, x^i y^j z^(d-i-j) under the key i*(d+1) + j: times x
-    adds d + 1 to a key, times y adds 1, times z adds 0. The Scalars are
-    built once, in ascending key order, divided by the product of the L.
+    The forms' `ints`, each with lead (L, 0), are multiplied in one at a
+    time into two integer term maps, the real and the w part, x^i y^j
+    z^(d-i-j) under the key i*(d+1) + j: times x adds d + 1 to a key, times
+    y adds 1, times z adds 0. The Scalars are built once, in ascending key
+    order, divided by the product of the L.
     """
     if not forms:
         raise ValueError("need at least one linear form")
     if tag is None:
-        tag = smallest_tag(c for form in forms for c in form.coeffs)
-    lines = [integer_pairs(form.coeffs) for form in forms]
+        tag = FieldTag.Q if all(form.is_rational() for form in forms) else FieldTag.QW
+    lines = [form.ints for form in forms]
     d = len(lines)
     scale = 1
     re, im = {0: 1}, {}
@@ -354,7 +366,7 @@ def _tokenize(text: str):
         elif ch == "w":
             tokens.append((_W, None, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in DIGITS:
             value, j = _scan_rational(s, i)
             tokens.append((_NUM, value, i))
             i = j

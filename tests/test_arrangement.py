@@ -44,7 +44,7 @@ from nearfree.errors import (
     ParseError,
     UnknownName,
 )
-from nearfree.field import integer_pairs, primitive_pairs
+from nearfree.field import integer_pairs, parse_scalar, primitive_pairs
 
 from support import (
     divide_exact,
@@ -92,6 +92,30 @@ def test_singular_points_order_is_deterministic():
     assert first == second
     keys = [tuple(c.sort_key() for c in p) for p in first]
     assert keys == sorted(keys)
+
+
+def _scalar_sort_key(sp):
+    # the order of the points before the integer sort keys: their
+    # normalized Q(w) coordinates, compared as Fractions
+    return tuple(c.sort_key() for c in sp.point)
+
+
+def test_singular_points_order_matches_the_scalar_sort_key():
+    rng = random.Random(5005)
+    small = [ZERO, ONE, -ONE, OMEGA, -OMEGA, Scalar(Fraction(1, 2), 1), Scalar(Fraction(-2, 3))]
+    for trial in range(60):
+        forms, n = [], rng.randint(2, 9)
+        while len(forms) < n:
+            if trial % 2:
+                coeffs = [rng.choice(small) for _ in range(3)]
+            else:
+                coeffs = [random_fraction(rng, span=4, den=5) for _ in range(3)]
+            if any(coeffs):
+                forms.append(LinearForm(*coeffs))
+        points = singular_points(_distinct_lines(forms))
+        keys = [_scalar_sort_key(sp) for sp in points]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert points == sorted(points, key=_scalar_sort_key)
 
 
 def test_incident_lines_recorded():
@@ -579,6 +603,55 @@ def test_parse_lines_duplicate_names_the_line():
     with pytest.raises(DuplicateLine) as info:
         parse_lines(text)
     assert str(info.value) == "duplicate line x+3*y (line 63)"
+
+
+def test_parse_lines_rejects_a_multiple_of_an_earlier_line():
+    with pytest.raises(DuplicateLine) as info:
+        parse_lines("1 2 3\n2 4 6\n")
+    assert str(info.value) == "duplicate line x+2*y+3*z (line 2)"
+
+
+def _parse_scalar_calls(monkeypatch):
+    calls = []
+
+    def recording(text):
+        calls.append(text)
+        return parse_scalar(text)
+
+    monkeypatch.setattr(arrangement_module, "parse_scalar", recording)
+    return calls
+
+
+@pytest.mark.parametrize("token", ["+5", "-0", "007", "12"])
+def test_parse_lines_reads_integer_tokens_like_parse_scalar(monkeypatch, token):
+    calls = _parse_scalar_calls(monkeypatch)
+    fast = parse_lines(f"1 {token} {token}\n").lines[0]
+    assert calls == []  # the integer tokens never reach parse_scalar
+    reference = LinearForm(*(parse_scalar(t) for t in ("1", token, token)))
+    assert fast == reference and fast.coeffs == reference.coeffs
+    assert str(fast) == str(reference)
+
+
+@pytest.mark.parametrize("token", ["1_000", "0x10", "²", "٣", "1/2", "−3", "+-1"])
+def test_parse_lines_sends_every_other_token_to_parse_scalar(monkeypatch, token):
+    calls = _parse_scalar_calls(monkeypatch)
+    try:
+        expected = f"{LinearForm(1, parse_scalar(token), 0)}"
+    except ParseError as exc:
+        expected = f"bad scalar: {exc} (line 1)"
+    try:
+        got = f"{parse_lines(f'1 {token} 0').lines[0]}"
+    except ParseError as exc:
+        got = str(exc)
+        assert exc.line == 1
+    assert calls == [token] and got == expected
+
+
+def test_parse_lines_rejects_non_ascii_digits_on_their_line():
+    for text, lineno in [("1 0 0\n0 0 ²\n", 2), ("1 ٣ 0\n", 1), ("# ok\n1 0 1/²\n", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_lines(text)
+        assert info.value.line == lineno
 
 
 def test_parse_lines_errors():

@@ -126,6 +126,18 @@ def test_analyze_bad_file(tmp_path):
     assert "line 1" in err
 
 
+def test_non_ascii_digits_are_parse_errors_with_their_place(tmp_path):
+    # str.isdigit() holds for '²' and '٣'; the parsers take ASCII 0-9 only
+    path = tmp_path / "superscript.lines"
+    path.write_text("1 0 0\n0 0 ²\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: bad scalar: expected a digit (at position 0) (line 2)\n"
+    code, out, err = run_cli(["analyze", "--poly", "x^²*y", "--tau", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '²' (at position 2)\n"
+
+
 def test_analyze_field_mismatch_exit_code():
     code, _, _ = run_cli(["analyze", "@catalog:MacLane8", "--field", "Q"])
     assert code == 3

@@ -63,6 +63,13 @@ def test_parse_rejects_powers_with_position():
     assert err.value.position == 1
 
 
+@pytest.mark.parametrize("text, position", [("²", 0), ("٣", 0), ("1+٣*w", 2), ("1/²", 2)])
+def test_parse_rejects_non_ascii_digits_with_position(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert err.value.position == position
+
+
 @pytest.mark.parametrize("bad", ["", "1+", "2*", "x", "1//2", "1/0", "w*2"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from nearfree import (
     Scalar,
     format_poly,
     graded_basis,
+    parse_lines,
     parse_poly,
     product_of_forms,
 )
@@ -22,6 +24,7 @@ from nearfree.errors import (
     ParseError,
     ZeroDerivativeDomain,
 )
+from nearfree.field import integer_pairs, primitive_pairs
 
 from support import (
     NotDivisible,
@@ -108,7 +111,7 @@ def _near_pencil(rng, d):
     return [LinearForm(1, -s, 0) for s in slopes] + [LinearForm(rng.randint(-4, 4), 3, 1)]
 
 
-def _kronecker_cases():
+def _expansion_cases():
     rng = random.Random(4401)
     cases = []
     for d in (3, 5, 7, 9):  # Q, fractional coefficients
@@ -140,23 +143,57 @@ def _kronecker_cases():
     return cases
 
 
-KRONECKER_CASES = _kronecker_cases()
+EXPANSION_CASES = _expansion_cases()
 
 
-@pytest.mark.parametrize("case", range(len(KRONECKER_CASES)))
+@pytest.mark.parametrize("case", range(len(EXPANSION_CASES)))
 def test_kronecker_product_equals_iterated_product(case):
-    forms = KRONECKER_CASES[case]
+    forms = EXPANSION_CASES[case]
     tag = FieldTag.Q if all(f.is_rational() for f in forms) else FieldTag.QW
     for t in {tag, FieldTag.QW}:
         assert product_of_forms(forms, t) == _iterated_product(forms, t)
 
 
-def test_kronecker_product_is_exact_at_the_slot_width():
-    # x + (2^40 - 3) y - (2^40 - 5) z: one line's coefficients come back
-    # unchanged, however large
+def test_wide_line_keeps_exact_ints_through_parse_and_product():
+    # x + (2^40 - 3) y - (2^40 - 5) z: the integers come back unchanged
+    # from the .lines text, through the expansion and back to a line
     big = 2**40
-    f = product_of_forms([LinearForm(1, big - 3, -(big - 5))])
-    assert f.terms[(0, 1, 0)] == Scalar(big - 3) and f.terms[(0, 0, 1)] == Scalar(5 - big)
+    ints = ((1, 0), (big - 3, 0), (5 - big, 0))
+    form = parse_lines(f"1 {big - 3} {5 - big}\n").lines[0]
+    assert form.ints == ints
+    f = product_of_forms([form])
+    assert f.terms == {(1, 0, 0): ONE, (0, 1, 0): Scalar(big - 3), (0, 0, 1): Scalar(5 - big)}
+    assert LinearForm.from_poly(f).ints == ints
+
+
+def _is_primitive(ints):
+    lead = next(x for x in ints if x != (0, 0))
+    return lead[0] > 0 and lead[1] == 0 and gcd(*(n for x in ints for n in x)) == 1
+
+
+def test_ints_are_the_primitive_integer_pairs_of_the_coefficients():
+    for forms in EXPANSION_CASES:
+        for form in forms:
+            assert form.ints == tuple(integer_pairs(form.coeffs))
+            assert _is_primitive(form.ints) and primitive_pairs(form.ints) == form.ints
+
+
+def test_multiples_of_a_line_are_equal_and_hash_alike():
+    assert LinearForm(OMEGA, 2 * OMEGA, 0) == LinearForm(1, 2, 0)
+    assert hash(LinearForm(OMEGA, 2 * OMEGA, 0)) == hash(LinearForm(1, 2, 0))
+    assert LinearForm(-3, Fraction(3, 2), 0) == LinearForm(2, -1, 0)
+    assert LinearForm(1, OMEGA, 0) != LinearForm(1, OMEGA * OMEGA, 0)
+    rng = random.Random(4402)
+    for _ in range(30):
+        if rng.random() < 0.5:
+            form = LinearForm(*(random_rational_scalar(rng) for _ in range(3)))
+        else:
+            form = LinearForm(ONE, Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), OMEGA)
+        scalar = Scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-4, 4))
+        multiple = LinearForm(*(scalar * c for c in form.coeffs))
+        assert multiple == form and hash(multiple) == hash(form)
+        assert multiple.ints == form.ints and multiple.coeffs == form.coeffs
+        assert str(multiple) == str(form)
 
 
 def _dual_hesse_raw_factors():
@@ -218,6 +255,13 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_poly("x^2 + q")
     assert err.value.position == 6
+
+
+@pytest.mark.parametrize("text, position", [("x^²*y", 2), ("٣*x", 0), ("x+1/٣*y", 4)])
+def test_parse_rejects_non_ascii_digits_with_position(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert err.value.position == position
 
 
 def test_parse_field_inference_and_rejection():
