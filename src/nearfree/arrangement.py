@@ -3,26 +3,27 @@
 An arrangement is an ordered list of pairwise distinct linear forms, each
 held as its primitive Z[w] triple (`LinearForm.ints`), which `parse_lines`
 builds straight from the integers when a line's tokens are plain ASCII
-integers. The intersection lattice is built by `singular_points` on those
+integers. The intersection lattice is found by `_incidences` on those
 triples: each line i is crossed with every later line j that it does not
 already meet at a point found from an earlier line. Each cross product gets
 a canonical integer key (`field.primitive_pairs`, made unique up to scaling
 by the norm of its leading coordinate and the gcd), and the lines j of one
 key form one point with line i. Two lines meet in one point only, so the
 skipped pairs are exactly those on points already found, and the lattice
-takes sum over P of (m_P - 1) keys, not C(d, 2). The Q(w) point is read off
-the key once per point, the only Scalars the lattice makes; the points are
-sorted on integer keys (each key times L/N, L the lcm of the leads N of all
-keys), the lex order of those points. The census, the Milnor number
-(`WeakCombinatorics.mu`) and the incidences all derive from that one list,
-so callers build it once per arrangement. The defining polynomial is
-expanded in Z[w] integers too (`poly.product_of_forms`). Everything is
-exact; no tolerances are involved anywhere.
+takes sum over P of (m_P - 1) keys, not C(d, 2). The census and the Milnor
+number (`WeakCombinatorics.mu`) count the incidences alone. Only
+`singular_points` reads each Q(w) point off its key, the only Scalars the
+lattice makes, and sorts the points on integer keys (each key times L/N, L
+the lcm of the leads N of all keys), the lex order of those points. The
+defining polynomial is expanded in Z[w] integers too
+(`poly.product_of_forms`). Everything is exact; no tolerances are involved
+anywhere.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -159,9 +160,8 @@ def _cross(u: tuple, v: tuple) -> tuple:
     return (pair_det2(u1, v2, u2, v1), pair_det2(u2, v0, u0, v2), pair_det2(u0, v1, u1, v0))
 
 
-def singular_points(arrangement: LineArrangement) -> list:
-    """All intersection points, clustered on exact integer keys, in lex
-    coordinate order; each point is built in Q(w) once, from its key.
+def _incidences(arrangement: LineArrangement) -> list:
+    """(key, incident lines) of every intersection point, in the order found.
     Each point is found whole from its smallest line i, which is crossed
     only with the lines j > i it does not meet at a point found earlier:
     sum over P of (m_P - 1) keys, not C(d, 2) (see the module docstring)."""
@@ -177,9 +177,18 @@ def singular_points(arrangement: LineArrangement) -> list:
         for key, incident in clusters.items():
             for j in incident[1:]:
                 met[j].update(incident)
-            # the key's first nonzero coordinate is (N, 0) with N > 0, so the
-            # normalized point is key / N
-            found.append((key, next(a for a, b in key if a or b), incident))
+            found.append((key, incident))
+    return found
+
+
+def singular_points(arrangement: LineArrangement) -> list:
+    """All intersection points, clustered on exact integer keys
+    (`_incidences`), in lex coordinate order; each point is built in Q(w)
+    once, from its key."""
+    # the key's first nonzero coordinate is (N, 0) with N > 0, so the
+    # normalized point is key / N
+    found = [(key, next(a for a, b in key if a or b), incident)
+             for key, incident in _incidences(arrangement)]
     # key * (L / N), L the lcm of all the N, is the point times L: sorting on
     # it is the lex order of the normalized coordinates, without Fractions
     scale = lcm(*(n for _, n, _ in found))
@@ -189,15 +198,13 @@ def singular_points(arrangement: LineArrangement) -> list:
             for key, n, incident in found]
 
 
-def _census(d: int, points: list) -> WeakCombinatorics:
-    census: dict = {}
-    for sp in points:
-        census[sp.multiplicity] = census.get(sp.multiplicity, 0) + 1
-    return WeakCombinatorics(d=d, counts=tuple(sorted(census.items())))
+def _census(d: int, multiplicities) -> WeakCombinatorics:
+    return WeakCombinatorics(d=d, counts=tuple(sorted(Counter(multiplicities).items())))
 
 
 def weak_combinatorics(arrangement: LineArrangement) -> WeakCombinatorics:
-    return _census(arrangement.d, singular_points(arrangement))
+    """The census, counted from the incidences alone: no point is built."""
+    return _census(arrangement.d, (len(incident) for _, incident in _incidences(arrangement)))
 
 
 def milnor_number(arrangement: LineArrangement) -> int:
@@ -263,7 +270,8 @@ def deformation(
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
         raise NonGenericDeformation(f"deformed line collides with another line: {exc}")
-    census_before, census_after = _census(arrangement.d, points), weak_combinatorics(deformed)
+    census_before = _census(arrangement.d, (sp.multiplicity for sp in points))
+    census_after = weak_combinatorics(deformed)
     before, after = dict(census_before.counts), dict(census_after.counts)
     expected = dict(before)
     expected[2] = expected.get(2, 0) + 3

@@ -13,12 +13,16 @@ primes until one of two certificates holds, and each has been checked:
 
 * "full rank mod p" - the rows have full column rank mod p. Reduction can
   only lower the rank, so the kernel over Q(w) is zero.
-* "verified reconstruction (k primes)" - the RREF kernel mod p (under both
-  embeddings w -> ω and w -> ω² over Q(w)) from k primes sharing one pivot
-  profile is lifted by CRT and rational reconstruction, each vector to
-  Z[w] integers over one common denominator (`_lift`), and each lifted
-  vector is checked exactly, in integer arithmetic, against every row
-  (`_annihilates`).
+* "verified reconstruction (k primes)" - the RREF kernel mod p from k
+  primes sharing one pivot profile is lifted to Z[w] vectors, and each is
+  checked exactly, in integer arithmetic, against every row
+  (`_annihilates`). Over Q(w) the first prime is eliminated under w -> ω
+  alone, and each residue becomes its nearest remainder mod the prime
+  element π = gcd(p, w - ω) of Z[w] (`_one_embedding_lift`; 1 and 0 stay
+  1 and 0); only when that fails the check is w -> ω² eliminated too,
+  reusing the ω elimination. The two embeddings give each entry's a and b
+  parts, and those of k primes are lifted by CRT and rational
+  reconstruction over one common denominator (`_lift`).
   There are as many as the kernel dimension mod p, which bounds the exact
   dimension from above, so they span the exact kernel; each one's last
   nonzero entry sits in its own free column, so those are the exact free
@@ -325,33 +329,44 @@ def _annihilates(data: list, vectors: list) -> bool:
     return True
 
 
-def _residue_kernel(data: list, ncols: int, p: int, qw: bool):
-    """Kernel mod p as (pivot columns, residue vectors), None at full rank.
+def _residue_kernel(data: list, ncols: int, p: int, w: int):
+    """Kernel mod p, w sent to the residue w, as (pivot columns, residue
+    vectors); None at full rank."""
+    pivots, echelon = _echelon_mod(data, ncols, p, w)
+    if len(pivots) == ncols:
+        return None
+    return pivots, _kernel_from_echelon(pivots, echelon, ncols, p)
 
-    Over Q(w) the rows are reduced under both embeddings w -> ω and w -> ω²;
-    a kernel entry a + b*w then reads a + bω and a + bω², which give a and
-    b because ω - ω² is a unit mod p. Each vector becomes one residue
-    list, its a-part followed by its b-part (zeros over Q). When the two
-    embeddings disagree on the pivot columns, the pivots returned are None.
-    """
-    w1 = _cube_root(p)
-    found = []
-    for w in ((w1, p - 1 - w1) if qw else (0,)):
-        pivots, echelon = _echelon_mod(data, ncols, p, w)
-        if len(pivots) == ncols:
-            return None
-        found.append((pivots, _kernel_from_echelon(pivots, echelon, ncols, p)))
-    pivots, vectors = found[0]
-    if not qw:
-        return pivots, [v + [0] * ncols for v in vectors]
-    if found[1][0] != pivots:
-        return None, []
-    inv = pow(2 * w1 + 1, -1, p)  # w1 - w2 = 2*w1 + 1 mod p
-    parts = []
-    for v1, v2 in zip(vectors, found[1][1]):
-        b = [(x - y) * inv % p for x, y in zip(v1, v2)]
-        parts.append([(x - y * w1) % p for x, y in zip(v1, b)] + b)
-    return pivots, parts
+
+def _nearest_remainder(x: tuple, m: tuple) -> tuple:
+    """x - q*m in Z[w], q = x*conj(m)/N(m) with conj(m) = ma - mb - mb*w and
+    each part rounded to the nearest integer: a norm at most 3/4 of N(m)."""
+    (xa, xb), (ma, mb) = x, m
+    n = ma * ma - ma * mb + mb * mb
+    qa = (2 * (xa * (ma - mb) + xb * mb) + n) // (2 * n)
+    qb = (2 * (xb * ma - xa * mb) + n) // (2 * n)
+    return xa - qa * ma + qb * mb, xb - qa * mb - qb * ma + qb * mb
+
+
+@cache
+def _prime_element(p: int, w: int) -> tuple:
+    """π = gcd(p, w - ω) in Z[w] by Euclid's algorithm, ω the residue w: the
+    kernel of the ring map w -> ω from Z[w] onto F_p is (π), and N(π) = p."""
+    x, y = (p, 0), (-w, 1)
+    while y != (0, 0):
+        x, y = y, _nearest_remainder(x, y)
+    return x
+
+
+def _one_embedding_lift(data: list, vectors: list, p: int, w: int):
+    """The residue vectors of w -> ω as Z[w] vectors, each entry u its
+    nearest remainder mod π, the small Z[w] integer that w -> ω sends to u;
+    None unless every part is at most sqrt(p/2), the bound of a one-prime
+    `_lift`, and the vectors pass `_annihilates`."""
+    pi, bound = _prime_element(p, w), isqrt(p // 2)
+    out = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in vectors]
+    fits = all(abs(x) <= bound for vec in out for pair in vec for x in pair)
+    return out if fits and _annihilates(data, out) else None
 
 
 def full_rank_mod_screen(rows: list) -> bool:
@@ -374,18 +389,33 @@ def kernel_basis(data: list) -> Kernel:
     (a, b) meaning a + b*w, such as `nearfree.criteria.derivation_rows`.
     Primes are taken from `prime_stream` until the rank is full mod p or a
     reconstruction is verified; the result's `certificate` says which (see
-    the module docstring).
+    the module docstring). Over Q(w) the first prime's kernel is lifted from
+    w -> ω alone, and w -> ω² is eliminated only when that lift fails.
     """
     ncols = len(data[0])
     qw = any(b for row in data for _, b in row)
     best, modulus, primes, lifted = None, 1, 0, []
     for p in prime_stream():
-        found = _residue_kernel(data, ncols, p, qw)
-        if found is None:
+        w1 = _cube_root(p) if qw else 0
+        if (found := _residue_kernel(data, ncols, p, w1)) is None:
             return Kernel([], FULL_RANK_MOD_P)
         pivots, parts = found
-        if pivots is None:
-            continue
+        if not qw:
+            parts = [v + [0] * ncols for v in parts]
+        elif primes == 0 and (vectors := _one_embedding_lift(data, parts, p, w1)):
+            return Kernel(vectors, "verified reconstruction (1 prime)")
+        else:
+            # a + b*w reads a + bω and a + bω², which give a and b because
+            # ω - ω² = 2ω + 1 is a unit mod p
+            if (other := _residue_kernel(data, ncols, p, p - 1 - w1)) is None:
+                return Kernel([], FULL_RANK_MOD_P)
+            if other[0] != pivots:
+                continue
+            inv, split = pow(2 * w1 + 1, -1, p), []
+            for v1, v2 in zip(parts, other[1]):
+                b = [(x - y) * inv % p for x, y in zip(v1, v2)]
+                split.append([(x - y * w1) % p for x, y in zip(v1, b)] + b)
+            parts = split
         # Only primes with the same pivot columns are combined; a prime that
         # disagrees starts afresh. Verification decides which one was right.
         if pivots != best:

@@ -165,12 +165,13 @@ def unlucky_primes_first(monkeypatch, primes):
     """Put the given small primes in front of the proven prime stream of
     `nearfree.linalg`. Returns a list that records, as the kernels are
     computed, each zero-kernel claim made at one of those primes, as
-    (p, integer-pair rows, column count)."""
+    (p, integer-pair rows, column count). Every claim passes through
+    `linalg._residue_kernel`, one elimination under one embedding of w."""
     stream, residue_kernel = linalg.prime_stream, linalg._residue_kernel
     claims = []
 
-    def spy(data, ncols, p, qw):
-        found = residue_kernel(data, ncols, p, qw)
+    def spy(data, ncols, p, w):
+        found = residue_kernel(data, ncols, p, w)
         if found is None and p in primes:
             claims.append((p, [list(row) for row in data], ncols))
         return found

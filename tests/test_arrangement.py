@@ -146,6 +146,37 @@ def _brute_force_census(arrangement):
     return census
 
 
+def _census_cases():
+    cases = [catalog(name) for name in catalog_names()]
+    cases += [reflection_arrangement(m, full) for m in (2, 3, 6) for full in (False, True)]
+    rng = random.Random(5015)
+    cases += [random_arrangement(rng, rng.randint(2, 16), span=2) for _ in range(12)]
+    small = [ZERO, ONE, -ONE, OMEGA, -OMEGA, OMEGA * OMEGA, Scalar(Fraction(1, 2), 1)]
+    for _ in range(12):
+        forms, n = [], rng.randint(2, 9)
+        while len(forms) < n:
+            coeffs = [rng.choice(small) for _ in range(3)]
+            if any(coeffs):
+                forms.append(LinearForm(*coeffs))
+        cases.append(_distinct_lines(forms))
+    return cases
+
+
+def test_census_is_counted_from_the_incidences_alone(monkeypatch):
+    # the census of the Scalar reference lattice, on the catalog, the
+    # reflection families and seeded random Q and Q(w) arrangements, with
+    # no point built
+    cases = _census_cases()
+    references = [_brute_force_census(a) for a in cases]
+
+    def no_points(a):
+        raise AssertionError("the census built the points")
+
+    monkeypatch.setattr(arrangement_module, "singular_points", no_points)
+    for a, reference in zip(cases, references):
+        assert dict(weak_combinatorics(a).counts) == reference
+
+
 def _distinct_lines(forms):
     return LineArrangement(list(dict.fromkeys(forms)))
 

@@ -345,14 +345,15 @@ def test_field_flag_promotes_rational_arrangement():
 def _lattice_builds(monkeypatch, argv):
     for name in catalog_names():
         catalog(name)  # built and census-checked once, outside the count
+    # every lattice build, of the census or of the points, runs _incidences
     calls = []
-    build = arrangement.singular_points
+    build = arrangement._incidences
 
     def counted(a):
         calls.append(a)
         return build(a)
 
-    monkeypatch.setattr(arrangement, "singular_points", counted)
+    monkeypatch.setattr(arrangement, "_incidences", counted)
     code, _, err = run_cli(argv)
     assert code == 0, err
     return len(calls)

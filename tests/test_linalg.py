@@ -6,15 +6,18 @@ from math import comb, gcd, isqrt
 import pytest
 
 from nearfree import (
+    FieldTag,
     LineArrangement,
     LinearForm,
     Scalar,
+    catalog,
+    catalog_names,
     derivation_rows,
     kernel_basis,
     linalg,
     weak_combinatorics,
 )
-from nearfree.field import OMEGA, ONE, ZERO, integer_pairs
+from nearfree.field import OMEGA, ONE, ZERO, integer_pairs, pair_mul
 
 from bareiss import _bareiss_kernel, exact_kernel, rank
 from support import (
@@ -223,6 +226,24 @@ def _kernel_with_denominators(rng, dens):
     return zw_rows(rows), v
 
 
+def _counted_eliminations(monkeypatch):
+    # the (p, w) of every elimination mod p, as the kernels are computed
+    calls = []
+    eliminate = linalg._echelon_mod
+
+    def spy(data, ncols, p, w):
+        calls.append((p, w))
+        return eliminate(data, ncols, p, w)
+
+    monkeypatch.setattr(linalg, "_echelon_mod", spy)
+    return calls
+
+
+def _prime_count(certificate):
+    # k of "verified reconstruction (k primes)"
+    return int(certificate.split("(")[1].split()[0])
+
+
 @pytest.mark.parametrize("dens, certificate", [
     ((3, 5, 7, 11, 13, 17), "verified reconstruction (1 prime)"),
     # the common denominator exceeds sqrt(p/2) for one prime p, though
@@ -231,16 +252,26 @@ def _kernel_with_denominators(rng, dens):
     # a common denominator near 2^780, beyond the reach of four 127-bit primes
     (tuple(2**130 + k for k in (3, 5, 7, 11, 13, 17)), "verified reconstruction (13 primes)"),
 ])
-def test_kernel_with_distinct_denominators_matches_bareiss(dens, certificate):
+def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, certificate):
+    # a kernel with denominators is not settled from w -> ω alone: over Q(w)
+    # each prime takes both embeddings, the first one's elimination reused
     rng = random.Random(3006)
+    primes = _prime_count(certificate)
+    calls = _counted_eliminations(monkeypatch)
+    qw_seen = False
     for _ in range(3):
         m, v = _kernel_with_denominators(rng, dens)
+        qw = any(b for row in m for _, b in row)
+        qw_seen |= qw
+        calls.clear()
         kernel = kernel_basis(m)
+        assert len(calls) == (2 if qw else 1) * primes
         assert kernel == exact_kernel(m)
         assert kernel.certificate == certificate
         (vec,) = kernel
         s = vec[0][0]
         assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec] == v
+    assert qw_seen
 
 
 def test_lift_bounds_the_common_denominator():
@@ -387,3 +418,127 @@ def test_benchmark_rows_take_the_faster_route(monkeypatch):
         routes.clear()
         assert kernel_basis(rows) and not linalg.full_rank_mod_screen(rows)
         assert routes and set(routes) == {route}
+
+
+def _norm(x):
+    a, b = x
+    return a * a - a * b + b * b
+
+
+@pytest.mark.parametrize("p", [*islice(linalg.prime_stream(), 4), 7, 13],
+                         ids=["stream0", "stream1", "stream2", "stream3", "7", "13"])
+def test_prime_element_has_norm_p_and_divides_w_minus_omega(p):
+    rng = random.Random(3013)
+    w1 = linalg._cube_root(p)
+    for w in (w1, p - 1 - w1):
+        pi = linalg._prime_element(p, w)
+        assert _norm(pi) == p and (pi[0] + pi[1] * w) % p == 0
+        # (w - ω)/π = (w - ω) conj(π) / p, conj(π) = π_a - π_b - π_b w
+        quotient = pair_mul((-w, 1), (pi[0] - pi[1], -pi[1]))
+        assert all(x % p == 0 for x in quotient)
+        # a small Z[w] integer is the nearest remainder mod π of its residue
+        # under w -> ω: below 2^60 over the 127-bit primes, the units and 0
+        # (norm below 3p/16) mod 7 and 13
+        span = 2**60
+        for _ in range(50):
+            x = ((rng.randint(-span, span), rng.randint(-span, span)) if p > 13 else
+                 rng.choice([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]))
+            u = (x[0] + x[1] * w) % p
+            remainder = linalg._nearest_remainder((u, 0), pi)
+            assert (remainder[0] + remainder[1] * w - u) % p == 0
+            assert _norm(remainder) <= 3 * p / 4
+            assert remainder == x
+        assert [linalg._nearest_remainder((u, 0), pi) for u in (0, 1)] == [(0, 0), (1, 0)]
+
+
+def _qw_arrangements():
+    # (arrangement, mdr, shuffled): the Q(w) catalog entries, and A(m,m,3) and
+    # A(m,1,3) (exponents {m+1, 2m-2} and {m+1, 2m+1}) in their order and
+    # shuffled, which changes the first line alpha_0 and so the rows
+    cases = [(catalog(name), 4, False) for name in catalog_names()
+             if catalog(name).tag is FieldTag.QW]
+    for m in (2, 3, 6):
+        for full in (False, True):
+            a = reflection_arrangement(m, full)
+            lines = list(a.lines)
+            random.Random(4).shuffle(lines)
+            r = m + 1 if full else min(m + 1, 2 * m - 2)
+            cases += [(a, r, False), (LineArrangement(lines), r, True)]
+    return cases
+
+
+def test_one_embedding_settles_the_qw_kernels_at_and_below_mdr(monkeypatch):
+    # at mdr the canonical kernel vectors have Z[w] entries of a bit or two,
+    # so one elimination under w -> ω settles them; one degree below, that
+    # elimination has full rank, so r is the mdr. A(6,6,3) at r = 7 is the
+    # benchmark's case. Bareiss checks the kernels of the lines in their
+    # order; the shuffled ones pin the certificates and the eliminations
+    cases = _qw_arrangements()
+    assert len(cases) == 14 and (reflection_arrangement(6, False), 7, False) in cases
+    calls = _counted_eliminations(monkeypatch)
+    for a, r, shuffled in cases:
+        ints = [form.ints for form in a.lines]
+        for degree, certificate in [(r - 1, linalg.FULL_RANK_MOD_P),
+                                    (r, "verified reconstruction (1 prime)")]:
+            rows = derivation_rows(ints, degree)
+            calls.clear()
+            kernel = kernel_basis(rows)
+            assert len(calls) == 1
+            assert kernel.certificate == certificate
+            if not shuffled:
+                assert kernel == exact_kernel(rows)
+
+
+def _integral_kernel_rows(rng, rank, nfree):
+    """Z[w] rows whose canonical kernel basis is integral: rows (e_i, -B_i)
+    have the kernel spanned by the vectors (B e_j, e_j), 1 at free column j,
+    and are hidden by a unit lower triangular Z[w] mix and extra
+    combinations of them."""
+    def small():
+        return rng.randint(-3, 3), rng.randint(-3, 3)
+
+    def combine(coeffs, rows):
+        return [tuple(map(sum, zip(*(pair_mul(c, row[j]) for c, row in zip(coeffs, rows)))))
+                for j in range(rank + nfree)]
+
+    base = [[(int(i == j), 0) for j in range(rank)] + [(-a, -b) for a, b in
+                                                       (small() for _ in range(nfree))]
+            for i in range(rank)]
+    rows = [combine([(1, 0)] + [small() for _ in base[i + 1:]], base[i:]) for i in range(rank)]
+    rows += [combine([small() for _ in base], base) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def _canonical_is_integral(kernel):
+    # each canonical vector is the Kernel vector over its last nonzero entry y;
+    # x/y = x conj(y)/N(y) is in Z[w] iff N(y) divides both parts
+    for vec in kernel:
+        y = next(x for x in reversed(vec) if x != (0, 0))
+        conj = (y[0] - y[1], -y[1])
+        if any(n % _norm(y) for x in vec for n in pair_mul(x, conj)):
+            return False
+    return True
+
+
+def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypatch):
+    # an integral canonical basis takes one elimination; one with
+    # denominators takes both embeddings at every prime, as before
+    rng = random.Random(3014)
+    calls = _counted_eliminations(monkeypatch)
+    seen = set()
+    for trial in range(60):
+        if trial % 2:
+            m = _integral_kernel_rows(rng, rng.randint(1, 5), rng.randint(1, 3))
+        else:
+            m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
+        calls.clear()
+        kernel = kernel_basis(m)
+        assert kernel == exact_kernel(m)
+        if not kernel or not any(b for row in m for _, b in row):
+            continue
+        integral = _canonical_is_integral(kernel)
+        assert integral or not trial % 2
+        assert len(calls) == (1 if integral else 2 * _prime_count(kernel.certificate))
+        seen.add(integral)
+    assert seen == {False, True}
