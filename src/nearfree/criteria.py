@@ -34,13 +34,12 @@ against the total Tjurina number tau of the curve:
   (a, b, c) = theta - (g/d)(x, y, z) with g = sum theta(alpha_i)/alpha_i,
   since theta(f) = g*f and E(f) = d*f.
 
-Either way each kernel comes from `nearfree.linalg.kernel_basis`, which
-takes Z[w] integer rows only, with its certificate, as canonical Z[w]
-integer vectors. The witness stays in Z[w] integers, three term maps over
-one denominator, until `verify_syzygy` has checked a*f_x + b*f_y + c*f_z
-= 0 exactly, multiplying out its term maps against the partials of f
-scaled to Z[w] and comparing every coefficient with 0; only then are its
-polynomials built.
+Either way each kernel is a canonical basis of Z[w] integer vectors with
+its certificate, from `nearfree.linalg`: `kernel_basis` eliminates Z[w]
+integer rows, and `span_basis` canonicalises a kernel derived from the one
+above it. The witness stays in Z[w] integers, three term maps over one
+denominator, until `verify_syzygy` has checked a*f_x + b*f_y + c*f_z = 0
+exactly; only then are its polynomials built.
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular
@@ -48,21 +47,16 @@ point of an arrangement is quasi-homogeneous. A tau outside the du
 Plessis-Wall bounds for the computed r is rejected with TauOutOfRange; for
 arrangements that is a check of the invariant tau = mu.
 
-tau also orders the search. The bounds confine r to a window whose top hi
-is the largest r that admits tau, and `mdr` walks the degrees from there
-(from 0 without tau), computing each kernel at most once. Both spaces are
-modules over the polynomial ring (x*theta is again a derivation or
-syzygy), so a zero kernel at r proves every lower degree empty: step up.
-A nonzero kernel at r ends the walk when r = 0, when degree r-1 is known
-empty, or when its basis certifies r-1 empty by restriction: for theta !=
-0 of degree r-1 and a linear form l, l*theta is a nonzero kernel element
-at r vanishing on l = 0, so if no nonzero combination of the basis does
-(`_restriction_rows`, one small elimination modulo the word-size prime
-of `nearfree.linalg.full_rank_mod_screen`), there is no such theta. This
-is sound for any l; with l = x - c*y not a line (c = 0 for --poly) it is
-also complete, as D_H0(A) and AR(f) are saturated by l, so the exact
-kernel of the restriction is the kernel at r-1. Otherwise step down. r,
-the dimensions and the witness never depend on tau.
+tau also orders the search: `mdr` walks the degrees from hi, the largest
+r that the bounds admit (0 without tau). Both spaces are modules over the
+polynomial ring, so a zero kernel at r proves every lower degree empty:
+step up. A nonzero kernel K_r ends the walk at r = 0 or above a known
+empty degree. Otherwise take l = x - c*y not a line (x on --poly); both
+spaces are saturated by l, so K_(r-1) = {theta : l*theta in K_r}. Divide
+the basis of K_r by l (`_divide_by_line`): the kernel of the remainders,
+one small elimination, ends the walk at r when it is zero, and otherwise
+its combinations of the quotients span K_(r-1): step down. r, the
+dimensions and the witness never depend on tau.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag, Scalar, integer_pairs, pair_det2, pair_mul
-from .linalg import full_rank_mod_screen, kernel_basis
+from .linalg import kernel_basis, span_basis
 from .poly import Poly, graded_basis
 
 
@@ -312,10 +306,11 @@ class MdrResult:
     arrangement (the two are equal); it is zero below r and at least one
     at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
-    "verified reconstruction (k primes)". A degree that the walk of `mdr`
-    never eliminated reads "implied by the kernel at r" when the
-    restriction test certified it, or "implied by full rank at j" when
-    degree j had a zero kernel. It is not part of any report.
+    "verified reconstruction (k primes)". The walk of `mdr` records
+    "derived from the kernel at k+1" for a kernel it took from the one
+    above, and for the degrees below r it never reached, "implied by the
+    kernel at r" or, after a zero kernel at j, "implied by full rank at
+    j". It is not part of any report.
     The witness (a, b, c) is the first canonical kernel vector on the
     Jacobian route; on the derivation route it is the first canonical
     derivation mapped to AR(f)_r, a different syzygy of the same degree.
@@ -338,22 +333,19 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     terminates by degree d-1 because (0, f_z, -f_y) is a relation in that
     degree. f is assumed reduced; that is not checked.
 
-    The walk starts at hi, the largest r whose tau_bounds(d, r) admit tau,
-    or at 0 without tau. At a zero kernel it steps up; at a nonzero kernel
-    it stops when r = 0, when r-1 is known empty, or when the restricted
-    basis has full rank mod the screening prime, and otherwise steps down
-    (see the module docstring). Without tau this is the plain upward scan.
-    r, relation_dims and the witness do not depend on tau.
+    The walk over the degrees starts at hi, the largest r whose
+    tau_bounds(d, r) admit tau (see the module docstring); without tau it
+    is the plain upward scan from 0. r, relation_dims and the witness do
+    not depend on tau.
     """
     d = f.degree
     if d < 2:
         raise OutOfRange("mdr needs a polynomial of degree >= 2")
     if f.is_zero():
         raise ValueError("mdr needs a nonzero polynomial")
-    if lines is not None:
-        if len(lines) != d:
-            raise ValueError(f"{len(lines)} lines cannot define a curve of degree {d}")
-        ints = [form.ints for form in lines]
+    ints = [form.ints for form in lines or ()]
+    if lines is not None and len(ints) != d:
+        raise ValueError(f"{len(ints)} lines cannot define a curve of degree {d}")
 
     def rows(r):  # Z[w] integer-pair rows, each relation row scaled by its own lcm
         if lines is not None:
@@ -361,53 +353,62 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
         m = relation_matrix(f, r)
         return [integer_pairs(m.entries[i:i + m.cols]) for i in range(0, len(m.entries), m.cols)]
 
-    # x - c*y with the least c >= 0 that is not one of the lines; any c on --poly
-    c = 0 if lines is None else next(c for c in count() if all(
-        line[2] != (0, 0) or line[1] != (-c * line[0][0], -c * line[0][1]) for line in ints))
-    hi = _window_top(d, tau) if tau is not None else None
-    r, kernels, empty = hi or 0, {}, -1  # every degree <= empty has a zero kernel
+    # x - c*y with the least c >= 0 that is not one of the lines: x on --poly
+    c = next(c for c in count() if ((1, 0), (-c, 0), (0, 0)) not in ints)
+    # hi, the largest r whose tau_bounds admit tau, or 0
+    r = max((k for k in range(d) if tau is not None
+             and tau_bounds(d, k)[0] <= tau <= tau_bounds(d, k)[1]), default=0)
+    kernels = {}
     while True:
         if r not in kernels:
             kernels[r] = kernel_basis(rows(r))
         if not kernels[r]:
-            empty, r = r, r + 1
+            r += 1
             if r == d:
                 raise NoSyzygyFound(
                     f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
-        elif r - 1 == empty or full_rank_mod_screen(_restriction_rows(kernels[r], r, c)):
+        elif not r or r - 1 in kernels:  # stepped up from r - 1, so it is empty
             break
         else:
+            quotients, remainders = zip(*(_divide_by_line(vec, r, c) for vec in kernels[r]))
+            if not (combinations := kernel_basis(list(zip(*remainders)))):
+                break
+            kernels[r - 1] = span_basis(combinations, quotients, f"derived from the kernel at {r}")
             r -= 1
-    implied = f"implied by full rank at {empty}" if empty >= 0 else f"implied by the kernel at {r}"
-    dims = [len(kernels[k]) if k in kernels else 0 for k in range(r + 1)]
+    implied = f"implied by full rank at {r - 1}" if r - 1 in kernels else f"implied by the kernel at {r}"
+    dims = [len(kernels.get(k, ())) for k in range(r + 1)]
     certificates = [kernels[k].certificate if k in kernels else implied for k in range(r + 1)]
-    kernel = kernels[r]
+    vec = kernels[r][0]
     if lines is None:  # the three blocks of the vector, over its lead
         basis = graded_basis(r)
-        terms = tuple({mono: x for mono, x in zip(basis, kernel[0][k * len(basis):])
-                       if x != (0, 0)} for k in range(3))
-        den = next(a for a, b in kernel[0] if a or b)
+        terms = tuple({mono: x for mono, x in zip(basis, vec[k * len(basis):]) if x != (0, 0)}
+                      for k in range(3))
+        den = next(a for a, b in vec if a or b)
     else:
-        terms, den = _derivation_witness(d, ints, r, kernel[0])
+        terms, den = _derivation_witness(d, ints, r, vec)
     f_terms = dict(zip(f.terms, integer_pairs(list(f.terms.values()))))
     verify_syzygy(f_terms, terms)
     witness = tuple(Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den))
                              for mono, (a, b) in t.items()}, f.tag) for t in terms)
-    return MdrResult(r=r, witness=witness, relation_dims=dims, certificates=certificates)
+    return MdrResult(r, witness, dims, certificates)
 
 
-def _restriction_rows(kernel: list, r: int, c: int) -> list:
-    """The degree-r kernel vectors restricted to the line x = c*y, one
-    column per vector, as Z[w] integer-pair rows. Each block of a vector
-    restricts to a binary form of degree r in y, z, whose coefficient of
-    y^(r-k) z^k is the sum over i of v_(i, r-k-i, k) c^i; the rows are
-    those coefficients, block by block. Full column rank proves that no
-    nonzero combination of the vectors vanishes on the line (see `mdr`).
+def _divide_by_line(vec: tuple, r: int, c: int) -> tuple:
+    """(quotient, remainder) of a degree-r vector, block by block, on
+    division by x - c*y, monic in x, so exact in Z[w]. With P_i the
+    coefficients of x^i y^(r-i-k) z^k in a block and Q_i the quotient's,
+    Q_(i-1) = P_i + c*Q_i from i = r down (Horner; Q_i is 0 at k = r-i),
+    and P_0 + c*Q_0 is the block on the line x = c*y. The quotient is in
+    graded_basis(r - 1) order, block by block; the remainder has an entry
+    per block and k.
     """
-    index = {mono: n for n, mono in enumerate(graded_basis(r))}
-    return [[tuple(sum(vec[start + index[i, r - k - i, k]][part] * c ** i for i in range(r - k + 1))
-                   for part in (0, 1)) for vec in kernel]
-            for start in range(0, len(kernel[0]), len(index)) for k in range(r + 1)]
+    terms, quotient, remainder = iter(vec), [], []
+    for _ in range(0, len(vec), (r + 1) * (r + 2) // 2):  # each block
+        q = []
+        for m in range(r + 1):  # the m + 1 terms of P_(r-m); zip stops at q before them
+            q = [(pa + c * qa, pb + c * qb) for (qa, qb), (pa, pb) in zip(q + [(0, 0)], terms)]
+            (quotient if m < r else remainder).extend(q)
+    return quotient, remainder
 
 
 def eta(d: int, r: int) -> int:
@@ -415,12 +416,6 @@ def eta(d: int, r: int) -> int:
     if not 0 <= r <= d - 1:
         raise OutOfRange(f"need 0 <= r <= d-1, got r={r}, d={d}")
     return r * r - r * (d - 1) + (d - 1) * (d - 1)
-
-
-def _window_top(d: int, tau: int) -> Optional[int]:
-    """The largest r in [0, d-1] whose tau_bounds admit tau, or None."""
-    return max((r for r in range(d) if tau_bounds(d, r)[0] <= tau <= tau_bounds(d, r)[1]),
-               default=None)
 
 
 def tau_bounds(d: int, r: int) -> tuple:

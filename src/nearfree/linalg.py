@@ -1,8 +1,8 @@
 """Exact linear algebra: certified right-kernel bases.
 
-Both entry points take one input type: a non-empty list of equal-length
-rows of Z[w] integer pairs (a, b), meaning a + b*w. Callers scale their
-own Scalar rows (`nearfree.criteria.mdr` does, row by row).
+`kernel_basis`, the one elimination entry point, takes a non-empty list of
+equal-length rows of Z[w] integer pairs (a, b), meaning a + b*w. Callers
+scale their own Scalar rows (`nearfree.criteria.mdr` does, row by row).
 
 `kernel_basis` returns the canonical kernel basis: pivot columns are taken
 left to right, and there is one vector per free column with the other free
@@ -32,24 +32,17 @@ The loop always ends: only finitely many primes change the rank or the
 pivot columns, and the Hadamard bound caps the entries of the canonical
 basis, so enough primes with the right pivots lift it and the check holds.
 The basis stays in Z[w] integers: each vector is returned times the lcm
-of its denominators (`Kernel`), and no Scalar is made.
-
-`full_rank_mod_screen` tries the first certificate alone, cheaply: one
-elimination modulo the word-size `screen_prime()` under one embedding
-w -> ω. True proves the kernel zero; False proves nothing.
+of its denominators (`Kernel`), and no Scalar is made. `span_basis` gives
+the same canonical basis to a kernel known as a span rather than as the
+kernel of rows, such as the one `mdr` derives from the kernel a degree up.
 
 Every elimination mod p (`_echelon_mod`) takes one of two routes, chosen
-per call from the rows reduced mod p. When at most a third of the
-residues are nonzero (`SPARSE_SHARE`), rows are dicts of their nonzero
-residues and each column's pivot row is the one with the fewest nonzeros
-(`_echelon_sparse`); otherwise rows are packed into big integers, a
-fixed-width slot per column (`_echelon_dense`, the package's only slot
-format). The choice of pivot rows changes neither the pivot columns,
-since column c is a pivot iff it is not in the span mod p of the columns
-to its left, nor the kernel residues, since the kernel vector with 1 at
-one free column and 0 at the others is unique. So both routes hand the
-CRT, the lift and the check the same input, and every certificate is the
-same.
+per call from the rows reduced mod p: dict rows with a fewest-nonzeros
+pivot row when at most a third of the residues are nonzero
+(`SPARSE_SHARE`, `_echelon_sparse`), otherwise rows packed into big
+integers, a fixed-width slot per column (`_echelon_dense`, the package's
+only slot format). Both give the same pivot columns and kernel residues
+(see `_echelon_mod`), so every certificate is the same.
 """
 
 from __future__ import annotations
@@ -102,17 +95,6 @@ def prime_stream():
                 k -= 3
             _PROVEN.append((k << 64) + 1)
         yield _PROVEN[i]
-
-
-@cache
-def screen_prime() -> int:
-    """p = 3*2^30 + 1, proven prime by Proth's theorem on first use (3 < 2^30)
-    and memoised. It is 1 (mod 3), so F_p holds a cube root of unity, and
-    its residues fit a machine word."""
-    p = (3 << 30) + 1
-    if not _proth_prime(p):
-        raise ArithmeticError(f"Proth's theorem did not prove {p} prime")
-    return p
 
 
 class Kernel(list):
@@ -369,16 +351,32 @@ def _one_embedding_lift(data: list, vectors: list, p: int, w: int):
     return out if fits and _annihilates(data, out) else None
 
 
-def full_rank_mod_screen(rows: list) -> bool:
-    """True when the Z[w] integer-pair rows, as in `kernel_basis`, have full
-    column rank modulo `screen_prime()` with w sent to a cube root of unity
-    ω. w -> ω is a ring map from Z[w] onto F_p, and reduction can only
-    lower the rank, so True proves the kernel over Q(w) zero. False proves
-    nothing: the prime may be unlucky."""
-    ncols = len(rows[0])
-    p = screen_prime()
-    pivots, _ = _echelon_mod(rows, ncols, p, _cube_root(p))
-    return len(pivots) == ncols
+def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
+    """The canonical basis, as `kernel_basis` returns it, of the span of the
+    independent Z[w] vectors sum_j u_j*vectors[j], u in combinations, with
+    the given certificate. A fraction-free reduction leaves each vector a
+    last nonzero entry of its own, zero in the others: those are the free
+    columns, and `Kernel` scales each vector to its canonical form."""
+    def combine(terms):  # the sum of x*vec, (xa + xb w)(a + b w) with w^2 = -1 - w
+        out = [(0, 0)] * len(terms[0][1])
+        for (xa, xb), vec in terms:
+            out = [(sa + xa * a - xb * b, sb + xa * b + xb * a - xb * b)
+                   for (sa, sb), (a, b) in zip(out, vec)]
+        return out
+
+    def clear(vec, j, by):  # vec cleared at j by the vector by, which is nonzero there
+        a, b = vec[j]
+        return primitive_pairs(combine([(by[j], vec), ((-a, -b), by)])) if a or b else vec
+
+    reduced = {}  # last nonzero entry -> vector
+    for u in combinations:
+        vec = combine([(x, v) for x, v in zip(u, vectors) if x != (0, 0)])
+        for j, other in reduced.items():
+            vec = clear(vec, j, other)
+        j = max(k for k, x in enumerate(vec) if x != (0, 0))
+        reduced = {k: clear(other, j, vec) for k, other in reduced.items()}
+        reduced[j] = vec
+    return Kernel([reduced[j] for j in sorted(reduced)], certificate)
 
 
 def kernel_basis(data: list) -> Kernel:

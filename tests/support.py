@@ -27,9 +27,11 @@ from nearfree.errors import ToolkitError
 from nearfree.field import integer_pairs
 from nearfree.poly import graded_basis
 
-# the two certificates `linalg.kernel_basis` may give, and the two `criteria.mdr`
-# records for the degrees below mdr that its walk never eliminated
+# the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
+# records for a kernel its walk derived from the one above, and the two for
+# the degrees below mdr that the walk never reached
 CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)"
+                         r"|derived from the kernel at \d+"
                          r"|implied by full rank at \d+|implied by the kernel at \d+")
 
 

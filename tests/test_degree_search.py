@@ -3,14 +3,15 @@
 Given tau, hi is the largest r whose du Plessis-Wall bounds admit tau, and
 the walk starts there (at 0 without tau). A zero kernel at r proves every
 degree up to r empty, so the walk steps up. A nonzero kernel at r stops it
-at mdr = r when r = 0, when degree r - 1 is known to be empty, or when the
-restriction of the kernel basis at r to the line x = c*y has full rank
-modulo the screening prime; otherwise it steps down. x - c*y multiplies
-any relation of degree r - 1 into the kernel at r, and the product vanishes
-on that line, so full rank proves degree r - 1 empty (sound for every c).
-With c chosen so that x - c*y is not a line of the arrangement, the exact
-kernel of the restriction is the kernel one degree lower (complete), which
-these tests check against Bareiss elimination.
+at mdr = r when r = 0 or when degree r - 1 is known to be empty. Otherwise
+each vector of the kernel basis at r is divided by x - c*y, with c chosen
+so that x - c*y is not a line of the arrangement. x - c*y multiplies the
+kernel one degree lower onto the combinations of the basis whose
+remainders cancel, so a zero kernel of the remainders stops the walk at r,
+and otherwise the same combinations of the quotients span the kernel at
+r - 1, where the walk steps down without eliminating its rows. These tests
+check the remainders against Bareiss elimination and the derived kernels
+against direct elimination, and that rows are built only at hi.
 
 Whatever tau is, r, relation_dims and the witness must be those of the
 plain scan from degree 0; only the certificates of the degrees the walk
@@ -23,7 +24,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import count
 
 import pytest
-import sympy
 
 from nearfree import (
     catalog,
@@ -51,7 +51,6 @@ from support import (
 )
 from test_golden import POLY
 
-SCREEN_PRIME = 3 * 2**30 + 1
 BRAID_SEXTIC = "x*y*z*(x-y)*(y-z)*(x-z)"
 # the seeds of range(120) whose `_random_case` has mdr = hi - 1; every other
 # one has mdr = hi
@@ -69,7 +68,7 @@ def _walked_like_plain(f, lines, tau):
     assert (walked.r, walked.relation_dims, walked.witness) == (
         plain.r, plain.relation_dims, plain.witness)
     for got, want in zip(walked.certificates, plain.certificates, strict=True):
-        assert got == want or got.startswith("implied by ")
+        assert got == want or got.startswith(("implied by ", "derived from "))
     assert all(CERTIFICATE.fullmatch(c) for c in walked.certificates)
     return walked
 
@@ -100,6 +99,36 @@ def _off_the_lines(a):
 def _random_case(seed):
     rng = random.Random(seed)
     return random_arrangement(rng, rng.randint(4, 10), rng.choice([1, 2, 3]))
+
+
+def _remainders(kernel, r, c):
+    """The remainders of the kernel basis at r on division by x - c*y, a row
+    per block and coefficient, a column per vector."""
+    return list(zip(*(criteria._divide_by_line(vec, r, c)[1] for vec in kernel)))
+
+
+def _derived(kernel, r, c):
+    """The kernel at r - 1 as the walk of `mdr` derives it from the one at
+    r: [] when the remainders have full column rank."""
+    quotients = [criteria._divide_by_line(vec, r, c)[0] for vec in kernel]
+    combinations = linalg.kernel_basis(_remainders(kernel, r, c))
+    return combinations and linalg.span_basis(combinations, quotients, f"derived from the kernel at {r}")
+
+
+def _derived_like_direct(rows, d, c, top):
+    """From degree top + 2 down (at most d - 1) to the first zero kernel,
+    each kernel derived from the one above equals the direct elimination of
+    its rows; returns the number of degrees compared."""
+    compared = 0
+    for r in range(min(top + 2, d - 1), 0, -1):
+        above, direct = linalg.kernel_basis(rows(r)), linalg.kernel_basis(rows(r - 1))
+        derived = _derived(above, r, c)
+        assert list(derived) == list(direct), r
+        assert not derived or derived.certificate == f"derived from the kernel at {r}"
+        compared += 1
+        if not direct:
+            return compared
+    return compared
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -141,7 +170,7 @@ def test_restriction_off_the_lines_has_the_kernel_one_degree_lower(a):
     ints, c = _ints(a), _off_the_lines(a)
     top = mdr(defining_polynomial(a), a.lines).r
     for r in range(top, min(top + 3, a.d)):
-        restricted = criteria._restriction_rows(linalg.kernel_basis(derivation_rows(ints, r)), r, c)
+        restricted = _remainders(linalg.kernel_basis(derivation_rows(ints, r)), r, c)
         lower = linalg.kernel_basis(derivation_rows(ints, r - 1)) if r else []
         assert len(exact_kernel(restricted)) == len(lower)
 
@@ -152,7 +181,7 @@ def test_restriction_of_syzygies_to_x_has_the_kernel_one_degree_lower(name):
     f = parse_poly(POLY[name][0])
     top = mdr(f).r
     for r in range(top, min(top + 2, f.degree)):
-        restricted = criteria._restriction_rows(linalg.kernel_basis(relation_rows(f, r)), r, 0)
+        restricted = _remainders(linalg.kernel_basis(relation_rows(f, r)), r, 0)
         lower = linalg.kernel_basis(relation_rows(f, r - 1)) if r else []
         assert len(exact_kernel(restricted)) == len(lower)
 
@@ -165,23 +194,51 @@ def test_restriction_to_a_line_can_have_a_larger_kernel(a, r, c, lower, restrict
     ints = _ints(a)
     assert len(linalg.kernel_basis(derivation_rows(ints, r - 1))) == lower
     kernel = linalg.kernel_basis(derivation_rows(ints, r))
-    assert len(exact_kernel(criteria._restriction_rows(kernel, r, c))) == restricted
-    assert len(exact_kernel(criteria._restriction_rows(kernel, r, _off_the_lines(a)))) == lower
+    assert len(exact_kernel(_remainders(kernel, r, c))) == restricted
+    assert len(exact_kernel(_remainders(kernel, r, _off_the_lines(a)))) == lower
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_reflection_arrangements_certify_off_their_lines(monkeypatch, m):
-    # A(m,1,3) contains x and x - y, so the restriction is to x = 2y
+    # A(m,1,3) contains x and x - y, so the division is by x - 2y, and its
+    # remainders have full column rank in exact arithmetic
     a = reflection_arrangement(m, True)
     assert _off_the_lines(a) == 2
-    slopes, screens = [], []
-    restrict, screen = criteria._restriction_rows, criteria.full_rank_mod_screen
-    monkeypatch.setattr(criteria, "_restriction_rows",
-                        lambda k, r, c: slopes.append((r, c)) or restrict(k, r, c))
-    monkeypatch.setattr(criteria, "full_rank_mod_screen",
-                        lambda rows: screens.append(screen(rows)) or screens[-1])
+    divisions, divide = [], criteria._divide_by_line
+    monkeypatch.setattr(criteria, "_divide_by_line",
+                        lambda vec, r, c: divisions.append((vec, r, c)) or divide(vec, r, c))
     result = mdr(defining_polynomial(a), a.lines, tau=weak_combinatorics(a).mu)
-    assert slopes == [(result.r, 2)] and screens == [True]
+    kernel = linalg.kernel_basis(derivation_rows(_ints(a), result.r))
+    assert divisions == [(vec, result.r, 2) for vec in kernel]
+    assert not exact_kernel(_remainders(kernel, result.r, 2))
+
+
+@pytest.mark.parametrize("a", [a for _, a in CROSS_CHECK], ids=[name for name, _ in CROSS_CHECK])
+def test_derived_kernels_equal_direct_elimination(a):
+    ints = _ints(a)
+    top = mdr(defining_polynomial(a), a.lines).r
+    assert _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, _off_the_lines(a), top)
+
+
+def test_derived_kernels_equal_direct_elimination_on_random_arrangements():
+    for seed in range(120):
+        a = _random_case(seed)
+        ints = _ints(a)
+        top = mdr(defining_polynomial(a), a.lines).r
+        _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, _off_the_lines(a), top)
+
+
+def test_braid_sextic_walks_down_from_5_to_2_on_derived_kernels(monkeypatch):
+    # tau = 10 puts hi at 5, three degrees above mdr = 2: the kernels at 4, 3
+    # and 2 are derived, each equal to the direct elimination of its degree
+    f = parse_poly(BRAID_SEXTIC)
+    assert _derived_like_direct(lambda r: relation_rows(f, r), f.degree, 0, 3) == 4
+    plain, built = mdr(f), _matrices_built(monkeypatch)
+    walked = mdr(f, tau=10)
+    assert built == [5]
+    assert (walked.r, walked.relation_dims, walked.witness) == (plain.r, plain.relation_dims,
+                                                                 plain.witness)
+    assert walked.certificates == ["implied by the kernel at 2"] * 2 + ["derived from the kernel at 3"]
 
 
 def _rows_built(monkeypatch):
@@ -190,14 +247,48 @@ def _rows_built(monkeypatch):
     return built
 
 
+def _matrices_built(monkeypatch):
+    built, build = [], criteria.relation_matrix
+    monkeypatch.setattr(criteria, "relation_matrix", lambda f, r: built.append(r) or build(f, r))
+    return built
+
+
+def _taus_at_or_above(d, r):
+    """{hi: tau} with one tau for each window top hi >= r that some tau has;
+    the walk depends on tau only through hi."""
+    taus = {}
+    for tau in range((d - 1) ** 2 + 1):
+        hi = max((k for k in range(d) if tau_bounds(d, k)[0] <= tau <= tau_bounds(d, k)[1]),
+                 default=-1)
+        if hi >= r:
+            taus.setdefault(hi, tau)
+    return taus
+
+
+def _built_once_at_hi(built, f, lines):
+    """For every tau whose window top hi is at least mdr, the walk builds
+    rows once, at hi: every kernel below hi is derived."""
+    plain = mdr(f, lines)
+    taus = _taus_at_or_above(f.degree, plain.r)
+    assert plain.r in taus
+    for hi, tau in taus.items():
+        built.clear()
+        walked = mdr(f, lines, tau=tau)
+        assert built == [hi], (hi, tau)
+        assert (walked.r, walked.relation_dims, walked.witness) == (
+            plain.r, plain.relation_dims, plain.witness)
+
+
 def test_catalog_builds_rows_only_at_hi(monkeypatch):
     built = _rows_built(monkeypatch)
     for name in catalog_names():
         a = catalog(name)
-        tau = weak_combinatorics(a).mu
-        built.clear()
-        mdr(defining_polynomial(a), a.lines, tau=tau)
-        assert built == [_window_top(a.d, tau)], name
+        _built_once_at_hi(built, defining_polynomial(a), a.lines)
+
+
+@pytest.mark.parametrize("name", sorted(POLY))
+def test_poly_curves_build_one_relation_matrix_at_hi(monkeypatch, name):
+    _built_once_at_hi(_matrices_built(monkeypatch), parse_poly(POLY[name][0]), None)
 
 
 def test_random_arrangements_below_hi_walk_down_one_degree(monkeypatch):
@@ -210,57 +301,25 @@ def test_random_arrangements_below_hi_walk_down_one_degree(monkeypatch):
         walked = _walked_like_plain(defining_polynomial(a), a.lines, tau)
         if walked.r == hi - 1:
             below.append(seed)
-            assert built[-2:] == [hi, hi - 1]
+            assert built[-1:] == [hi]
+            assert walked.certificates[hi - 1] == f"derived from the kernel at {hi}"
             assert walked.certificates[:hi - 1] == [f"implied by the kernel at {hi - 1}"] * (hi - 1)
         else:
             assert walked.r == hi and built[-1:] == [hi]
     assert below == BELOW_HI
 
 
-def test_screen_prime_is_proven_once(monkeypatch):
-    proofs, proth = [], linalg._proth_prime
-    monkeypatch.setattr(linalg, "_proth_prime", lambda p: proofs.append(p) or proth(p))
-    linalg.screen_prime.cache_clear()
-    assert linalg.screen_prime() == linalg.screen_prime() == SCREEN_PRIME
-    assert proofs == [SCREEN_PRIME]
-    assert sympy.isprime(SCREEN_PRIME) and SCREEN_PRIME % 3 == 1
-
-
-def test_full_rank_mod_screen_is_a_certificate():
-    # True only where the exact kernel is zero, over Q and over Q(w)
-    rng = random.Random(8)
-    seen = set()
-    for trial in range(60):
-        rows, cols = rng.randint(2, 6), rng.randint(2, 5)
-        m = [[(rng.randint(-2, 2), rng.randint(-1, 1) * (trial % 2)) for _ in range(cols)]
-             for _ in range(rows)]
-        full = linalg.full_rank_mod_screen(m)
-        assert full == (not exact_kernel(m))
-        seen.add(full)
-    assert seen == {True, False}
-
-
 def test_screen_prime_multiple_falls_back_to_the_full_scan():
-    # p*f makes every relation matrix vanish mod the screen prime, but the
-    # restriction is built from primitive kernel vectors, so it certifies
+    # p*f, p the first prime of the stream, makes every relation matrix
+    # vanish mod p, so the kernel at hi = 2 is settled by later primes; the
+    # remainders come from its primitive vectors and certify degree 1 at p
     f = parse_poly(BRAID_SEXTIC)
-    pf = parse_poly(f"{SCREEN_PRIME}*{BRAID_SEXTIC}")
-    assert not linalg.full_rank_mod_screen(relation_rows(pf, 1))
+    p = next(linalg.prime_stream())
+    pf = parse_poly(f"{p}*{BRAID_SEXTIC}")
+    assert all(a % p == 0 and b % p == 0 for row in relation_rows(pf, 2) for a, b in row)
     want, got = mdr(f), mdr(pf, tau=19)
     assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
     assert got.certificates == ["implied by the kernel at 2"] * 2 + want.certificates[2:]
-
-
-def test_a_screen_that_never_certifies_changes_nothing(monkeypatch):
-    cases = [(defining_polynomial(catalog(n)), catalog(n).lines, weak_combinatorics(catalog(n)).mu)
-             for n in ("A1_6", "MacLane8", "DualHesse9")]
-    cases += [(parse_poly(text), None, tau) for text, tau in POLY.values()]
-    want = [mdr(f, lines) for f, lines, _ in cases]
-    monkeypatch.setattr(criteria, "full_rank_mod_screen", lambda m: False)
-    for (f, lines, tau), plain in zip(cases, want):
-        got = mdr(f, lines, tau=tau)
-        assert (got.r, got.relation_dims, got.witness) == (plain.r, plain.relation_dims, plain.witness)
-        assert all(CERTIFICATE.fullmatch(c) for c in got.certificates)
 
 
 @pytest.mark.parametrize("poly, tau, err", [

@@ -147,7 +147,7 @@ EXPANSION_CASES = _expansion_cases()
 
 
 @pytest.mark.parametrize("case", range(len(EXPANSION_CASES)))
-def test_kronecker_product_equals_iterated_product(case):
+def test_product_of_forms_equals_iterated_product(case):
     forms = EXPANSION_CASES[case]
     tag = FieldTag.Q if all(f.is_rational() for f in forms) else FieldTag.QW
     for t in {tag, FieldTag.QW}:
