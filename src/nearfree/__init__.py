@@ -9,7 +9,6 @@ from .arrangement import (
     catalog,
     catalog_names,
     defining_polynomial,
-    deform_triple_point,
     deformation,
     delete_line,
     load_lines,

@@ -44,9 +44,7 @@ from .errors import (
     UnknownName,
 )
 from .field import (
-    OMEGA,
     ONE,
-    ZERO,
     FieldTag,
     Scalar,
     pair_det2,
@@ -285,17 +283,6 @@ def deformation(
     return deformed, census_before, census_after
 
 
-def deform_triple_point(
-    arrangement: LineArrangement,
-    point: Sequence,
-    line_index: int,
-    direction: LinearForm,
-    eps: Scalar,
-) -> LineArrangement:
-    """The deformed arrangement of `deformation`."""
-    return deformation(arrangement, point, line_index, direction, eps)[0]
-
-
 def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineArrangement:
     """Apply the coordinate change x -> M x; lines map by row-vector action."""
     m = [[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in matrix]
@@ -317,95 +304,28 @@ def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineA
 # Named catalog
 # ---------------------------------------------------------------------------
 
-_X = LinearForm(1, 0, 0)
-_Y = LinearForm(0, 1, 0)
-_Z = LinearForm(0, 0, 1)
-
-
-def _build_a4_free():
-    return LineArrangement([_X, _Y, LinearForm(1, -1, 0), _Z])
-
-
-def _build_a4_generic():
-    return LineArrangement([_X, _Y, _Z, LinearForm(1, 1, 1)])
-
-
-def _build_a5_free():
-    return LineArrangement([_X, _Y, LinearForm(1, -1, 0), _Z, LinearForm(1, 0, -1)])
-
-
-def _build_a5_nearlyfree():
-    # split the triple at (0:0:1); direction z is generic here with eps = 1
-    return deform_triple_point(_build_a5_free(), (0, 0, 1), 2, _Z, Scalar(1))
-
-
-def _build_a1_6():
-    return LineArrangement(
-        [_X, _Y, _Z, LinearForm(1, -1, 0), LinearForm(0, 1, -1), LinearForm(1, 0, -1)]
-    )
-
-
-def _build_a6_deformed():
-    return LineArrangement(
-        [_X, _Y, _Z, LinearForm(1, Fraction(-1, 2), 0), LinearForm(0, 1, -1), LinearForm(1, 0, -1)]
-    )
-
-
-def _build_b7_free():
-    return LineArrangement(
-        [
-            _Z,
-            LinearForm(1, 0, -1),
-            LinearForm(1, 0, 1),
-            LinearForm(0, 1, -1),
-            LinearForm(0, 1, 1),
-            LinearForm(1, -1, 0),
-            LinearForm(1, 1, 0),
-        ]
-    )
-
-
-def _build_b7_deformed():
-    # move x - y off the triple at (1:1:-1) along x - z; the triple at
-    # (1:1:1) survives because the direction vanishes there
-    return deform_triple_point(
-        _build_b7_free(), (1, 1, -1), 5, LinearForm(1, 0, -1), Scalar(1)
-    )
-
-
-def _build_dual_hesse():
-    w = OMEGA
-    w2 = w * w
-    forms = [
-        LinearForm(ONE, -ONE, ZERO),
-        LinearForm(ONE, -w, ZERO),
-        LinearForm(ONE, -w2, ZERO),
-        LinearForm(ZERO, ONE, -ONE),
-        LinearForm(ZERO, ONE, -w),
-        LinearForm(ZERO, ONE, -w2),
-        LinearForm(-ONE, ZERO, ONE),
-        LinearForm(-w, ZERO, ONE),
-        LinearForm(-w2, ZERO, ONE),
-    ]
-    return LineArrangement(forms, FieldTag.QW)
-
-
-def _build_maclane():
-    # deletion of the x - y line from the dual Hesse arrangement
-    return delete_line(_build_dual_hesse(), 0)
-
-
+# Each entry: its field, its lines as `.lines` rows, and its census
+# (d, ((k, t_k), ...)), re-verified when the entry is first built. The rows
+# of A5_nearlyfree, B7_deformed and MacLane8 are those of a deformation or
+# a deletion of A5_free, B7_free and DualHesse9; the tests rebuild them so.
+_DUAL_HESSE = ("1 -1 0", "1 -w 0", "1 1+w 0", "0 1 -1", "0 1 -w", "0 1 1+w",
+               "-1 0 1", "-w 0 1", "1+w 0 1")
 _CATALOG = {
-    "A4_free": (_build_a4_free, (4, ((2, 3), (3, 1)))),
-    "A4_generic": (_build_a4_generic, (4, ((2, 6),))),
-    "A5_free": (_build_a5_free, (5, ((2, 4), (3, 2)))),
-    "A5_nearlyfree": (_build_a5_nearlyfree, (5, ((2, 7), (3, 1)))),
-    "A1_6": (_build_a1_6, (6, ((2, 3), (3, 4)))),
-    "A6_deformed": (_build_a6_deformed, (6, ((2, 6), (3, 3)))),
-    "B7_free": (_build_b7_free, (7, ((2, 3), (3, 6)))),
-    "B7_deformed": (_build_b7_deformed, (7, ((2, 6), (3, 5)))),
-    "MacLane8": (_build_maclane, (8, ((2, 4), (3, 8)))),
-    "DualHesse9": (_build_dual_hesse, (9, ((2, 0), (3, 12)))),
+    "A4_free": ("Q", ("1 0 0", "0 1 0", "1 -1 0", "0 0 1"), (4, ((2, 3), (3, 1)))),
+    "A4_generic": ("Q", ("1 0 0", "0 1 0", "0 0 1", "1 1 1"), (4, ((2, 6),))),
+    "A5_free": ("Q", ("1 0 0", "0 1 0", "1 -1 0", "0 0 1", "1 0 -1"), (5, ((2, 4), (3, 2)))),
+    "A5_nearlyfree": ("Q", ("1 0 0", "0 1 0", "1 -1 1", "0 0 1", "1 0 -1"),
+                      (5, ((2, 7), (3, 1)))),
+    "A1_6": ("Q", ("1 0 0", "0 1 0", "0 0 1", "1 -1 0", "0 1 -1", "1 0 -1"),
+             (6, ((2, 3), (3, 4)))),
+    "A6_deformed": ("Q", ("1 0 0", "0 1 0", "0 0 1", "1 -1/2 0", "0 1 -1", "1 0 -1"),
+                    (6, ((2, 6), (3, 3)))),
+    "B7_free": ("Q", ("0 0 1", "1 0 -1", "1 0 1", "0 1 -1", "0 1 1", "1 -1 0", "1 1 0"),
+                (7, ((2, 3), (3, 6)))),
+    "B7_deformed": ("Q", ("0 0 1", "1 0 -1", "1 0 1", "0 1 -1", "0 1 1", "2 -1 -1", "1 1 0"),
+                    (7, ((2, 6), (3, 5)))),
+    "MacLane8": ("Qw", _DUAL_HESSE[1:], (8, ((2, 4), (3, 8)))),
+    "DualHesse9": ("Qw", _DUAL_HESSE, (9, ((2, 0), (3, 12)))),
 }
 
 
@@ -418,10 +338,10 @@ def catalog(name: str) -> LineArrangement:
     """Named arrangements; the expected multiplicity census is re-verified
     against the computed lattice every time an entry is first built."""
     try:
-        builder, (d, expected) = _CATALOG[name]
+        field, rows, (d, expected) = _CATALOG[name]
     except KeyError:
         raise UnknownName(f"unknown catalog entry {name!r}") from None
-    arrangement = builder()
+    arrangement = parse_lines("\n".join((f"field: {field}",) + rows))
     comb_actual = weak_combinatorics(arrangement)
     expected_counts = tuple((k, t) for k, t in expected if t)
     if arrangement.d != d or comb_actual.counts != expected_counts:

@@ -15,6 +15,7 @@ knowledge is external input, not recomputed here).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from math import comb
@@ -121,10 +122,10 @@ def parse_exclusions(text: str) -> ExclusionConfig:
         parts = body.split()
         if len(parts) != 3:
             raise ParseError(f"expected `d t2 t3`, got {body!r}", line=lineno)
-        try:
-            d, t2, t3 = (int(p) for p in parts)
-        except ValueError:
+        # ASCII digits only, as in `.lines` files: int() would also take '1_1' and '٩'
+        if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
             raise ParseError(f"non-integer entry {body!r}", line=lineno)
+        d, t2, t3 = (int(p) for p in parts)
         citation = comment.strip()
         if not citation:
             raise ParseError("exclusion entry needs a `# citation`", line=lineno)

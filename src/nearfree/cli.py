@@ -281,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--field", choices=["Q", "Qw"], help="coefficient field override")
-    common.add_argument("--witness", action="store_true", help="print the syzygy witness")
+    # only the commands that analyze a curve read --field and --witness
+    analysis = argparse.ArgumentParser(add_help=False, parents=[common])
+    analysis.add_argument("--field", choices=["Q", "Qw"], help="coefficient field override")
+    analysis.add_argument("--witness", action="store_true", help="print the syzygy witness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="analyze an arrangement or polynomial")
+    p = sub.add_parser("analyze", parents=[analysis], help="analyze an arrangement or polynomial")
     p.add_argument("source", nargs="?", help="`.lines` file or @catalog:NAME")
     p.add_argument("--poly", help="defining polynomial expression")
     p.add_argument("--tau", type=int, help="total Tjurina number (with --poly only)")
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("deform", parents=[common], help="split a triple point into three nodes")
+    p = sub.add_parser("deform", parents=[analysis], help="split a triple point into three nodes")
     p.add_argument("source")
     p.add_argument("--point", required=True, help="triple point as `x:y:z`")
     p.add_argument("--line", type=int, required=True, help="index of the line to move")
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="deformation scalar")
     p.set_defaults(func=cmd_deform)
 
-    p = sub.add_parser("delete", parents=[common], help="remove one line and re-analyze")
+    p = sub.add_parser("delete", parents=[analysis], help="remove one line and re-analyze")
     p.add_argument("source")
     p.add_argument("--line", type=int, required=True)
     p.set_defaults(func=cmd_delete)

@@ -20,7 +20,7 @@ from nearfree import (
     catalog_names,
     classify_all,
     defining_polynomial,
-    deform_triple_point,
+    deformation,
     delete_line,
     has_integer_root,
     kernel_basis,
@@ -194,7 +194,7 @@ def test_criterion_10_deformation_contract():
         before_report = analyze_curve(defining_polynomial(a), tau=milnor_number(a))
         assert before_report.verdict.kind is VerdictKind.FREE
         assert before.t3 >= 1
-        deformed = deform_triple_point(a, point, index, LinearForm.parse(direction), eps)
+        deformed = deformation(a, point, index, LinearForm.parse(direction), eps)[0]
         after = weak_combinatorics(deformed)
         assert after.t3 == before.t3 - 1
         assert after.t2 == before.t2 + 3
@@ -227,7 +227,7 @@ def test_criterion_10_deformation_contract():
                 for eps in eps_pool:
                     attempts += 1
                     try:
-                        deform_triple_point(hesse, sp.point, index, direction, eps)
+                        deformation(hesse, sp.point, index, direction, eps)
                         successes += 1
                     except NonGenericDeformation:
                         pass

@@ -20,7 +20,7 @@ from nearfree import (
     catalog,
     catalog_names,
     defining_polynomial,
-    deform_triple_point,
+    deformation,
     delete_line,
     milnor_number,
     parse_lines,
@@ -256,8 +256,8 @@ def _deformed_span2():
         direction = random_form(rng)
         if direction.evaluate(triple.point):
             try:
-                return deform_triple_point(a, triple.point, triple.incident_lines[0],
-                                           direction, Scalar(rng.randint(1, 5)))
+                return deformation(a, triple.point, triple.incident_lines[0],
+                                   direction, Scalar(rng.randint(1, 5)))[0]
             except NonGenericDeformation:
                 pass
 
@@ -439,18 +439,18 @@ def test_delete_line_bad_index():
 
 
 def test_deform_braid_reproduces_catalog_entry():
-    deformed = deform_triple_point(
+    deformed = deformation(
         catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(Fraction(1, 2))
-    )
+    )[0]
     assert deformed == catalog("A6_deformed")
     wc = weak_combinatorics(deformed)
     assert (wc.t2, wc.t3) == (6, 3)
 
 
 def test_deform_b7_free_gives_claimed_combinatorics():
-    deformed = deform_triple_point(
+    deformed = deformation(
         catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(1)
-    )
+    )[0]
     wc = weak_combinatorics(deformed)
     assert (wc.d, wc.t2, wc.t3) == (7, 6, 5)
     assert deformed == catalog("B7_deformed")
@@ -458,35 +458,35 @@ def test_deform_b7_free_gives_claimed_combinatorics():
 
 def test_deform_rejects_node():
     with pytest.raises(NotATriplePoint):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (0, 1, 1), 0, LinearForm.parse("z"), Scalar(1)
         )
 
 
 def test_deform_rejects_missing_point():
     with pytest.raises(NotATriplePoint):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (1, 2, 3), 0, LinearForm.parse("z"), Scalar(1)
         )
 
 
 def test_deform_rejects_non_incident_line():
     with pytest.raises(LineNotIncident):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (1, 1, 1), 2, LinearForm.parse("y"), Scalar(1)
         )
 
 
 def test_deform_rejects_direction_through_point():
     with pytest.raises(DirectionThroughPoint):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y-z"), Scalar(1)
         )
 
 
 def test_deform_rejects_zero_eps():
     with pytest.raises(ValueError):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(0)
         )
 
@@ -495,7 +495,7 @@ def test_deform_rejects_non_generic_eps():
     # eps = -2 sends x - y to x + y - 2z, which passes through the node
     # (1:-1:0) of {z, x+y} and re-creates a triple there: census unchanged
     with pytest.raises(NonGenericDeformation):
-        deform_triple_point(
+        deformation(
             catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(-2)
         )
 
@@ -504,9 +504,9 @@ def test_deform_validation_is_census_based():
     # direction z leaves both triples on x - y, but the moved line crosses
     # the old node (0:1:1) and forms a new triple there, so the census
     # deltas come out right and the operation accepts the result
-    deformed = deform_triple_point(
+    deformed = deformation(
         catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("z"), Scalar(1)
-    )
+    )[0]
     wc = weak_combinatorics(deformed)
     assert (wc.t2, wc.t3) == (6, 3)
     assert milnor_number(catalog("A1_6")) == milnor_number(deformed) + 1
@@ -515,7 +515,7 @@ def test_deform_validation_is_census_based():
 def test_deform_rejects_collision_with_existing_line():
     # eps = 1 along direction y turns x - y into x, which already exists
     with pytest.raises(NonGenericDeformation):
-        deform_triple_point(
+        deformation(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(1)
         )
 
@@ -559,6 +559,28 @@ def test_catalog_field_tags():
     assert catalog("A1_6").tag is FieldTag.Q
     assert catalog("MacLane8").tag is FieldTag.QW
     assert catalog("DualHesse9").tag is FieldTag.QW
+
+
+# The derived entries are stored as their lines; these are the constructions
+# the lines come from.
+DERIVED_ENTRIES = {
+    # split the triple at (0:0:1) of A5_free; direction z is generic there
+    # with eps = 1
+    "A5_nearlyfree": lambda: deformation(
+        catalog("A5_free"), (0, 0, 1), 2, LinearForm.parse("z"), Scalar(1))[0],
+    # move x - y off the triple at (1:1:-1) of B7_free along x - z; the
+    # triple at (1:1:1) survives because the direction vanishes there
+    "B7_deformed": lambda: deformation(
+        catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(1))[0],
+    # deletion of the x - y line from the dual Hesse arrangement
+    "MacLane8": lambda: delete_line(catalog("DualHesse9"), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_ENTRIES))
+def test_derived_catalog_entries_are_their_constructions(name):
+    # == compares the tags and each line's primitive triple, LinearForm.ints
+    assert DERIVED_ENTRIES[name]() == catalog(name)
 
 
 def test_pairs_identity_random_arrangements():
@@ -736,8 +758,8 @@ def test_pairs_identity_survives_optimized_mode():
 
 
 def test_catalog_census_mismatch_is_raised(monkeypatch):
-    builder, _ = arrangement_module._CATALOG["A4_free"]
-    monkeypatch.setitem(arrangement_module._CATALOG, "A4_free", (builder, (4, ((2, 6),))))
+    field, rows, _ = arrangement_module._CATALOG["A4_free"]
+    monkeypatch.setitem(arrangement_module._CATALOG, "A4_free", (field, rows, (4, ((2, 6),))))
     catalog.cache_clear()
     try:
         with pytest.raises(CatalogCensusMismatch):

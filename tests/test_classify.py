@@ -229,6 +229,16 @@ def test_parse_exclusions_errors():
         parse_exclusions("9 3 11\n")  # citation is mandatory
 
 
+@pytest.mark.parametrize("entry", ["٩ 3 11 # c", "9 3 1_1 # c"])
+def test_parse_exclusions_takes_ascii_digits_only(entry):
+    # int() reads both entries as (9, 3, 11); the `.lines` parser takes
+    # ASCII digits only, and so do exclusion files
+    with pytest.raises(ParseError) as exc:
+        parse_exclusions(f"10 0 15 # toy entry\n{entry}\n")
+    assert exc.value.line == 2
+    assert parse_exclusions("9 3 11 # c").lookup(9, 3, 11) == "c"
+
+
 def test_default_exclusions_content():
     config = default_exclusions()
     assert config.lookup(9, 3, 11)

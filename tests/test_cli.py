@@ -306,6 +306,28 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["bounds", "--d", "11", "--field", "Q"],
+    ["classify", "--witness"],
+    ["catalog", "list", "--field", "Qw"],
+])
+def test_commands_that_analyze_nothing_reject_field_and_witness(args):
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "@catalog:A1_6"],
+    ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3", "--dir", "y", "--eps", "1/2"],
+    ["delete", "@catalog:DualHesse9", "--line", "0"],
+])
+def test_analysis_commands_take_field_and_witness(args):
+    code, out, err = run_cli(args + ["--field", "Qw", "--witness"])
+    assert code == 0, err
+    assert "field:         Qw" in out and "witness a:" in out
+
+
 def test_repeated_main_calls_print_what_separate_runs_print():
     # one process runs the commands in turn, with a usage error between
     # them, and each command also runs alone in a fresh interpreter

@@ -73,7 +73,7 @@ def _walked_like_plain(f, lines, tau):
     return walked
 
 
-def _screened_like_plain(f, lines, tau):
+def _walk_ends_at_hi(f, lines, tau):
     """mdr = hi on every input here, so the kernel at hi certifies the
     degrees below it."""
     walked = _walked_like_plain(f, lines, tau)
@@ -83,7 +83,7 @@ def _screened_like_plain(f, lines, tau):
 
 
 def _arrangement_search(a):
-    _screened_like_plain(defining_polynomial(a), a.lines, weak_combinatorics(a).mu)
+    _walk_ends_at_hi(defining_polynomial(a), a.lines, weak_combinatorics(a).mu)
 
 
 def _ints(a):
@@ -132,12 +132,12 @@ def _derived_like_direct(rows, d, c, top):
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_screened_search_matches_plain_scan_on_catalog(name):
+def test_walk_from_hi_matches_plain_scan_on_catalog(name):
     _arrangement_search(catalog(name))
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_screened_search_matches_plain_scan_on_deletions(name):
+def test_walk_from_hi_matches_plain_scan_on_deletions(name):
     a = catalog(name)
     for i in range(a.d):
         _arrangement_search(delete_line(a, i))
@@ -145,19 +145,19 @@ def test_screened_search_matches_plain_scan_on_deletions(name):
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("full", [False, True])
-def test_screened_search_matches_plain_scan_on_reflection_arrangements(m, full):
+def test_walk_from_hi_matches_plain_scan_on_reflection_arrangements(m, full):
     _arrangement_search(reflection_arrangement(m, full))
 
 
 @pytest.mark.parametrize("d", [6, 7, 8, 9])
-def test_screened_search_matches_plain_scan_on_nodal_arrangements(d):
+def test_walk_from_hi_matches_plain_scan_on_nodal_arrangements(d):
     _arrangement_search(random_nodal_arrangement(random.Random(d), d))
 
 
 @pytest.mark.parametrize("name", sorted(POLY))
-def test_screened_search_matches_plain_scan_on_poly_curves(name):
+def test_walk_from_hi_matches_plain_scan_on_poly_curves(name):
     text, tau = POLY[name]
-    _screened_like_plain(parse_poly(text), None, tau)
+    _walk_ends_at_hi(parse_poly(text), None, tau)
 
 
 CROSS_CHECK = [(name, catalog(name)) for name in catalog_names()] + [
@@ -309,7 +309,7 @@ def test_random_arrangements_below_hi_walk_down_one_degree(monkeypatch):
     assert below == BELOW_HI
 
 
-def test_screen_prime_multiple_falls_back_to_the_full_scan():
+def test_first_stream_prime_multiple_is_settled_at_hi_by_later_primes():
     # p*f, p the first prime of the stream, makes every relation matrix
     # vanish mod p, so the kernel at hi = 2 is settled by later primes; the
     # remainders come from its primitive vectors and certify degree 1 at p

@@ -2,7 +2,9 @@
 
 The `.json` files under golden/ hold the exact stdout of each `--json`
 command as it was before mdr moved to the logarithmic-derivation route for
-arrangements. The `witness-*.txt` files hold the text report with
+arrangements; the `show-*.json` files, `catalog show NAME --json` on the 10
+catalog entries, as they were before the entries became `.lines` rows read
+by `parse_lines`. The `witness-*.txt` files hold the text report with
 `--witness` of `analyze` on the 10 catalog entries and on the three
 `.lines` files in golden/inputs (A(6,1,3) over Q(w), a seeded nodal
 arrangement of 8 lines, a near pencil of 40 lines), as they were before
@@ -26,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = ("A6_1_3", "nodal8", "pencil40")
 
 COMMANDS = {f"analyze-{n}": ["analyze", f"@catalog:{n}", "--json"] for n in catalog_names()}
+COMMANDS.update({f"show-{n}": ["catalog", "show", n, "--json"] for n in catalog_names()})
 COMMANDS["delete-DualHesse9-line0"] = ["delete", "@catalog:DualHesse9", "--line", "0", "--json"]
 COMMANDS["deform-A1_6"] = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3",
                            "--dir", "y", "--eps", "1/2", "--json"]
