@@ -50,7 +50,6 @@ def _arrangement_report(
         comb = arr.weak_combinatorics(a)
     f = arr.defining_polynomial(a)
     report = analyze_curve(f, tau=comb.mu, source=source, lines=a.lines)
-    report.field = a.tag
     report.mu = comb.mu
     report.combinatorics = comb
     report.notes.insert(0, "tau taken equal to mu (arrangement singularities)")

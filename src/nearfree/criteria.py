@@ -63,13 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from fractions import Fraction
 from itertools import count
 from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
-from .field import ZERO, FieldTag, Scalar, integer_pairs, pair_det2, pair_mul
+from .field import ZERO, FieldTag, integer_pairs, pair_det2, pair_mul
 from .linalg import kernel_basis, span_basis
 from .poly import Poly, graded_basis
 
@@ -92,7 +91,9 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
     graded_basis(r); rows are indexed by graded_basis(r + d - 1). Kernel
     vectors of this matrix are exactly the degree-r syzygies. In column
     (b, s) the distinct terms of the b-th partial times the s-th monomial
-    land in distinct rows, so each cell is written at most once.
+    land in distinct rows, so each cell is written at most once. Each term
+    of each partial gives one Scalar, its `coefficient`, shared by the
+    cells it fills.
     """
     if f.degree < 2:
         raise OutOfRange("relation matrix needs a polynomial of degree >= 2")
@@ -105,9 +106,10 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
     ncols = 3 * len(source)
     entries = [ZERO] * (len(index) * ncols)
     for block in range(3):
-        part = f.partial(block).terms
+        part = f.partial(block)
+        coefs = [(pm, part.coefficient(pm)) for pm in part.terms]
         for col, mono in enumerate(source, block * len(source)):
-            for pm, coef in part.items():
+            for pm, coef in coefs:
                 row = index[(pm[0] + mono[0], pm[1] + mono[1], pm[2] + mono[2])]
                 entries[row * ncols + col] = coef
     return ExactMatrix(len(index), ncols, tuple(entries), f.tag)
@@ -271,7 +273,8 @@ def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
 
     f_terms is f and witness is (a, b, c), each a term map of Z[w] integer
     pairs of a homogeneous polynomial, a, b and c of one degree r; a common
-    factor of a, b and c does not matter. Each term of each partial of f is
+    factor of a, b and c, and any factor of f, such as `Poly.den`, does not
+    matter. Each term of each partial of f is
     multiplied by each term of its component of the witness, and the
     products are added up per monomial. Every product has degree
     r + d - 1, so x^i y^j z^k is keyed by i*width + j with width = r + d,
@@ -386,10 +389,8 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
         den = next(a for a, b in vec if a or b)
     else:
         terms, den = _derivation_witness(d, ints, r, vec)
-    f_terms = dict(zip(f.terms, integer_pairs(list(f.terms.values()))))
-    verify_syzygy(f_terms, terms)
-    witness = tuple(Poly(r, {mono: Scalar(Fraction(a, den), Fraction(b, den))
-                             for mono, (a, b) in t.items()}, f.tag) for t in terms)
+    verify_syzygy(f.terms, terms)
+    witness = tuple(Poly(r, t, f.tag, den) for t in terms)
     return MdrResult(r, witness, dims, certificates)
 
 

@@ -27,10 +27,6 @@ class FieldMismatch(ToolkitError):
     pass
 
 
-class DegreeMismatch(ToolkitError):
-    pass
-
-
 class NotHomogeneous(ToolkitError):
     pass
 

@@ -9,10 +9,12 @@ integer pairs (a, b) instead, from the parsed line on: `integer_pairs`
 clears denominators, `pair_mul` multiplies, `pair_det2` takes a 2x2
 determinant and `primitive_pairs` gives a vector's canonical multiple,
 which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
-point and the form of a kernel vector. Scalars are made only for what
-leaves the library: a line's normalized coefficients, the expanded f, the
-lattice points and the witness. The scalar grammar (`parse_scalar`) reads
-ASCII digits only.
+point and the form of a kernel vector; a polynomial is Z[w] integer
+pairs over one denominator (`poly.Poly`). Scalars are made only where text
+enters or leaves the library: parsed literals, a line's normalized
+coefficients, the lattice points, printed polynomial coefficients and the
+entries of `--poly` relation matrices. The scalar grammar (`parse_scalar`)
+reads ASCII digits only.
 """
 
 from __future__ import annotations

@@ -3,22 +3,24 @@
 Monomials are exponent triples (i, j, k) meaning x^i y^j z^k, ordered
 graded-lexicographically with x > y > z; that order fixes every basis
 enumeration and therefore every matrix layout downstream. Polynomials are
-immutable values: arithmetic always returns a new object. `Poly` and the
-expression parser share one term-map arithmetic (`_map_add`, `_map_mul`);
-the product of an arrangement's lines (`product_of_forms`) is expanded
-from their primitive Z[w] triples (`LinearForm.ints`) on two term maps of
-Z[w] integers, the real and the w part, and turned into Scalars once, at
-the end.
+immutable values held as Z[w] integers over one denominator: `Poly.terms`
+maps each monomial to a pair (a, b) meaning (a + b*w) / `Poly.den`. The
+product of an arrangement's lines (`product_of_forms`) is expanded from
+their primitive Z[w] triples (`LinearForm.ints`) on two term maps of Z[w]
+integers, the real and the w part. Scalars are made only where text
+enters or leaves: the expression parser works on Scalar term maps
+(`_map_add`, `_map_mul`) and converts its result once, and
+`Poly.coefficient` is the only Scalar view of a polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
-    DegreeMismatch,
     FieldMismatch,
     NotHomogeneous,
     ParseError,
@@ -27,7 +29,6 @@ from .errors import (
 from .field import (
     DIGITS,
     ONE,
-    ZERO,
     FieldTag,
     Scalar,
     _scan_rational,
@@ -58,7 +59,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
 
 
-# -- term-map arithmetic, shared by Poly and the expression parser ----------
+# -- term-map arithmetic of the expression parser -----------------------------
 
 
 def _map_neg(m):
@@ -103,36 +104,40 @@ def _mono_str(m: Monomial) -> str:
 
 
 class Poly:
-    """A homogeneous polynomial: fixed degree, term map monomial -> scalar.
+    """A homogeneous polynomial: fixed degree, term map monomial -> Z[w]
+    integer pair (a, b), all over the positive integer `den`.
 
-    The zero polynomial of degree d keeps its degree but has no terms.
+    The representation is canonical: zero pairs are dropped and den has no
+    common factor with all the pairs, so equal polynomials have equal
+    fields. The zero polynomial of degree d keeps its degree, has no terms
+    and den 1.
     """
 
-    __slots__ = ("degree", "terms", "tag")
+    __slots__ = ("degree", "terms", "tag", "den")
 
-    def __init__(self, degree: int, terms: dict, tag: FieldTag):
+    def __init__(self, degree: int, terms: dict, tag: FieldTag, den: int = 1):
         if degree < 0:
             raise ValueError("degree must be non-negative")
+        if den < 1:
+            raise ValueError("the denominator must be a positive integer")
         clean = {}
-        for mono, coef in terms.items():
-            if not coef:
+        for mono, (a, b) in terms.items():
+            if not (a or b):
                 continue
             if sum(mono) != degree:
                 raise NotHomogeneous(
                     f"monomial {_mono_str(mono) or '1'} has degree {sum(mono)}, expected {degree}"
                 )
-            if tag is FieldTag.Q and coef.b:
+            if tag is FieldTag.Q and b:
                 raise FieldMismatch("non-rational coefficient in a Q-tagged polynomial")
-            clean[mono] = coef
+            clean[mono] = (a, b)
+        g = gcd(den, *(n for pair in clean.values() for n in pair))
+        if g > 1:
+            clean = {mono: (a // g, b // g) for mono, (a, b) in clean.items()}
         self.degree = degree
         self.terms = clean
         self.tag = tag
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, degree: int, tag: FieldTag) -> "Poly":
-        return cls(degree, {}, tag)
+        self.den = den // g
 
     # -- predicates -------------------------------------------------------
 
@@ -142,65 +147,25 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def _check_tag(self, other: "Poly"):
-        if self.tag is not other.tag:
-            raise FieldMismatch(f"cannot mix {self.tag.value} and {other.tag.value} polynomials")
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_tag(other)
-        if self.degree != other.degree:
-            raise DegreeMismatch(
-                f"cannot add degree {self.degree} and degree {other.degree}"
-            )
-        return Poly(self.degree, _map_add(self.terms, other.terms), self.tag)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.degree, _map_neg(self.terms), self.tag)
-
-    def scale(self, scalar) -> "Poly":
-        c = scalar if isinstance(scalar, Scalar) else Scalar(scalar)
-        if not c:
-            return Poly.zero(self.degree, self.tag)
-        return Poly(self.degree, {m: c * v for m, v in self.terms.items()}, self.tag)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_tag(other)
-        return Poly(self.degree + other.degree, _map_mul(self.terms, other.terms), self.tag)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def partial(self, var: int) -> "Poly":
         """Partial derivative with respect to variable index 0, 1 or 2."""
         if self.degree == 0:
             raise ZeroDerivativeDomain("cannot differentiate a degree-0 polynomial")
         terms: dict = {}
-        for mono, coef in self.terms.items():
+        for mono, (a, b) in self.terms.items():
             e = mono[var]
             if e == 0:
                 continue
             lowered = list(mono)
             lowered[var] = e - 1
-            terms[tuple(lowered)] = coef * e
-        return Poly(self.degree - 1, terms, self.tag)
+            terms[tuple(lowered)] = (a * e, b * e)
+        return Poly(self.degree - 1, terms, self.tag, self.den)
 
     # -- views ----------------------------------------------------------
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, ZERO)
+        a, b = self.terms.get(mono, (0, 0))
+        return Scalar(Fraction(a, self.den), Fraction(b, self.den))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -208,11 +173,12 @@ class Poly:
         return (
             self.degree == other.degree
             and self.tag is other.tag
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.degree, self.tag, frozenset(self.terms.items())))
+        return hash((self.degree, self.tag, self.den, frozenset(self.terms.items())))
 
     def __str__(self):
         return format_poly(self)
@@ -268,7 +234,8 @@ class LinearForm:
     def to_poly(self, tag: FieldTag = None) -> Poly:
         if tag is None:
             tag = FieldTag.Q if self.is_rational() else FieldTag.QW
-        return Poly(1, {(1, 0, 0): self.coeffs[0], (0, 1, 0): self.coeffs[1], (0, 0, 1): self.coeffs[2]}, tag)
+        s = next(a for a, _ in self.ints if a)
+        return Poly(1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), self.ints)), tag, s)
 
     def is_rational(self) -> bool:
         return not any(b for _, b in self.ints)
@@ -297,8 +264,8 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
     The forms' `ints`, each with lead (L, 0), are multiplied in one at a
     time into two integer term maps, the real and the w part, x^i y^j
     z^(d-i-j) under the key i*(d+1) + j: times x adds d + 1 to a key, times
-    y adds 1, times z adds 0. The Scalars are built once, in ascending key
-    order, divided by the product of the L.
+    y adds 1, times z adds 0. The pairs, in ascending key order, are f
+    over the product of the L.
     """
     if not forms:
         raise ValueError("need at least one linear form")
@@ -328,11 +295,9 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
         re, im = new_re, new_im
     terms = {}
     for key in sorted(re.keys() | im.keys()):
-        a, b = re.get(key, 0), im.get(key, 0)
-        if a or b:
-            i, j = divmod(key, d + 1)
-            terms[(i, j, d - i - j)] = Scalar(Fraction(a, scale), Fraction(b, scale))
-    return Poly(d, terms, tag)
+        i, j = divmod(key, d + 1)
+        terms[(i, j, d - i - j)] = (re.get(key, 0), im.get(key, 0))
+    return Poly(d, terms, tag, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +445,14 @@ def parse_poly(text: str, tag: FieldTag = None) -> Poly:
     if tag is None:
         tag = smallest_tag(terms.values())
     if not terms:
-        return Poly.zero(0, tag)
+        return Poly(0, {}, tag)
     degrees = {sum(m) for m in terms}
     if len(degrees) > 1:
         raise NotHomogeneous(
             f"expression mixes degrees {sorted(degrees)}"
         )
-    return Poly(degrees.pop(), terms, tag)
+    den = lcm(*(c.a.denominator for c in terms.values()), *(c.b.denominator for c in terms.values()))
+    return Poly(degrees.pop(), dict(zip(terms, integer_pairs(list(terms.values())))), tag, den)
 
 
 def format_poly(f: Poly) -> str:
@@ -495,7 +461,7 @@ def format_poly(f: Poly) -> str:
         return "0"
     pieces = []
     for mono in sorted(f.terms, reverse=True):
-        coef = f.terms[mono]
+        coef = f.coefficient(mono)
         mono_s = _mono_str(mono)
         if not coef.b:
             negative = coef.a < 0

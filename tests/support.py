@@ -2,12 +2,19 @@
 a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
 integer rows that `nearfree.linalg` takes, the Scalar and Z[w] integer
 forms that kernel vectors and witnesses are compared in, and the
-independent Scalar references `intersect` and `divide_exact`."""
+independent Scalar references `intersect` and `divide_exact`.
+
+`Poly` holds Z[w] integers over one denominator and has no arithmetic of
+its own. The reference arithmetic here works on its Scalar view, read
+through `Poly.coefficient` (`scalar_terms`), with the expression parser's
+term-map arithmetic, and builds the result with `scalar_poly`: sums,
+differences, scalings and products (`poly_add`, `poly_sub`, `poly_scale`,
+`poly_mul`) and a*f_x + b*f_y + c*f_z (`jacobian_image`)."""
 
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from nearfree import (
     OMEGA,
@@ -23,9 +30,9 @@ from nearfree import (
     weak_combinatorics,
 )
 from nearfree.arrangement import normalize_point
-from nearfree.errors import ToolkitError
+from nearfree.errors import FieldMismatch, ToolkitError
 from nearfree.field import integer_pairs
-from nearfree.poly import graded_basis
+from nearfree.poly import _map_add, _map_mul, _map_neg, graded_basis
 
 # the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
 # records for a kernel its walk derived from the one above, and the two for
@@ -57,11 +64,62 @@ def relation_rows(f, r):
 
 
 def integer_terms(*polys):
-    """The term maps of the polys in Z[w] integer pairs, all scaled by one
-    common factor, the lcm of every denominator, so that a triple (a, b, c)
+    """The term maps of the polys in Z[w] integer pairs, all over one
+    common denominator, the lcm of their `den`, so that a triple (a, b, c)
     keeps its ratios."""
-    flat = iter(integer_pairs([c for p in polys for c in p.terms.values()]))
-    return [{mono: next(flat) for mono in p.terms} for p in polys]
+    den = lcm(*(p.den for p in polys))
+    return [{mono: (a * (den // p.den), b * (den // p.den)) for mono, (a, b) in p.terms.items()}
+            for p in polys]
+
+
+def scalar_terms(p):
+    """The Scalar term map of a Poly, read through `Poly.coefficient`."""
+    return {mono: p.coefficient(mono) for mono in p.terms}
+
+
+def scalar_poly(degree, terms, tag):
+    """The Poly of a Scalar term map: its Z[w] pairs over the lcm of the
+    denominators."""
+    den = lcm(*(n.denominator for c in terms.values() for n in (c.a, c.b)))
+    return Poly(degree, dict(zip(terms, integer_pairs(list(terms.values())))), tag, den)
+
+
+def _common_tag(polys):
+    tags = {p.tag for p in polys}
+    if len(tags) > 1:
+        raise FieldMismatch("cannot mix Q and Qw polynomials")
+    return tags.pop()
+
+
+def poly_add(*polys):
+    """The sum of polynomials of one degree and one field."""
+    terms = {}
+    for p in polys:
+        terms = _map_add(terms, scalar_terms(p))
+    return scalar_poly(polys[0].degree, terms, _common_tag(polys))
+
+
+def poly_sub(p, q):
+    return poly_add(p, scalar_poly(q.degree, _map_neg(scalar_terms(q)), q.tag))
+
+
+def poly_scale(p, c):
+    """p times a Scalar, int or Fraction c."""
+    c = c if isinstance(c, Scalar) else Scalar(c)
+    return scalar_poly(p.degree, {mono: c * v for mono, v in scalar_terms(p).items()}, p.tag)
+
+
+def poly_mul(*polys):
+    """The product of polynomials of one field."""
+    terms = {(0, 0, 0): ONE}
+    for p in polys:
+        terms = _map_mul(terms, scalar_terms(p))
+    return scalar_poly(sum(p.degree for p in polys), terms, _common_tag(polys))
+
+
+def jacobian_image(f, a, b, c):
+    """a*f_x + b*f_y + c*f_z."""
+    return poly_add(*(poly_mul(g, f.partial(var)) for var, g in enumerate((a, b, c))))
 
 
 def random_fraction(rng, span=9, den=9):
@@ -94,7 +152,7 @@ def random_poly(rng, degree, tag=FieldTag.Q, density=0.6, span=5):
             )
             if c:
                 terms[mono] = c
-    return Poly(degree, terms, tag)
+    return scalar_poly(degree, terms, tag)
 
 
 def random_form(rng, span=3):
@@ -204,7 +262,7 @@ def divide_exact(f, form):
         raise NotDivisible("cannot divide a degree-0 polynomial by a linear form")
     pivot = next(i for i, c in enumerate(form.coeffs) if c)  # coefficient there is 1
     tail = [(i, c) for i, c in enumerate(form.coeffs) if c and i != pivot]
-    rem = dict(f.terms)
+    rem = scalar_terms(f)
     quot: dict = {}
     while rem:
         lead = max(rem)
@@ -224,4 +282,4 @@ def divide_exact(f, form):
                 rem[mono] = val
             elif prev is not None:
                 del rem[mono]
-    return Poly(f.degree - 1, quot, f.tag)
+    return scalar_poly(f.degree - 1, quot, f.tag)

@@ -50,6 +50,7 @@ from support import (
     divide_exact,
     intersect,
     line_count,
+    poly_scale,
     random_arrangement,
     random_form,
     random_fraction,
@@ -400,7 +401,7 @@ def test_defining_polynomial_single_line():
 def test_defining_polynomial_b7_matches_printed_equation_up_to_unit():
     f = defining_polynomial(catalog("B7_free"))
     printed = parse_poly("z*(x^2-z^2)*(y^2-z^2)*(y^2-x^2)")
-    assert f == printed.scale(-1)
+    assert f == poly_scale(printed, -1)
 
 
 def test_delete_line_from_dual_hesse():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +21,9 @@ from nearfree import (
 )
 from nearfree.cli import main
 from nearfree.errors import NotASyzygy
+from nearfree.field import Scalar
+
+from support import random_nodal_arrangement
 
 
 def run_cli(args):
@@ -111,6 +115,29 @@ def test_analyze_file_source(tmp_path):
     payload = analyze_json([str(path)])
     assert payload["verdict"] == "Free"
     assert payload["mu"] == 19
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_arrangement_commands_make_no_scalar(monkeypatch, tmp_path, d):
+    # from the integer lines to the verdict, f, the kernels and the witness
+    # stay in Z[w] integers; --json prints no coefficient, so no Scalar is made
+    path = tmp_path / "nodal.lines"
+    lines = random_nodal_arrangement(random.Random(d), d).lines
+    path.write_text("".join(" ".join(str(a) for a, _ in form.ints) + "\n" for form in lines))
+    made = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    for argv in (["analyze", str(path), "--json"], ["delete", str(path), "--line", "0", "--json"]):
+        code, _, err = run_cli(argv)  # warm-up
+        assert code == 0, err
+        monkeypatch.setattr(Scalar, "__init__", counted)
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(Scalar, "__init__", init)
+        assert made == []
 
 
 def test_analyze_missing_file():
