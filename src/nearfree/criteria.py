@@ -19,7 +19,7 @@ against the total Tjurina number tau of the curve:
 * For a curve given by its polynomial (`--poly`), the kernel of the
   relation matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z in each degree
   (`relation_matrix`, an `ExactMatrix` of Scalars, which `mdr` scales
-  row by row to Z[w] integer pairs). There is nothing else to go on.
+  row by row to sparse Z[w] rows). There is nothing else to go on.
 * For a line arrangement alpha_0 ... alpha_{d-1}, the logarithmic
   derivations theta that kill the first line, D_H0(A)_r = {theta of degree
   r : theta(alpha_0) = 0, theta(alpha_i) in (alpha_i) for i >= 1} (Saito
@@ -28,18 +28,18 @@ against the total Tjurina number tau of the curve:
   dim AR(f)_r in every degree. `derivation_rows` solves theta(alpha_0) = 0
   for the component at alpha_0's pivot coordinate and asks each other
   line's condition on its restriction: r + 1 rows per line on
-  2*C(r+2, 2) unknowns, built as Z[w] integer pairs straight from the line
-  coefficients, against C(r+d+1, 2) rows of expanded coefficients of f on
-  the Jacobian route. The witness theta is mapped to AR(f)_r by
-  (a, b, c) = theta - (g/d)(x, y, z) with g = sum theta(alpha_i)/alpha_i,
-  since theta(f) = g*f and E(f) = d*f.
+  2*C(r+2, 2) unknowns, their nonzero cells built from the line
+  coefficients by one Pascal recurrence per line, against C(r+d+1, 2)
+  rows of expanded coefficients of f on the Jacobian route. The witness
+  theta is mapped to AR(f)_r by (a, b, c) = theta - (g/d)(x, y, z) with
+  g = sum theta(alpha_i)/alpha_i, since theta(f) = g*f and E(f) = d*f.
 
 Either way each kernel is a canonical basis of Z[w] integer vectors with
-its certificate, from `nearfree.linalg`: `kernel_basis` eliminates Z[w]
-integer rows, and `span_basis` canonicalises a kernel derived from the one
-above it. The witness stays in Z[w] integers, three term maps over one
-denominator, until `verify_syzygy` has checked a*f_x + b*f_y + c*f_z = 0
-exactly; only then are its polynomials built.
+its certificate, from `nearfree.linalg`: `kernel_basis` eliminates sparse
+Z[w] rows, dicts of their nonzero cells, and `span_basis` canonicalises a
+kernel derived from the one above it. The witness stays in Z[w] integers,
+three term maps over one denominator, until `verify_syzygy` has checked
+a*f_x + b*f_y + c*f_z = 0 exactly; only then are its polynomials built.
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular
@@ -130,19 +130,13 @@ def _beta_gamma(first: tuple, line: tuple) -> tuple:
             pair_det2(line[j2], first[p0], line[p0], first[j2]))
 
 
-def _powers(x: tuple, n: int) -> list:
-    out = [(1, 0)]
-    for _ in range(n):
-        out.append(pair_mul(out[-1], x))
-    return out
-
-
-def derivation_rows(lines: Sequence, r: int) -> list:
-    """Rows, as Z[w] integer pairs, whose kernel is D_H0(A)_r.
+def derivation_rows(lines: Sequence, r: int) -> tuple:
+    """(rows, ncols): sparse Z[w] rows, in the format of
+    `nearfree.linalg.kernel_basis`, whose kernel is D_H0(A)_r.
 
     lines are the arrangement's lines as Z[w] pairs (each form's `ints`).
     With p0 the pivot coordinate of alpha_0 and j1 < j2 the other two,
-    theta_p0 is solved from theta(alpha_0) = 0, so the columns are the
+    theta_p0 is solved from theta(alpha_0) = 0, so the ncols columns are the
     theta_j1 block, then the theta_j2 block, each indexed by
     graded_basis(r). Then alpha_0,p0 * theta(alpha_i) = beta_i*theta_j1 +
     gamma_i*theta_j2 with beta_i = alpha_i,j1*alpha_0,p0 -
@@ -151,34 +145,40 @@ def derivation_rows(lines: Sequence, r: int) -> list:
     -A_k x_k - A_l x_l, where q is alpha_i's pivot and A its coefficients,
     so A_q^r times the restriction is a binary form of degree r in x_k,
     x_l with coefficients in Z[w]. Its r + 1 coefficients (x_k^s x_l^(r-s),
-    s = 0..r) are line i's rows.
+    s = 0..r) are line i's rows, of which only nonzero cells are stored:
+    x_q^e x_k^a x_l^b restricts to the sum over t of T(e, t) x_k^(a+t)
+    x_l^(b+e-t), T(e, t) = C(e,t) A_q^(r-e) (-A_k)^t (-A_l)^(e-t), which one
+    Pascal recurrence per line gives, T(e, t) = (-A_k T(e-1, t-1) - A_l
+    T(e-1, t)) / A_q, exact as A_q is a positive integer in `ints`.
     """
     basis = graded_basis(r)
     nb = len(basis)
     rows = []
     for line in lines[1:]:
-        beta, gamma = _beta_gamma(lines[0], line)
+        (ba, bb), (ga, gb) = _beta_gamma(lines[0], line)
         q, k, l = _pivot_split(line)
-        lead = _powers(line[q], r)
-        minus_k = _powers((-line[k][0], -line[k][1]), r)
-        minus_l = _powers((-line[l][0], -line[l][1]), r)
-        # x_q^e x_k^a x_l^b restricts to the sum over t of
-        # A_q^(r-e) C(e,t) (-A_k)^t (-A_l)^(e-t) x_k^(a+t) x_l^(b+e-t)
-        by_beta, by_gamma = [], []
+        lead, (ka, kb), (la, lb) = line[q][0], line[k], line[l]
+        # by_beta[e], by_gamma[e]: the nonzero (t, beta*T(e, t)), (t, gamma*T(e, t))
+        by_beta, by_gamma, level = [], [], [(lead ** r, 0)]
         for e in range(r + 1):
-            terms = [pair_mul(lead[r - e], pair_mul(minus_k[t], minus_l[e - t]))
-                     for t in range(e + 1)]
-            terms = [(a * comb(e, t), b * comb(e, t)) for t, (a, b) in enumerate(terms)]
-            by_beta.append([pair_mul(beta, x) for x in terms])
-            by_gamma.append([pair_mul(gamma, x) for x in terms])
-        block = [[(0, 0)] * (2 * nb) for _ in range(r + 1)]
+            if e:  # T(e, t) = (-A_k T(e-1, t-1) - A_l T(e-1, t)) / A_q, w^2 = -1 - w
+                level = [((kb * pb - ka * pa + lb * xb - la * xa) // lead,
+                          (kb * pb - ka * pb - kb * pa + lb * xb - la * xb - lb * xa) // lead)
+                         for (pa, pb), (xa, xb) in zip([(0, 0)] + level, level + [(0, 0)])]
+            cells = [(t, a, b) for t, (a, b) in enumerate(level) if a or b]
+            by_beta.append([(t, (ba * a - bb * b, ba * b + bb * a - bb * b))
+                            for t, a, b in cells] if ba or bb else [])
+            by_gamma.append([(t, (ga * a - gb * b, ga * b + gb * a - gb * b))
+                             for t, a, b in cells] if ga or gb else [])
+        block = [{} for _ in range(r + 1)]
         for c, mono in enumerate(basis):
             e, a = mono[q], mono[k]
-            for t in range(e + 1):
-                block[a + t][c] = by_beta[e][t]
-                block[a + t][nb + c] = by_gamma[e][t]
+            for t, x in by_beta[e]:
+                block[a + t][c] = x
+            for t, x in by_gamma[e]:
+                block[a + t][nb + c] = x
         rows.extend(block)
-    return rows
+    return rows, 2 * nb
 
 
 def _quotient(h: dict, line: tuple) -> tuple:
@@ -350,11 +350,12 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     if lines is not None and len(ints) != d:
         raise ValueError(f"{len(ints)} lines cannot define a curve of degree {d}")
 
-    def rows(r):  # Z[w] integer-pair rows, each relation row scaled by its own lcm
+    def rows(r):  # (sparse Z[w] rows, ncols), each relation row scaled by its own lcm
         if lines is not None:
             return derivation_rows(ints, r)
         m = relation_matrix(f, r)
-        return [integer_pairs(m.entries[i:i + m.cols]) for i in range(0, len(m.entries), m.cols)]
+        return [_stored(integer_pairs(m.entries[i:i + m.cols]))
+                for i in range(0, len(m.entries), m.cols)], m.cols
 
     # x - c*y with the least c >= 0 that is not one of the lines: x on --poly
     c = next(c for c in count() if ((1, 0), (-c, 0), (0, 0)) not in ints)
@@ -364,7 +365,7 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     kernels = {}
     while True:
         if r not in kernels:
-            kernels[r] = kernel_basis(rows(r))
+            kernels[r] = kernel_basis(*rows(r))
         if not kernels[r]:
             r += 1
             if r == d:
@@ -374,7 +375,8 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
             break
         else:
             quotients, remainders = zip(*(_divide_by_line(vec, r, c) for vec in kernels[r]))
-            if not (combinations := kernel_basis(list(zip(*remainders)))):
+            rest = [_stored(row) for row in zip(*remainders)]
+            if not (combinations := kernel_basis(rest, len(kernels[r]))):
                 break
             kernels[r - 1] = span_basis(combinations, quotients, f"derived from the kernel at {r}")
             r -= 1
@@ -392,6 +394,11 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     verify_syzygy(f.terms, terms)
     witness = tuple(Poly(r, t, f.tag, den) for t in terms)
     return MdrResult(r, witness, dims, certificates)
+
+
+def _stored(row: Sequence) -> dict:
+    """The nonzero cells {column: (a, b)} of a row: `kernel_basis`'s format."""
+    return {j: x for j, x in enumerate(row) if x != (0, 0)}
 
 
 def _divide_by_line(vec: tuple, r: int, c: int) -> tuple:

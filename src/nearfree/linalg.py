@@ -1,8 +1,9 @@
 """Exact linear algebra: certified right-kernel bases.
 
-`kernel_basis`, the one elimination entry point, takes a non-empty list of
-equal-length rows of Z[w] integer pairs (a, b), meaning a + b*w. Callers
-scale their own Scalar rows (`nearfree.criteria.mdr` does, row by row).
+`kernel_basis(rows, ncols)`, the one elimination entry point, takes sparse
+Z[w] rows: each a dict {column: (a, b)} of its nonzero cells a + b*w, with
+columns below ncols, which fixes the width (an empty dict is a zero row).
+Every pass below walks the stored cells only.
 
 `kernel_basis` returns the canonical kernel basis: pivot columns are taken
 left to right, and there is one vector per free column with the other free
@@ -36,10 +37,11 @@ of its denominators (`Kernel`), and no Scalar is made. `span_basis` gives
 the same canonical basis to a kernel known as a span rather than as the
 kernel of rows, such as the one `mdr` derives from the kernel a degree up.
 
-Every elimination mod p (`_echelon_mod`) takes one of two routes, chosen
-per call from the rows reduced mod p: dict rows with a fewest-nonzeros
-pivot row when at most a third of the residues are nonzero
-(`SPARSE_SHARE`, `_echelon_sparse`), otherwise rows packed into big
+Every elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
+of the nonzero residues and takes one of two routes, chosen per call from
+their count: the dicts as they are, with a fewest-nonzeros pivot row, when
+at most a third of the cells are nonzero (`SPARSE_SHARE`,
+`_echelon_sparse`), otherwise rows packed from the dicts into big
 integers, a fixed-width slot per column (`_echelon_dense`, the package's
 only slot format). Both give the same pivot columns and kernel residues
 (see `_echelon_mod`), so every certificate is the same.
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count
+from itertools import count
 from math import gcd, isqrt
 
 from .field import primitive_pairs
@@ -117,25 +119,23 @@ def _cube_root(p: int) -> int:
 
 
 def _echelon_mod(data: list, ncols: int, p: int, w: int):
-    """Row echelon form of integer-pair rows a + b*w mod p, w sent to the
+    """Row echelon form of sparse Z[w] rows a + b*w mod p, w sent to the
     residue w: (pivot columns, pivot rows).
 
     Pivot rows are full-length residue lists with 1 at the pivot and 0 to
-    its left. The rows are reduced mod p once; when at most a third of the
-    residues are nonzero (`SPARSE_SHARE`) they are eliminated as dicts
-    (`_echelon_sparse`), otherwise packed into big integers
-    (`_echelon_dense`). A residue is zero where its cell is (0, 0) or,
-    rarely, where a + b*w vanishes mod p. The routes may pick different
-    pivot rows, but not different pivot columns: column c is a pivot iff it
+    its left. The stored cells are reduced mod p once, into dicts of the
+    nonzero residues (rarely a + b*w = 0 mod p, and the cell is dropped).
+    When at most a third of the cells are nonzero (`SPARSE_SHARE`) the dicts
+    are eliminated as they are (`_echelon_sparse`), otherwise packed into
+    big integers (`_echelon_dense`). The routes may pick different pivot
+    rows, but not different pivot columns: column c is a pivot iff it
     is not in the span mod p of the columns to its left, whichever rows are
     used. The kernel vector with 1 at a free column and 0 at the others is
     unique, so back-substitution gives the same residues on both routes.
     """
-    # zero cells skip the arithmetic, and counting int zeros is cheap
-    rows = [[(a + b * w) % p if a or b else 0 for a, b in row] for row in data]
-    cells = len(rows) * ncols
-    nonzero = cells - sum(row.count(0) for row in rows)
-    route = _echelon_sparse if nonzero <= SPARSE_SHARE * cells else _echelon_dense
+    rows = [{j: x for j, (a, b) in row.items() if (x := (a + b * w) % p)} for row in data]
+    nonzero = sum(map(len, rows))
+    route = _echelon_sparse if nonzero <= SPARSE_SHARE * len(rows) * ncols else _echelon_dense
     return route(rows, ncols, p)
 
 
@@ -153,8 +153,8 @@ def _unpack_slots(packed: int, nslots: int, nbytes: int) -> list:
 
 
 def _echelon_dense(rows: list, ncols: int, p: int):
-    """`_echelon_mod` on residue rows, each pending row packed into one
-    integer, a fixed-width slot per column, so a row operation is one
+    """`_echelon_mod` on residue dicts, each pending row packed from its dict
+    into one integer, a fixed-width slot per column, so a row operation is one
     big-integer multiply-add; the first row with a nonzero lead is the
     pivot row.
 
@@ -167,7 +167,12 @@ def _echelon_dense(rows: list, ncols: int, p: int):
     """
     nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
     shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    pending = [packed for packed in (_pack_slots(row, nbytes) for row in rows) if packed]
+    pending = []
+    for row in filter(None, rows):
+        full = [0] * ncols
+        for j, x in row.items():
+            full[j] = x
+        pending.append(_pack_slots(full, nbytes))
     pivots, echelon = [], []
     for c in range(ncols):
         if not pending:
@@ -187,8 +192,9 @@ def _echelon_dense(rows: list, ncols: int, p: int):
 
 
 def _echelon_sparse(rows: list, ncols: int, p: int):
-    """`_echelon_mod` on residue rows, each kept as a dict {column: residue}
-    of its nonzero entries in the bucket of its lead column.
+    """`_echelon_mod` on residue dicts {column: residue} of the nonzero
+    entries, taken as they are (and consumed), each in the bucket of its
+    lead column.
 
     At column c the bucket's row with the fewest nonzeros is the pivot row,
     which keeps fill-in low (Markowitz's rule, by rows). It is normalised to
@@ -197,9 +203,8 @@ def _echelon_sparse(rows: list, ncols: int, p: int):
     when it is empty. Work is spent only on the nonzero entries.
     """
     buckets = [[] for _ in range(ncols)]
-    for row in rows:
-        if residues := dict(compress(enumerate(row), row)):  # the nonzero (j, x)
-            buckets[min(residues)].append(residues)
+    for row in filter(None, rows):
+        buckets[min(row)].append(row)
     pivots, echelon = [], []
     for c, bucket in enumerate(buckets):
         if not bucket:
@@ -289,14 +294,12 @@ def _lift(residues: list, m: int):
 
 
 def _annihilates(data: list, vectors: list) -> bool:
-    """Exact check that every Z[w] vector kills every integer-pair row: the
-    row's nonzero cells are listed once, then each vector's sum of Z[w]
-    products over them must be 0."""
+    """Exact check that every Z[w] vector kills every sparse Z[w] row: each
+    vector's sum of Z[w] products over the row's stored cells must be 0."""
     for row in data:
-        cells = [(j, ra, rb) for j, (ra, rb) in enumerate(row) if ra or rb]
         for vec in vectors:
             re = im = 0
-            for j, ra, rb in cells:
+            for j, (ra, rb) in row.items():
                 xa, xb = vec[j]
                 # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
                 if rb:
@@ -379,19 +382,19 @@ def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
     return Kernel([reduced[j] for j in sorted(reduced)], certificate)
 
 
-def kernel_basis(data: list) -> Kernel:
-    """Canonical basis of the right kernel, as Z[w] integer vectors (see
-    `Kernel`); rank + len(basis) == number of columns.
+def kernel_basis(data: list, ncols: int) -> Kernel:
+    """Canonical basis of the right kernel, as Z[w] integer vectors of
+    length ncols (see `Kernel`); rank + len(basis) == ncols.
 
-    data is a non-empty list of equal-length rows of Z[w] integer pairs
-    (a, b) meaning a + b*w, such as `nearfree.criteria.derivation_rows`.
+    data is a list of sparse rows, dicts {column: (a, b)} of the nonzero
+    Z[w] cells a + b*w with columns below ncols, such as
+    `nearfree.criteria.derivation_rows` gives; see the module docstring.
     Primes are taken from `prime_stream` until the rank is full mod p or a
     reconstruction is verified; the result's `certificate` says which (see
     the module docstring). Over Q(w) the first prime's kernel is lifted from
     w -> ω alone, and w -> ω² is eliminated only when that lift fails.
     """
-    ncols = len(data[0])
-    qw = any(b for row in data for _, b in row)
+    qw = any(b for row in data for _, b in row.values())
     best, modulus, primes, lifted = None, 1, 0, []
     for p in prime_stream():
         w1 = _cube_root(p) if qw else 0

@@ -191,13 +191,16 @@ class LinearForm:
     """A projective line a*x + b*y + c*z = 0, held as `ints`, its primitive
     Z[w] triple (`field.primitive_pairs`: lead (s, 0) with s > 0, content 1).
     Q(w)-multiples of one line share it, so == and hash use it; `coeffs`,
-    the Scalars `ints` / s with first nonzero 1, is built on first use."""
+    the Scalars `ints` / s with first nonzero 1, is built on first use. The
+    coefficients are ints, Scalars or Fractions, or three Z[w] pairs."""
 
     __slots__ = ("ints", "_coeffs")
 
     def __init__(self, cx, cy, cz):
         if type(cx) is int and type(cy) is int and type(cz) is int:
             pairs = [(cx, 0), (cy, 0), (cz, 0)]
+        elif type(cx) is tuple:  # three Z[w] pairs (a, b), as `from_poly` passes them
+            pairs = [cx, cy, cz]
         else:
             pairs = integer_pairs([c if isinstance(c, Scalar) else Scalar(c) for c in (cx, cy, cz)])
         if pairs == [(0, 0)] * 3:
@@ -216,9 +219,8 @@ class LinearForm:
     def from_poly(cls, p: Poly) -> "LinearForm":
         if p.degree != 1 or p.is_zero():
             raise ValueError("expected a nonzero degree-1 polynomial")
-        return cls(
-            p.coefficient((1, 0, 0)), p.coefficient((0, 1, 0)), p.coefficient((0, 0, 1))
-        )
+        # the Z[w] pairs of p.terms; p.den scales the line and does not change it
+        return cls(*(p.terms.get(mono, (0, 0)) for mono in graded_basis(1)))
 
     @classmethod
     def parse(cls, text: str) -> "LinearForm":

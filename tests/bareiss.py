@@ -1,11 +1,11 @@
 """Bareiss elimination over Z[w], the tests' independent reference for
 `nearfree.linalg.kernel_basis`.
 
-Both take rows of Z[w] integer pairs (a, b) meaning a + b*w, as
-`kernel_basis` does, and leave them unchanged. `rank` runs Bareiss
-one-step fraction-free elimination, which avoids gcd churn, and
-`exact_kernel` back-substitutes fraction-free to the canonical kernel
-basis. Neither shares the modular arithmetic of `kernel_basis`.
+Both take dense rows of Z[w] integer pairs (a, b) meaning a + b*w, the
+rows that `support.sparse_rows` turns into the input of `kernel_basis`,
+and leave them unchanged. `rank` runs Bareiss one-step fraction-free
+elimination, which avoids gcd churn, and `exact_kernel` back-substitutes
+fraction-free to the canonical kernel basis. Neither shares the modular arithmetic of `kernel_basis`.
 """
 
 from math import gcd

@@ -2,7 +2,13 @@
 a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
 integer rows that `nearfree.linalg` takes, the Scalar and Z[w] integer
 forms that kernel vectors and witnesses are compared in, and the
-independent Scalar references `intersect` and `divide_exact`.
+independent references `intersect`, `divide_exact` (Scalar arithmetic)
+and `reference_derivation_rows` (dense rows from binomials and powers).
+
+Tests build matrices as dense rows of Z[w] pairs, the format of the
+Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
+(rows, ncols) that `nearfree.linalg.kernel_basis` takes, dicts of the
+nonzero cells, and `dense_rows` turns those back.
 
 `Poly` holds Z[w] integers over one denominator and has no arithmetic of
 its own. The reference arithmetic here works on its Scalar view, read
@@ -14,7 +20,7 @@ differences, scalings and products (`poly_add`, `poly_sub`, `poly_scale`,
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from nearfree import (
     OMEGA,
@@ -31,7 +37,8 @@ from nearfree import (
 )
 from nearfree.arrangement import normalize_point
 from nearfree.errors import FieldMismatch, ToolkitError
-from nearfree.field import integer_pairs
+from nearfree.criteria import _beta_gamma, _pivot_split
+from nearfree.field import integer_pairs, pair_mul
 from nearfree.poly import _map_add, _map_mul, _map_neg, graded_basis
 
 # the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
@@ -50,15 +57,67 @@ def scalar_vector(vec):
 
 
 def zw_rows(rows):
-    """Rows of Scalars or ints as the Z[w] integer-pair rows that
-    `nearfree.linalg` takes, each row scaled by the lcm of its denominators
-    (its kernel unchanged)."""
+    """Rows of Scalars or ints as dense Z[w] integer-pair rows, each row
+    scaled by the lcm of its denominators (its kernel unchanged); see
+    `sparse_rows` for the rows `nearfree.linalg` takes."""
     return [integer_pairs([v if isinstance(v, Scalar) else Scalar(v) for v in row])
             for row in rows]
 
 
+def sparse_rows(rows):
+    """Dense rows of Z[w] pairs, all of one length, as (rows, ncols) in the
+    format of `nearfree.linalg.kernel_basis`: each row the dict of its
+    nonzero cells."""
+    return [{j: x for j, x in enumerate(row) if x != (0, 0)} for row in rows], len(rows[0])
+
+
+def dense_rows(rows, ncols):
+    """Sparse rows {column: (a, b)} as dense rows of ncols Z[w] pairs; the
+    inverse of `sparse_rows`."""
+    return [[row.get(j, (0, 0)) for j in range(ncols)] for row in rows]
+
+
+def _powers(x, n):
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(pair_mul(out[-1], x))
+    return out
+
+
+def reference_derivation_rows(lines, r):
+    """The dense rows of `nearfree.criteria.derivation_rows`, built cell by
+    cell from binomials and powers: x_q^e x_k^a x_l^b restricts to the sum
+    over t of A_q^(r-e) C(e,t) (-A_k)^t (-A_l)^(e-t) x_k^(a+t) x_l^(b+e-t),
+    and beta and gamma multiply that coefficient into the two blocks."""
+    basis = graded_basis(r)
+    nb = len(basis)
+    rows = []
+    for line in lines[1:]:
+        beta, gamma = _beta_gamma(lines[0], line)
+        q, k, l = _pivot_split(line)
+        lead = _powers(line[q], r)
+        minus_k = _powers((-line[k][0], -line[k][1]), r)
+        minus_l = _powers((-line[l][0], -line[l][1]), r)
+        by_beta, by_gamma = [], []
+        for e in range(r + 1):
+            terms = [pair_mul(lead[r - e], pair_mul(minus_k[t], minus_l[e - t]))
+                     for t in range(e + 1)]
+            terms = [(a * comb(e, t), b * comb(e, t)) for t, (a, b) in enumerate(terms)]
+            by_beta.append([pair_mul(beta, x) for x in terms])
+            by_gamma.append([pair_mul(gamma, x) for x in terms])
+        block = [[(0, 0)] * (2 * nb) for _ in range(r + 1)]
+        for c, mono in enumerate(basis):
+            e, a = mono[q], mono[k]
+            for t in range(e + 1):
+                block[a + t][c] = by_beta[e][t]
+                block[a + t][nb + c] = by_gamma[e][t]
+        rows.extend(block)
+    return rows
+
+
 def relation_rows(f, r):
-    """`relation_matrix(f, r)` as Z[w] integer-pair rows (see `zw_rows`)."""
+    """`relation_matrix(f, r)` as dense Z[w] integer-pair rows (see
+    `zw_rows`)."""
     m = relation_matrix(f, r)
     return zw_rows(m.entries[i:i + m.cols] for i in range(0, len(m.entries), m.cols))
 
@@ -225,7 +284,7 @@ def unlucky_primes_first(monkeypatch, primes):
     """Put the given small primes in front of the proven prime stream of
     `nearfree.linalg`. Returns a list that records, as the kernels are
     computed, each zero-kernel claim made at one of those primes, as
-    (p, integer-pair rows, column count). Every claim passes through
+    (p, dense integer-pair rows, column count). Every claim passes through
     `linalg._residue_kernel`, one elimination under one embedding of w."""
     stream, residue_kernel = linalg.prime_stream, linalg._residue_kernel
     claims = []
@@ -233,7 +292,7 @@ def unlucky_primes_first(monkeypatch, primes):
     def spy(data, ncols, p, w):
         found = residue_kernel(data, ncols, p, w)
         if found is None and p in primes:
-            claims.append((p, [list(row) for row in data], ncols))
+            claims.append((p, dense_rows(data, ncols), ncols))
         return found
 
     monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))

@@ -439,7 +439,7 @@ def test_missing_syzygy_is_an_error_not_a_traceback(monkeypatch, args):
     # a kernel_basis that never finds a syzygy breaks mdr's invariant that
     # (0, f_z, -f_y) is one in degree d - 1
     empty = linalg.Kernel([], linalg.FULL_RANK_MOD_P)
-    monkeypatch.setattr(criteria, "kernel_basis", lambda m: empty)
+    monkeypatch.setattr(criteria, "kernel_basis", lambda rows, ncols: empty)
     code, out, err = run_cli(["analyze"] + args)
     assert (code, out) == (2, "")
     assert err.startswith("error: no syzygy found in degrees below d=")
@@ -449,8 +449,8 @@ def test_poly_route_checks_its_witness(monkeypatch):
     # a kernel_basis that claims e_1 = (1, 0, 0) in degree 0, which is no
     # syzygy of the cusp (f_x = -3x^2): the Jacobian witness is checked
     # exactly before it is reported
-    def fake(m):
-        return linalg.Kernel([[(1, 0)] + [(0, 0)] * (len(m[0]) - 1)],
+    def fake(rows, ncols):
+        return linalg.Kernel([[(1, 0)] + [(0, 0)] * (ncols - 1)],
                              "verified reconstruction (1 prime)")
 
     monkeypatch.setattr(criteria, "kernel_basis", fake)

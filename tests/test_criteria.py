@@ -28,6 +28,7 @@ from support import (
     poly_scale,
     random_nonzero_scalar,
     relation_rows,
+    sparse_rows,
     unlucky_primes_first,
 )
 from test_golden import POLY
@@ -43,7 +44,7 @@ def test_relation_matrix_shape_and_rank_for_smooth_quadric():
     m = relation_matrix(f, 0)
     assert (m.rows, m.cols) == (3, 3)
     assert rank(relation_rows(f, 0)) == 3
-    assert kernel_basis(relation_rows(f, 0)) == []
+    assert kernel_basis(*sparse_rows(relation_rows(f, 0))) == []
 
 
 def test_relation_matrix_column_count_formula():
@@ -71,7 +72,7 @@ def test_relation_matrix_columns_are_shifted_partials(f):
 
 
 def test_braid_sextic_kernel_dimension_at_two():
-    assert len(kernel_basis(relation_rows(parse_poly(BRAID_SEXTIC), 2))) == 1
+    assert len(kernel_basis(*sparse_rows(relation_rows(parse_poly(BRAID_SEXTIC), 2)))) == 1
 
 
 @pytest.mark.parametrize(
@@ -135,7 +136,7 @@ def test_kernel_dimension_monotonicity_beyond_mdr():
         f = parse_poly(text)
         r = mdr(f).r
         if r + 1 <= f.degree - 1:
-            beyond = kernel_basis(relation_rows(f, r + 1))
+            beyond = kernel_basis(*sparse_rows(relation_rows(f, r + 1)))
             assert len(beyond) >= 1
 
 

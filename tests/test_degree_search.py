@@ -48,6 +48,7 @@ from support import (
     random_nodal_arrangement,
     reflection_arrangement,
     relation_rows,
+    sparse_rows,
 )
 from test_golden import POLY
 
@@ -111,7 +112,7 @@ def _derived(kernel, r, c):
     """The kernel at r - 1 as the walk of `mdr` derives it from the one at
     r: [] when the remainders have full column rank."""
     quotients = [criteria._divide_by_line(vec, r, c)[0] for vec in kernel]
-    combinations = linalg.kernel_basis(_remainders(kernel, r, c))
+    combinations = linalg.kernel_basis(*sparse_rows(_remainders(kernel, r, c)))
     return combinations and linalg.span_basis(combinations, quotients, f"derived from the kernel at {r}")
 
 
@@ -121,7 +122,7 @@ def _derived_like_direct(rows, d, c, top):
     its rows; returns the number of degrees compared."""
     compared = 0
     for r in range(min(top + 2, d - 1), 0, -1):
-        above, direct = linalg.kernel_basis(rows(r)), linalg.kernel_basis(rows(r - 1))
+        above, direct = linalg.kernel_basis(*rows(r)), linalg.kernel_basis(*rows(r - 1))
         derived = _derived(above, r, c)
         assert list(derived) == list(direct), r
         assert not derived or derived.certificate == f"derived from the kernel at {r}"
@@ -170,8 +171,8 @@ def test_restriction_off_the_lines_has_the_kernel_one_degree_lower(a):
     ints, c = _ints(a), _off_the_lines(a)
     top = mdr(defining_polynomial(a), a.lines).r
     for r in range(top, min(top + 3, a.d)):
-        restricted = _remainders(linalg.kernel_basis(derivation_rows(ints, r)), r, c)
-        lower = linalg.kernel_basis(derivation_rows(ints, r - 1)) if r else []
+        restricted = _remainders(linalg.kernel_basis(*derivation_rows(ints, r)), r, c)
+        lower = linalg.kernel_basis(*derivation_rows(ints, r - 1)) if r else []
         assert len(exact_kernel(restricted)) == len(lower)
 
 
@@ -181,8 +182,8 @@ def test_restriction_of_syzygies_to_x_has_the_kernel_one_degree_lower(name):
     f = parse_poly(POLY[name][0])
     top = mdr(f).r
     for r in range(top, min(top + 2, f.degree)):
-        restricted = _remainders(linalg.kernel_basis(relation_rows(f, r)), r, 0)
-        lower = linalg.kernel_basis(relation_rows(f, r - 1)) if r else []
+        restricted = _remainders(linalg.kernel_basis(*sparse_rows(relation_rows(f, r))), r, 0)
+        lower = linalg.kernel_basis(*sparse_rows(relation_rows(f, r - 1))) if r else []
         assert len(exact_kernel(restricted)) == len(lower)
 
 
@@ -192,8 +193,8 @@ def test_restriction_of_syzygies_to_x_has_the_kernel_one_degree_lower(name):
 ], ids=["A4_free", "A(2,1,3)"])
 def test_restriction_to_a_line_can_have_a_larger_kernel(a, r, c, lower, restricted):
     ints = _ints(a)
-    assert len(linalg.kernel_basis(derivation_rows(ints, r - 1))) == lower
-    kernel = linalg.kernel_basis(derivation_rows(ints, r))
+    assert len(linalg.kernel_basis(*derivation_rows(ints, r - 1))) == lower
+    kernel = linalg.kernel_basis(*derivation_rows(ints, r))
     assert len(exact_kernel(_remainders(kernel, r, c))) == restricted
     assert len(exact_kernel(_remainders(kernel, r, _off_the_lines(a)))) == lower
 
@@ -208,7 +209,7 @@ def test_reflection_arrangements_certify_off_their_lines(monkeypatch, m):
     monkeypatch.setattr(criteria, "_divide_by_line",
                         lambda vec, r, c: divisions.append((vec, r, c)) or divide(vec, r, c))
     result = mdr(defining_polynomial(a), a.lines, tau=weak_combinatorics(a).mu)
-    kernel = linalg.kernel_basis(derivation_rows(_ints(a), result.r))
+    kernel = linalg.kernel_basis(*derivation_rows(_ints(a), result.r))
     assert divisions == [(vec, result.r, 2) for vec in kernel]
     assert not exact_kernel(_remainders(kernel, result.r, 2))
 
@@ -232,7 +233,7 @@ def test_braid_sextic_walks_down_from_5_to_2_on_derived_kernels(monkeypatch):
     # tau = 10 puts hi at 5, three degrees above mdr = 2: the kernels at 4, 3
     # and 2 are derived, each equal to the direct elimination of its degree
     f = parse_poly(BRAID_SEXTIC)
-    assert _derived_like_direct(lambda r: relation_rows(f, r), f.degree, 0, 3) == 4
+    assert _derived_like_direct(lambda r: sparse_rows(relation_rows(f, r)), f.degree, 0, 3) == 4
     plain, built = mdr(f), _matrices_built(monkeypatch)
     walked = mdr(f, tau=10)
     assert built == [5]

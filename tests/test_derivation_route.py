@@ -41,9 +41,11 @@ from support import (
     random_arrangement,
     random_nodal_arrangement,
     random_poly,
+    reference_derivation_rows,
     reflection_arrangement,
     scalar_poly,
     scalar_vector,
+    sparse_rows,
     unlucky_primes_first,
 )
 
@@ -139,7 +141,7 @@ def _scalar_witness(a, r):
     # g = sum theta(alpha_i)/alpha_i by exact division
     f = defining_polynomial(a)
     ints = [integer_pairs(form.coeffs) for form in a.lines]
-    vec = scalar_vector(kernel_basis(derivation_rows(ints, r))[0])
+    vec = scalar_vector(kernel_basis(*derivation_rows(ints, r))[0])
     nb = len(vec) // 2
     alpha0 = a.lines[0].coeffs
     p0 = next(k for k in range(3) if alpha0[k])
@@ -189,14 +191,15 @@ def test_mdr_checks_the_derivation_witness(monkeypatch):
 def test_derivation_rows_shapes():
     # d = 8, r = 6: 7 lines times 7 rows on 2*C(8,2) unknowns
     a = random_nodal_arrangement(random.Random(9008), 8)
-    rows = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], 6)
-    assert (len(rows), len(rows[0])) == (49, 56)
-    rows = derivation_rows(
+    # (rows, ncols), the shape of the dense rows they stand for
+    rows, ncols = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], 6)
+    assert (len(rows), ncols) == (49, 56)
+    rows, ncols = derivation_rows(
         [integer_pairs(form.coeffs) for form in reflection_arrangement(6, True).lines], 7)
-    assert (len(rows), len(rows[0])) == (160, 72)
+    assert (len(rows), ncols) == (160, 72)
     pencil = [LinearForm(1, -s, 0) for s in range(-29, 30)] + [LinearForm(1, 2, 1)]
-    rows = derivation_rows([integer_pairs(form.coeffs) for form in pencil], 1)
-    assert (len(rows), len(rows[0])) == (118, 6)
+    rows, ncols = derivation_rows([integer_pairs(form.coeffs) for form in pencil], 1)
+    assert (len(rows), ncols) == (118, 6)
 
 
 def test_pencil_is_free_with_exponents_one_and_d_minus_two():
@@ -309,3 +312,35 @@ def test_exact_witness_check_rejects_the_zero_triple():
         verify_syzygy(integer_terms(f)[0], integer_terms(zero, zero, zero))
     with pytest.raises(NotASyzygy):  # zero coefficients are no witness either
         verify_syzygy(integer_terms(f)[0], ({(2, 0, 0): (0, 0)}, {}, {}))
+
+
+def _reference_cases():
+    # every catalog entry, A(m,m,3) and A(m,1,3) in shuffled line orders, and
+    # seeded arrangements over Q (nodal and with triple points) and Q(w),
+    # whose lines have pivots L > 1 and zero coefficients
+    rng = random.Random(9010)
+    cases = [catalog(name) for name in catalog_names()]
+    for m in (2, 3, 6):
+        for full in (False, True):
+            lines = list(reflection_arrangement(m, full).lines)
+            rng.shuffle(lines)
+            cases.append(LineArrangement(lines))
+    cases += [random_arrangement(rng, rng.randint(3, 9), 3) for _ in range(4)]
+    cases += [random_nodal_arrangement(rng, 7)]
+    cases += _with_triple_points(rng, False, 2) + _with_triple_points(rng, True, 4)
+    return cases
+
+
+def test_derivation_rows_are_the_nonzero_cells_of_the_reference():
+    # the Pascal recurrence against binomials times powers, cell by cell
+    cases = _reference_cases()
+    assert {a.tag for a in cases} == {FieldTag.Q, FieldTag.QW}
+    assert any(next(x for x in form.ints if x != (0, 0))[0] > 1 for a in cases for form in a.lines)
+    for a in cases:
+        ints = [form.ints for form in a.lines]
+        for r in range(a.d):
+            rows, ncols = derivation_rows(ints, r)
+            reference = reference_derivation_rows(ints, r)
+            assert (len(rows), ncols) == (len(reference), len(reference[0]))
+            assert rows == sparse_rows(reference)[0]
+            assert not any((0, 0) in row.values() for row in rows)

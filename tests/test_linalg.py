@@ -26,6 +26,8 @@ from support import (
     random_scalar,
     reflection_arrangement,
     scalar_vector,
+    dense_rows,
+    sparse_rows,
     unlucky_primes_first,
     zw_rows,
 )
@@ -34,7 +36,7 @@ from support import (
 def test_rank_identity():
     m = zw_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(m) == 3
-    assert kernel_basis(m) == []
+    assert kernel_basis(*sparse_rows(m)) == []
 
 
 def test_rank_dependent_rows():
@@ -45,11 +47,11 @@ def test_rank_zero_row_matrix():
     # mdr never builds a matrix without rows, so one zero row of width 4
     m = [[(0, 0)] * 4]
     assert rank(m) == 0
-    assert len(kernel_basis(m)) == 4
+    assert len(kernel_basis(*sparse_rows(m))) == 4
 
 
 def test_kernel_of_zero_row():
-    basis = kernel_basis(zw_rows([[0, 0, 0]]))
+    basis = kernel_basis(*sparse_rows(zw_rows([[0, 0, 0]])))
     assert len(basis) == 3
     assert basis == [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0))]
     expected = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
@@ -58,7 +60,7 @@ def test_kernel_of_zero_row():
 
 def test_kernel_vectors_lead_with_one():
     # in Z[w] the lead entry is (s, 0) with s > 0, so it reads 1 over s
-    kernels = [kernel_basis(zw_rows(rows)) for rows in ([[1, 2, 3], [0, 0, 1]], [[OMEGA, 1, 0]])]
+    kernels = [kernel_basis(*sparse_rows(zw_rows(rows))) for rows in ([[1, 2, 3], [0, 0, 1]], [[OMEGA, 1, 0]])]
     assert [len(k) for k in kernels] == [1, 2]
     for vec in kernels[0] + kernels[1]:
         lead = next(v for v in vec if v != (0, 0))
@@ -84,7 +86,7 @@ def test_kernel_annihilates_randomized():
         rational = rng.random() < 0.5
         rows = _random_matrix(rng, nrows, ncols, rational)
         m = zw_rows(rows)
-        basis = kernel_basis(m)
+        basis = kernel_basis(*sparse_rows(m))
         assert rank(m) + len(basis) == ncols
         for vec in basis:
             assert all(not v for v in _matvec(rows, scalar_vector(vec)))
@@ -94,7 +96,7 @@ def test_kernel_basis_is_independent():
     rng = random.Random(3002)
     for _ in range(25):
         m = zw_rows(_random_matrix(rng, rng.randint(1, 5), rng.randint(2, 6)))
-        basis = kernel_basis(m)
+        basis = kernel_basis(*sparse_rows(m))
         if not basis:
             continue
         stacked = zw_rows([scalar_vector(vec) for vec in basis])
@@ -122,7 +124,7 @@ def test_singular_square_matrices():
         rows = [[u[i] * v[j] for j in range(4)] for i in range(4)]
         m = zw_rows(rows)
         assert rank(m) <= 1
-        assert len(kernel_basis(m)) == 4 - rank(m)
+        assert len(kernel_basis(*sparse_rows(m))) == 4 - rank(m)
 
 
 def test_prime_stream_is_proven_distinct_and_descending():
@@ -158,6 +160,31 @@ def _deficient_matrix(rng, make):
     return zw_rows(rows)
 
 
+
+def test_kernel_basis_takes_the_width_from_ncols():
+    # a column that no row stores is a zero column and an empty dict a zero
+    # row: the kernel is the Bareiss basis of the dense rows, with the
+    # certificate of the same rows with every cell stored, zeros included
+    rng = random.Random(3018)
+    certificates = set()
+    for trial in range(40):
+        make = (lambda: random_scalar(rng, 4)) if trial % 2 else (lambda: random_rational_scalar(rng, 5))
+        empty = rng.randint(1, 3)
+        dense = [row + [(0, 0)] * empty for row in _deficient_matrix(rng, make)]
+        dense.insert(rng.randrange(len(dense) + 1), [(0, 0)] * len(dense[0]))
+        rows, ncols = sparse_rows(dense)
+        assert {} in rows and not any(j >= ncols - empty for row in rows for j in row)
+        kernel = kernel_basis(rows, ncols)
+        stored = kernel_basis([dict(enumerate(row)) for row in dense], ncols)
+        assert kernel == stored == exact_kernel(dense)
+        assert kernel.certificate == stored.certificate
+        certificates.add(kernel.certificate)
+    assert len(certificates) >= 2
+    # only empty rows, or none: every column is free
+    for rows, ncols in [([{}], 1), ([{}, {}, {}], 4), ([], 3)]:
+        kernel = kernel_basis(rows, ncols)
+        assert kernel == exact_kernel([[(0, 0)] * ncols]) and len(kernel) == ncols
+
 def test_modular_matches_bareiss():
     rng = random.Random(3004)
     p, _, _, q = islice(linalg.prime_stream(), 4)
@@ -180,7 +207,7 @@ def test_modular_matches_bareiss():
         else:
             ncols, nrows = rng.randint(1, 6), rng.randint(1, 6)
             m = zw_rows([[make() for _ in range(ncols)] for _ in range(nrows)])
-        kernel = kernel_basis(m)
+        kernel = kernel_basis(*sparse_rows(m))
         assert kernel == exact_kernel(m)
         certificates.add(kernel.certificate)
     assert linalg.FULL_RANK_MOD_P in certificates
@@ -195,9 +222,9 @@ def test_unlucky_primes_are_never_trusted(monkeypatch, primes):
     matrices = [zw_rows(rows) for rows in (
         [[1, 0], [0, 7]], [[1, 0], [0, 7 * OMEGA]], [[14, 3], [7, 5]], [[1, 0, 0], [0, 7, 0]],
     )]
-    expected = [kernel_basis(m) for m in matrices]
+    expected = [kernel_basis(*sparse_rows(m)) for m in matrices]
     claims = unlucky_primes_first(monkeypatch, primes)
-    kernels = [kernel_basis(m) for m in matrices]
+    kernels = [kernel_basis(*sparse_rows(m)) for m in matrices]
     assert kernels == expected == [exact_kernel(m) for m in matrices]
     assert kernels[-1] == [((0, 0), (0, 0), (1, 0))]
     # the lift from 7 fails its check, and the next prime starts afresh
@@ -264,7 +291,7 @@ def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, ce
         qw = any(b for row in m for _, b in row)
         qw_seen |= qw
         calls.clear()
-        kernel = kernel_basis(m)
+        kernel = kernel_basis(*sparse_rows(m))
         assert len(calls) == (2 if qw else 1) * primes
         assert kernel == exact_kernel(m)
         assert kernel.certificate == certificate
@@ -290,7 +317,7 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
     rng = random.Random(3007)
     for _ in range(30):
         m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
-        kernel = kernel_basis(m)
+        kernel = kernel_basis(*sparse_rows(m))
         raw = _bareiss_kernel([list(row) for row in m], len(m[0]))
         assert len(kernel) == len(raw)
         for ints, exact in zip(kernel, raw):
@@ -342,7 +369,7 @@ def test_annihilates_matches_a_scalar_reference(qw):
             # real parts of the products vanish, their w parts do not
             cases.append(([changed(kernel[k], 0, rng.choice([-2, 1, 3]))], False))
         for vectors, expected in cases:
-            assert linalg._annihilates(rows, vectors) is expected
+            assert linalg._annihilates(sparse_rows(rows)[0], vectors) is expected
             assert _annihilated_by_scalars(rows, vectors) is expected
         checked += 1
     assert checked >= 30
@@ -379,10 +406,12 @@ def test_sparse_and_dense_eliminations_agree(prime):
         qw = trial % 2 == 1
         rows = _pair_rows(rng, nrows, ncols, rng.uniform(0.05, 0.6), qw, p)
         for w in ((w1, p - 1 - w1) if qw else (0,)):
-            residues = [[(a + b * w) % p for a, b in row] for row in rows]
+            # residue dicts of the stored cells, without those that vanish mod p
+            residues = [{j: x for j, (a, b) in row.items() if (x := (a + b * w) % p)}
+                        for row in sparse_rows(rows)[0]]
             found = []
             for eliminate in (linalg._echelon_dense, linalg._echelon_sparse):
-                pivots, echelon = eliminate(residues, ncols, p)
+                pivots, echelon = eliminate([dict(row) for row in residues], ncols, p)
                 for pc, row in zip(pivots, echelon):
                     assert row[pc] == 1 and not any(row[:pc]) and all(0 <= x < p for x in row)
                 found.append((pivots, linalg._kernel_from_echelon(pivots, echelon, ncols, p)))
@@ -400,7 +429,7 @@ def test_span_basis_is_the_canonical_basis_of_any_basis_of_the_span():
         ncols = rng.randint(3, 8)
         rows = [[(rng.randint(-3, 3), rng.randint(-3, 3) if qw else 0) for _ in range(ncols)]
                 for _ in range(rng.randint(1, ncols - 2))]
-        kernel = kernel_basis(rows)
+        kernel = kernel_basis(*sparse_rows(rows))
         n = len(kernel)
         combinations = []
         for k in range(n):
@@ -441,7 +470,7 @@ def test_benchmark_rows_take_the_faster_route(monkeypatch):
     ]:
         rows = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], r)
         routes.clear()
-        assert kernel_basis(rows)
+        assert kernel_basis(*rows)
         assert routes and set(routes) == {route}
 
 
@@ -505,13 +534,13 @@ def test_one_embedding_settles_the_qw_kernels_at_and_below_mdr(monkeypatch):
         ints = [form.ints for form in a.lines]
         for degree, certificate in [(r - 1, linalg.FULL_RANK_MOD_P),
                                     (r, "verified reconstruction (1 prime)")]:
-            rows = derivation_rows(ints, degree)
+            rows, ncols = derivation_rows(ints, degree)
             calls.clear()
-            kernel = kernel_basis(rows)
+            kernel = kernel_basis(rows, ncols)
             assert len(calls) == 1
             assert kernel.certificate == certificate
             if not shuffled:
-                assert kernel == exact_kernel(rows)
+                assert kernel == exact_kernel(dense_rows(rows, ncols))
 
 
 def _integral_kernel_rows(rng, rank, nfree):
@@ -558,7 +587,7 @@ def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypat
         else:
             m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
         calls.clear()
-        kernel = kernel_basis(m)
+        kernel = kernel_basis(*sparse_rows(m))
         assert kernel == exact_kernel(m)
         if not kernel or not any(b for row in m for _, b in row):
             continue

@@ -195,6 +195,29 @@ def test_wide_line_keeps_exact_ints_through_parse_and_product():
     assert LinearForm.from_poly(f).ints == ints
 
 
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("1/2*x - 3/4*y + z", (Fraction(1, 2), Fraction(-3, 4), 1)),
+    ("2/3*y - 5*z", (0, Fraction(2, 3), -5)),
+    ("1/3*x + 1/2*w*y - (1/6 + 1/6*w)*z", (Fraction(1, 3), Scalar(0, Fraction(1, 2)),
+                                   Scalar(Fraction(-1, 6), Fraction(-1, 6)))),
+    ("(2/5 - 1/5*w)*x + y", (Scalar(Fraction(2, 5), Fraction(-1, 5)), 1, 0)),
+])
+def test_parsed_forms_with_fractions_equal_the_forms_of_their_coefficients(text, coeffs):
+    form, expected = LinearForm.parse(text), LinearForm(*coeffs)
+    assert form == expected and form.ints == expected.ints and form.coeffs == expected.coeffs
+
+
+def test_from_poly_makes_no_scalar(monkeypatch):
+    # the line comes from the Z[w] pairs of p.terms; p.den does not matter
+    polys = [parse_poly(text) for text in ("1/2*x - 3/4*y + z", "1/3*x + 1/2*w*y - (1/6 + 1/6*w)*z")]
+    expected = [LinearForm.from_poly(p) for p in polys]
+    made = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    assert [LinearForm.from_poly(p).ints for p in polys] == [form.ints for form in expected]
+    assert made == []
+
 def _is_primitive(ints):
     lead = next(x for x in ints if x != (0, 0))
     return lead[0] > 0 and lead[1] == 0 and gcd(*(n for x in ints for n in x)) == 1
