@@ -37,9 +37,11 @@ against the total Tjurina number tau of the curve:
 Either way each kernel is a canonical basis of Z[w] integer vectors with
 its certificate, from `nearfree.linalg`: `kernel_basis` eliminates sparse
 Z[w] rows, dicts of their nonzero cells, and `span_basis` canonicalises a
-kernel derived from the one above it. The witness stays in Z[w] integers,
-three term maps over one denominator, until `verify_syzygy` has checked
-a*f_x + b*f_y + c*f_z = 0 exactly; only then are its polynomials built.
+kernel derived from the one above it. The witness stays in Z[w] integers
+over one denominator: `_derivation_witness` builds it on lists aligned
+with graded_basis, dividing each image theta(alpha_i) by its line in one
+Horner pass, and `verify_syzygy` checks a*f_x + b*f_y + c*f_z = 0 exactly
+on flat integer lists before its polynomials are built.
 
 tau is an input here: callers working with line arrangements obtain it as
 the total Milnor number, which agrees with tau because every singular
@@ -63,12 +65,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from functools import lru_cache
 from itertools import count
 from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
-from .field import ZERO, FieldTag, integer_pairs, pair_det2, pair_mul
+from .field import ZERO, FieldTag, integer_pairs, pair_det2
 from .linalg import kernel_basis, span_basis
 from .poly import Poly, graded_basis
 
@@ -118,16 +121,29 @@ def relation_matrix(f: Poly, r: int) -> ExactMatrix:
 def _pivot_split(line: tuple) -> tuple:
     """(p, j1, j2): the first coordinate where the Z[w] line is nonzero,
     then the other two in order."""
-    p = next(k for k, c in enumerate(line) if c != (0, 0))
-    return (p,) + tuple(k for k in range(3) if k != p)
+    return (0, 1, 2) if line[0] != (0, 0) else (1, 0, 2) if line[1] != (0, 0) else (2, 0, 1)
 
 
-def _beta_gamma(first: tuple, line: tuple) -> tuple:
-    """(beta, gamma) with first,p0 * theta(line) = beta*theta_j1 +
-    gamma*theta_j2 when theta(first) = 0, for Z[w] lines."""
+def _line_data(lines: Sequence) -> list:
+    """(beta, gamma, (q, k, l)) for each Z[w] line after the first: with
+    (p0, j1, j2) the pivot split of alpha_0, alpha_0,p0 * theta(line) =
+    beta*theta_j1 + gamma*theta_j2 when theta(alpha_0) = 0, and (q, k, l)
+    is the line's own pivot split."""
+    first = lines[0]
     p0, j1, j2 = _pivot_split(first)
-    return (pair_det2(line[j1], first[p0], line[p0], first[j1]),
-            pair_det2(line[j2], first[p0], line[p0], first[j2]))
+    return [(pair_det2(line[j1], first[p0], line[p0], first[j1]),
+             pair_det2(line[j2], first[p0], line[p0], first[j2]), _pivot_split(line))
+            for line in lines[1:]]
+
+
+@lru_cache(maxsize=None)
+def _positions(r: int, q: int) -> tuple:
+    """rows[e][a], e = 0..r+1: the index in graded_basis(r) of x_q^e x_k^a
+    x_l^(r-e-a) for the pivot split (q, k, l); rows[r + 1] is empty. x^i
+    y^j z^k sits at u(u+1)/2 + k with u = j + k, whatever the degree."""
+    k, l = (v for v in range(3) if v != q)
+    exps = [[dict(((q, e), (k, a), (l, r - e - a))) for a in range(r - e + 1)] for e in range(r + 2)]
+    return tuple([(x[1] + x[2]) * (x[1] + x[2] + 1) // 2 + x[2] for x in row] for row in exps)
 
 
 def derivation_rows(lines: Sequence, r: int) -> tuple:
@@ -154,9 +170,7 @@ def derivation_rows(lines: Sequence, r: int) -> tuple:
     basis = graded_basis(r)
     nb = len(basis)
     rows = []
-    for line in lines[1:]:
-        (ba, bb), (ga, gb) = _beta_gamma(lines[0], line)
-        q, k, l = _pivot_split(line)
+    for line, ((ba, bb), (ga, gb), (q, k, l)) in zip(lines[1:], _line_data(lines)):
         lead, (ka, kb), (la, lb) = line[q][0], line[k], line[l]
         # by_beta[e], by_gamma[e]: the nonzero (t, beta*T(e, t)), (t, gamma*T(e, t))
         by_beta, by_gamma, level = [], [], [(lead ** r, 0)]
@@ -181,91 +195,70 @@ def derivation_rows(lines: Sequence, r: int) -> tuple:
     return rows, 2 * nb
 
 
-def _quotient(h: dict, line: tuple) -> tuple:
-    """(L, L * h / line) for a Z[w] term map h divisible by the Z[w] line,
-    whose pivot coefficient is the positive integer L (lines are normalized
-    to pivot 1 before scaling). Z[w] is a unique factorization domain, so
-    by Gauss's lemma h / line has no denominator beyond the content of the
-    line, which divides L. Long division keeps L * h / line integral: each
-    quotient coefficient is an exact division by L."""
-    q, k, l = _pivot_split(line)
-    scale = line[q][0]
-    tail = [(v, line[v]) for v in (k, l) if line[v] != (0, 0)]
-    rem = {m: (a * scale, b * scale) for m, (a, b) in h.items()}
-    quot = {}
-    while rem:
-        lead = max(rem)  # the pivot is the first nonzero coordinate, so this holds x_q
-        a, b = rem.pop(lead)
-        if not lead[q] or a % scale or b % scale:
-            raise NotASyzygy(f"the derivation is not tangent to the line {line}")
-        c = (a // scale, b // scale)
-        mono = list(lead)
-        mono[q] -= 1
-        quot[tuple(mono)] = c
-        for v, coef in tail:
-            up_mono = list(mono)
-            up_mono[v] += 1
-            up_mono = tuple(up_mono)
-            ca, cb = pair_mul(c, coef)
-            pa, pb = rem.pop(up_mono, (0, 0))
-            if pa != ca or pb != cb:
-                rem[up_mono] = (pa - ca, pb - cb)
-    return scale, quot
-
-
 def _derivation_witness(d: int, ints: Sequence, r: int, pairs: tuple) -> tuple:
     """(W, D): the syzygy theta - (g/d)(x, y, z), g = sum
     theta(alpha_i)/alpha_i, of the derivation theta read from a canonical
-    kernel vector of derivation_rows, as three Z[w] term maps W over one
-    denominator D.
+    kernel vector of derivation_rows: W, like Theta, its images and G, is
+    lists of Z[w] pairs on graded_basis, over one denominator D.
 
     With s the kernel vector's lead (the scale that made it integral) and
     L0 the first line's scaled pivot coefficient, Theta = L0*s*theta has
-    Theta(A_i) = beta_i*theta_j1 + gamma_i*theta_j2 (as in
-    derivation_rows). Each Theta(A_i)/A_i is Q_i / L_i (see _quotient), so
-    with M = lcm(L_i) and G = sum (M / L_i) Q_i, the integral W = d*M*Theta
-    - G*(x, y, z) is the witness times D = d*M*L0*s.
+    h = Theta(A_i) = beta_i*theta_j1 + gamma_i*theta_j2 (as in
+    derivation_rows). Write A_i = L*x_q + lam, L the positive integer pivot
+    coefficient and lam = A_k*x_k + A_l*x_l. Z[w] is a unique factorization
+    domain, so by Gauss's lemma P = L*h/A_i is integral when A_i divides h.
+    With h_e and P_e the binary forms at x_q^e, L*h_e = L*P_(e-1) +
+    lam*P_e: one Horner pass from e = r down gives P_(e-1) = h_e -
+    lam*P_e/L, an exact division at each step, and the remainder test is
+    L*h_0 = lam*P_0. The pass skips the zero entries of P_e. An inexact
+    step or a nonzero remainder raises NotASyzygy: theta is not tangent to
+    A_i. With M = lcm(L_i) and G = sum (M/L_i)*P_i, the integral W =
+    d*M*Theta - G*(x, y, z) is the witness times D = d*M*L0*s.
     """
-    basis = graded_basis(r)
-    nb = len(basis)
+    nb = (r + 1) * (r + 2) // 2
     s = next(a for a, b in pairs if a or b)  # the lead entry (s, 0)
-    first = ints[0]
-    p0, j1, j2 = _pivot_split(first)
-    low, high = dict(zip(basis, pairs[:nb])), dict(zip(basis, pairs[nb:]))
-    lead = first[p0][0]
-    theta = [{}, {}, {}]
-    for mono in basis:  # theta_p0 from theta(alpha_0) = 0
-        t1, t2 = pair_mul(first[j1], low[mono]), pair_mul(first[j2], high[mono])
-        theta[p0][mono] = (-t1[0] - t2[0], -t1[1] - t2[1])
-    theta[j1] = {m: (lead * a, lead * b) for m, (a, b) in low.items()}
-    theta[j2] = {m: (lead * a, lead * b) for m, (a, b) in high.items()}
-    quotients = []
-    for line in ints[1:]:
-        beta, gamma = _beta_gamma(first, line)
-        image = {}
-        for mono in basis:
-            x, y = pair_mul(beta, low[mono]), pair_mul(gamma, high[mono])
-            if x[0] + y[0] or x[1] + y[1]:
-                image[mono] = (x[0] + y[0], x[1] + y[1])
-        quotients.append(_quotient(image, line))
-    m = lcm(*(scale for scale, _ in quotients))
-    g = {}
-    for scale, quot in quotients:
-        k = m // scale
-        for mono, (a, b) in quot.items():
-            ga, gb = g.get(mono, (0, 0))
-            g[mono] = (ga + k * a, gb + k * b)
-    witness = []
-    for j in range(3):
-        terms = {mono: (d * m * a, d * m * b) for mono, (a, b) in theta[j].items()}
-        for mono, (a, b) in g.items():
-            up_mono = list(mono)
-            up_mono[j] += 1
-            up_mono = tuple(up_mono)
-            ta, tb = terms.get(up_mono, (0, 0))
-            terms[up_mono] = (ta - a, tb - b)
-        witness.append(terms)
-    return tuple(witness), d * m * lead * s
+    p0, j1, j2 = _pivot_split(ints[0])
+    data = _line_data(ints)
+    m = lcm(*(line[q][0] for line, (_, _, (q, _, _)) in zip(ints[1:], data)))
+    # the nonzero cells (c, theta_j1, theta_j2) of the kernel vector
+    cells = [(c, x, y) for c, (x, y) in enumerate(zip(pairs, pairs[nb:])) if x != (0, 0) or y != (0, 0)]
+    g = [(0, 0)] * (nb - r - 1)  # on graded_basis(r - 1)
+    for line, ((ba, bb), (ga, gb), (q, k, l)) in zip(ints[1:], data):
+        L, (ka, kb), (la, lb) = line[q][0], line[k], line[l]
+        ba, bb, ga, gb, image = L * ba, L * bb, L * ga, L * gb, [(0, 0)] * nb
+        for c, (xa, xb), (ya, yb) in cells:  # L*h = L*beta*x + L*gamma*y, w^2 = -1 - w
+            image[c] = (ba * xa - bb * xb + ga * ya - gb * yb,
+                        ba * xb + bb * xa - bb * xb + ga * yb + gb * ya - gb * yb)
+        above, below, scale, quot = _positions(r, q), _positions(r - 1, q), m // L, []
+        for e in range(r, -1, -1):  # quot is P_e, from P_r = 0, and goes into G on the way
+            prev, quot = quot, [image[c] for c in above[e]]
+            for a, ((pa, pb), c) in enumerate(zip(prev, below[e])):  # L*h_e - lam*P_e
+                if pa or pb:
+                    ta, tb = g[c]
+                    g[c] = (ta + scale * pa, tb + scale * pb)
+                    ta, tb = quot[a + 1]
+                    cross = kb * pb
+                    quot[a + 1] = (ta - ka * pa + cross, tb - ka * pb - kb * pa + cross)
+                    ta, tb = quot[a]
+                    cross = lb * pb
+                    quot[a] = (ta - la * pa + cross, tb - la * pb - lb * pa + cross)
+            if L > 1 and any(a % L or b % L for a, b in quot) or not e and any(a or b for a, b in quot):
+                raise NotASyzygy(f"the derivation is not tangent to the line {line}")
+            quot = [(a // L, b // L) for a, b in quot] if L > 1 else quot
+    dm, lead, (fa, fb), (ha, hb) = d * m, ints[0][p0][0], ints[0][j1], ints[0][j2]
+    theta = [[(0, 0)] * nb for _ in range(3)]
+    for c, (xa, xb), (ya, yb) in cells:  # Theta_p0 from Theta(alpha_0) = 0
+        theta[j1][c] = (dm * lead * xa, dm * lead * xb)
+        theta[j2][c] = (dm * lead * ya, dm * lead * yb)
+        theta[p0][c] = (dm * (fb * xb - fa * xa + hb * yb - ha * ya),
+                        dm * (fb * xb - fa * xb - fb * xa + hb * yb - ha * yb - hb * ya))
+    # minus G*(x, y, z): x^i y^j z^k at c, u = j + k, goes up to c, c + u + 1, c + u + 2
+    for c, ((a, b), u) in enumerate(zip(g, (u for u in range(r) for _ in range(u + 1)))):
+        if a or b:
+            for comp, at in zip(theta, (c, c + u + 1, c + u + 2)):
+                ta, tb = comp[at]
+                comp[at] = (ta - a, tb - b)
+    return theta, dm * lead * s
 
 
 def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
@@ -274,29 +267,35 @@ def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
     f_terms is f and witness is (a, b, c), each a term map of Z[w] integer
     pairs of a homogeneous polynomial, a, b and c of one degree r; a common
     factor of a, b and c, and any factor of f, such as `Poly.den`, does not
-    matter. Each term of each partial of f is
-    multiplied by each term of its component of the witness, and the
-    products are added up per monomial. Every product has degree
-    r + d - 1, so x^i y^j z^k is keyed by i*width + j with width = r + d,
-    which exceeds j. The check passes iff every sum is (0, 0).
+    matter. Each term of each partial of f is multiplied by each term of
+    its component of the witness, and the products are added up per
+    monomial in two flat integer lists, the real and the w part (only the
+    real one where neither the partial nor the component has a w part).
+    Every product has degree r + d - 1, so x^i y^j z^k sits at i*width + j
+    with width = r + d, which exceeds j. The check passes iff every sum is 0.
     """
     if not any(a or b for t in witness for a, b in t.values()):
         raise NotASyzygy("the zero triple is no witness")
     width = sum(next(iter(f_terms))) + sum(next(m for t in witness for m in t))
-    sums = {}
+    re, im = [0] * (width * width), [0] * (width * width)
     for var, component in enumerate(witness):
-        # the partial in var: lowering x takes width off the key, lowering y one
+        # the partial in var: lowering x takes width off the index, lowering y one
         shift = (width, 1, 0)[var]
         part = [(mono[0] * width + mono[1] - shift, fa * mono[var], fb * mono[var])
                 for mono, (fa, fb) in f_terms.items() if mono[var]]
+        rational = not any(fb for _, _, fb in part) and not any(b for _, b in component.values())
         for (i, j, _), (a, b) in component.items():
             key = i * width + j
+            if rational:
+                for k, fa, _ in part:
+                    re[key + k] += fa * a
+                continue
             for k, fa, fb in part:
                 # (fa + fb w)(a + b w) = fa a - fb b + (fa b + fb a - fb b) w
                 cross = fb * b
-                sa, sb = sums.get(key + k, (0, 0))
-                sums[key + k] = (sa + fa * a - cross, sb + fa * b + fb * a - cross)
-    if any(a or b for a, b in sums.values()):
+                re[key + k] += fa * a - cross
+                im[key + k] += fa * b + fb * a - cross
+    if any(re) or any(im):
         raise NotASyzygy("the witness does not satisfy a*f_x + b*f_y + c*f_z = 0")
 
 
@@ -385,12 +384,10 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     certificates = [kernels[k].certificate if k in kernels else implied for k in range(r + 1)]
     vec = kernels[r][0]
     if lines is None:  # the three blocks of the vector, over its lead
-        basis = graded_basis(r)
-        terms = tuple({mono: x for mono, x in zip(basis, vec[k * len(basis):]) if x != (0, 0)}
-                      for k in range(3))
-        den = next(a for a, b in vec if a or b)
+        blocks, den = [vec[k * len(vec) // 3:] for k in range(3)], next(a for a, b in vec if a or b)
     else:
-        terms, den = _derivation_witness(d, ints, r, vec)
+        blocks, den = _derivation_witness(d, ints, r, vec)
+    terms = tuple({mono: x for mono, x in zip(graded_basis(r), b) if x != (0, 0)} for b in blocks)
     verify_syzygy(f.terms, terms)
     witness = tuple(Poly(r, t, f.tag, den) for t in terms)
     return MdrResult(r, witness, dims, certificates)

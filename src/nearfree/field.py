@@ -12,8 +12,8 @@ which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
 point and the form of a kernel vector; a polynomial is Z[w] integer
 pairs over one denominator (`poly.Poly`). Scalars are made only where text
 enters or leaves the library: parsed literals, a line's normalized
-coefficients, the lattice points, printed polynomial coefficients and the
-entries of `--poly` relation matrices. The scalar grammar (`parse_scalar`)
+coefficients, the lattice points and the entries of `--poly` relation
+matrices. The scalar grammar (`parse_scalar`)
 reads ASCII digits only.
 """
 

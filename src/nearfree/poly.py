@@ -8,9 +8,10 @@ maps each monomial to a pair (a, b) meaning (a + b*w) / `Poly.den`. The
 product of an arrangement's lines (`product_of_forms`) is expanded from
 their primitive Z[w] triples (`LinearForm.ints`) on two term maps of Z[w]
 integers, the real and the w part. Scalars are made only where text
-enters or leaves: the expression parser works on Scalar term maps
-(`_map_add`, `_map_mul`) and converts its result once, and
-`Poly.coefficient` is the only Scalar view of a polynomial.
+enters: the expression parser works on Scalar term maps (`_map_add`,
+`_map_mul`) and converts its result once. `format_poly` prints from the
+integers, and `Poly.coefficient`, the Scalar view, serves `--poly`
+relation matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .field import (
     FieldTag,
     Scalar,
     _scan_rational,
-    format_scalar,
     integer_pairs,
     primitive_pairs,
     smallest_tag,
@@ -458,28 +458,30 @@ def parse_poly(text: str, tag: FieldTag = None) -> Poly:
 
 
 def format_poly(f: Poly) -> str:
-    """Canonical text: terms in descending graded-lex order, explicit * and ^."""
+    """Canonical text: terms in descending graded-lex order, explicit * and ^.
+
+    Each coefficient (a + b*w) / den is printed from its integers: a
+    rational a/den or b/den in lowest terms (one gcd each), "w" for
+    b = ±den, and a coefficient with both parts in parentheses."""
     if not f.terms:
         return "0"
-    pieces = []
+    den = f.den
+
+    def ratio(n):  # n / den in lowest terms, as Fraction prints it
+        g = gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    out = []
     for mono in sorted(f.terms, reverse=True):
-        coef = f.coefficient(mono)
+        a, b = f.terms[mono]
         mono_s = _mono_str(mono)
-        if not coef.b:
-            negative = coef.a < 0
-            mag = abs(coef.a)
-            coef_s = "" if (mag == 1 and mono_s) else str(mag)
-        elif not coef.a:
-            negative = coef.b < 0
-            mag = abs(coef.b)
-            coef_s = "w" if mag == 1 else f"{mag}*w"
+        w_s = "" if not b else "w" if abs(b) == den else ratio(abs(b)) + "*w"
+        if not b:
+            negative, coef_s = a < 0, "" if abs(a) == den and mono_s else ratio(abs(a))
+        elif not a:
+            negative, coef_s = b < 0, w_s
         else:
-            negative = False
-            coef_s = f"({format_scalar(coef)})"
-        body = "*".join(p for p in (coef_s, mono_s) if p)
-        pieces.append(("-" if negative else "+", body))
-    sign0, body0 = pieces[0]
-    out = [body0 if sign0 == "+" else "-" + body0]
-    for sign, body in pieces[1:]:
-        out.append(sign + body)
+            negative, coef_s = False, f"({ratio(a)}{'+' if b > 0 else '-'}{w_s})"
+        sign = "-" if negative else "+" if out else ""
+        out.append(sign + "*".join(p for p in (coef_s, mono_s) if p))
     return "".join(out)

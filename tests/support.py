@@ -2,8 +2,9 @@
 a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
 integer rows that `nearfree.linalg` takes, the Scalar and Z[w] integer
 forms that kernel vectors and witnesses are compared in, and the
-independent references `intersect`, `divide_exact` (Scalar arithmetic)
-and `reference_derivation_rows` (dense rows from binomials and powers).
+independent references `intersect`, `divide_exact` (Scalar arithmetic),
+`reference_derivation_rows` (dense rows from binomials and powers) and
+`reference_format_poly` (the text of a polynomial from its Scalar view).
 
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
@@ -37,9 +38,9 @@ from nearfree import (
 )
 from nearfree.arrangement import normalize_point
 from nearfree.errors import FieldMismatch, ToolkitError
-from nearfree.criteria import _beta_gamma, _pivot_split
-from nearfree.field import integer_pairs, pair_mul
-from nearfree.poly import _map_add, _map_mul, _map_neg, graded_basis
+from nearfree.criteria import _line_data
+from nearfree.field import format_scalar, integer_pairs, pair_mul
+from nearfree.poly import _map_add, _map_mul, _map_neg, _mono_str, graded_basis
 
 # the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
 # records for a kernel its walk derived from the one above, and the two for
@@ -92,9 +93,7 @@ def reference_derivation_rows(lines, r):
     basis = graded_basis(r)
     nb = len(basis)
     rows = []
-    for line in lines[1:]:
-        beta, gamma = _beta_gamma(lines[0], line)
-        q, k, l = _pivot_split(line)
+    for line, (beta, gamma, (q, k, l)) in zip(lines[1:], _line_data(lines)):
         lead = _powers(line[q], r)
         minus_k = _powers((-line[k][0], -line[k][1]), r)
         minus_l = _powers((-line[l][0], -line[l][1]), r)
@@ -113,6 +112,36 @@ def reference_derivation_rows(lines, r):
                 block[a + t][nb + c] = by_gamma[e][t]
         rows.extend(block)
     return rows
+
+
+def reference_format_poly(f):
+    """The text of `nearfree.poly.format_poly`, built from the Scalar view
+    `Poly.coefficient` and `format_scalar`: terms in descending graded-lex
+    order, explicit * and ^."""
+    if not f.terms:
+        return "0"
+    pieces = []
+    for mono in sorted(f.terms, reverse=True):
+        coef = f.coefficient(mono)
+        mono_s = _mono_str(mono)
+        if not coef.b:
+            negative = coef.a < 0
+            mag = abs(coef.a)
+            coef_s = "" if (mag == 1 and mono_s) else str(mag)
+        elif not coef.a:
+            negative = coef.b < 0
+            mag = abs(coef.b)
+            coef_s = "w" if mag == 1 else f"{mag}*w"
+        else:
+            negative = False
+            coef_s = f"({format_scalar(coef)})"
+        body = "*".join(p for p in (coef_s, mono_s) if p)
+        pieces.append(("-" if negative else "+", body))
+    sign0, body0 = pieces[0]
+    out = [body0 if sign0 == "+" else "-" + body0]
+    for sign, body in pieces[1:]:
+        out.append(sign + body)
+    return "".join(out)
 
 
 def relation_rows(f, r):

@@ -120,7 +120,8 @@ def test_analyze_file_source(tmp_path):
 @pytest.mark.parametrize("d", [6, 7, 8])
 def test_arrangement_commands_make_no_scalar(monkeypatch, tmp_path, d):
     # from the integer lines to the verdict, f, the kernels and the witness
-    # stay in Z[w] integers; --json prints no coefficient, so no Scalar is made
+    # stay in Z[w] integers, and --witness prints the witness from its
+    # integers over its denominator, so no Scalar is made
     path = tmp_path / "nodal.lines"
     lines = random_nodal_arrangement(random.Random(d), d).lines
     path.write_text("".join(" ".join(str(a) for a, _ in form.ints) + "\n" for form in lines))
@@ -131,7 +132,8 @@ def test_arrangement_commands_make_no_scalar(monkeypatch, tmp_path, d):
         made.append(args)
         init(self, *args)
 
-    for argv in (["analyze", str(path), "--json"], ["delete", str(path), "--line", "0", "--json"]):
+    for argv in (["analyze", str(path), "--json"], ["delete", str(path), "--line", "0", "--json"],
+                 ["analyze", str(path), "--witness"]):
         code, _, err = run_cli(argv)  # warm-up
         assert code == 0, err
         monkeypatch.setattr(Scalar, "__init__", counted)

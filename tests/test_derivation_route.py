@@ -26,7 +26,7 @@ from nearfree import (
 )
 from nearfree.criteria import derivation_rows, verify_syzygy
 from nearfree.errors import NotASyzygy
-from nearfree.field import integer_pairs
+from nearfree.field import integer_pairs, pair_mul
 
 import bareiss
 from support import (
@@ -151,8 +151,11 @@ def _scalar_witness(a, r):
     theta[j2] = scalar_poly(r, dict(zip(graded_basis(r), vec[nb:])), f.tag)
     theta[p0] = poly_scale(poly_add(poly_scale(theta[j1], alpha0[j1]),
                                     poly_scale(theta[j2], alpha0[j2])), -1)
-    g = poly_add(*(divide_exact(poly_add(*map(poly_scale, theta, form.coeffs)), form)
-                   for form in a.lines[1:]))
+    images = [poly_add(*map(poly_scale, theta, form.coeffs)) for form in a.lines[1:]]
+    if not r:  # a constant theta(alpha_i) in (alpha_i) is 0, and so is g
+        assert not any(images)
+        return tuple(theta)
+    g = poly_add(*(divide_exact(image, form) for image, form in zip(images, a.lines[1:])))
     g = poly_scale(g, Fraction(-1, a.d))
     return tuple(poly_add(theta[k], poly_mul(g, v)) for k, v in enumerate(_xyz(f.tag)))
 
@@ -173,15 +176,89 @@ def test_witness_map_over_non_primitive_qw_lines():
         assert result.witness == _scalar_witness(a, result.r)
 
 
+def _witness_cases():
+    # seeded nodal arrangements at d = 6..9, the reflection families in
+    # shuffled line orders, the non-primitive Q(w) lines above, three and
+    # five concurrent lines (r = 0), and pencils with one line off their
+    # centre (r = 1), that line last or first
+    rng = random.Random(9310)
+    cases = [random_nodal_arrangement(rng, d) for d in (6, 7, 8, 9)]
+    for m in (2, 3, 6):
+        for full in (False, True):
+            lines = list(reflection_arrangement(m, full).lines)
+            rng.shuffle(lines)
+            cases.append(LineArrangement(lines))
+    cases += _with_triple_points(random.Random(9300), True, 4)
+    cases += [LineArrangement([LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(1, 1, 0)]),
+              LineArrangement([LinearForm(0, 1, -s) for s in range(5)])]
+    for d in (4, 7, 12):
+        lines = [LinearForm(1, -s, 0) for s in rng.sample(range(-9, 10), d - 1)]
+        cases += [LineArrangement(lines + [LinearForm(3, -2, 1)]),
+                  LineArrangement([LinearForm(2, 5, -3)] + lines)]
+    return cases
+
+
+def test_witness_build_matches_the_scalar_reference():
+    degrees = set()
+    for a in _witness_cases():
+        result = mdr(defining_polynomial(a), a.lines)
+        assert result.witness == _scalar_witness(a, result.r)
+        degrees.add(result.r)
+    assert {0, 1, 7} <= degrees
+
+
+def _kills(rows, vec):
+    # every sparse Z[w] row is zero on vec
+    return all(sum(pair_mul(x, vec[j])[0] for j, x in row.items()) == 0
+               and sum(pair_mul(x, vec[j])[1] for j, x in row.items()) == 0 for row in rows)
+
+
+def test_derivation_witness_rejects_a_nudged_kernel_vector():
+    # each entry of a canonical kernel vector changed by 1, and by w over
+    # Q(w): theta leaves D_H0(A)_r, so some theta(alpha_i) is not divisible
+    # by alpha_i, and the Horner pass must raise rather than return
+    cases = [catalog("A1_6"), random_nodal_arrangement(random.Random(9320), 6),
+             reflection_arrangement(3, True)] + _with_triple_points(random.Random(9300), True, 1)
+    for a in cases:
+        ints = [form.ints for form in a.lines]
+        r = mdr(defining_polynomial(a), a.lines).r
+        rows, ncols = derivation_rows(ints, r)
+        vec = kernel_basis(rows, ncols)[0]
+        criteria._derivation_witness(a.d, ints, r, vec)
+        for c in range(ncols):
+            for step in ((1, 0), (0, 1))[:1 + (a.tag is FieldTag.QW)]:
+                nudged = list(vec)
+                nudged[c] = (vec[c][0] + step[0], vec[c][1] + step[1])
+                assert not _kills(rows, nudged)
+                with pytest.raises(NotASyzygy):
+                    criteria._derivation_witness(a.d, ints, r, tuple(nudged))
+
+
+def test_derivation_witness_checks_every_horner_step():
+    # lines z and 2x + y (pivot L = 2, lam = y): theta = (0, x^2 + x*y, 0)
+    # has theta(2x + y) = x^2 + x*y, not a multiple of 2x + y; the step at
+    # x^1 divides (2y - y) by 2 and must raise, since a floor division
+    # there would leave P_0 = 0 and pass the remainder test 2*h_0 = y*P_0.
+    # theta = (0, 2x^2 + x*y, 0) is tangent, and its witness a syzygy
+    lines = [((0, 0), (0, 0), (1, 0)), ((2, 0), (1, 0), (0, 0))]
+    zero = [(0, 0)] * 6
+    with pytest.raises(NotASyzygy):
+        criteria._derivation_witness(2, lines, 2, tuple(zero + [(1, 0), (1, 0)] + zero[2:]))
+    blocks, den = criteria._derivation_witness(2, lines, 2, tuple(zero + [(2, 0), (1, 0)] + zero[2:]))
+    f = {(1, 0, 1): (2, 0), (0, 1, 1): (1, 0)}  # z*(2x + y)
+    witness = [{mono: x for mono, x in zip(graded_basis(2), b) if x != (0, 0)} for b in blocks]
+    verify_syzygy(f, witness)
+
+
 def test_mdr_checks_the_derivation_witness(monkeypatch):
     a = catalog("A1_6")
     f = defining_polynomial(a)
     good = criteria._derivation_witness
 
     def scaled(*args):  # (a, 2b, 3c) over the same denominator
-        terms, den = good(*args)
-        return tuple({m: (a * (k + 1), b * (k + 1)) for m, (a, b) in t.items()}
-                     for k, t in enumerate(terms)), den
+        blocks, den = good(*args)
+        return [[(a * (k + 1), b * (k + 1)) for a, b in block]
+                for k, block in enumerate(blocks)], den
 
     monkeypatch.setattr(criteria, "_derivation_witness", scaled)
     with pytest.raises(NotASyzygy):
@@ -231,6 +308,34 @@ def test_exact_witness_check_rejects_a_non_syzygy(name):
         verify_syzygy(f_terms, integer_terms(*nudged))
 
 
+@pytest.mark.parametrize("name", ["A1_6", "DualHesse9", "near_pencil", "no_zero_coefficient"])
+def test_exact_witness_check_rejects_a_nudged_corner(name):
+    # the coefficient of x^r or of z^r in one component, changed by 1 and,
+    # over Q(w), by w: their products reach the ends of the flat lists
+    # (index 0 is z^(r+d-1), which f_z times z^r reaches when f has a z^d
+    # term), the widest index range on the d = 60 near pencil (r = 1)
+    if name == "near_pencil":
+        a = _near_pencil()
+    elif name == "no_zero_coefficient":
+        a = LineArrangement([LinearForm(1, 1, 1), LinearForm(1, 2, 3), LinearForm(2, -1, 1),
+                             LinearForm(1, -3, 2), LinearForm(3, 1, -2), LinearForm(1, 4, -1)])
+    else:
+        a = catalog(name)
+    f = defining_polynomial(a)
+    (f_terms,) = integer_terms(f)
+    result = mdr(f, a.lines)
+    r, witness = result.r, integer_terms(*result.witness)
+    verify_syzygy(f_terms, witness)
+    for k in range(3):
+        for mono in ((r, 0, 0), (0, 0, r)):
+            for step in ((1, 0), (0, 1))[:1 + (f.tag is FieldTag.QW)]:
+                nudged = [dict(t) for t in witness]
+                x = nudged[k].get(mono, (0, 0))
+                nudged[k][mono] = (x[0] + step[0], x[1] + step[1])
+                with pytest.raises(NotASyzygy):
+                    verify_syzygy(f_terms, nudged)
+
+
 def _koszul_combination(rng, f, k):
     # g1 (f_y, -f_x, 0) + g2 (f_z, 0, -f_x) + g3 (0, f_z, -f_y) for random
     # forms g1, g2, g3 of degree k: a syzygy of degree d - 1 + k
@@ -278,6 +383,15 @@ def test_exact_witness_check_matches_the_poly_product(tag):
             assert passed == expected
             outcomes.add(passed)
     assert outcomes == {True, False}
+
+
+def test_exact_witness_check_reads_the_w_part_of_f():
+    # f = w*x^2 + y^2 and the real witness (1, 0, 0): a*f_x = 2w*x has a
+    # zero real part, so only the w list sees it
+    f = {(2, 0, 0): (0, 1), (0, 2, 0): (1, 0)}
+    with pytest.raises(NotASyzygy):
+        verify_syzygy(f, ({(0, 0, 0): (1, 0)}, {}, {}))
+    verify_syzygy(f, ({}, {}, {(0, 0, 0): (1, 0)}))  # f_z = 0
 
 
 def test_exact_witness_check_over_qw():

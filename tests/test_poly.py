@@ -36,6 +36,7 @@ from support import (
     random_form,
     random_poly,
     random_rational_scalar,
+    reference_format_poly,
     reflection_arrangement,
 )
 
@@ -338,6 +339,43 @@ def test_format_round_trip_catalog_style_polynomials():
     ]:
         f = parse_poly(text)
         assert parse_poly(format_poly(f), f.tag) == f
+
+
+def _printed_cases():
+    # seeded random forms over Q and Q(w), all with den > 1; then +-1 on
+    # constant and non-constant monomials, pure-w and mixed coefficients
+    # over den 1 and den 6, and the zero polynomial
+    rng = random.Random(2003)
+    cases = []
+    while len(cases) < 60:
+        tag = (FieldTag.Q, FieldTag.QW)[len(cases) % 2]
+        f = random_poly(rng, rng.randint(0, 4), tag, span=rng.choice([1, 5, 40]))
+        if f.den > 1:
+            cases.append(f)
+    for den in (1, 6):
+        for a, b in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
+                     (6, 0), (-6, 0), (0, 6), (0, -6), (6, -6), (-3, 4), (4, -3), (12, 18)]:
+            tag = FieldTag.QW if b else FieldTag.Q
+            for degree in (0, 1, 2):  # alone on 1, z, z^2, and after a term on x, x^2
+                cases.append(Poly(degree, {graded_basis(degree)[-1]: (a, b)}, tag, den))
+                if degree:
+                    terms = {graded_basis(degree)[0]: (b - a, b), graded_basis(degree)[-1]: (a, b)}
+                    cases.append(Poly(degree, terms, tag, den))
+    cases.append(Poly(3, {}, FieldTag.Q))
+    cases.append(Poly(0, {}, FieldTag.QW))
+    return cases
+
+
+def test_format_poly_prints_the_text_of_its_scalar_view():
+    cases = _printed_cases()
+    assert sum(f.den > 1 for f in cases) > 60
+    assert {f.tag for f in cases if f.den > 1} == {FieldTag.Q, FieldTag.QW}
+    for f in cases:
+        assert format_poly(f) == reference_format_poly(f)
+    assert format_poly(Poly(2, {}, FieldTag.Q)) == "0"
+    assert format_poly(Poly(0, {(0, 0, 0): (-6, 0)}, FieldTag.Q, 6)) == "-1"
+    assert format_poly(Poly(1, {(0, 0, 1): (3, -4)}, FieldTag.QW, 6)) == "(1/2-2/3*w)*z"
+    assert format_poly(Poly(2, {(2, 0, 0): (0, 2), (0, 0, 2): (-2, 0)}, FieldTag.QW, 2)) == "w*x^2-z^2"
 
 
 def test_divide_exact_linear():
