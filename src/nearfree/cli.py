@@ -116,6 +116,8 @@ def cmd_analyze(args) -> int:
             return 2
         tag = {"Q": FieldTag.Q, "Qw": FieldTag.QW, None: None}[args.field]
         f = parse_poly(args.poly, tag)
+        if f.degree == 0:
+            raise ToolkitError("--poly is zero or a constant, which defines no curve")
         report = analyze_curve(f, tau=args.tau, source="--poly")
         _print_report(report, args.json, args.witness)
         return 0

@@ -196,10 +196,10 @@ def primitive_pairs(vec: Sequence[tuple]) -> tuple:
     integers. Two vectors that differ by a scalar lambda have products that
     differ by the positive rational N(lambda), which the gcd removes; so the
     result is the vector with lead entry 1 times the lcm s of its
-    denominators, its lead entry (s, 0)."""
+    denominators, its lead entry (s, 0). A lead (s, 0), s > 0, skips the product."""
     la, lb = next(x for x in vec if x != (0, 0))
     conj = (la - lb, -lb)
-    out = [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
+    out = vec if lb == 0 < la else [x if x == (0, 0) else pair_mul(x, conj) for x in vec]
     g = gcd(*(n for x in out for n in x))
     return tuple((a // g, b // g) for a, b in out)
 

@@ -38,13 +38,12 @@ the same canonical basis to a kernel known as a span rather than as the
 kernel of rows, such as the one `mdr` derives from the kernel a degree up.
 
 Every elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
-of the nonzero residues and takes one of two routes, chosen per call from
-their count: the dicts as they are, with a fewest-nonzeros pivot row, when
-at most a third of the cells are nonzero (`SPARSE_SHARE`,
-`_echelon_sparse`), otherwise rows packed from the dicts into big
-integers, a fixed-width slot per column (`_echelon_dense`, the package's
-only slot format). Both give the same pivot columns and kernel residues
-(see `_echelon_mod`), so every certificate is the same.
+of the nonzero residues, eliminated as they are when at most a third are
+nonzero (`SPARSE_SHARE`, `_echelon_sparse`), else as rows packed into big
+integers, a slot per column (`_echelon_dense`); both give the same pivots
+and kernel residues. Back-substitution (`_kernel_from_echelon`) and the
+exact check (`_annihilates`, whose signed slots are wide enough for a
+proof) pack the k kernel vectors by column too, and run once per kernel.
 """
 
 from __future__ import annotations
@@ -110,6 +109,7 @@ class Kernel(list):
         self.certificate = certificate
 
 
+@cache
 def _cube_root(p: int) -> int:
     """A primitive cube root of unity mod p, for p = 1 (mod 3)."""
     g = 2
@@ -234,21 +234,28 @@ def _echelon_sparse(rows: list, ncols: int, p: int):
 
 
 def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int) -> list:
-    """Kernel vectors mod p, one per free column, that entry 1, other free 0."""
-    pivot_set = set(pivots)
-    basis = []
-    for jf in (j for j in range(ncols) if j not in pivot_set):
-        vec = [0] * ncols
-        vec[jf] = 1
-        support = [(jf, 1)]  # nonzero entries so far, all right of the next pivot
-        for pc, row in zip(reversed(pivots), reversed(echelon)):
-            if pc < jf:
-                v = -sum(row[j] * x for j, x in support) % p
-                if v:
-                    vec[pc] = v
-                    support.append((pc, v))
-        basis.append(vec)
-    return basis
+    """Kernel vectors mod p, one per free column, that entry 1, other free 0,
+    all at once: slot i (`width` bits) of column j's integer holds entry j of
+    vector i. Right to left, a pivot column takes one multiply-add pass over
+    the nonzero columns right of it, and its slots are then reduced mod p; a
+    slot sums at most ncols products of two residues, so none carries."""
+    width = 2 * p.bit_length() + ncols.bit_length()
+    shifts = range(0, (ncols - len(pivots)) * width, width)
+    mask, upper, free = (1 << width) - 1, shifts[1:], reversed(shifts)
+    rows, packed, support = dict(zip(pivots, echelon)), [0] * ncols, []
+    for c in reversed(range(ncols)):
+        if (row := rows.get(c)) is None:
+            v = 1 << next(free)
+        elif s := sum(row[j] * x for j, x in support):
+            v = -(s & mask) % p
+            for shift in upper:
+                v |= -(s >> shift & mask) % p << shift
+        else:
+            continue
+        if v:
+            packed[c] = v
+            support.append((c, v))  # nonzero so far, all right of the next column
+    return [packed] if len(shifts) == 1 else [[x >> i & mask for x in packed] for i in shifts]
 
 
 def _rational(u: int, m: int, bound: int):
@@ -295,22 +302,41 @@ def _lift(residues: list, m: int):
 
 def _annihilates(data: list, vectors: list) -> bool:
     """Exact check that every Z[w] vector kills every sparse Z[w] row: each
-    vector's sum of Z[w] products over the row's stored cells must be 0."""
+    vector's sum of Z[w] products over the row's stored cells must be 0.
+    All at once: column j's a and b parts are each packed as sum_i x_i 2^(iS),
+    so a row's two sums hold vector i's sum y_i in signed slot i. A part of
+    y_i is at most 2*N*X <= 4*L*E*X < 2^(S-1), for N the row's L1 norm, L the
+    most cells in a row, and E, X the largest |a| | |b| (>= |a|, |b|) of the
+    cells and of the entries. Below a top nonzero slot m the others add up to
+    less than 2^(S-1) * (2^(mS) - 1) / (2^S - 1) < 2^(mS), so a zero packed sum
+    proves every y_i = 0, in Z[w] with no modulus; one vector needs no bound."""
+    if not vectors:
+        return True
+    columns = vectors[0]
+    if len(vectors) > 1:
+        e = max([abs(a) | abs(b) for row in data for a, b in row.values()], default=0)
+        x = max([abs(a) | abs(b) for vec in vectors for a, b in vec])
+        width = e.bit_length() + x.bit_length() + max(map(len, data), default=0).bit_length() + 3
+        columns = []
+        for column in zip(*vectors):
+            pa = pb = 0
+            for xa, xb in reversed(column):
+                pa, pb = (pa << width) + xa, (pb << width) + xb
+            columns.append((pa, pb))
     for row in data:
-        for vec in vectors:
-            re = im = 0
-            for j, (ra, rb) in row.items():
-                xa, xb = vec[j]
-                # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
-                if rb:
-                    t = rb * xb
-                    re += ra * xa - t
-                    im += ra * xb + rb * xa - t
-                else:
-                    re += ra * xa
-                    im += ra * xb
-            if re or im:
-                return False
+        re = im = 0
+        for j, (ra, rb) in row.items():
+            xa, xb = columns[j]
+            # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
+            if rb:
+                t = rb * xb
+                re += ra * xa - t
+                im += ra * xb + rb * xa - t
+            else:
+                re += ra * xa
+                im += ra * xb
+        if re or im:
+            return False
     return True
 
 
@@ -401,11 +427,9 @@ def kernel_basis(data: list, ncols: int) -> Kernel:
         if (found := _residue_kernel(data, ncols, p, w1)) is None:
             return Kernel([], FULL_RANK_MOD_P)
         pivots, parts = found
-        if not qw:
-            parts = [v + [0] * ncols for v in parts]
-        elif primes == 0 and (vectors := _one_embedding_lift(data, parts, p, w1)):
+        if qw and primes == 0 and (vectors := _one_embedding_lift(data, parts, p, w1)):
             return Kernel(vectors, "verified reconstruction (1 prime)")
-        else:
+        if qw:
             # a + b*w reads a + bω and a + bω², which give a and b because
             # ω - ω² = 2ω + 1 is a unit mod p
             if (other := _residue_kernel(data, ncols, p, p - 1 - w1)) is None:
@@ -433,7 +457,7 @@ def kernel_basis(data: list, ncols: int) -> Kernel:
         for u in lifted:  # stop at the first vector that does not lift yet
             if (v := _lift(u, modulus)) is None:
                 break
-            vectors.append(list(zip(v[:ncols], v[ncols:])))
+            vectors.append(list(zip(v[:ncols], v[ncols:] or [0] * ncols)))
         if len(vectors) == len(lifted) and _annihilates(data, vectors):
             plural = "s" if primes > 1 else ""
             return Kernel(vectors, f"verified reconstruction ({primes} prime{plural})")

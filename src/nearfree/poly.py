@@ -93,6 +93,7 @@ def _map_mul(m1, m2):
     return out
 
 
+@lru_cache(maxsize=None)
 def _mono_str(m: Monomial) -> str:
     parts = []
     for name, e in zip(VARIABLES, m):

@@ -3,8 +3,12 @@ a way to make `nearfree.linalg` meet unlucky primes first, the Z[w]
 integer rows that `nearfree.linalg` takes, the Scalar and Z[w] integer
 forms that kernel vectors and witnesses are compared in, and the
 independent references `intersect`, `divide_exact` (Scalar arithmetic),
-`reference_derivation_rows` (dense rows from binomials and powers) and
-`reference_format_poly` (the text of a polynomial from its Scalar view).
+`reference_derivation_rows` (dense rows from binomials and powers),
+`reference_format_poly` (the text of a polynomial from its Scalar view),
+the per-vector loops that `nearfree.linalg` runs once per kernel
+(`reference_kernel_from_echelon`, `reference_annihilates`) and
+`primitive_pairs` by the conjugate product alone
+(`conjugate_primitive_pairs`).
 
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
@@ -76,6 +80,58 @@ def dense_rows(rows, ncols):
     """Sparse rows {column: (a, b)} as dense rows of ncols Z[w] pairs; the
     inverse of `sparse_rows`."""
     return [[row.get(j, (0, 0)) for j in range(ncols)] for row in rows]
+
+
+def reference_kernel_from_echelon(pivots, echelon, ncols, p):
+    """The per-vector back-substitution that `nearfree.linalg` packs into
+    one pass: kernel vectors mod p, one per free column, that entry 1, the
+    other free entries 0, each solved from the pivot rows right to left."""
+    pivot_set = set(pivots)
+    basis = []
+    for jf in (j for j in range(ncols) if j not in pivot_set):
+        vec = [0] * ncols
+        vec[jf] = 1
+        support = [(jf, 1)]  # nonzero entries so far, all right of the next pivot
+        for pc, row in zip(reversed(pivots), reversed(echelon)):
+            if pc < jf:
+                v = -sum(row[j] * x for j, x in support) % p
+                if v:
+                    vec[pc] = v
+                    support.append((pc, v))
+        basis.append(vec)
+    return basis
+
+
+def reference_annihilates(data, vectors):
+    """The per-vector exact check that `nearfree.linalg._annihilates` packs
+    into one pass: every Z[w] vector's sum of Z[w] products over every
+    sparse row's stored cells is 0."""
+    for row in data:
+        for vec in vectors:
+            re = im = 0
+            for j, (ra, rb) in row.items():
+                xa, xb = vec[j]
+                # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
+                if rb:
+                    t = rb * xb
+                    re += ra * xa - t
+                    im += ra * xb + rb * xa - t
+                else:
+                    re += ra * xa
+                    im += ra * xb
+            if re or im:
+                return False
+    return True
+
+
+def conjugate_primitive_pairs(vec):
+    """`nearfree.field.primitive_pairs` without its shortcut for a lead
+    entry (s, 0), s > 0: vec times the conjugate of its first nonzero
+    entry, divided by the gcd of all its integers."""
+    la, lb = next(x for x in vec if x != (0, 0))
+    out = [pair_mul(x, (la - lb, -lb)) for x in vec]
+    g = gcd(*(n for x in out for n in x))
+    return tuple((a // g, b // g) for a, b in out)
 
 
 def _powers(x, n):

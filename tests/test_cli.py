@@ -86,6 +86,18 @@ def test_analyze_poly_requires_tau():
     assert "tau" in err
 
 
+@pytest.mark.parametrize("poly", ["0", "3", "1/2", "2*w", "x - x", "x^2*y - x^2*y"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_analyze_rejects_a_constant_poly(poly, json_flag):
+    # zero and the constants, whatever degree their expression has, parse to
+    # degree 0 and define no curve; degree 1 is a line and stays Inapplicable
+    code, out, err = run_cli(["analyze", "--poly", poly, "--tau", "0"] + json_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "constant" in err
+    code, out, _ = run_cli(["analyze", "--poly", "x", "--tau", "0"] + json_flag)
+    assert code == 0 and "Inapplicable" in out
+
+
 def test_analyze_arrangement_forbids_tau():
     code, _, err = run_cli(["analyze", "@catalog:A1_6", "--tau", "19"])
     assert code == 2

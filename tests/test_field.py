@@ -5,9 +5,9 @@ import pytest
 
 from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
 from nearfree.errors import DivisionByZero, ParseError
-from nearfree.field import smallest_tag
+from nearfree.field import primitive_pairs, smallest_tag
 
-from support import random_nonzero_scalar, random_scalar
+from support import conjugate_primitive_pairs, random_nonzero_scalar, random_scalar
 
 
 def test_rational_addition():
@@ -130,3 +130,24 @@ def test_norm_zero_only_at_zero():
 def test_smallest_tag():
     assert smallest_tag([Scalar(1), Scalar(Fraction(2, 3))]) is FieldTag.Q
     assert smallest_tag([Scalar(1), OMEGA]) is FieldTag.QW
+
+
+def test_primitive_pairs_shortcut_matches_the_conjugate_product():
+    # a lead (s, 0) with s > 0 skips the product by its conjugate; any other
+    # lead, (s, 0) with s < 0 among them, takes it, and both give one tuple
+    rng = random.Random(1006)
+    leads = set()
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        span = rng.choice([3, 40, 1 << 80])
+        vec = [(rng.randint(-span, span), rng.randint(-span, span) if trial % 3 else 0)
+               for _ in range(n)]
+        vec[rng.randrange(n)] = (rng.randint(-span, span) or 1, rng.randint(-2, 2))
+        if trial % 2:
+            # a common factor, and a lead entry (s, 0) with s > 0
+            t = rng.choice([1, 6, span])
+            vec = [(0, 0)] * rng.randint(0, 2) + [(t * rng.randint(1, span), 0)] + [(a * t, b * t) for a, b in vec]
+        lead = next(x for x in vec if x != (0, 0))
+        leads.add((lead[0] > 0, lead[1] == 0))
+        assert primitive_pairs(vec) == conjugate_primitive_pairs(vec)
+    assert leads == {(True, True), (True, False), (False, True), (False, False)}

@@ -24,6 +24,8 @@ from support import (
     random_nonzero_scalar,
     random_rational_scalar,
     random_scalar,
+    reference_annihilates,
+    reference_kernel_from_echelon,
     reflection_arrangement,
     scalar_vector,
     dense_rows,
@@ -416,6 +418,137 @@ def test_sparse_and_dense_eliminations_agree(prime):
                     assert row[pc] == 1 and not any(row[:pc]) and all(0 <= x < p for x in row)
                 found.append((pivots, linalg._kernel_from_echelon(pivots, echelon, ncols, p)))
             assert found[0] == found[1]
+
+
+def _big(rng):
+    """A nonzero integer of up to 200 bits, of either sign."""
+    return rng.choice([-1, 1]) * rng.choice([1, 2, 3, rng.getrandbits(200) | 1 << 199])
+
+
+def _ranked_rows(rng, nrows, ncols, rank, qw):
+    """nrows dense Z[w] rows of the given rank over Q(w) (for small random
+    entries, barring an unlucky draw): rank random rows, then random
+    combinations of them, all scaled by integers of up to 200 bits."""
+    def pair():
+        return (rng.randint(-3, 3), rng.randint(-3, 3) if qw else 0)
+
+    base = [[pair() for _ in range(ncols)] for _ in range(rank)]
+    rows = base + [[(0, 0)] * ncols for _ in range(nrows - rank)]
+    for row in rows[rank:]:
+        for other in base:
+            c = pair()
+            row[:] = [(a + x, b + y) for (a, b), (x, y) in zip(row, (pair_mul(c, e) for e in other))]
+    rng.shuffle(rows)
+    return [[(a * t, b * t) for a, b in row] for row, t in zip(rows, (_big(rng) for _ in rows))]
+
+
+@pytest.mark.parametrize("prime", ["word", "stream"])
+def test_packed_back_substitution_matches_the_per_vector_loop(prime):
+    # every kernel dimension k from 0 to ncols, over Q and under both
+    # embeddings of w, from the echelons of both routes
+    p = 3 * 2**30 + 1 if prime == "word" else next(linalg.prime_stream())
+    w1 = linalg._cube_root(p)
+    rng = random.Random(3020)
+    seen = set()
+    for trial in range(100):
+        qw = trial % 2 == 1
+        ncols = rng.randint(1, 13)
+        k = min(ncols, [0, 1, 2, 7, ncols, rng.randint(0, ncols)][trial % 6])
+        rows = _ranked_rows(rng, ncols - k + rng.randint(1, 3), ncols, ncols - k, qw)
+        for w in ((w1, p - 1 - w1) if qw else (0,)):
+            residues = [{j: x for j, (a, b) in row.items() if (x := (a + b * w) % p)}
+                        for row in sparse_rows(rows)[0]]
+            for eliminate in (linalg._echelon_dense, linalg._echelon_sparse):
+                pivots, echelon = eliminate([dict(row) for row in residues], ncols, p)
+                expected = reference_kernel_from_echelon(pivots, echelon, ncols, p)
+                assert linalg._kernel_from_echelon(pivots, echelon, ncols, p) == expected
+                assert len(expected) == ncols - len(pivots)
+                seen.add(len(expected))
+    assert {0, 1, 2, 7} <= seen and max(seen) >= 10
+
+
+def _one_failing_row(rng, ncols, k, qw):
+    """Dense Z[w] rows A and one more row r0, such that A and r0 have a
+    kernel of dimension k and A alone one of dimension k + 1: the canonical
+    basis of the first kernel, and a vector u of the second that r0 does
+    not kill."""
+    while True:
+        rows = _ranked_rows(rng, ncols - k, ncols, ncols - k, qw)
+        base, r0 = rows[1:], rows[0]
+        identity = [[(int(i == j), 0) for j in range(ncols)] for i in range(ncols)]
+        wider = exact_kernel(base) if base else identity
+        kernel = exact_kernel(rows)
+        if len(kernel) == k and len(wider) == k + 1:
+            u = next(v for v in wider if not reference_annihilates(sparse_rows([r0])[0], [v]))
+            return base, r0, [list(v) for v in kernel], list(u)
+
+
+@pytest.mark.parametrize("qw", [False, True])
+def test_packed_check_finds_the_one_failing_pair_in_every_slot(qw):
+    # k kernel vectors, which kill every row, then the same with a multiple
+    # of u added to vector i, which then fails on row r0 alone: at every
+    # slot i, the last included, with r0 anywhere among the rows
+    rng = random.Random(3021 + qw)
+    for ncols, k in [(3, 0), (3, 1), (4, 2), (9, 7), (11, 9), (12, 1), (12, 3)]:
+        base, r0, kernel, u = _one_failing_row(rng, ncols, k, qw)
+        rows = base[:]
+        rows.insert(rng.randint(0, len(rows)), r0)
+        data = sparse_rows(rows)[0]
+        vectors = [[(a * t, b * t) for a, b in vec] for vec, t in zip(kernel, (_big(rng) for _ in kernel))]
+        assert linalg._annihilates(data, vectors) is reference_annihilates(data, vectors) is True
+        for i in range(k):
+            c = (_big(rng), rng.randint(-2, 2) if qw else 0)
+            failing = [list(vec) for vec in vectors]
+            failing[i] = [(a + x, b + y) for (a, b), (x, y) in zip(failing[i], (pair_mul(c, e) for e in u))]
+            assert linalg._annihilates(data, failing) is reference_annihilates(data, failing) is False
+
+
+@pytest.mark.parametrize("side", ["row", "vector"])
+@pytest.mark.parametrize("part", [0, 1])
+def test_packed_check_is_exact_when_a_sum_is_a_power_of_two_times_the_next(side, part):
+    # one row and two vectors with sums 2^t and -1 in the a or the w part,
+    # which slots of exactly t bits would add up to 0. The factor 2^t sits
+    # in the row or in the vector, for every t up to 260, and zero vectors
+    # around the two put them in any two neighbouring slots
+    rng = random.Random(3023)
+
+    def cell(n):
+        return (n, 0) if part == 0 else (0, n)
+
+    zero = [(0, 0), (0, 0)]
+    for t in range(261):
+        if side == "row":
+            row, pair = {0: (1 << t, 0), 1: (1, 0)}, [[cell(1), (0, 0)], [(0, 0), cell(-1)]]
+        else:
+            row, pair = {0: (1, 0)}, [[cell(1 << t), (0, 0)], [cell(-1), (0, 0)]]
+        before, after = [zero] * rng.randint(0, 3), [zero] * rng.randint(0, 3)
+        assert reference_annihilates([row], before + pair + after) is False
+        assert linalg._annihilates([row], before + pair + after) is False
+        assert linalg._annihilates([row], before + [zero, zero] + after) is True
+
+
+def test_packed_check_at_the_largest_sums_its_bound_allows():
+    # cells a + b*w with |a| = |b| = E and entries a + b*w with |a|, |b| in
+    # {0, X}: a product's w part reaches 3*E*X in absolute value. Rows and
+    # vectors of every sign pattern, and pairs of vectors that cancel
+    rng = random.Random(3024)
+    E, X = (1 << 200) - 1, (1 << 150) + 7
+    outcomes = set()
+    for trial in range(200):
+        ncols = rng.randint(1, 6)
+        data = [{j: (rng.choice([-E, E]), rng.choice([-E, E])) for j in range(ncols)}
+                for _ in range(rng.randint(1, 3))]
+        vectors = [[(rng.choice([-X, 0, X]), rng.choice([-X, 0, X])) for _ in range(ncols)]
+                   for _ in range(rng.randint(2, 5))]
+        if trial % 3 == 0:
+            # two equal cells, and each vector x at one and -x at the other
+            data = [{0: (E, -E), 1: (E, -E)}]
+            vectors = [[(x, y), (-x, -y)] for x, y in ((rng.choice([-X, X]), rng.choice([-X, 0, X]))
+                                                    for _ in range(rng.randint(2, 5)))]
+        expected = reference_annihilates(data, vectors)
+        assert linalg._annihilates(data, vectors) is expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_span_basis_is_the_canonical_basis_of_any_basis_of_the_span():
