@@ -308,7 +308,7 @@ class MdrResult:
     arrangement (the two are equal); it is zero below r and at least one
     at r. certificates[k] is the certificate that settled that kernel, as
     `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
-    "verified reconstruction (k primes)". The walk of `mdr` records
+    "verified reconstruction (mod p^s)". The walk of `mdr` records
     "derived from the kernel at k+1" for a kernel it took from the one
     above, and for the degrees below r it never reached, "implied by the
     kernel at r" or, after a zero kernel at j, "implied by full rank at

@@ -5,45 +5,47 @@ Z[w] rows: each a dict {column: (a, b)} of its nonzero cells a + b*w, with
 columns below ncols, which fixes the width (an empty dict is a zero row).
 Every pass below walks the stored cells only.
 
-`kernel_basis` returns the canonical kernel basis: pivot columns are taken
-left to right, and there is one vector per free column with the other free
-coordinates zero, rescaled so its first nonzero entry is 1. It works
-modulo the primes of `prime_stream`, each proven prime by Proth's theorem
-and p = 1 (mod 3), with w sent to a cube root of unity in F_p. It takes
-primes until one of two certificates holds, and each has been checked:
+It returns the canonical kernel basis: pivot columns are taken left to
+right, one vector per free column with the other free coordinates zero,
+scaled to a first nonzero entry 1. The rows are eliminated once modulo a
+word-size prime p of `prime_stream` (proven by Proth's theorem, p = 1 mod
+3), w sent to a cube root of unity ω in F_p, and one of two checked
+certificates settles the kernel:
 
-* "full rank mod p" - the rows have full column rank mod p. Reduction can
-  only lower the rank, so the kernel over Q(w) is zero.
-* "verified reconstruction (k primes)" - the RREF kernel mod p from k
-  primes sharing one pivot profile is lifted to Z[w] vectors, and each is
-  checked exactly, in integer arithmetic, against every row
-  (`_annihilates`). Over Q(w) the first prime is eliminated under w -> ω
-  alone, and each residue becomes its nearest remainder mod the prime
-  element π = gcd(p, w - ω) of Z[w] (`_one_embedding_lift`; 1 and 0 stay
-  1 and 0); only when that fails the check is w -> ω² eliminated too,
-  reusing the ω elimination. The two embeddings give each entry's a and b
-  parts, and those of k primes are lifted by CRT and rational
-  reconstruction over one common denominator (`_lift`).
-  There are as many as the kernel dimension mod p, which bounds the exact
-  dimension from above, so they span the exact kernel; each one's last
-  nonzero entry sits in its own free column, so those are the exact free
-  columns and the vectors are the canonical basis.
+* "full rank mod p" - reduction only lowers the rank, so the kernel is 0.
+* "verified reconstruction (mod p^s)" - the kernel mod p, one vector per
+  free column mod p, lifted to precision p^s and on to Z[w] vectors, each
+  checked exactly against every row (`_annihilates`) and with its last
+  nonzero entry at its own free column. As many as the kernel dimension
+  mod p, an upper bound, they span the exact kernel; a kernel vector whose
+  last nonzero entry is at c makes column c free, so these are the exact
+  free columns and the vectors the canonical basis.
 
-The loop always ends: only finitely many primes change the rank or the
-pivot columns, and the Hadamard bound caps the entries of the canonical
-basis, so enough primes with the right pivots lift it and the check holds.
-The basis stays in Z[w] integers: each vector is returned times the lcm
-of its denominators (`Kernel`), and no Scalar is made. `span_basis` gives
-the same canonical basis to a kernel known as a span rather than as the
-kernel of rows, such as the one `mdr` derives from the kernel a degree up.
+Step 0 (s = 1) lifts the kernel mod p by rational reconstruction (`_lift`)
+over Q, and over Q(w) reads each residue as its nearest remainder mod
+π = gcd(p, w - ω) in Z[w]. Otherwise the same echelon form is lifted
+p-adically (Dixon's method, `_padic_digits`), over Q(w) under w -> ω² too:
+the two embeddings into the p-adic integers give each entry's a and b
+parts, as 2ω̂ + 1 is a unit (`_root_lift`). `_lift`, over one common
+denominator, is tried at s = 2, 4, 8, ...
 
-Every elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
+The loop ends. If p keeps the exact pivot columns, each canonical entry is
+a quotient of r x r minors (r the rank), at most H by Hadamard's bound, so
+`_lift` gives the exact basis once p^s reaches 3H^2 (3H^4 over Q(w)). There,
+or when a residual is not divisible or a zero row meets a nonzero
+right-hand side, p is dropped for the next prime. Each dropped prime
+(> 2^19) divides the nonzero norm (<= H^2) of an r x r minor, so the 1652
+primes run out only for H beyond 2^16000, and then `kernel_basis` raises.
+Vectors stay Z[w] integers, times the lcm of their denominators (`Kernel`).
+`span_basis` gives the canonical basis of a kernel known as a span.
+
+Each elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
 of the nonzero residues, eliminated as they are when at most a third are
-nonzero (`SPARSE_SHARE`, `_echelon_sparse`), else as rows packed into big
-integers, a slot per column (`_echelon_dense`); both give the same pivots
-and kernel residues. Back-substitution (`_kernel_from_echelon`) and the
-exact check (`_annihilates`, whose signed slots are wide enough for a
-proof) pack the k kernel vectors by column too, and run once per kernel.
+nonzero (`_echelon_sparse`), else packed into big integers, a slot per
+column (`_echelon_dense`); both give the same pivots and kernel residues.
+Back-substitution, the p-adic steps and the exact check (`_annihilates`,
+whose signed slots are wide enough for a proof) pack the k vectors by
+column too, and run once per kernel.
 """
 
 from __future__ import annotations
@@ -52,18 +54,21 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt
+from operator import mul
 
+from .errors import ToolkitError
 from .field import primitive_pairs
 
 FULL_RANK_MOD_P = "full rank mod p"
 # `_echelon_mod` eliminates sparsely when at most this share of the residues
-# is nonzero. On the perfbench matrices (CPython 3.11, a shared 2-core VM),
-# those up to a third nonzero (reflection arrangements, pencils, the
-# catalog) were eliminated 1.7-4.2x faster sparse, and the generic
-# workload's nodal rows, 40-50% nonzero, 1.2-2x faster dense.
+# is nonzero. On the perfbench matrices mod the stream's first prime
+# (CPython 3.11, a shared 2-core VM), those up to 30% nonzero (reflection
+# arrangements, pencils, the catalog) were eliminated 1.7-4.0x faster
+# sparse, and the generic workload's nodal rows, 37-47% nonzero, 1.2-1.8x
+# faster dense.
 SPARSE_SHARE = Fraction(1, 3)
 
-# Every p = k*2^64 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
+# Every p = k*2^15 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
 # squares mod p and can never prove it prime; the bases start at 5.
 _PROTH_BASES = (5, 7, 11, 13, 17, 19, 23, 29)
 _PROVEN = []  # the stream so far, so each prime is proven once per process
@@ -83,18 +88,16 @@ def _proth_prime(p: int) -> bool:
 
 
 def prime_stream():
-    """The proven primes p = k*2^64 + 1 with 3 | k < 2^63, largest first.
-
-    Each is 127 bits long and 1 (mod 3), so F_p holds a cube root of unity.
-    The stream does not end: there are about 2^63/3 candidates.
-    """
+    """The 1652 proven primes p = k*2^15 + 1 with 3 | k < 2^15, largest
+    first, from 1073479681 down to 786433. Each is 1 (mod 3), so F_p holds
+    a cube root of unity."""
     for i in count():
         if i == len(_PROVEN):
-            # (1 << 63) - 2 is the largest multiple of 3 below 2^63
-            k = (_PROVEN[-1] >> 64) - 3 if _PROVEN else (1 << 63) - 2
-            while not _proth_prime((k << 64) + 1):
-                k -= 3
-            _PROVEN.append((k << 64) + 1)
+            # 32766 is the largest multiple of 3 below 2^15
+            start = (_PROVEN[-1] >> 15) - 3 if _PROVEN else 32766
+            if not (k := next((k for k in range(start, 0, -3) if _proth_prime((k << 15) + 1)), 0)):
+                return
+            _PROVEN.append((k << 15) + 1)
         yield _PROVEN[i]
 
 
@@ -118,25 +121,45 @@ def _cube_root(p: int) -> int:
     return root
 
 
+def _root_lift(w: int, p: int, m: int) -> int:
+    """The root of w^2 + w + 1 mod m = p^s that is w mod p, by Newton's
+    steps x - (x^2 + x + 1)/(2x + 1), each doubling the precision."""
+    x, t = w, p
+    while t < m:
+        t = min(t * t, m)
+        x = (x - (x * x + x + 1) * pow(2 * x + 1, -1, t)) % t
+    return x
+
+
 def _echelon_mod(data: list, ncols: int, p: int, w: int):
     """Row echelon form of sparse Z[w] rows a + b*w mod p, w sent to the
-    residue w: (pivot columns, pivot rows).
+    residue w: (pivot columns, pivot rows, row operations, cells).
 
     Pivot rows are full-length residue lists with 1 at the pivot and 0 to
-    its left. The stored cells are reduced mod p once, into dicts of the
-    nonzero residues (rarely a + b*w = 0 mod p, and the cell is dropped).
-    When at most a third of the cells are nonzero (`SPARSE_SHARE`) the dicts
-    are eliminated as they are (`_echelon_sparse`), otherwise packed into
-    big integers (`_echelon_dense`). The routes may pick different pivot
-    rows, but not different pivot columns: column c is a pivot iff it
-    is not in the span mod p of the columns to its left, whichever rows are
-    used. The kernel vector with 1 at a free column and 0 at the others is
-    unique, so back-substitution gives the same residues on both routes.
+    its left. The cells are reduced mod p once, into dicts of the nonzero
+    residues; that pass gives cells = (qw, E, L): whether some b is nonzero,
+    the largest |a| | |b| and the most cells in a row. With at most a third
+    of them nonzero (`SPARSE_SHARE`) the dicts are eliminated as they are
+    (`_echelon_sparse`), else packed into big integers (`_echelon_dense`).
+    The routes may pick different pivot rows, not pivot columns: c is a
+    pivot iff it is not in the span mod p of the columns to its left. The
+    kernel vector with 1 at a free column and 0 at the others is unique, so
+    back-substitution gives the same residues on both routes. A row
+    operation (i, inv, rows, leads) scales row i, the next pivot row, by inv
+    and subtracts t times it from each of the rows (indices into data) whose
+    lead t is nonzero; rows that are never a pivot row end as zero rows.
     """
-    rows = [{j: x for j, (a, b) in row.items() if (x := (a + b * w) % p)} for row in data]
+    rows, qw, e = [], 0, 0
+    for row in data:
+        rows.append(residues := {})
+        for j, (a, b) in row.items():
+            qw |= b
+            e |= abs(a) | abs(b)
+            if x := (a + b * w) % p:
+                residues[j] = x
     nonzero = sum(map(len, rows))
     route = _echelon_sparse if nonzero <= SPARSE_SHARE * len(rows) * ncols else _echelon_dense
-    return route(rows, ncols, p)
+    return *route(rows, ncols, p), (qw != 0, e, max(map(len, data), default=0))
 
 
 def _pack_slots(values: list, nbytes: int) -> int:
@@ -167,13 +190,15 @@ def _echelon_dense(rows: list, ncols: int, p: int):
     """
     nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
     shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    pending = []
-    for row in filter(None, rows):
-        full = [0] * ncols
-        for j, x in row.items():
-            full[j] = x
-        pending.append(_pack_slots(full, nbytes))
-    pivots, echelon = [], []
+    pending, ids = [], []
+    for i, row in enumerate(rows):
+        if row:
+            full = [0] * ncols
+            for j, x in row.items():
+                full[j] = x
+            pending.append(_pack_slots(full, nbytes))
+            ids.append(i)
+    pivots, echelon, ops = [], [], []
     for c in range(ncols):
         if not pending:
             break
@@ -185,10 +210,11 @@ def _echelon_dense(rows: list, ncols: int, p: int):
             tail = [x * inv % p for x in tail]
             pivots.append(c)
             echelon.append([0] * c + tail)
+            ops.append((ids.pop(k), inv, tuple(ids), leads))
             packed = _pack_slots(tail, nbytes)
             pending = [row + (p - t) * packed if t else row for row, t in zip(pending, leads)]
         pending = [row >> shift for row in pending]
-    return pivots, echelon
+    return pivots, echelon, ops
 
 
 def _echelon_sparse(rows: list, ncols: int, p: int):
@@ -202,10 +228,11 @@ def _echelon_sparse(rows: list, ncols: int, p: int):
     are dropped, and each row moves to the bucket of its new lead, or goes
     when it is empty. Work is spent only on the nonzero entries.
     """
+    where = {id(row): i for i, row in enumerate(rows)}
     buckets = [[] for _ in range(ncols)]
     for row in filter(None, rows):
         buckets[min(row)].append(row)
-    pivots, echelon = [], []
+    pivots, echelon, ops = [], [], []
     for c, bucket in enumerate(buckets):
         if not bucket:
             continue
@@ -218,9 +245,10 @@ def _echelon_sparse(rows: list, ncols: int, p: int):
             full[j] = x
         pivots.append(c)
         echelon.append(full)
-        for row in bucket:
-            if row is pivot:
-                continue
+        others = [row for row in bucket if row is not pivot]
+        ops.append((where[id(pivot)], inv, [where[id(row)] for row in others],
+                    [row[c] for row in others]))
+        for row in others:
             t = p - row.pop(c)
             for j, x in fill:
                 # t*x is nonzero mod p, so a sum of 0 means row held j
@@ -230,32 +258,40 @@ def _echelon_sparse(rows: list, ncols: int, p: int):
                     del row[j]
             if row:
                 buckets[min(row)].append(row)
-    return pivots, echelon
+    return pivots, echelon, ops
 
 
-def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int) -> list:
+def _slot_residues(x: int, shifts, mask: int, p: int, factor: int) -> int:
+    """x with each non-negative slot v (mask wide, at shifts) made v*factor mod p."""
+    return sum([(x >> shift & mask) * factor % p << shift for shift in shifts])
+
+
+def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int, width: int,
+                         targets: dict = None) -> list:
     """Kernel vectors mod p, one per free column, that entry 1, other free 0,
-    all at once: slot i (`width` bits) of column j's integer holds entry j of
-    vector i. Right to left, a pivot column takes one multiply-add pass over
-    the nonzero columns right of it, and its slots are then reduced mod p; a
-    slot sums at most ncols products of two residues, so none carries."""
-    width = 2 * p.bit_length() + ncols.bit_length()
+    all at once: slot i (`width` >= 2*bits(p) + bits(ncols) bits) of column
+    j's integer holds entry j of vector i; with targets {pivot column: packed
+    t}, the solutions of echelon rows = -t, 0 at the free columns, instead.
+    Right to left, a pivot column takes one multiply-add pass over the
+    nonzero columns right of it, then its slots are reduced mod p; a slot
+    sums at most ncols products of two residues and a t, so none carries."""
     shifts = range(0, (ncols - len(pivots)) * width, width)
-    mask, upper, free = (1 << width) - 1, shifts[1:], reversed(shifts)
-    rows, packed, support = dict(zip(pivots, echelon)), [0] * ncols, []
+    mask, free = (1 << width) - 1, reversed(shifts)
+    rows, packed, support, values = dict(zip(pivots, echelon)), [0] * ncols, [], []
     for c in reversed(range(ncols)):
         if (row := rows.get(c)) is None:
+            if targets is not None:
+                continue
             v = 1 << next(free)
-        elif s := sum(row[j] * x for j, x in support):
-            v = -(s & mask) % p
-            for shift in upper:
-                v |= -(s >> shift & mask) % p << shift
+        elif s := sum(map(mul, map(row.__getitem__, support), values)) + (targets[c] if targets else 0):
+            v = _slot_residues(s, shifts, mask, p, -1)
         else:
             continue
         if v:
             packed[c] = v
-            support.append((c, v))  # nonzero so far, all right of the next column
-    return [packed] if len(shifts) == 1 else [[x >> i & mask for x in packed] for i in shifts]
+            support.append(c)  # nonzero so far, all right of the next column
+            values.append(v)
+    return packed
 
 
 def _rational(u: int, m: int, bound: int):
@@ -300,23 +336,23 @@ def _lift(residues: list, m: int):
     return out if max(map(abs, out)) <= bound else None
 
 
-def _annihilates(data: list, vectors: list) -> bool:
+def _annihilates(data: list, vectors: list, e: int, longest: int) -> bool:
     """Exact check that every Z[w] vector kills every sparse Z[w] row: each
     vector's sum of Z[w] products over the row's stored cells must be 0.
     All at once: column j's a and b parts are each packed as sum_i x_i 2^(iS),
     so a row's two sums hold vector i's sum y_i in signed slot i. A part of
-    y_i is at most 2*N*X <= 4*L*E*X < 2^(S-1), for N the row's L1 norm, L the
-    most cells in a row, and E, X the largest |a| | |b| (>= |a|, |b|) of the
-    cells and of the entries. Below a top nonzero slot m the others add up to
-    less than 2^(S-1) * (2^(mS) - 1) / (2^S - 1) < 2^(mS), so a zero packed sum
-    proves every y_i = 0, in Z[w] with no modulus; one vector needs no bound."""
+    y_i is at most 2*N*X <= 4*L*E*X < 2^(S-1), for N the row's L1 norm, L =
+    longest the most cells in a row, and E = e, X at least every |a| | |b|
+    (>= |a|, |b|) of the cells and of the entries. Below a top nonzero slot
+    m the others add up to less than 2^(S-1) * (2^(mS) - 1) / (2^S - 1) <
+    2^(mS), so a zero packed sum proves every y_i = 0, in Z[w] with no
+    modulus; one vector needs no bound."""
     if not vectors:
         return True
     columns = vectors[0]
     if len(vectors) > 1:
-        e = max([abs(a) | abs(b) for row in data for a, b in row.values()], default=0)
         x = max([abs(a) | abs(b) for vec in vectors for a, b in vec])
-        width = e.bit_length() + x.bit_length() + max(map(len, data), default=0).bit_length() + 3
+        width = e.bit_length() + x.bit_length() + longest.bit_length() + 3
         columns = []
         for column in zip(*vectors):
             pa = pb = 0
@@ -340,15 +376,6 @@ def _annihilates(data: list, vectors: list) -> bool:
     return True
 
 
-def _residue_kernel(data: list, ncols: int, p: int, w: int):
-    """Kernel mod p, w sent to the residue w, as (pivot columns, residue
-    vectors); None at full rank."""
-    pivots, echelon = _echelon_mod(data, ncols, p, w)
-    if len(pivots) == ncols:
-        return None
-    return pivots, _kernel_from_echelon(pivots, echelon, ncols, p)
-
-
 def _nearest_remainder(x: tuple, m: tuple) -> tuple:
     """x - q*m in Z[w], q = x*conj(m)/N(m) with conj(m) = ma - mb - mb*w and
     each part rounded to the nearest integer: a norm at most 3/4 of N(m)."""
@@ -369,15 +396,118 @@ def _prime_element(p: int, w: int) -> tuple:
     return x
 
 
-def _one_embedding_lift(data: list, vectors: list, p: int, w: int):
-    """The residue vectors of w -> ω as Z[w] vectors, each entry u its
-    nearest remainder mod π, the small Z[w] integer that w -> ω sends to u;
-    None unless every part is at most sqrt(p/2), the bound of a one-prime
-    `_lift`, and the vectors pass `_annihilates`."""
-    pi, bound = _prime_element(p, w), isqrt(p // 2)
-    out = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in vectors]
-    fits = all(abs(x) <= bound for vec in out for pair in vec for x in pair)
-    return out if fits and _annihilates(data, out) else None
+def _padic_digits(data: list, ncols: int, p: int, w: int):
+    """Eliminates the rows A mod p, w sent to the residue w, and yields
+    (pivot columns, cells, slot width), then the packed p-adic digits of
+    the canonical kernel vectors under the embedding w -> ω̂ that extends
+    it: the kernel mod p, then one step at a time, until a sign of a bad
+    prime. With π = p over Q, else `_prime_element(p, w)`, the vectors U so
+    far have A*U = π^s*R. A step adds A times the digits to R and divides by
+    π (times conj(π), then by p), exact when every residue is 0 mod p, then
+    solves A*digits = -R mod p: R's residues follow the row operations (a
+    zero row must end at 0) into back-substitution, 0 at the free columns.
+    A part of R stays below 4*L*E*sqrt(p), so a slot of R's residues, made
+    non-negative by a multiple of p near 2^(width-2), and the products the
+    row operations add fit the width."""
+    pivots, echelon, ops, cells = _echelon_mod(data, ncols, p, w)
+    (qw, e, longest), (pa, pb) = cells, _prime_element(p, w)
+    width = 2 * p.bit_length() + ncols.bit_length() + longest.bit_length() + e.bit_length() + 4
+    yield pivots, cells, width
+    yield (digits := _kernel_from_echelon(pivots, echelon, ncols, p, width))
+    shifts, mask, ca, cb = range(0, (ncols - len(pivots)) * width, width), (1 << width) - 1, pa - pb, -pb
+    offset = (p << width - 2 - p.bit_length()) * sum(1 << shift for shift in shifts)
+    zero_rows = set(range(len(data))).difference(op[0] for op in ops)
+    residual = [(0, 0)] * len(data)
+    while True:
+        rhs = []
+        for n, row in enumerate(data):
+            re, im = residual[n]
+            re += sum([a * digits[j] for j, (a, _) in row.items()])
+            if qw:
+                im += sum([b * digits[j] for j, (_, b) in row.items()])
+                re, im = re * ca - im * cb, re * cb + im * ca - im * cb
+            (re, x), (im, y) = divmod(re, p), divmod(im, p)
+            if x or y:
+                return
+            residual[n] = re, im
+            rhs.append(re + im * w + offset)
+        for i, inv, others, leads in ops:
+            rhs[i] = y = _slot_residues(rhs[i], shifts, mask, p, inv)
+            for j, t in zip(others, leads):
+                if t:
+                    rhs[j] += (p - t) * y
+        if any(_slot_residues(rhs[i], shifts, mask, p, 1) for i in zero_rows):
+            return
+        yield (digits := _kernel_from_echelon(pivots, echelon, ncols, p, width,
+                                              {c: rhs[op[0]] for c, op in zip(pivots, ops)}))
+
+
+def _reconstruct(lifts: list, p: int, m: int, ncols: int, width: int, free: list):
+    """The vectors, one per free column, as Z[w] vectors by `_lift` mod
+    m = p^s; None if one does not lift or has a nonzero entry right of its
+    free column. lifts holds (w, steps, digits) per embedding
+    (`_padic_digits`); the digits are summed as sum π^i*digits_i in Z[w],
+    then mapped. Over Q(w), w -> ω̂ and -1 - ω̂ send a + b*w to u1 = a + b*ω̂
+    and u2 = a - b - b*ω̂, so b = (u1 - u2)/(2ω̂ + 1) and a = u1 - b*ω̂."""
+    mask, qw, roots = (1 << width) - 1, len(lifts) == 2, (0,)
+    if qw:
+        omega = _root_lift(lifts[0][0], p, m)
+        inv, roots = pow(2 * omega + 1, -1, m), (omega, -1 - omega)
+    vectors = []
+    for f, i in zip(free, range(0, len(free) * width, width)):
+        images = []
+        for root, (w, _, digits) in zip(roots, lifts):
+            pa, pb = _prime_element(p, w) if qw else (p, 0)
+            ua = ub = [0] * ncols
+            for columns in reversed(digits):
+                # (a + b w)(pa + pb w) = a pa - b pb + (a pb + b (pa - pb)) w
+                ua, ub = [a * pa - b * pb + (c >> i & mask) for a, b, c in zip(ua, ub, columns)], (
+                    [a * pb + b * (pa - pb) for a, b in zip(ua, ub)] if qw else ub)
+            images.append([(a + b * root) % m for a, b in zip(ua, ub)])
+        if qw:
+            parts = [(x - y) * inv % m for x, y in zip(*images)]
+            images = [[(x - y * omega) % m for x, y in zip(images[0], parts)] + parts]
+        if (v := _lift(images[0], m)) is None or any(v[f + 1:ncols]) or any(v[ncols + f + 1:]):
+            return None
+        vectors.append(list(zip(v[:ncols], v[ncols:] or [0] * ncols)))
+    return vectors
+
+
+def _kernel_mod(data: list, ncols: int, p: int):
+    """`kernel_basis` at the prime p, or None when p turns out bad."""
+    w = _cube_root(p)
+    lifts = [(w, steps := _padic_digits(data, ncols, p, w), [])]
+    pivots, (qw, e, longest), width = next(steps)
+    if len(pivots) == ncols:
+        return Kernel([], FULL_RANK_MOD_P)
+    free = sorted(set(range(ncols)).difference(pivots))
+    lifts[0][2].append(first := next(steps))
+    # Hadamard's bound H^2 on an r x r minor: a cell is at most sqrt(3)*E
+    # (E over Q) in absolute value, and a row meets at most min(L, r) columns
+    bound = 3 * ((min(longest, len(pivots)) * (3 if qw else 1) * e * e) ** len(pivots)) ** (1 + qw)
+    s, m, done = 1, p, False
+    while True:
+        if qw and s == 1:  # each residue u as its nearest remainder mod π, in Z[w]
+            pi, mask, cap = _prime_element(p, w), (1 << width) - 1, isqrt(p // 2)
+            residues = ([x >> i & mask for x in first] for i in range(0, len(free) * width, width))
+            vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues]
+            vectors = vectors if all(abs(x) <= cap for vec in vectors for y in vec for x in y) else None
+        elif (done := m >= bound) or s & (s - 1) == 0:
+            vectors = _reconstruct(lifts, p, m, ncols, width, free)
+        if vectors is not None and _annihilates(data, vectors, e, longest):
+            return Kernel(vectors, f"verified reconstruction (mod p^{s})")
+        if done:
+            return None
+        if qw and s == 1:
+            lifts.append((w2 := p - 1 - w, steps := _padic_digits(data, ncols, p, w2), []))
+            if (pivots2 := next(steps)[0]) != pivots:
+                return Kernel([], FULL_RANK_MOD_P) if len(pivots2) == ncols else None
+            lifts[1][2].append(next(steps))
+        for _, steps, digits in lifts:
+            if (found := next(steps, None)) is None:
+                return None
+            digits.append(found)
+        s, m, vectors = s + 1, m * p, None
 
 
 def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
@@ -410,54 +540,13 @@ def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
 
 def kernel_basis(data: list, ncols: int) -> Kernel:
     """Canonical basis of the right kernel, as Z[w] integer vectors of
-    length ncols (see `Kernel`); rank + len(basis) == ncols.
-
-    data is a list of sparse rows, dicts {column: (a, b)} of the nonzero
-    Z[w] cells a + b*w with columns below ncols, such as
-    `nearfree.criteria.derivation_rows` gives; see the module docstring.
-    Primes are taken from `prime_stream` until the rank is full mod p or a
-    reconstruction is verified; the result's `certificate` says which (see
-    the module docstring). Over Q(w) the first prime's kernel is lifted from
-    w -> ω alone, and w -> ω² is eliminated only when that lift fails.
-    """
-    qw = any(b for row in data for _, b in row.values())
-    best, modulus, primes, lifted = None, 1, 0, []
+    length ncols (see `Kernel`); rank + len(basis) == ncols. data is a list
+    of sparse rows, dicts {column: (a, b)} of the nonzero Z[w] cells
+    a + b*w with columns below ncols, such as
+    `nearfree.criteria.derivation_rows` gives. The next prime of
+    `prime_stream` is taken only when one turns out bad; the result's
+    `certificate` says how the kernel was settled (module docstring)."""
     for p in prime_stream():
-        w1 = _cube_root(p) if qw else 0
-        if (found := _residue_kernel(data, ncols, p, w1)) is None:
-            return Kernel([], FULL_RANK_MOD_P)
-        pivots, parts = found
-        if qw and primes == 0 and (vectors := _one_embedding_lift(data, parts, p, w1)):
-            return Kernel(vectors, "verified reconstruction (1 prime)")
-        if qw:
-            # a + b*w reads a + bω and a + bω², which give a and b because
-            # ω - ω² = 2ω + 1 is a unit mod p
-            if (other := _residue_kernel(data, ncols, p, p - 1 - w1)) is None:
-                return Kernel([], FULL_RANK_MOD_P)
-            if other[0] != pivots:
-                continue
-            inv, split = pow(2 * w1 + 1, -1, p), []
-            for v1, v2 in zip(parts, other[1]):
-                b = [(x - y) * inv % p for x, y in zip(v1, v2)]
-                split.append([(x - y * w1) % p for x, y in zip(v1, b)] + b)
-            parts = split
-        # Only primes with the same pivot columns are combined; a prime that
-        # disagrees starts afresh. Verification decides which one was right.
-        if pivots != best:
-            best, modulus, primes = pivots, 1, 0
-        # by CRT, the residue mod modulus*p that is x mod modulus and y mod p
-        inv = pow(modulus, -1, p)
-        lifted = parts if primes == 0 else [
-            [x + modulus * ((y - x) * inv % p) for x, y in zip(old, new)]
-            for old, new in zip(lifted, parts)
-        ]
-        modulus *= p
-        primes += 1
-        vectors = []
-        for u in lifted:  # stop at the first vector that does not lift yet
-            if (v := _lift(u, modulus)) is None:
-                break
-            vectors.append(list(zip(v[:ncols], v[ncols:] or [0] * ncols)))
-        if len(vectors) == len(lifted) and _annihilates(data, vectors):
-            plural = "s" if primes > 1 else ""
-            return Kernel(vectors, f"verified reconstruction ({primes} prime{plural})")
+        if (kernel := _kernel_mod(data, ncols, p)) is not None:
+            return kernel
+    raise ToolkitError("internal: every prime of the stream is bad for these rows")

@@ -49,7 +49,7 @@ from nearfree.poly import _map_add, _map_mul, _map_neg, _mono_str, graded_basis
 # the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
 # records for a kernel its walk derived from the one above, and the two for
 # the degrees below mdr that the walk never reached
-CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \((1 prime|\d+ primes)\)"
+CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \(mod p\^[1-9]\d*\)"
                          r"|derived from the kernel at \d+"
                          r"|implied by full rank at \d+|implied by the kernel at \d+")
 
@@ -369,19 +369,20 @@ def unlucky_primes_first(monkeypatch, primes):
     """Put the given small primes in front of the proven prime stream of
     `nearfree.linalg`. Returns a list that records, as the kernels are
     computed, each zero-kernel claim made at one of those primes, as
-    (p, dense integer-pair rows, column count). Every claim passes through
-    `linalg._residue_kernel`, one elimination under one embedding of w."""
-    stream, residue_kernel = linalg.prime_stream, linalg._residue_kernel
+    (p, dense integer-pair rows, column count). Every claim is an
+    elimination mod p under one embedding of w (`linalg._echelon_mod`)
+    that finds a pivot in every column."""
+    stream, echelon_mod = linalg.prime_stream, linalg._echelon_mod
     claims = []
 
     def spy(data, ncols, p, w):
-        found = residue_kernel(data, ncols, p, w)
-        if found is None and p in primes:
+        found = echelon_mod(data, ncols, p, w)
+        if len(found[0]) == ncols and p in primes:
             claims.append((p, dense_rows(data, ncols), ncols))
         return found
 
     monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))
-    monkeypatch.setattr(linalg, "_residue_kernel", spy)
+    monkeypatch.setattr(linalg, "_echelon_mod", spy)
     return claims
 
 

@@ -465,7 +465,7 @@ def test_poly_route_checks_its_witness(monkeypatch):
     # exactly before it is reported
     def fake(rows, ncols):
         return linalg.Kernel([[(1, 0)] + [(0, 0)] * (ncols - 1)],
-                             "verified reconstruction (1 prime)")
+                             "verified reconstruction (mod p^1)")
 
     monkeypatch.setattr(criteria, "kernel_basis", fake)
     with pytest.raises(NotASyzygy):

@@ -126,7 +126,9 @@ def test_derivation_route_with_unlucky_primes(monkeypatch, primes):
         assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
         certificates += got.certificates
     assert all(CERTIFICATE.fullmatch(c) for c in certificates)
-    assert "verified reconstruction (2 primes)" in certificates
+    # mod 7 a kernel of the catalog lifts 7-adically past its first step
+    assert any(c.startswith("verified reconstruction (mod p^") and not c.endswith("^1)")
+               for c in certificates)
     # full rank mod a small prime is a proof too, and each zero kernel
     # claimed there has full rank over Q(w); mod 7 alone one empty degree is
     # rank-deficient and a later prime settles it, with 13 next 13 does

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import islice, takewhile
-from math import comb, gcd, isqrt
+from itertools import islice
+from math import comb, gcd, isqrt, log
 
 import pytest
 
@@ -134,21 +134,22 @@ def test_prime_stream_is_proven_distinct_and_descending():
     # missing sympy must fail this test, not skip it
     import sympy
 
-    primes = list(islice(linalg.prime_stream(), 64))
+    primes = list(linalg.prime_stream())
+    assert len(primes) == 1652 and (primes[0], primes[-1]) == (32760 * 2**15 + 1, 24 * 2**15 + 1)
     for p in primes:
         assert sympy.isprime(p)
-        assert p % 3 == 1 and p.bit_length() == 127
+        assert p % 3 == 1 and p < 2**30 and (p >> 15) % 3 == 0
     assert primes == sorted(set(primes), reverse=True)
-    assert list(islice(linalg.prime_stream(), 64)) == primes
-    k = (1 << 63) - 2
-    composites = [n for n in (((k - 3 * i) << 64) + 1 for i in range(200)) if not sympy.isprime(n)]
-    assert len(composites) > 150
+    assert list(islice(linalg.prime_stream(), 64)) == primes[:64]
+    candidates = [(k << 15) + 1 for k in range(32766, 0, -3)]
+    composites = [n for n in candidates if not sympy.isprime(n)]
+    assert len(composites) > 9000
     assert not any(linalg._proth_prime(n) for n in composites)
     # a prime modulo which 5, 7, ..., 29 are all squares is not proven, so
-    # the stream skips it
-    unproven = ((k - 3 * 2952) << 64) + 1
-    assert sympy.isprime(unproven) and not linalg._proth_prime(unproven)
-    assert unproven not in takewhile(lambda p: p >= unproven, linalg.prime_stream())
+    # the stream skips it; seven candidate primes are such
+    unproven = [n for n in candidates if sympy.isprime(n) and n not in primes]
+    assert len(unproven) == 7 and 30885 * 2**15 + 1 in unproven
+    assert not any(linalg._proth_prime(n) for n in unproven)
 
 
 def _deficient_matrix(rng, make):
@@ -213,8 +214,8 @@ def test_modular_matches_bareiss():
         assert kernel == exact_kernel(m)
         certificates.add(kernel.certificate)
     assert linalg.FULL_RANK_MOD_P in certificates
-    assert "verified reconstruction (1 prime)" in certificates
-    assert any(c.endswith("primes)") for c in certificates)
+    assert "verified reconstruction (mod p^1)" in certificates
+    assert {_precision(c) for c in certificates} >= {1, 2, 4, 8, 16, 32, 64}
 
 
 @pytest.mark.parametrize("primes", [(7,), (7, 13)])
@@ -231,7 +232,7 @@ def test_unlucky_primes_are_never_trusted(monkeypatch, primes):
     assert kernels[-1] == [((0, 0), (0, 0), (1, 0))]
     # the lift from 7 fails its check, and the next prime starts afresh
     assert [k.certificate for k in kernels] == [linalg.FULL_RANK_MOD_P] * 3 + [
-        "verified reconstruction (1 prime)"]
+        "verified reconstruction (mod p^1)"]
     # no zero kernel is claimed mod 7; 13 is a lucky prime for them all
     assert [p for p, _, _ in claims] == ([] if primes == (7,) else [13, 13, 13])
 
@@ -268,24 +269,24 @@ def _counted_eliminations(monkeypatch):
     return calls
 
 
-def _prime_count(certificate):
-    # k of "verified reconstruction (k primes)"
-    return int(certificate.split("(")[1].split()[0])
+def _precision(certificate):
+    # s of "verified reconstruction (mod p^s)", 0 for "full rank mod p"
+    return int(certificate.split("^")[1].rstrip(")")) if "^" in certificate else 0
 
 
 @pytest.mark.parametrize("dens, certificate", [
-    ((3, 5, 7, 11, 13, 17), "verified reconstruction (1 prime)"),
-    # the common denominator exceeds sqrt(p/2) for one prime p, though
-    # every entry alone would fit
-    ((2**21 + 7, 2**21 + 17, 2**21 + 27, 2**21 + 29), "verified reconstruction (2 primes)"),
-    # a common denominator near 2^780, beyond the reach of four 127-bit primes
-    (tuple(2**130 + k for k in (3, 5, 7, 11, 13, 17)), "verified reconstruction (13 primes)"),
+    # a common denominator near 2^18, beyond sqrt(p/2) < 2^15 for the word prime
+    ((3, 5, 7, 11, 13, 17), "verified reconstruction (mod p^2)"),
+    # near 2^84, though every entry alone would fit in p^4
+    ((2**21 + 7, 2**21 + 17, 2**21 + 27, 2**21 + 29), "verified reconstruction (mod p^8)"),
+    # near 2^780, so some 53 p-adic steps
+    (tuple(2**130 + k for k in (3, 5, 7, 11, 13, 17)), "verified reconstruction (mod p^64)"),
 ])
 def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, certificate):
     # a kernel with denominators is not settled from w -> ω alone: over Q(w)
-    # each prime takes both embeddings, the first one's elimination reused
+    # both embeddings are eliminated once, the first one's elimination
+    # reused, and lifted p-adically from there
     rng = random.Random(3006)
-    primes = _prime_count(certificate)
     calls = _counted_eliminations(monkeypatch)
     qw_seen = False
     for _ in range(3):
@@ -294,7 +295,7 @@ def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, ce
         qw_seen |= qw
         calls.clear()
         kernel = kernel_basis(*sparse_rows(m))
-        assert len(calls) == (2 if qw else 1) * primes
+        assert len(calls) == (2 if qw else 1)
         assert kernel == exact_kernel(m)
         assert kernel.certificate == certificate
         (vec,) = kernel
@@ -304,14 +305,15 @@ def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, ce
 
 
 def test_lift_bounds_the_common_denominator():
-    p = next(linalg.prime_stream())
-    bound = isqrt(p // 2)
+    # the modulus after four p-adic steps at the first prime, below 2^150
+    m = next(linalg.prime_stream()) ** 5
+    bound = isqrt(m // 2)
     q1, q2 = 2**40 + 15, 2**40 + 21  # each fits the bound, their product does not
     assert q1 < bound < q1 * q2
-    assert linalg._lift([pow(q1, -1, p), pow(q2, -1, p)], p) is None
-    assert linalg._lift([pow(q1, -1, p), 5 * pow(q1, -1, p) % p], p) == [1, 5]
+    assert linalg._lift([pow(q1, -1, m), pow(q2, -1, m)], m) is None
+    assert linalg._lift([pow(q1, -1, m), 5 * pow(q1, -1, m) % m], m) == [1, 5]
     # numerators scaled by a later denominator must stay in bound too
-    assert linalg._lift([2**62 % p, pow(q1, -1, p)], p) is None
+    assert linalg._lift([2**62 % m, pow(q1, -1, m)], m) is None
 
 
 def test_integral_vectors_are_the_scaled_canonical_basis():
@@ -327,6 +329,16 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
             lead = Scalar(*next(x for x in exact if x != (0, 0)))
             assert scalar_vector(ints) == [Scalar(a, b) / lead for a, b in exact]
+
+
+def _annihilates(data, vectors):
+    # linalg._annihilates with E and L read off the cells, as `_echelon_mod`
+    # gives them to it
+    e = 0
+    for row in data:
+        for a, b in row.values():
+            e |= abs(a) | abs(b)
+    return linalg._annihilates(data, vectors, e, max(map(len, data), default=0))
 
 
 def _annihilated_by_scalars(rows, vectors):
@@ -371,7 +383,7 @@ def test_annihilates_matches_a_scalar_reference(qw):
             # real parts of the products vanish, their w parts do not
             cases.append(([changed(kernel[k], 0, rng.choice([-2, 1, 3]))], False))
         for vectors, expected in cases:
-            assert linalg._annihilates(sparse_rows(rows)[0], vectors) is expected
+            assert _annihilates(sparse_rows(rows)[0], vectors) is expected
             assert _annihilated_by_scalars(rows, vectors) is expected
         checked += 1
     assert checked >= 30
@@ -394,11 +406,20 @@ def _pair_rows(rng, nrows, ncols, share, qw, p):
     return rows
 
 
+def _kernel_residues(pivots, echelon, ncols, p):
+    # linalg._kernel_from_echelon at its narrowest slot width, unpacked into
+    # one residue list per vector
+    width = 2 * p.bit_length() + ncols.bit_length()
+    packed = linalg._kernel_from_echelon(pivots, echelon, ncols, p, width)
+    mask = (1 << width) - 1
+    return [[x >> i & mask for x in packed] for i in range(0, (ncols - len(pivots)) * width, width)]
+
+
 @pytest.mark.parametrize("prime", ["word", "stream"])
 def test_sparse_and_dense_eliminations_agree(prime):
     # the routes may choose different pivot rows, never different pivot
     # columns or kernel residues
-    # 3*2^30 + 1 is a word-size prime, 1 mod 3, besides a 127-bit one
+    # 3*2^30 + 1, a prime 1 mod 3 above the stream, besides the stream's first
     p = 3 * 2**30 + 1 if prime == "word" else next(linalg.prime_stream())
     w1 = linalg._cube_root(p)
     rng = random.Random(3010)
@@ -413,10 +434,10 @@ def test_sparse_and_dense_eliminations_agree(prime):
                         for row in sparse_rows(rows)[0]]
             found = []
             for eliminate in (linalg._echelon_dense, linalg._echelon_sparse):
-                pivots, echelon = eliminate([dict(row) for row in residues], ncols, p)
+                pivots, echelon, _ = eliminate([dict(row) for row in residues], ncols, p)
                 for pc, row in zip(pivots, echelon):
                     assert row[pc] == 1 and not any(row[:pc]) and all(0 <= x < p for x in row)
-                found.append((pivots, linalg._kernel_from_echelon(pivots, echelon, ncols, p)))
+                found.append((pivots, _kernel_residues(pivots, echelon, ncols, p)))
             assert found[0] == found[1]
 
 
@@ -459,9 +480,9 @@ def test_packed_back_substitution_matches_the_per_vector_loop(prime):
             residues = [{j: x for j, (a, b) in row.items() if (x := (a + b * w) % p)}
                         for row in sparse_rows(rows)[0]]
             for eliminate in (linalg._echelon_dense, linalg._echelon_sparse):
-                pivots, echelon = eliminate([dict(row) for row in residues], ncols, p)
+                pivots, echelon, _ = eliminate([dict(row) for row in residues], ncols, p)
                 expected = reference_kernel_from_echelon(pivots, echelon, ncols, p)
-                assert linalg._kernel_from_echelon(pivots, echelon, ncols, p) == expected
+                assert _kernel_residues(pivots, echelon, ncols, p) == expected
                 assert len(expected) == ncols - len(pivots)
                 seen.add(len(expected))
     assert {0, 1, 2, 7} <= seen and max(seen) >= 10
@@ -495,12 +516,12 @@ def test_packed_check_finds_the_one_failing_pair_in_every_slot(qw):
         rows.insert(rng.randint(0, len(rows)), r0)
         data = sparse_rows(rows)[0]
         vectors = [[(a * t, b * t) for a, b in vec] for vec, t in zip(kernel, (_big(rng) for _ in kernel))]
-        assert linalg._annihilates(data, vectors) is reference_annihilates(data, vectors) is True
+        assert _annihilates(data, vectors) is reference_annihilates(data, vectors) is True
         for i in range(k):
             c = (_big(rng), rng.randint(-2, 2) if qw else 0)
             failing = [list(vec) for vec in vectors]
             failing[i] = [(a + x, b + y) for (a, b), (x, y) in zip(failing[i], (pair_mul(c, e) for e in u))]
-            assert linalg._annihilates(data, failing) is reference_annihilates(data, failing) is False
+            assert _annihilates(data, failing) is reference_annihilates(data, failing) is False
 
 
 @pytest.mark.parametrize("side", ["row", "vector"])
@@ -523,8 +544,8 @@ def test_packed_check_is_exact_when_a_sum_is_a_power_of_two_times_the_next(side,
             row, pair = {0: (1, 0)}, [[cell(1 << t), (0, 0)], [cell(-1), (0, 0)]]
         before, after = [zero] * rng.randint(0, 3), [zero] * rng.randint(0, 3)
         assert reference_annihilates([row], before + pair + after) is False
-        assert linalg._annihilates([row], before + pair + after) is False
-        assert linalg._annihilates([row], before + [zero, zero] + after) is True
+        assert _annihilates([row], before + pair + after) is False
+        assert _annihilates([row], before + [zero, zero] + after) is True
 
 
 def test_packed_check_at_the_largest_sums_its_bound_allows():
@@ -546,7 +567,7 @@ def test_packed_check_at_the_largest_sums_its_bound_allows():
             vectors = [[(x, y), (-x, -y)] for x, y in ((rng.choice([-X, X]), rng.choice([-X, 0, X]))
                                                     for _ in range(rng.randint(2, 5)))]
         expected = reference_annihilates(data, vectors)
-        assert linalg._annihilates(data, vectors) is expected
+        assert _annihilates(data, vectors) is expected
         outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -624,9 +645,9 @@ def test_prime_element_has_norm_p_and_divides_w_minus_omega(p):
         quotient = pair_mul((-w, 1), (pi[0] - pi[1], -pi[1]))
         assert all(x % p == 0 for x in quotient)
         # a small Z[w] integer is the nearest remainder mod π of its residue
-        # under w -> ω: below 2^60 over the 127-bit primes, the units and 0
+        # under w -> ω: below 2^12 over the stream's primes, the units and 0
         # (norm below 3p/16) mod 7 and 13
-        span = 2**60
+        span = 2**12
         for _ in range(50):
             x = ((rng.randint(-span, span), rng.randint(-span, span)) if p > 13 else
                  rng.choice([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]))
@@ -666,7 +687,7 @@ def test_one_embedding_settles_the_qw_kernels_at_and_below_mdr(monkeypatch):
     for a, r, shuffled in cases:
         ints = [form.ints for form in a.lines]
         for degree, certificate in [(r - 1, linalg.FULL_RANK_MOD_P),
-                                    (r, "verified reconstruction (1 prime)")]:
+                                    (r, "verified reconstruction (mod p^1)")]:
             rows, ncols = derivation_rows(ints, degree)
             calls.clear()
             kernel = kernel_basis(rows, ncols)
@@ -710,7 +731,7 @@ def _canonical_is_integral(kernel):
 
 def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypatch):
     # an integral canonical basis takes one elimination; one with
-    # denominators takes both embeddings at every prime, as before
+    # denominators takes both embeddings, once each, and p-adic steps
     rng = random.Random(3014)
     calls = _counted_eliminations(monkeypatch)
     seen = set()
@@ -726,6 +747,114 @@ def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypat
             continue
         integral = _canonical_is_integral(kernel)
         assert integral or not trial % 2
-        assert len(calls) == (1 if integral else 2 * _prime_count(kernel.certificate))
+        assert len(calls) == (1 if integral else 2)
         seen.add(integral)
     assert seen == {False, True}
+
+
+def _lifted_kernel_rows(rng, rank, nfree, qw, share, den):
+    """Z[w] rows (den*e_i, -B_i), B about `share` nonzero, hidden by a unit
+    lower triangular mix and, when tall, extra combinations of two rows:
+    the canonical kernel vectors are (B e_j/den, e_j), entries over the
+    common denominator den, as Bareiss finds them."""
+    def small():
+        if rng.random() >= share:
+            return (0, 0)
+        return rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-2, 2) if qw else 0
+
+    def combine(coeffs, rows):
+        return [tuple(map(sum, zip(*(pair_mul(c, row[j]) for c, row in zip(coeffs, rows)))))
+                for j in range(rank + nfree)]
+
+    base = [[(den if i == j else 0, 0) for j in range(rank)] + [(-a, -b) for a, b in
+                                                                (small() for _ in range(nfree))]
+            for i in range(rank)]
+    rows = [combine([(1, 0)] + [small() for _ in base[i + 1:]], base[i:]) for i in range(rank)]
+    for _ in range(rng.randint(0, 3) if rank else 1):
+        picks = rng.sample(range(rank), min(2, rank)) if rank else []
+        rows.append(combine([small() or (1, 0) for _ in picks], [rows[i] for i in picks]) if picks
+                    else [(0, 0)] * (rank + nfree))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("qw", [False, True])
+def test_padic_kernels_match_bareiss(monkeypatch, qw):
+    # tall and wide rows, sparse and dense, kernel dimensions 0 to 12, and
+    # canonical entries over a common denominator of up to 200 bits, which
+    # takes p-adic steps past step 0; over Q(w) every precision the lift
+    # uses gets a root of w^2 + w + 1 that is the cube root of unity mod p
+    rng = random.Random(3030 + qw)
+    routes, roots = [], []
+    for name in ("_echelon_dense", "_echelon_sparse"):
+        def spy(*args, name=name, eliminate=getattr(linalg, name)):
+            routes.append(name)
+            return eliminate(*args)
+        monkeypatch.setattr(linalg, name, spy)
+
+    def root_spy(w, p, m, root_lift=linalg._root_lift):
+        roots.append((w, p, m, root := root_lift(w, p, m)))
+        return root
+
+    monkeypatch.setattr(linalg, "_root_lift", root_spy)
+    seen = {"route": set(), "dim": set(), "precision": set(), "shape": set()}
+    for trial in range(52):
+        nfree, rank = trial % 13, rng.randint(0, 7)
+        share = rng.choice([0.15, 0.9])
+        den = rng.choice([1, 7, 2**31 + 11, rng.getrandbits(200) | 1])
+        rows = _lifted_kernel_rows(rng, rank, nfree, qw, share, den)
+        if not rows:
+            continue
+        routes.clear()
+        kernel = kernel_basis(*sparse_rows(rows))
+        assert kernel == exact_kernel(rows)
+        seen["route"] |= set(routes)
+        seen["dim"].add(len(kernel))
+        seen["precision"].add(_precision(kernel.certificate))
+        seen["shape"].add("tall" if len(rows) > rank else "wide")
+    assert seen["route"] == {"_echelon_dense", "_echelon_sparse"} and seen["shape"] == {"tall", "wide"}
+    assert seen["dim"] >= set(range(13)) and max(seen["precision"]) >= 16
+    assert bool(roots) is qw
+    for w, p, m, root in roots:
+        s = round(log(m, p))
+        assert m == p**s and root % p == w and (root * root + root + 1) % m == 0
+    assert not qw or len({m for _, _, m, _ in roots}) >= 4
+
+
+def _targets_calls(monkeypatch):
+    # the primes of every back-substitution for a p-adic step
+    calls = []
+    back_substitute = linalg._kernel_from_echelon
+
+    def spy(pivots, echelon, ncols, p, width, targets=None):
+        if targets is not None:
+            calls.append(p)
+        return back_substitute(pivots, echelon, ncols, p, width, targets)
+
+    monkeypatch.setattr(linalg, "_kernel_from_echelon", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows, steps_at_7", [
+    # 7 divides a pivot minor: mod 7 column 1 is free, not 2, and the rows
+    # stay consistent, so 7 lifts (-1, 1, -7), which kills the rows but has
+    # a nonzero entry right of its free column; the lift is refused until
+    # the bound, where 7 is dropped
+    ([[1, 1, 0], [1, 8, 1]], True),
+    ([[7, 1, 1]], True),
+    ([[7, OMEGA, 1], [0, 1, 1]], True),
+    # inconsistent mod 7: the second row is a zero row mod 7 whose
+    # right-hand side is not, so 7 is dropped before any p-adic step
+    ([[1, 0], [0, 7]], False),
+    ([[1, 0, 0], [0, 7, 0]], False),
+])
+def test_bad_primes_are_dropped_for_the_next(monkeypatch, rows, steps_at_7):
+    m, first = zw_rows(rows), next(linalg.prime_stream())
+    expected = exact_kernel(m)
+    unlucky_primes_first(monkeypatch, (7,))
+    calls, steps = _counted_eliminations(monkeypatch), _targets_calls(monkeypatch)
+    kernel = kernel_basis(*sparse_rows(m))
+    assert kernel == expected
+    primes = [p for p, _ in calls]
+    assert primes[0] == 7 and primes == sorted(primes) and set(primes) == {7, first}
+    assert (7 in steps) is steps_at_7
