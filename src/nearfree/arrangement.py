@@ -11,18 +11,18 @@ by the norm of its leading coordinate and the gcd), and the lines j of one
 key form one point with line i. Two lines meet in one point only, so the
 skipped pairs are exactly those on points already found, and the lattice
 takes sum over P of (m_P - 1) keys, not C(d, 2). The census and the Milnor
-number (`WeakCombinatorics.mu`) count the incidences alone. Only
-`singular_points` reads each Q(w) point off its key, the only Scalars the
-lattice makes, and sorts the points on integer keys (each key times L/N, L
-the lcm of the leads N of all keys), the lex order of those points. The
-defining polynomial is expanded in Z[w] integers too
-(`poly.product_of_forms`). Everything is exact; no tolerances are involved
-anywhere.
+number (`WeakCombinatorics.mu`) count the incidences alone, and
+`deformation` looks its point up by its key, so no command builds a Q(w)
+point; `deformation` and `transform` move lines as Z[w] triples. Only
+`singular_points` reads each Q(w) point off its key and sorts the points
+on integer keys (each key times L/N, L the lcm of the leads N of all
+keys), the lex order of those points. The defining polynomial is expanded
+in Z[w] integers too (`poly.product_of_forms`). Everything is exact; no
+tolerances are involved anywhere.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,27 +44,18 @@ from .errors import (
     UnknownName,
 )
 from .field import (
-    ONE,
+    INTEGER,
     FieldTag,
     Scalar,
+    integer_pairs,
     pair_det2,
+    pair_mul,
     parse_scalar,
     primitive_pairs,
 )
 from .poly import LinearForm, Poly, product_of_forms
 
 Point = tuple  # 3 scalars, normalized so the first nonzero is 1
-
-
-def normalize_point(p: Sequence) -> Point:
-    coords = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in p)
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise ValueError("a projective point needs a nonzero coordinate")
-    if lead != ONE:
-        inv = lead.inverse()
-        coords = tuple(c * inv for c in coords)
-    return coords
 
 
 class LineArrangement:
@@ -250,25 +241,36 @@ def deformation(
         raise IndexOutOfRange(f"line index {line_index} out of range for d={arrangement.d}")
     if arrangement.tag is FieldTag.Q and not (direction.is_rational() and eps.is_rational()):
         raise FieldMismatch("deformation data must stay in the arrangement's field")
-    points = singular_points(arrangement)
-    p = normalize_point(point)
-    sp = next((sp for sp in points if sp.point == p), None)
-    if sp is None or sp.multiplicity != 3:
+    coords = [c if isinstance(c, Scalar) else Scalar(c) for c in point]
+    if not any(coords):
+        raise ValueError("a projective point needs a nonzero coordinate")
+    # the key `_incidences` gives this projective point
+    key = primitive_pairs(integer_pairs(coords))
+    found = _incidences(arrangement)
+    incident = next((incident for k, incident in found if k == key), None)
+    if incident is None or len(incident) != 3:
         raise NotATriplePoint(f"no triple point of the arrangement at the given coordinates")
-    if line_index not in sp.incident_lines:
+    if line_index not in incident:
         raise LineNotIncident(f"line {line_index} does not pass through the triple point")
-    if not direction.evaluate(sp.point):
+    if not any(_dot(direction.ints, key)):
         raise DirectionThroughPoint("direction form vanishes at the triple point")
-    old = arrangement.lines[line_index]
-    # old vanishes at the point and direction does not, so moved is nonzero
-    moved = LinearForm(*(o + eps * v for o, v in zip(old.coeffs, direction.coeffs)))
+    # with leads s of old and t of direction, and eps = e/n, the moved line
+    # old/s + eps*direction/t is, times s*t*n, t*n*old + s*e*direction;
+    # old vanishes at the point and direction does not, so it is nonzero
+    old = arrangement.lines[line_index].ints
+    s, t = (next(a for a, _ in ints if a) for ints in (old, direction.ints))
+    (e,) = integer_pairs([eps])
+    tn = t * lcm(eps.a.denominator, eps.b.denominator)
+    se = (s * e[0], s * e[1])
+    moved = LinearForm(*((tn * a + x, tn * b + y)
+                         for (a, b), (x, y) in zip(old, (pair_mul(se, v) for v in direction.ints))))
     new_lines = list(arrangement.lines)
     new_lines[line_index] = moved
     try:
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
         raise NonGenericDeformation(f"deformed line collides with another line: {exc}")
-    census_before = _census(arrangement.d, (sp.multiplicity for sp in points))
+    census_before = _census(arrangement.d, (len(incident) for _, incident in found))
     census_after = weak_combinatorics(deformed)
     before, after = dict(census_before.counts), dict(census_after.counts)
     expected = dict(before)
@@ -283,19 +285,19 @@ def deformation(
     return deformed, census_before, census_after
 
 
+def _dot(u: tuple, v: tuple) -> tuple:
+    """The sum of the products u_k * v_k of two Z[w] vectors, a Z[w] pair."""
+    products = [pair_mul(x, y) for x, y in zip(u, v)]
+    return (sum(a for a, _ in products), sum(b for _, b in products))
+
+
 def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineArrangement:
-    """Apply the coordinate change x -> M x; lines map by row-vector action."""
-    m = [[v if isinstance(v, Scalar) else Scalar(v) for v in row] for row in matrix]
-    new_lines = []
-    for form in arrangement.lines:
-        a, b, c = form.coeffs
-        new_lines.append(
-            LinearForm(
-                a * m[0][0] + b * m[1][0] + c * m[2][0],
-                a * m[0][1] + b * m[1][1] + c * m[2][1],
-                a * m[0][2] + b * m[1][2] + c * m[2][2],
-            )
-        )
+    """Apply the coordinate change x -> M x; lines map by row-vector action,
+    each Z[w] triple times M scaled to Z[w] integers."""
+    m = integer_pairs([v if isinstance(v, Scalar) else Scalar(v) for row in matrix for v in row])
+    columns = [m[j::3] for j in range(3)]
+    new_lines = [LinearForm(*(_dot(form.ints, col) for col in columns))
+                 for form in arrangement.lines]
     # a Q arrangement moves to the smallest field of its new lines
     return LineArrangement(new_lines, None if arrangement.tag is FieldTag.Q else FieldTag.QW)
 
@@ -357,9 +359,6 @@ def catalog(name: str) -> LineArrangement:
 # ---------------------------------------------------------------------------
 
 _FIELD_NAMES = {"Q": FieldTag.Q, "Qw": FieldTag.QW}
-# a scalar that is a plain integer skips parse_scalar; ASCII digits only,
-# as int() would also take '1_000' and '٣'
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_lines(text: str) -> LineArrangement:
@@ -387,7 +386,8 @@ def parse_lines(text: str) -> LineArrangement:
                 f"expected three scalars, got {len(parts)}", line=lineno
             )
         try:
-            coeffs = [int(p) if _INTEGER.fullmatch(p) else parse_scalar(p) for p in parts]
+            # a plain integer skips parse_scalar
+            coeffs = [int(p) if INTEGER.fullmatch(p) else parse_scalar(p) for p in parts]
         except ParseError as exc:
             raise ParseError(f"bad scalar: {exc}", line=lineno)
         if all(not c for c in coeffs):

@@ -15,7 +15,6 @@ knowledge is external input, not recomputed here).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from math import comb
@@ -23,6 +22,7 @@ from typing import Optional
 
 from .criteria import eta
 from .errors import OutOfRange, PairsIdentityViolated, ParseError
+from .field import INTEGER
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -122,8 +122,7 @@ def parse_exclusions(text: str) -> ExclusionConfig:
         parts = body.split()
         if len(parts) != 3:
             raise ParseError(f"expected `d t2 t3`, got {body!r}", line=lineno)
-        # ASCII digits only, as in `.lines` files: int() would also take '1_1' and '٩'
-        if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+        if not all(INTEGER.fullmatch(p) for p in parts):
             raise ParseError(f"non-integer entry {body!r}", line=lineno)
         d, t2, t3 = (int(p) for p in parts)
         citation = comment.strip()

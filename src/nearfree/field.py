@@ -12,13 +12,15 @@ which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
 point and the form of a kernel vector; a polynomial is Z[w] integer
 pairs over one denominator (`poly.Poly`). Scalars are made only where text
 enters or leaves the library: parsed literals, a line's normalized
-coefficients, the lattice points and the entries of `--poly` relation
-matrices. The scalar grammar (`parse_scalar`)
-reads ASCII digits only.
+coefficients, the library's lattice points and the entries of `--poly`
+relation matrices. Scalar arithmetic runs only in the parsers
+(`parse_scalar` and the expression parser's term maps, `poly._map_*`).
+The scalar grammar and `INTEGER` read ASCII digits only.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,6 +30,7 @@ from .errors import DivisionByZero, ParseError
 
 RationalLike = Union[int, Fraction]
 DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also admits '²' and '٣'
+INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII only: int() also takes '1_000' and '٣'
 
 
 class FieldTag(Enum):

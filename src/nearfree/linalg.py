@@ -50,7 +50,6 @@ column too, and run once per kernel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt
@@ -60,13 +59,6 @@ from .errors import ToolkitError
 from .field import primitive_pairs
 
 FULL_RANK_MOD_P = "full rank mod p"
-# `_echelon_mod` eliminates sparsely when at most this share of the residues
-# is nonzero. On the perfbench matrices mod the stream's first prime
-# (CPython 3.11, a shared 2-core VM), those up to 30% nonzero (reflection
-# arrangements, pencils, the catalog) were eliminated 1.7-4.0x faster
-# sparse, and the generic workload's nodal rows, 37-47% nonzero, 1.2-1.8x
-# faster dense.
-SPARSE_SHARE = Fraction(1, 3)
 
 # Every p = k*2^15 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
 # squares mod p and can never prove it prime; the bases start at 5.
@@ -139,7 +131,7 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
     its left. The cells are reduced mod p once, into dicts of the nonzero
     residues; that pass gives cells = (qw, E, L): whether some b is nonzero,
     the largest |a| | |b| and the most cells in a row. With at most a third
-    of them nonzero (`SPARSE_SHARE`) the dicts are eliminated as they are
+    of them nonzero the dicts are eliminated as they are
     (`_echelon_sparse`), else packed into big integers (`_echelon_dense`).
     The routes may pick different pivot rows, not pivot columns: c is a
     pivot iff it is not in the span mod p of the columns to its left. The
@@ -157,8 +149,13 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
             e |= abs(a) | abs(b)
             if x := (a + b * w) % p:
                 residues[j] = x
+    # sparse when at most a third of the residues are nonzero: on the
+    # perfbench matrices mod the stream's first prime (CPython 3.11, a shared
+    # 2-core VM), those up to 30% nonzero (reflection arrangements, pencils,
+    # the catalog) were eliminated 1.7-4.0x faster sparse, and the generic
+    # workload's nodal rows, 37-47% nonzero, 1.2-1.8x faster dense
     nonzero = sum(map(len, rows))
-    route = _echelon_sparse if nonzero <= SPARSE_SHARE * len(rows) * ncols else _echelon_dense
+    route = _echelon_sparse if 3 * nonzero <= len(rows) * ncols else _echelon_dense
     return *route(rows, ncols, p), (qw != 0, e, max(map(len, data), default=0))
 
 

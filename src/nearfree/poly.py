@@ -230,10 +230,6 @@ class LinearForm:
             raise ParseError(f"expected a linear form, got degree {p.degree}")
         return cls.from_poly(p)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        a, b, c = self.coeffs
-        return a * point[0] + b * point[1] + c * point[2]
-
     def to_poly(self, tag: FieldTag = None) -> Poly:
         if tag is None:
             tag = FieldTag.Q if self.is_rational() else FieldTag.QW

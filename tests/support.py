@@ -6,9 +6,11 @@ independent references `intersect`, `divide_exact` (Scalar arithmetic),
 `reference_derivation_rows` (dense rows from binomials and powers),
 `reference_format_poly` (the text of a polynomial from its Scalar view),
 the per-vector loops that `nearfree.linalg` runs once per kernel
-(`reference_kernel_from_echelon`, `reference_annihilates`) and
+(`reference_kernel_from_echelon`, `reference_annihilates`),
 `primitive_pairs` by the conjugate product alone
-(`conjugate_primitive_pairs`).
+(`conjugate_primitive_pairs`), and the Scalar deformation
+(`reference_deformation`, on `normalize_point` and `evaluate`) that
+`nearfree.arrangement.deformation` computes on Z[w] keys.
 
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
@@ -38,10 +40,19 @@ from nearfree import (
     Scalar,
     linalg,
     relation_matrix,
+    singular_points,
     weak_combinatorics,
 )
-from nearfree.arrangement import normalize_point
-from nearfree.errors import FieldMismatch, ToolkitError
+from nearfree.errors import (
+    DirectionThroughPoint,
+    DuplicateLine,
+    FieldMismatch,
+    IndexOutOfRange,
+    LineNotIncident,
+    NonGenericDeformation,
+    NotATriplePoint,
+    ToolkitError,
+)
 from nearfree.criteria import _line_data
 from nearfree.field import format_scalar, integer_pairs, pair_mul
 from nearfree.poly import _map_add, _map_mul, _map_neg, _mono_str, graded_basis
@@ -384,6 +395,69 @@ def unlucky_primes_first(monkeypatch, primes):
     monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))
     monkeypatch.setattr(linalg, "_echelon_mod", spy)
     return claims
+
+
+def normalize_point(p):
+    """A projective point as Scalars with first nonzero coordinate 1, by
+    Scalar division."""
+    coords = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in p)
+    lead = next((c for c in coords if c), None)
+    if lead is None:
+        raise ValueError("a projective point needs a nonzero coordinate")
+    if lead != ONE:
+        inv = lead.inverse()
+        coords = tuple(c * inv for c in coords)
+    return coords
+
+
+def evaluate(form, point):
+    """The value of a linear form at a point of Scalars, from its normalized
+    Scalar coefficients `LinearForm.coeffs`."""
+    a, b, c = form.coeffs
+    return a * point[0] + b * point[1] + c * point[2]
+
+
+def reference_deformation(arrangement, point, line_index, direction, eps):
+    """`nearfree.arrangement.deformation` in Scalar arithmetic: the point
+    normalized and looked up among `singular_points`, the direction tested
+    by `evaluate` and the moved line old + eps*direction built from the
+    Scalar coefficients; the same checks in the same order, with the same
+    exceptions and messages."""
+    eps = eps if isinstance(eps, Scalar) else Scalar(eps)
+    if not eps:
+        raise ValueError("eps must be nonzero")
+    if not 0 <= line_index < arrangement.d:
+        raise IndexOutOfRange(f"line index {line_index} out of range for d={arrangement.d}")
+    if arrangement.tag is FieldTag.Q and not (direction.is_rational() and eps.is_rational()):
+        raise FieldMismatch("deformation data must stay in the arrangement's field")
+    points = singular_points(arrangement)
+    p = normalize_point(point)
+    sp = next((sp for sp in points if sp.point == p), None)
+    if sp is None or sp.multiplicity != 3:
+        raise NotATriplePoint("no triple point of the arrangement at the given coordinates")
+    if line_index not in sp.incident_lines:
+        raise LineNotIncident(f"line {line_index} does not pass through the triple point")
+    if not evaluate(direction, sp.point):
+        raise DirectionThroughPoint("direction form vanishes at the triple point")
+    old = arrangement.lines[line_index]
+    new_lines = list(arrangement.lines)
+    new_lines[line_index] = LinearForm(*(o + eps * v for o, v in zip(old.coeffs, direction.coeffs)))
+    try:
+        deformed = LineArrangement(new_lines, arrangement.tag)
+    except DuplicateLine as exc:
+        raise NonGenericDeformation(f"deformed line collides with another line: {exc}")
+    before = weak_combinatorics(arrangement)
+    after = weak_combinatorics(deformed)
+    expected = dict(before.counts)
+    expected[2] = expected.get(2, 0) + 3
+    expected[3] = expected.get(3, 0) - 1
+    expected = {k: v for k, v in expected.items() if v}
+    if dict(after.counts) != expected:
+        raise NonGenericDeformation(
+            f"combinatorics changed from {sorted(dict(before.counts).items())} to"
+            f" {sorted(dict(after.counts).items())}, expected {sorted(expected.items())}"
+        )
+    return deformed, before, after
 
 
 def intersect(l1, l2):

@@ -37,6 +37,7 @@ from nearfree.field import OMEGA, ONE
 from nearfree.poly import Poly
 
 from support import (
+    evaluate,
     jacobian_image,
     poly_scale,
     random_arrangement,
@@ -226,7 +227,7 @@ def test_criterion_10_deformation_contract():
     for sp in singular_points(hesse)[:4]:
         for index in sp.incident_lines:
             for direction in directions:
-                if not direction.evaluate(sp.point):
+                if not evaluate(direction, sp.point):
                     continue
                 for eps in eps_pool:
                     attempts += 1

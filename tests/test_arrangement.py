@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -30,7 +31,7 @@ from nearfree import (
     weak_combinatorics,
 )
 from nearfree import arrangement as arrangement_module
-from nearfree.arrangement import format_lines, normalize_point
+from nearfree.arrangement import format_lines
 from nearfree.errors import (
     CatalogCensusMismatch,
     DirectionThroughPoint,
@@ -48,8 +49,10 @@ from nearfree.field import integer_pairs, parse_scalar, primitive_pairs
 
 from support import (
     divide_exact,
+    evaluate,
     intersect,
     line_count,
+    normalize_point,
     poly_scale,
     random_arrangement,
     random_form,
@@ -58,6 +61,7 @@ from support import (
     random_nodal_arrangement,
     random_nonzero_scalar,
     random_scalar,
+    reference_deformation,
     reflection_arrangement,
 )
 
@@ -255,7 +259,7 @@ def _deformed_span2():
     triple = next(p for p in singular_points(a) if p.multiplicity == 3)
     while True:
         direction = random_form(rng)
-        if direction.evaluate(triple.point):
+        if evaluate(direction, triple.point):
             try:
                 return deformation(a, triple.point, triple.incident_lines[0],
                                    direction, Scalar(rng.randint(1, 5)))[0]
@@ -521,6 +525,56 @@ def test_deform_rejects_collision_with_existing_line():
         )
 
 
+def _outcome(deform, *args):
+    # what a deformation gives, or the type and message of what it raises
+    try:
+        return deform(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["A1_6", "B7_free", "A5_free", "DualHesse9"])
+def test_deformation_matches_the_scalar_reference(name):
+    # every triple point, given as its normalized coordinates and as a Q(w)
+    # multiple of them, every incident line, and directions and eps in Q
+    # and Q(w); a Q arrangement rejects the Q(w) ones
+    a = catalog(name)
+    directions = [LinearForm.parse(t) for t in ("x", "y", "z", "x-z", "x+w*y")]
+    epsilons = [parse_scalar(t) for t in ("1", "-1", "1/2", "w")]
+    outcomes = Counter()
+    for sp in singular_points(a):
+        if sp.multiplicity != 3:
+            continue
+        for point in (sp.point, tuple(c * Scalar(2, -1) for c in sp.point)):
+            for index in sp.incident_lines:
+                for direction in directions:
+                    for eps in epsilons:
+                        args = (a, point, index, direction, eps)
+                        got = _outcome(deformation, *args)
+                        assert got == _outcome(reference_deformation, *args)
+                        outcomes[got[0] if isinstance(got[0], type) else "deformed"] += 1
+    assert outcomes[NonGenericDeformation] and outcomes[DirectionThroughPoint]
+    if name != "DualHesse9":
+        assert outcomes["deformed"] and outcomes[FieldMismatch]
+
+
+@pytest.mark.parametrize("point, index, direction, eps", [
+    ((0, 0, 0), 3, "y", 1),  # the zero point
+    ((0, 1, 1), 0, "z", 1),  # a node
+    ((1, 2, 3), 0, "z", 1),  # off the arrangement
+    ((1, 1, 1), 2, "y", 1),  # a line not through the point
+    ((1, 1, 1), 3, "y-z", 1),  # a direction through the point
+    ((1, 1, 1), 3, "y", 0),  # eps 0
+    ((1, 1, 1), 3, "y", 1),  # a collision with the line x
+    ((1, 1, 1), 3, "y", OMEGA),  # Q(w) eps on a Q arrangement
+    ((1, 1, 1), 6, "y", 1),  # no line 6
+    ((2, 2, 2), 3, "y", Fraction(1, 2)),  # the braid deformation, from a multiple
+])
+def test_deformation_errors_match_the_scalar_reference(point, index, direction, eps):
+    args = (catalog("A1_6"), point, index, LinearForm.parse(direction), eps)
+    assert _outcome(deformation, *args) == _outcome(reference_deformation, *args)
+
+
 def test_tjurina_drop_check():
     # a triple point split into three nodes lowers the total Tjurina number by 1
     for before, after in [("A1_6", "A6_deformed"), ("B7_free", "B7_deformed")]:
@@ -629,6 +683,17 @@ field: Q
 def test_parse_lines_infers_field():
     assert parse_lines("1 0 0\n0 1 -1\n").tag is FieldTag.Q
     assert parse_lines("1 -w 0\n0 1 -1\n").tag is FieldTag.QW
+
+
+def test_transform_matches_the_scalar_row_action():
+    rng = random.Random(5016)
+    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
+    for name in ["A1_6", "B7_free", "DualHesse9"]:
+        a = catalog(name)
+        for m in [shear] + [random_invertible_matrix(rng) for _ in range(3)]:
+            expected = [LinearForm(*(sum((c * m[i][j] for i, c in enumerate(form.coeffs)), ZERO)
+                                     for j in range(3))) for form in a.lines]
+            assert transform(a, m).lines == tuple(expected)
 
 
 def test_transform_moves_to_the_smallest_field():

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from types import CodeType
 
 import pytest
 
@@ -14,14 +16,17 @@ from nearfree import (
     catalog_names,
     criteria,
     defining_polynomial,
+    field,
     format_poly,
     linalg,
     milnor_number,
     parse_poly,
+    poly,
+    transform,
 )
 from nearfree.cli import main
 from nearfree.errors import NotASyzygy
-from nearfree.field import Scalar
+from nearfree.field import OMEGA, ONE, ZERO, Scalar
 
 from support import random_nodal_arrangement
 
@@ -473,3 +478,57 @@ def test_poly_route_checks_its_witness(monkeypatch):
     code, out, err = run_cli(["analyze", "--poly", "y^2*z - x^3", "--tau", "2", "--witness"])
     assert (code, out) == (2, "")
     assert err.startswith("error: the witness does not satisfy")
+
+
+# the Scalar methods that do arithmetic
+SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__neg__", "__truediv__", "__rtruediv__", "inverse", "norm")
+
+
+def test_scalar_arithmetic_runs_only_in_the_parsers(monkeypatch, tmp_path):
+    # after parsing, the commands compute on Z[w] integers: a Scalar
+    # arithmetic method is entered only from parse_scalar, from the
+    # expression parser's term maps, or from another of these methods
+    originals = {name: vars(Scalar)[name] for name in SCALAR_ARITHMETIC}
+    allowed = {field.parse_scalar.__code__, *(f.__code__ for f in originals.values()),
+               *(f.__code__ for name, f in vars(poly).items() if name.startswith("_map_"))}
+    # with the comprehensions in them, which have code of their own before 3.12
+    allowed |= {c for code in allowed for c in code.co_consts if isinstance(c, CodeType)}
+    callers = set()
+
+    def spy(method):
+        def entered(*args):
+            caller = sys._getframe(1).f_code
+            if caller not in allowed:
+                callers.add(f"{caller.co_filename}:{caller.co_firstlineno} {caller.co_name}")
+            return method(*args)
+        return entered
+
+    for name, method in originals.items():
+        monkeypatch.setattr(Scalar, name, spy(method))
+    integers = tmp_path / "integers.lines"
+    integers.write_text("1 0 0\n0 1 0\n0 0 1\n1 -1 0\n0 1 -1\n1 0 -1\n")
+    qw = tmp_path / "qw.lines"
+    qw.write_text("field: Qw\n1 -w 0\n0 1 -1/2*w\n1 0 -1-w\n1 1 1\n")
+    commands = [
+        (["analyze", str(integers), "--witness"], 0),
+        (["analyze", str(qw), "--witness"], 0),
+        (["analyze", str(qw), "--json"], 0),
+        (["delete", "@catalog:DualHesse9", "--line", "0"], 0),
+        (["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3", "--dir", "y",
+          "--eps", "1/2"], 0),
+        # (w:1:-1-w) is the triple point (1:-1-w:w) of lines 1, 4 and 7; no
+        # deformation of the dual Hesse arrangement passes the census
+        (["deform", "@catalog:DualHesse9", "--point", "w:1:-1-w", "--line", "1",
+          "--dir", "x+w*y", "--eps", "w"], 4),
+        (["classify", "--dmax", "9"], 0),
+        (["bounds", "--d", "11"], 0),
+        (["catalog", "show", "DualHesse9"], 0),
+        (["analyze", "--poly", "x*y*(x - w*y)*(1/2*x + z)", "--tau", "6", "--witness"], 0),
+    ]
+    for argv, expected in commands:
+        code, _, err = run_cli(argv)
+        assert code == expected, (argv, err)
+    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
+    transform(catalog("DualHesse9"), shear)
+    assert callers == set()
