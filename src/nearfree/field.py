@@ -143,10 +143,6 @@ class Scalar:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    def sort_key(self):
-        """Total order used only for deterministic output ordering."""
-        return (self.a, self.b)
-
     def __str__(self):
         return format_scalar(self)
 

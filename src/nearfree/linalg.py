@@ -21,21 +21,28 @@ certificates settles the kernel:
   last nonzero entry is at c makes column c free, so these are the exact
   free columns and the vectors the canonical basis.
 
-Step 0 (s = 1) lifts the kernel mod p by rational reconstruction (`_lift`)
-over Q, and over Q(w) reads each residue as its nearest remainder mod
-π = gcd(p, w - ω) in Z[w]. Otherwise the same echelon form is lifted
-p-adically (Dixon's method, `_padic_digits`), over Q(w) under w -> ω² too:
-the two embeddings into the p-adic integers give each entry's a and b
-parts, as 2ω̂ + 1 is a unit (`_root_lift`). `_lift`, over one common
-denominator, is tried at s = 2, 4, 8, ...
+Over Q(w), step 0 (s = 1) reads each residue as its nearest remainder mod
+π = gcd(p, w - ω) in Z[w]. Every other lift is over Q (`_padic_kernel`):
+Dixon's p-adic lift of the echelon form (`_padic_digits`), with `_lift`,
+over one common denominator, tried at s = 1, 2, 4, 8, ... A Q(w) kernel
+that step 0 leaves open goes through the real rows R (`_real_rows`), the Q
+matrix of A in the coordinates x_j, y_j of x_j + y_j*w. Columns 2j, 2j + 1
+are the images of e_j, w*e_j; those left of them span a w-stable S, and
+over the field Q(w) u is in S iff w*u is in S + Q*u. So R's free columns
+pair up as (2f, 2f + 1), f free for A, with canonical vectors v_f (read as
+pairs) and w*v_f: only those at 2f are lifted. Mod p, where ω and ω² split
+F_p[w] into two fields, they pair iff both embeddings give the same pivots;
+else p is dropped. k' such pairs mod p bound 2*dim ker A, and k' verified
+vectors with last entries at distinct 2f make dim ker A >= k': the
+certificate's argument holds for R as a Q matrix.
 
 The loop ends. If p keeps the exact pivot columns, each canonical entry is
 a quotient of r x r minors (r the rank), at most H by Hadamard's bound, so
-`_lift` gives the exact basis once p^s reaches 3H^2 (3H^4 over Q(w)). There,
-or when a residual is not divisible or a zero row meets a nonzero
-right-hand side, p is dropped for the next prime. Each dropped prime
-(> 2^19) divides the nonzero norm (<= H^2) of an r x r minor, so the 1652
-primes run out only for H beyond 2^16000, and then `kernel_basis` raises.
+`_lift` gives the exact basis once p^s reaches 3H^2 (for R, its own H at
+rank 2r). There, or when a residual is not divisible or a zero row meets a
+nonzero right-hand side, p is dropped for the next prime. Each dropped
+prime (> 2^19) divides the nonzero norm (<= H^2) of an r x r minor, so the
+1652 primes run out only for H beyond 2^16000, and then `kernel_basis` raises.
 Vectors stay Z[w] integers, times the lcm of their denominators (`Kernel`).
 `span_basis` gives the canonical basis of a kernel known as a span.
 
@@ -51,7 +58,6 @@ column too, and run once per kernel.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count
 from math import gcd, isqrt
 from operator import mul
 
@@ -63,9 +69,9 @@ FULL_RANK_MOD_P = "full rank mod p"
 # Every p = k*2^15 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
 # squares mod p and can never prove it prime; the bases start at 5.
 _PROTH_BASES = (5, 7, 11, 13, 17, 19, 23, 29)
-_PROVEN = []  # the stream so far, so each prime is proven once per process
 
 
+@cache  # so each candidate is tested once per process
 def _proth_prime(p: int) -> bool:
     """True when Proth's theorem proves p = k*2^n + 1, k < 2^n, prime: some
     base a has a^((p-1)/2) = -1 (mod p). False when a residue other than
@@ -83,14 +89,9 @@ def prime_stream():
     """The 1652 proven primes p = k*2^15 + 1 with 3 | k < 2^15, largest
     first, from 1073479681 down to 786433. Each is 1 (mod 3), so F_p holds
     a cube root of unity."""
-    for i in count():
-        if i == len(_PROVEN):
-            # 32766 is the largest multiple of 3 below 2^15
-            start = (_PROVEN[-1] >> 15) - 3 if _PROVEN else 32766
-            if not (k := next((k for k in range(start, 0, -3) if _proth_prime((k << 15) + 1)), 0)):
-                return
-            _PROVEN.append((k << 15) + 1)
-        yield _PROVEN[i]
+    for k in range(32766, 0, -3):  # 32766 is the largest multiple of 3 below 2^15
+        if _proth_prime(p := (k << 15) + 1):
+            yield p
 
 
 class Kernel(list):
@@ -111,16 +112,6 @@ def _cube_root(p: int) -> int:
     while (root := pow(g, (p - 1) // 3, p)) == 1:
         g += 1
     return root
-
-
-def _root_lift(w: int, p: int, m: int) -> int:
-    """The root of w^2 + w + 1 mod m = p^s that is w mod p, by Newton's
-    steps x - (x^2 + x + 1)/(2x + 1), each doubling the precision."""
-    x, t = w, p
-    while t < m:
-        t = min(t * t, m)
-        x = (x - (x * x + x + 1) * pow(2 * x + 1, -1, t)) % t
-    return x
 
 
 def _echelon_mod(data: list, ncols: int, p: int, w: int):
@@ -264,26 +255,22 @@ def _slot_residues(x: int, shifts, mask: int, p: int, factor: int) -> int:
 
 
 def _kernel_from_echelon(pivots: list, echelon: list, ncols: int, p: int, width: int,
-                         targets: dict = None) -> list:
-    """Kernel vectors mod p, one per free column, that entry 1, other free 0,
-    all at once: slot i (`width` >= 2*bits(p) + bits(ncols) bits) of column
-    j's integer holds entry j of vector i; with targets {pivot column: packed
-    t}, the solutions of echelon rows = -t, 0 at the free columns, instead.
-    Right to left, a pivot column takes one multiply-add pass over the
-    nonzero columns right of it, then its slots are reduced mod p; a slot
-    sums at most ncols products of two residues and a t, so none carries."""
-    shifts = range(0, (ncols - len(pivots)) * width, width)
-    mask, free = (1 << width) - 1, reversed(shifts)
+                         free: list, targets: dict = None) -> list:
+    """Kernel vectors mod p, one per column f of free (in order): 1 at f, 0
+    at the other free columns, all at once, slot i (`width` >= 2*bits(p) +
+    bits(ncols) bits) of column j's integer holding entry j of vector i. With
+    targets {pivot column: packed t}, the solutions of echelon rows = -t, 0 at
+    the free columns, instead. Right to left, a pivot column takes one
+    multiply-add pass over the nonzero columns right of it, then its slots are
+    reduced mod p: a slot sums <= ncols products of residues and a t, no carry."""
+    shifts, mask = range(0, len(free) * width, width), (1 << width) - 1
+    given = dict(zip(free, (1 << shift for shift in shifts))) if targets is None else targets
     rows, packed, support, values = dict(zip(pivots, echelon)), [0] * ncols, [], []
     for c in reversed(range(ncols)):
-        if (row := rows.get(c)) is None:
-            if targets is not None:
-                continue
-            v = 1 << next(free)
-        elif s := sum(map(mul, map(row.__getitem__, support), values)) + (targets[c] if targets else 0):
-            v = _slot_residues(s, shifts, mask, p, -1)
-        else:
-            continue
+        v = given.get(c, 0)
+        if (row := rows.get(c)) is not None:
+            s = sum(map(mul, map(row.__getitem__, support), values)) + v
+            v = s and _slot_residues(s, shifts, mask, p, -1)
         if v:
             packed[c] = v
             support.append(c)  # nonzero so far, all right of the next column
@@ -393,118 +380,111 @@ def _prime_element(p: int, w: int) -> tuple:
     return x
 
 
-def _padic_digits(data: list, ncols: int, p: int, w: int):
-    """Eliminates the rows A mod p, w sent to the residue w, and yields
-    (pivot columns, cells, slot width), then the packed p-adic digits of
-    the canonical kernel vectors under the embedding w -> ω̂ that extends
-    it: the kernel mod p, then one step at a time, until a sign of a bad
-    prime. With π = p over Q, else `_prime_element(p, w)`, the vectors U so
-    far have A*U = π^s*R. A step adds A times the digits to R and divides by
-    π (times conj(π), then by p), exact when every residue is 0 mod p, then
+def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, width: int, free: list):
+    """The packed p-adic digits of the kernel vectors of the integer rows
+    A = data (cells (a, 0)) at the columns free, from their echelon form mod
+    p: the kernel mod p, then one step at a time, until a sign of a bad
+    prime. The vectors U so far have A*U = p^s*R. A step adds A times the
+    digits to R and divides by p, exact when every residue is 0 mod p, then
     solves A*digits = -R mod p: R's residues follow the row operations (a
-    zero row must end at 0) into back-substitution, 0 at the free columns.
-    A part of R stays below 4*L*E*sqrt(p), so a slot of R's residues, made
-    non-negative by a multiple of p near 2^(width-2), and the products the
-    row operations add fit the width."""
-    pivots, echelon, ops, cells = _echelon_mod(data, ncols, p, w)
-    (qw, e, longest), (pa, pb) = cells, _prime_element(p, w)
-    width = 2 * p.bit_length() + ncols.bit_length() + longest.bit_length() + e.bit_length() + 4
-    yield pivots, cells, width
-    yield (digits := _kernel_from_echelon(pivots, echelon, ncols, p, width))
-    shifts, mask, ca, cb = range(0, (ncols - len(pivots)) * width, width), (1 << width) - 1, pa - pb, -pb
+    zero row must end at 0) into back-substitution, 0 at the free columns. A
+    slot of R stays below 2*L*E; made non-negative by a multiple of p near
+    2^(width-2), it and the products the row operations add fit the width."""
+    pivots, rows, ops, _ = echelon
+    yield (digits := _kernel_from_echelon(pivots, rows, ncols, p, width, free))
+    shifts, mask = range(0, len(free) * width, width), (1 << width) - 1
     offset = (p << width - 2 - p.bit_length()) * sum(1 << shift for shift in shifts)
     zero_rows = set(range(len(data))).difference(op[0] for op in ops)
-    residual = [(0, 0)] * len(data)
+    cells = [(list(row), [a for a, _ in row.values()]) for row in data]
+    ops = [(i, inv, [(j, p - t) for j, t in zip(others, leads) if t]) for i, inv, others, leads in ops]
+    residual = [0] * len(data)
     while True:
         rhs = []
-        for n, row in enumerate(data):
-            re, im = residual[n]
-            re += sum([a * digits[j] for j, (a, _) in row.items()])
-            if qw:
-                im += sum([b * digits[j] for j, (_, b) in row.items()])
-                re, im = re * ca - im * cb, re * cb + im * ca - im * cb
-            (re, x), (im, y) = divmod(re, p), divmod(im, p)
-            if x or y:
+        for n, (columns, coeffs) in enumerate(cells):
+            re, x = divmod(residual[n] + sum(map(mul, map(digits.__getitem__, columns), coeffs)), p)
+            if x:
                 return
-            residual[n] = re, im
-            rhs.append(re + im * w + offset)
-        for i, inv, others, leads in ops:
+            residual[n] = re
+            rhs.append(re + offset)
+        for i, inv, updates in ops:
             rhs[i] = y = _slot_residues(rhs[i], shifts, mask, p, inv)
-            for j, t in zip(others, leads):
-                if t:
-                    rhs[j] += (p - t) * y
+            for j, t in updates:
+                rhs[j] += t * y
         if any(_slot_residues(rhs[i], shifts, mask, p, 1) for i in zero_rows):
             return
-        yield (digits := _kernel_from_echelon(pivots, echelon, ncols, p, width,
+        yield (digits := _kernel_from_echelon(pivots, rows, ncols, p, width, free,
                                               {c: rhs[op[0]] for c, op in zip(pivots, ops)}))
 
 
-def _reconstruct(lifts: list, p: int, m: int, ncols: int, width: int, free: list):
-    """The vectors, one per free column, as Z[w] vectors by `_lift` mod
-    m = p^s; None if one does not lift or has a nonzero entry right of its
-    free column. lifts holds (w, steps, digits) per embedding
-    (`_padic_digits`); the digits are summed as sum π^i*digits_i in Z[w],
-    then mapped. Over Q(w), w -> ω̂ and -1 - ω̂ send a + b*w to u1 = a + b*ω̂
-    and u2 = a - b - b*ω̂, so b = (u1 - u2)/(2ω̂ + 1) and a = u1 - b*ω̂."""
-    mask, qw, roots = (1 << width) - 1, len(lifts) == 2, (0,)
-    if qw:
-        omega = _root_lift(lifts[0][0], p, m)
-        inv, roots = pow(2 * omega + 1, -1, m), (omega, -1 - omega)
-    vectors = []
+def _reconstruct(digits: list, p: int, m: int, ncols: int, width: int, free: list):
+    """The vectors, one per column of free, as integer vectors (pairs (a, 0))
+    by `_lift` of sum p^i*digits_i mod m = p^s; None if one does not lift or
+    has a nonzero entry right of its free column."""
+    mask, vectors = (1 << width) - 1, []
     for f, i in zip(free, range(0, len(free) * width, width)):
-        images = []
-        for root, (w, _, digits) in zip(roots, lifts):
-            pa, pb = _prime_element(p, w) if qw else (p, 0)
-            ua = ub = [0] * ncols
-            for columns in reversed(digits):
-                # (a + b w)(pa + pb w) = a pa - b pb + (a pb + b (pa - pb)) w
-                ua, ub = [a * pa - b * pb + (c >> i & mask) for a, b, c in zip(ua, ub, columns)], (
-                    [a * pb + b * (pa - pb) for a, b in zip(ua, ub)] if qw else ub)
-            images.append([(a + b * root) % m for a, b in zip(ua, ub)])
-        if qw:
-            parts = [(x - y) * inv % m for x, y in zip(*images)]
-            images = [[(x - y * omega) % m for x, y in zip(images[0], parts)] + parts]
-        if (v := _lift(images[0], m)) is None or any(v[f + 1:ncols]) or any(v[ncols + f + 1:]):
+        u = [0] * ncols
+        for columns in reversed(digits):
+            u = [a * p + (c >> i & mask) for a, c in zip(u, columns)]
+        if (v := _lift(u, m)) is None or any(v[f + 1:]):
             return None
-        vectors.append(list(zip(v[:ncols], v[ncols:] or [0] * ncols)))
+        vectors.append([(a, 0) for a in v])
     return vectors
+
+
+def _padic_kernel(data: list, ncols: int, p: int, echelon: tuple, free: list):
+    """(s, vectors): the kernel vectors of the integer rows data at the
+    columns free, lifted from their echelon form mod p to p^s, s = 1, 2, 4,
+    ... and at the stop bound, and checked exactly; None if p turns out bad."""
+    pivots, _, _, (_, e, longest) = echelon
+    width = 2 * p.bit_length() + ncols.bit_length() + longest.bit_length() + e.bit_length() + 4
+    # Hadamard's bound H^2 on an r x r minor: a row meets at most min(L, r) columns
+    bound, digits, m = 3 * (min(longest, len(pivots)) * e * e) ** len(pivots), [], 1
+    for s, step in enumerate(_padic_digits(data, ncols, p, echelon, width, free), 1):
+        digits.append(step)
+        m *= p
+        if (done := m >= bound) or s & (s - 1) == 0:
+            vectors = _reconstruct(digits, p, m, ncols, width, free)
+            if vectors is not None and _annihilates(data, vectors, e, longest):
+                return s, vectors
+            if done:
+                return None
+
+
+def _real_rows(data: list) -> list:
+    """The real rows: x_j + y_j*w at columns 2j and 2j + 1, each Z[w] row as its real
+    part and its w part, (a + b*w)(x + y*w) = a*x - b*y + (b*x + (a - b)*y)*w."""
+    real = []
+    for row in data:
+        cells = [(c, x, y) for j, (a, b) in row.items() for c, x, y in ((2 * j, a, b), (2 * j + 1, -b, a - b))]
+        real += [{c: (x, 0) for c, x, _ in cells if x}, {c: (y, 0) for c, _, y in cells if y}]
+    return real
 
 
 def _kernel_mod(data: list, ncols: int, p: int):
     """`kernel_basis` at the prime p, or None when p turns out bad."""
     w = _cube_root(p)
-    lifts = [(w, steps := _padic_digits(data, ncols, p, w), [])]
-    pivots, (qw, e, longest), width = next(steps)
+    echelon = pivots, rows, _, (qw, e, longest) = _echelon_mod(data, ncols, p, w)
     if len(pivots) == ncols:
         return Kernel([], FULL_RANK_MOD_P)
     free = sorted(set(range(ncols)).difference(pivots))
-    lifts[0][2].append(first := next(steps))
-    # Hadamard's bound H^2 on an r x r minor: a cell is at most sqrt(3)*E
-    # (E over Q) in absolute value, and a row meets at most min(L, r) columns
-    bound = 3 * ((min(longest, len(pivots)) * (3 if qw else 1) * e * e) ** len(pivots)) ** (1 + qw)
-    s, m, done = 1, p, False
-    while True:
-        if qw and s == 1:  # each residue u as its nearest remainder mod π, in Z[w]
-            pi, mask, cap = _prime_element(p, w), (1 << width) - 1, isqrt(p // 2)
-            residues = ([x >> i & mask for x in first] for i in range(0, len(free) * width, width))
-            vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues]
-            vectors = vectors if all(abs(x) <= cap for vec in vectors for y in vec for x in y) else None
-        elif (done := m >= bound) or s & (s - 1) == 0:
-            vectors = _reconstruct(lifts, p, m, ncols, width, free)
-        if vectors is not None and _annihilates(data, vectors, e, longest):
-            return Kernel(vectors, f"verified reconstruction (mod p^{s})")
-        if done:
+    if qw:  # step 0: each residue u as its nearest remainder mod π, in Z[w]
+        width, pi, cap = 2 * p.bit_length() + ncols.bit_length(), _prime_element(p, w), isqrt(p // 2)
+        packed, mask = _kernel_from_echelon(pivots, rows, ncols, p, width, free), (1 << width) - 1
+        residues = ([x >> i & mask for x in packed] for i in range(0, len(free) * width, width))
+        vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues]
+        if all(abs(x) <= cap for vec in vectors for y in vec for x in y) and _annihilates(data, vectors, e, longest):
+            return Kernel(vectors, "verified reconstruction (mod p^1)")
+        # the real rows, whose free columns pair up as (2f, 2f + 1): lift those at 2f
+        data, ncols = _real_rows(data), 2 * ncols
+        echelon = _echelon_mod(data, ncols, p, w)
+        paired = set(range(ncols)).difference(echelon[0])
+        if {c ^ 1 for c in paired} != paired:
             return None
-        if qw and s == 1:
-            lifts.append((w2 := p - 1 - w, steps := _padic_digits(data, ncols, p, w2), []))
-            if (pivots2 := next(steps)[0]) != pivots:
-                return Kernel([], FULL_RANK_MOD_P) if len(pivots2) == ncols else None
-            lifts[1][2].append(next(steps))
-        for _, steps, digits in lifts:
-            if (found := next(steps, None)) is None:
-                return None
-            digits.append(found)
-        s, m, vectors = s + 1, m * p, None
+        free = sorted(paired)[::2]
+    if found := _padic_kernel(data, ncols, p, echelon, free):
+        s, vectors = found  # over Q(w), x_j at 2j and y_j at 2j + 1 back to x_j + y_j*w
+        pairs = ([(x, y) for (x, _), (y, _) in zip(vec[::2], vec[1::2])] for vec in vectors)
+        return Kernel(pairs if qw else vectors, f"verified reconstruction (mod p^{s})")
 
 
 def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:

@@ -239,9 +239,6 @@ class LinearForm:
     def is_rational(self) -> bool:
         return not any(b for _, b in self.ints)
 
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented

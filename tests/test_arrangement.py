@@ -95,14 +95,14 @@ def test_singular_points_order_is_deterministic():
     first = [p.point for p in singular_points(a)]
     second = [p.point for p in singular_points(a)]
     assert first == second
-    keys = [tuple(c.sort_key() for c in p) for p in first]
+    keys = [tuple((c.a, c.b) for c in p) for p in first]
     assert keys == sorted(keys)
 
 
 def _scalar_sort_key(sp):
     # the order of the points before the integer sort keys: their
     # normalized Q(w) coordinates, compared as Fractions
-    return tuple(c.sort_key() for c in sp.point)
+    return tuple((c.a, c.b) for c in sp.point)
 
 
 def test_singular_points_order_matches_the_scalar_sort_key():
@@ -141,7 +141,7 @@ def _brute_force_census(arrangement):
             buckets.setdefault(p, set()).update((i, j))
     reference = sorted(
         (SingularPoint(p, len(idx), tuple(sorted(idx))) for p, idx in buckets.items()),
-        key=lambda sp: tuple(c.sort_key() for c in sp.point),
+        key=_scalar_sort_key,
     )
     assert singular_points(arrangement) == reference
     census = {}

@@ -83,7 +83,7 @@ def _with_triple_points(rng, qw, count):
             coeffs = [rng.choice(values) for _ in range(3)]
             if any(coeffs):
                 forms.add(LinearForm(*coeffs))
-        a = LineArrangement(sorted(forms, key=LinearForm.sort_key))
+        a = LineArrangement(sorted(forms, key=lambda form: form.ints))
         if weak_combinatorics(a).t3 and (a.tag is FieldTag.QW) == qw:
             found.append(a)
     return found

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, isqrt, log
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -283,9 +283,9 @@ def _precision(certificate):
     (tuple(2**130 + k for k in (3, 5, 7, 11, 13, 17)), "verified reconstruction (mod p^64)"),
 ])
 def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, certificate):
-    # a kernel with denominators is not settled from w -> ω alone: over Q(w)
-    # both embeddings are eliminated once, the first one's elimination
-    # reused, and lifted p-adically from there
+    # a kernel with denominators is not settled by step 0: over Q(w) the
+    # rows are eliminated once under w -> ω and their real rows once, and
+    # those are lifted p-adically
     rng = random.Random(3006)
     calls = _counted_eliminations(monkeypatch)
     qw_seen = False
@@ -406,13 +406,14 @@ def _pair_rows(rng, nrows, ncols, share, qw, p):
     return rows
 
 
-def _kernel_residues(pivots, echelon, ncols, p):
+def _kernel_residues(pivots, echelon, ncols, p, free=None):
     # linalg._kernel_from_echelon at its narrowest slot width, unpacked into
-    # one residue list per vector
+    # one residue list per vector, for every free column or the given ones
     width = 2 * p.bit_length() + ncols.bit_length()
-    packed = linalg._kernel_from_echelon(pivots, echelon, ncols, p, width)
+    free = [j for j in range(ncols) if j not in pivots] if free is None else free
+    packed = linalg._kernel_from_echelon(pivots, echelon, ncols, p, width, free)
     mask = (1 << width) - 1
-    return [[x >> i & mask for x in packed] for i in range(0, (ncols - len(pivots)) * width, width)]
+    return [[x >> i & mask for x in packed] for i in range(0, len(free) * width, width)]
 
 
 @pytest.mark.parametrize("prime", ["word", "stream"])
@@ -485,6 +486,11 @@ def test_packed_back_substitution_matches_the_per_vector_loop(prime):
                 assert _kernel_residues(pivots, echelon, ncols, p) == expected
                 assert len(expected) == ncols - len(pivots)
                 seen.add(len(expected))
+                # some of the free columns alone, as the real rows lift those at 2f
+                free = [j for j in range(ncols) if j not in pivots]
+                some = sorted(random.Random(trial).sample(range(len(free)), len(free) // 2))
+                assert _kernel_residues(pivots, echelon, ncols, p, [free[i] for i in some]) == [
+                    expected[i] for i in some]
     assert {0, 1, 2, 7} <= seen and max(seen) >= 10
 
 
@@ -731,7 +737,7 @@ def _canonical_is_integral(kernel):
 
 def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypatch):
     # an integral canonical basis takes one elimination; one with
-    # denominators takes both embeddings, once each, and p-adic steps
+    # denominators takes a second one, of the real rows, and p-adic steps
     rng = random.Random(3014)
     calls = _counted_eliminations(monkeypatch)
     seen = set()
@@ -753,10 +759,10 @@ def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypat
 
 
 def _lifted_kernel_rows(rng, rank, nfree, qw, share, den):
-    """Z[w] rows (den*e_i, -B_i), B about `share` nonzero, hidden by a unit
-    lower triangular mix and, when tall, extra combinations of two rows:
-    the canonical kernel vectors are (B e_j/den, e_j), entries over the
-    common denominator den, as Bareiss finds them."""
+    """Z[w] rows (den*e_i, -B_i), den a Z[w] pair, B about `share` nonzero,
+    hidden by a unit lower triangular mix and, when tall, extra combinations
+    of two rows: the canonical kernel vectors are (B e_j/den, e_j), entries
+    over the common denominator den, as Bareiss finds them."""
     def small():
         if rng.random() >= share:
             return (0, 0)
@@ -766,7 +772,7 @@ def _lifted_kernel_rows(rng, rank, nfree, qw, share, den):
         return [tuple(map(sum, zip(*(pair_mul(c, row[j]) for c, row in zip(coeffs, rows)))))
                 for j in range(rank + nfree)]
 
-    base = [[(den if i == j else 0, 0) for j in range(rank)] + [(-a, -b) for a, b in
+    base = [[den if i == j else (0, 0) for j in range(rank)] + [(-a, -b) for a, b in
                                                                 (small() for _ in range(nfree))]
             for i in range(rank)]
     rows = [combine([(1, 0)] + [small() for _ in base[i + 1:]], base[i:]) for i in range(rank)]
@@ -782,26 +788,25 @@ def _lifted_kernel_rows(rng, rank, nfree, qw, share, den):
 def test_padic_kernels_match_bareiss(monkeypatch, qw):
     # tall and wide rows, sparse and dense, kernel dimensions 0 to 12, and
     # canonical entries over a common denominator of up to 200 bits, which
-    # takes p-adic steps past step 0; over Q(w) every precision the lift
-    # uses gets a root of w^2 + w + 1 that is the cube root of unity mod p
+    # takes p-adic steps past step 0; over Q(w) those steps lift the real rows
     rng = random.Random(3030 + qw)
-    routes, roots = [], []
+    routes, real = [], []
     for name in ("_echelon_dense", "_echelon_sparse"):
         def spy(*args, name=name, eliminate=getattr(linalg, name)):
             routes.append(name)
             return eliminate(*args)
         monkeypatch.setattr(linalg, name, spy)
 
-    def root_spy(w, p, m, root_lift=linalg._root_lift):
-        roots.append((w, p, m, root := root_lift(w, p, m)))
-        return root
+    def real_spy(data, real_rows=linalg._real_rows):
+        real.append(len(data))
+        return real_rows(data)
 
-    monkeypatch.setattr(linalg, "_root_lift", root_spy)
+    monkeypatch.setattr(linalg, "_real_rows", real_spy)
     seen = {"route": set(), "dim": set(), "precision": set(), "shape": set()}
     for trial in range(52):
         nfree, rank = trial % 13, rng.randint(0, 7)
         share = rng.choice([0.15, 0.9])
-        den = rng.choice([1, 7, 2**31 + 11, rng.getrandbits(200) | 1])
+        den = (rng.choice([1, 7, 2**31 + 11, rng.getrandbits(200) | 1]), 0)
         rows = _lifted_kernel_rows(rng, rank, nfree, qw, share, den)
         if not rows:
             continue
@@ -814,11 +819,95 @@ def test_padic_kernels_match_bareiss(monkeypatch, qw):
         seen["shape"].add("tall" if len(rows) > rank else "wide")
     assert seen["route"] == {"_echelon_dense", "_echelon_sparse"} and seen["shape"] == {"tall", "wide"}
     assert seen["dim"] >= set(range(13)) and max(seen["precision"]) >= 16
-    assert bool(roots) is qw
-    for w, p, m, root in roots:
-        s = round(log(m, p))
-        assert m == p**s and root % p == w and (root * root + root + 1) % m == 0
-    assert not qw or len({m for _, _, m, _ in roots}) >= 4
+    assert bool(real) is qw and (not qw or len(real) >= 20)
+
+
+def test_real_rows_are_the_zw_product_in_real_coordinates():
+    # a Z[w] row times a Z[w] vector is the real row pair times the vector's
+    # (x, y) pairs: the real part, then the w part, with every stored cell
+    # nonzero, b = 0, in the columns 2j and 2j + 1 of a stored j
+    rng = random.Random(3040)
+    for trial in range(200):
+        ncols, c = rng.randint(1, 6), 2**120 if trial % 2 else 4
+        rows = [{j: (rng.randint(-c, c), rng.randint(-c, c)) for j in range(ncols) if rng.random() < 0.7}
+                for _ in range(rng.randint(1, 3))]
+        vec = [(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(ncols)]
+        real = linalg._real_rows(rows)
+        assert len(real) == 2 * len(rows)
+        xy = [x for pair in vec for x in pair]
+        for row, re, im in zip(rows, real[::2], real[1::2]):
+            product = [sum(parts) for parts in zip((0, 0), *(pair_mul(x, vec[j]) for j, x in row.items()))]
+            assert [sum(a * xy[k] for k, (a, _) in r.items()) for r in (re, im)] == product
+            assert all(a and not b and k // 2 in row for r in (re, im) for k, (a, b) in r.items())
+
+
+def test_qw_denominators_lift_through_the_real_rows(monkeypatch):
+    # canonical entries over a Z[w] denominator with parts of up to 200 bits,
+    # kernel dimensions 0 to 12, sparse and dense rows: step 0 leaves them
+    # open, and the real rows, eliminated on both routes, are lifted
+    # p-adically at their even free columns
+    rng = random.Random(3041)
+    routes, real = [], []
+    for name in ("_echelon_dense", "_echelon_sparse"):
+        def spy(rows, ncols, p, name=name, eliminate=getattr(linalg, name)):
+            routes.append((name, ncols))
+            return eliminate(rows, ncols, p)
+        monkeypatch.setattr(linalg, name, spy)
+
+    def real_spy(data, real_rows=linalg._real_rows):
+        real.append(len(data))
+        return real_rows(data)
+
+    monkeypatch.setattr(linalg, "_real_rows", real_spy)
+    seen = {"dim": set(), "precision": set(), "real routes": set()}
+    for trial in range(39):
+        nfree, rank = trial % 13, rng.randint(1, 6)
+        bits = rng.choice([8, 60, 200])
+        den = (rng.getrandbits(bits), rng.getrandbits(bits) | 1)
+        rows = _lifted_kernel_rows(rng, rank, nfree, True, rng.choice([0.15, 0.9]), den)
+        routes.clear()
+        real.clear()
+        kernel = kernel_basis(*sparse_rows(rows))
+        assert kernel == exact_kernel(rows)
+        seen["dim"].add(len(kernel))
+        if real:
+            seen["precision"].add(_precision(kernel.certificate))
+            seen["real routes"] |= {name for name, ncols in routes if ncols == 2 * (rank + nfree)}
+    assert seen["dim"] >= set(range(13)) and max(seen["precision"]) >= 16
+    assert len(seen["precision"]) >= 3 and seen["real routes"] == {"_echelon_dense", "_echelon_sparse"}
+
+
+def test_a_prime_with_one_deficient_embedding_is_dropped(monkeypatch):
+    # w - ω vanishes mod 7 under w -> ω, not under w -> ω², so the two
+    # embeddings have different pivots: step 0 fails its check, the real
+    # rows' free columns do not pair, and 7 is dropped with no p-adic step;
+    # the stream's first prime gives Bareiss's basis
+    omega, first = linalg._cube_root(7), next(linalg.prime_stream())
+    cases = [[[(-omega, 1)]], [[(-omega, 1), (1, 0)]],
+             [[(-omega, 1), (1, 0), (2, 1)], [(0, 0), (1, 1), (3, 0)]]]
+    for m in cases:
+        data, ncols = sparse_rows(m)
+        free = sorted(set(range(2 * ncols)).difference(
+            linalg._echelon_mod(linalg._real_rows(data), 2 * ncols, 7, omega)[0]))
+        assert free != [c + k for c in free[::2] for k in (0, 1)]
+    expected = [exact_kernel(m) for m in cases]
+    unlucky_primes_first(monkeypatch, (7,))
+    calls, steps = _counted_eliminations(monkeypatch), _targets_calls(monkeypatch)
+    lifted = []
+
+    def lift_spy(data, ncols, p, echelon, free, lift=linalg._padic_kernel):
+        lifted.append(p)
+        return lift(data, ncols, p, echelon, free)
+
+    monkeypatch.setattr(linalg, "_padic_kernel", lift_spy)
+    for m, want in zip(cases, expected):
+        calls.clear()
+        lifted.clear()
+        kernel = kernel_basis(*sparse_rows(m))
+        assert kernel == want
+        assert [p for p, _ in calls][:2] == [7, 7] and {p for p, _ in calls[2:]} == {first}
+        assert 7 not in lifted and 7 not in steps
+    assert [len(k) for k in expected] == [0, 1, 1]
 
 
 def _targets_calls(monkeypatch):
@@ -826,10 +915,10 @@ def _targets_calls(monkeypatch):
     calls = []
     back_substitute = linalg._kernel_from_echelon
 
-    def spy(pivots, echelon, ncols, p, width, targets=None):
+    def spy(pivots, echelon, ncols, p, width, free, targets=None):
         if targets is not None:
             calls.append(p)
-        return back_substitute(pivots, echelon, ncols, p, width, targets)
+        return back_substitute(pivots, echelon, ncols, p, width, free, targets)
 
     monkeypatch.setattr(linalg, "_kernel_from_echelon", spy)
     return calls

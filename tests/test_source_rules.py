@@ -3,8 +3,8 @@
 Each rule keeps one design decision from eroding: invariants are raised
 errors, no import is dead, linalg and criteria reach each other and the
 field only through their named entry points, the exact kernel check is a
-proof, f and the witness stay in Z[w] integers, and a line is scaled to
-integers once, when it is parsed."""
+proof, the p-adic lift works over Q alone, f and the witness stay in Z[w]
+integers, and a line is scaled to integers once, when it is parsed."""
 
 import ast
 import pathlib
@@ -70,6 +70,20 @@ def test_annihilates_uses_no_mod_pow_divmod_or_random():
     bad = [n.lineno for n in ast.walk(fns[0])
            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mod)]
     bad += [x for x in names if x in ("pow", "divmod") or "rand" in x.lower()]
+    assert bad == []
+
+
+def test_only_step_0_uses_the_prime_element():
+    # the p-adic lift is one loop over Q for the Q rows and for the real rows
+    # of a Q(w) kernel; only step 0 reads residues mod π in Z[w], so the
+    # lift may not reach for π, its remainders or the cube root of unity
+    tree = _tree(SRC / "linalg.py")
+    lift = ("_padic_kernel", "_padic_digits", "_reconstruct")
+    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in lift]
+    assert sorted(n.name for n in fns) == sorted(lift)
+    bad = [f"{fn.name}:{n.lineno}: {name}" for fn in fns for n in ast.walk(fn)
+           for name in [getattr(n, "id", getattr(n, "attr", None))]
+           if name in ("_prime_element", "_nearest_remainder", "_cube_root")]
     assert bad == []
 
 
