@@ -12,10 +12,8 @@ from .arrangement import (
     deformation,
     delete_line,
     load_lines,
-    milnor_number,
     parse_lines,
     singular_points,
-    transform,
     weak_combinatorics,
 )
 from .classify import (
@@ -23,10 +21,8 @@ from .classify import (
     CandidateStatus,
     ExclusionConfig,
     classify_all,
-    check_combinatorics,
     default_exclusions,
     enumerate_candidates,
-    has_integer_root,
     mdr_window,
     schonheim_u3,
     t3_lower_bound,

@@ -12,13 +12,14 @@ key form one point with line i. Two lines meet in one point only, so the
 skipped pairs are exactly those on points already found, and the lattice
 takes sum over P of (m_P - 1) keys, not C(d, 2). The census and the Milnor
 number (`WeakCombinatorics.mu`) count the incidences alone, and
-`deformation` looks its point up by its key, so no command builds a Q(w)
-point; `deformation` and `transform` move lines as Z[w] triples. Only
-`singular_points` reads each Q(w) point off its key and sorts the points
-on integer keys (each key times L/N, L the lcm of the leads N of all
-keys), the lex order of those points. The defining polynomial is expanded
-in Z[w] integers too (`poly.product_of_forms`). Everything is exact; no
-tolerances are involved anywhere.
+`deformation` looks its point up by its key and moves its line as a Z[w]
+triple, so no command builds a Q(w) point. Only `singular_points`, which no
+command calls and which stays as the lattice layer that
+`perfbench/tracer.py` wraps, reads each Q(w) point off its key and sorts
+the points on integer keys (each key times L/N, L the lcm of the leads N
+of all keys), the lex order of those points. The defining polynomial is
+expanded in Z[w] integers too (`poly.product_of_forms`). Everything is
+exact; no tolerances are involved anywhere.
 """
 
 from __future__ import annotations
@@ -101,10 +102,6 @@ class SingularPoint:
     point: Point
     multiplicity: int
     incident_lines: tuple  # sorted line indices
-
-    def __str__(self):
-        coords = ":".join(str(c) for c in self.point)
-        return f"({coords}) mult={self.multiplicity}"
 
 
 @dataclass(frozen=True)
@@ -196,15 +193,6 @@ def weak_combinatorics(arrangement: LineArrangement) -> WeakCombinatorics:
     return _census(arrangement.d, (len(incident) for _, incident in _incidences(arrangement)))
 
 
-def milnor_number(arrangement: LineArrangement) -> int:
-    """Total Milnor number: sum of (multiplicity - 1)^2 over singular points.
-
-    For line arrangements this equals the total Tjurina number, every
-    singular point being quasi-homogeneous.
-    """
-    return weak_combinatorics(arrangement).mu
-
-
 def defining_polynomial(arrangement: LineArrangement) -> Poly:
     return product_of_forms(arrangement.lines, arrangement.tag)
 
@@ -289,17 +277,6 @@ def _dot(u: tuple, v: tuple) -> tuple:
     """The sum of the products u_k * v_k of two Z[w] vectors, a Z[w] pair."""
     products = [pair_mul(x, y) for x, y in zip(u, v)]
     return (sum(a for a, _ in products), sum(b for _, b in products))
-
-
-def transform(arrangement: LineArrangement, matrix: Sequence[Sequence]) -> LineArrangement:
-    """Apply the coordinate change x -> M x; lines map by row-vector action,
-    each Z[w] triple times M scaled to Z[w] integers."""
-    m = integer_pairs([v if isinstance(v, Scalar) else Scalar(v) for row in matrix for v in row])
-    columns = [m[j::3] for j in range(3)]
-    new_lines = [LinearForm(*(_dot(form.ints, col) for col in columns))
-                 for form in arrangement.lines]
-    # a Q arrangement moves to the smallest field of its new lines
-    return LineArrangement(new_lines, None if arrangement.tag is FieldTag.Q else FieldTag.QW)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +382,3 @@ def parse_lines(text: str) -> LineArrangement:
 def load_lines(path: str) -> LineArrangement:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_lines(fh.read())
-
-
-def format_lines(arrangement: LineArrangement) -> str:
-    out = [f"field: {arrangement.tag.value}"]
-    for form in arrangement.lines:
-        out.append(" ".join(str(c) for c in form.coeffs))
-    return "\n".join(out) + "\n"

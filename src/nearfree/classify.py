@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .criteria import eta
-from .errors import OutOfRange, PairsIdentityViolated, ParseError
+from .errors import OutOfRange, ParseError
 from .field import INTEGER
 
 
@@ -78,10 +78,6 @@ class CandidateRecord:
     status: CandidateStatus
     citation: Optional[str] = None
 
-    def __str__(self):
-        tail = f"  # {self.citation}" if self.citation else ""
-        return f"({self.d}; {self.t2}, {self.t3}) r={self.r} {self.status.value}{tail}"
-
 
 _DEFAULT_CITATION = (
     "matroid census: the unique configuration of 9 lines with 11 triple"
@@ -104,10 +100,6 @@ class ExclusionConfig:
 
 def default_exclusions() -> ExclusionConfig:
     return ExclusionConfig(nonrealizable=((9, 3, 11, _DEFAULT_CITATION),))
-
-
-def no_exclusions() -> ExclusionConfig:
-    return ExclusionConfig()
 
 
 def parse_exclusions(text: str) -> ExclusionConfig:
@@ -152,8 +144,7 @@ def enumerate_candidates(d: int, config: ExclusionConfig = None) -> list:
     """Candidate combinatorics for one d, deduplicated, ordered by t3.
 
     Each admissible syzygy degree r gives one candidate; when two degrees
-    lead to the same (t2, t3) the larger witness r is kept, matching
-    has_integer_root.
+    lead to the same (t2, t3) the larger witness r is kept.
     """
     if config is None:
         config = default_exclusions()
@@ -177,32 +168,6 @@ def enumerate_candidates(d: int, config: ExclusionConfig = None) -> list:
     ]
     records.sort(key=lambda rec: rec.t3)
     return records
-
-
-def has_integer_root(d: int, t2: int, t3: int) -> Optional[int]:
-    """Largest in-window integer r with eta(d, r) = t2 + 4*t3 + 1, if any.
-
-    The input must satisfy the pairs identity t2 + 3*t3 = C(d,2); anything
-    else is rejected rather than silently classified.
-    """
-    if t2 + 3 * t3 != comb(d, 2):
-        raise PairsIdentityViolated(
-            f"t2 + 3*t3 = {t2 + 3 * t3} but C({d},2) = {comb(d, 2)}"
-        )
-    # given the pairs identity, eta(d, r) = t2 + 4*t3 + 1 iff (t2, t3) is r's
-    # candidate, and enumerate_candidates keeps the largest such r
-    return next((rec.r for rec in enumerate_candidates(d, no_exclusions())
-                 if (rec.t2, rec.t3) == (t2, t3)), None)
-
-
-def check_combinatorics(d: int, t2: int, t3: int, config: ExclusionConfig = None) -> CandidateRecord:
-    """Classify a user-supplied weak combinatorics."""
-    if config is None:
-        config = default_exclusions()
-    r = has_integer_root(d, t2, t3)
-    if r is None:
-        return CandidateRecord(d, t2, t3, None, CandidateStatus.EXCLUDED_NO_INTEGER_ROOT)
-    return _classify_candidate(d, t2, t3, r, config)
 
 
 def classify_all(d_min: int, d_max: int, config: ExclusionConfig = None) -> list:

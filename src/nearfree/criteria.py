@@ -448,15 +448,6 @@ class Verdict:
     b: Optional[int] = None            # nearly free only
     reason: Optional[str] = None       # inapplicable only
 
-    def __str__(self):
-        if self.kind is VerdictKind.FREE:
-            return f"Free{self.exponents}"
-        if self.kind is VerdictKind.NEARLY_FREE:
-            return f"NearlyFree{self.exponents}, b={self.b}"
-        if self.kind is VerdictKind.INAPPLICABLE:
-            return f"Inapplicable ({self.reason})"
-        return "Neither"
-
 
 def verdict(d: int, r: int, tau: int) -> Verdict:
     """Decide free / nearly free / neither from (d, r, tau) alone.

@@ -5,10 +5,6 @@ class ToolkitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DivisionByZero(ToolkitError, ZeroDivisionError):
-    pass
-
-
 class ParseError(ToolkitError):
     """Malformed text input; carries the 0-based offset of the bad token."""
 

@@ -1,9 +1,9 @@
-"""Exact coefficient arithmetic over Q and over Q(w), where w^2 = -w - 1.
+"""Exact coefficients over Q and over Q(w), where w^2 = -w - 1.
 
 Every scalar is stored as a pair (a, b) of `fractions.Fraction` values and
 means a + b*w with w a primitive cube root of unity kept purely symbolic.
-Rationals are the b == 0 case, so one arithmetic layer serves both fields;
-the `FieldTag` carried by polynomials and arrangements records the smallest
+Rationals are the b == 0 case, so one type serves both fields; the
+`FieldTag` carried by polynomials and arrangements records the smallest
 field a given object actually needs. The arrangement path works on Z[w]
 integer pairs (a, b) instead, from the parsed line on: `integer_pairs`
 clears denominators, `pair_mul` multiplies, `pair_det2` takes a 2x2
@@ -11,11 +11,13 @@ determinant and `primitive_pairs` gives a vector's canonical multiple,
 which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
 point and the form of a kernel vector; a polynomial is Z[w] integer
 pairs over one denominator (`poly.Poly`). Scalars are made only where text
-enters or leaves the library: parsed literals, a line's normalized
-coefficients, the library's lattice points and the entries of `--poly`
-relation matrices. Scalar arithmetic runs only in the parsers
-(`parse_scalar` and the expression parser's term maps, `poly._map_*`).
-The scalar grammar and `INTEGER` read ASCII digits only.
+enters the library or a value is read back out of a Z[w] form: parsed
+literals, the coefficients of a Poly (`Poly.coefficient`, which fills the
+`--poly` relation matrices) and the points of `arrangement.singular_points`.
+Scalar arithmetic runs only in the parsers (`parse_scalar` and the
+expression parser's term maps, `poly._map_*`), so a Scalar has only the
+operations they use: +, * and negation. The scalar grammar and `INTEGER`
+read ASCII digits only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DivisionByZero, ParseError
+from .errors import ParseError
 
 RationalLike = Union[int, Fraction]
 DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also admits '²' and '٣'
@@ -41,8 +43,8 @@ class FieldTag(Enum):
 class Scalar:
     """Element a + b*w of Q(w), with exact Fraction components.
 
-    Supports +, -, * and / against other scalars, ints and Fractions.
-    All operations are exact; there is no floating point anywhere.
+    Supports + and * against other scalars, ints and Fractions, and
+    negation. All operations are exact; there is no floating point anywhere.
     """
 
     __slots__ = ("a", "b")
@@ -52,9 +54,6 @@ class Scalar:
         self.b = b if type(b) is Fraction else Fraction(b)
 
     # -- predicates ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
 
     def is_rational(self) -> bool:
         return not self.b
@@ -80,18 +79,6 @@ class Scalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = Scalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = Scalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(o.a - self.a, o.b - self.b)
-
     def __neg__(self):
         return Scalar(-self.a, -self.b)
 
@@ -107,28 +94,6 @@ class Scalar:
         return Scalar(p - q, self.a * o.b + self.b * o.a - q)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Scalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = Scalar._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - a*b + b^2; zero iff the scalar is zero."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "Scalar":
-        n = self.norm()
-        if not n:
-            raise DivisionByZero("cannot invert zero")
-        return Scalar((self.a - self.b) / n, -self.b / n)
 
     # -- identity -------------------------------------------------------
 

@@ -191,11 +191,10 @@ class Poly:
 class LinearForm:
     """A projective line a*x + b*y + c*z = 0, held as `ints`, its primitive
     Z[w] triple (`field.primitive_pairs`: lead (s, 0) with s > 0, content 1).
-    Q(w)-multiples of one line share it, so == and hash use it; `coeffs`,
-    the Scalars `ints` / s with first nonzero 1, is built on first use. The
+    Q(w)-multiples of one line share it, so == and hash use it. The
     coefficients are ints, Scalars or Fractions, or three Z[w] pairs."""
 
-    __slots__ = ("ints", "_coeffs")
+    __slots__ = ("ints",)
 
     def __init__(self, cx, cy, cz):
         if type(cx) is int and type(cy) is int and type(cz) is int:
@@ -207,14 +206,6 @@ class LinearForm:
         if pairs == [(0, 0)] * 3:
             raise ValueError("a linear form needs at least one nonzero coefficient")
         self.ints = primitive_pairs(pairs)
-        self._coeffs = None
-
-    @property
-    def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            s = next(a for a, _ in self.ints if a)
-            self._coeffs = tuple(Scalar(Fraction(a, s), Fraction(b, s)) for a, b in self.ints)
-        return self._coeffs
 
     @classmethod
     def from_poly(cls, p: Poly) -> "LinearForm":

@@ -12,6 +12,13 @@ the per-vector loops that `nearfree.linalg` runs once per kernel
 (`reference_deformation`, on `normalize_point` and `evaluate`) that
 `nearfree.arrangement.deformation` computes on Z[w] keys.
 
+The library API that no command runs lives here too, as the tests'
+reference: the Scalar subtraction, division, norm and inverse (`sub`,
+`div`, `norm`, `inverse`, which raises `DivisionByZero`), a line's
+normalized Scalar coefficients (`coeffs`), `milnor_number`, `transform`,
+`format_lines`, and `check_combinatorics` with `has_integer_root` and
+`no_exclusions`.
+
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
 (rows, ncols) that `nearfree.linalg.kernel_basis` takes, dicts of the
@@ -43,6 +50,15 @@ from nearfree import (
     singular_points,
     weak_combinatorics,
 )
+from nearfree.arrangement import _dot
+from nearfree.classify import (
+    CandidateRecord,
+    CandidateStatus,
+    ExclusionConfig,
+    _classify_candidate,
+    default_exclusions,
+    enumerate_candidates,
+)
 from nearfree.errors import (
     DirectionThroughPoint,
     DuplicateLine,
@@ -51,6 +67,7 @@ from nearfree.errors import (
     LineNotIncident,
     NonGenericDeformation,
     NotATriplePoint,
+    PairsIdentityViolated,
     ToolkitError,
 )
 from nearfree.criteria import _line_data
@@ -405,15 +422,15 @@ def normalize_point(p):
     if lead is None:
         raise ValueError("a projective point needs a nonzero coordinate")
     if lead != ONE:
-        inv = lead.inverse()
+        inv = inverse(lead)
         coords = tuple(c * inv for c in coords)
     return coords
 
 
 def evaluate(form, point):
     """The value of a linear form at a point of Scalars, from its normalized
-    Scalar coefficients `LinearForm.coeffs`."""
-    a, b, c = form.coeffs
+    Scalar coefficients `coeffs`."""
+    a, b, c = coeffs(form)
     return a * point[0] + b * point[1] + c * point[2]
 
 
@@ -441,7 +458,7 @@ def reference_deformation(arrangement, point, line_index, direction, eps):
         raise DirectionThroughPoint("direction form vanishes at the triple point")
     old = arrangement.lines[line_index]
     new_lines = list(arrangement.lines)
-    new_lines[line_index] = LinearForm(*(o + eps * v for o, v in zip(old.coeffs, direction.coeffs)))
+    new_lines[line_index] = LinearForm(*(o + eps * v for o, v in zip(coeffs(old), coeffs(direction))))
     try:
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
@@ -465,9 +482,9 @@ def intersect(l1, l2):
     coefficients), in Scalar arithmetic: the independent route to the
     points that `nearfree.arrangement.singular_points` reads off its
     integer keys."""
-    a1, b1, c1 = l1.coeffs
-    a2, b2, c2 = l2.coeffs
-    return normalize_point((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
+    a1, b1, c1 = coeffs(l1)
+    a2, b2, c2 = coeffs(l2)
+    return normalize_point((sub(b1 * c2, c1 * b2), sub(c1 * a2, a1 * c2), sub(a1 * b2, b1 * a2)))
 
 
 class NotDivisible(ToolkitError):
@@ -479,8 +496,8 @@ def divide_exact(f, form):
     Scalar arithmetic; form is normalized, its pivot coefficient 1."""
     if f.degree == 0:
         raise NotDivisible("cannot divide a degree-0 polynomial by a linear form")
-    pivot = next(i for i, c in enumerate(form.coeffs) if c)  # coefficient there is 1
-    tail = [(i, c) for i, c in enumerate(form.coeffs) if c and i != pivot]
+    pivot = next(i for i, c in enumerate(coeffs(form)) if c)  # coefficient there is 1
+    tail = [(i, c) for i, c in enumerate(coeffs(form)) if c and i != pivot]
     rem = scalar_terms(f)
     quot: dict = {}
     while rem:
@@ -496,9 +513,108 @@ def divide_exact(f, form):
             mono[i] += 1
             mono = tuple(mono)
             prev = rem.get(mono)
-            val = -qc * c if prev is None else prev - qc * c
+            val = -qc * c if prev is None else sub(prev, qc * c)
             if val:
                 rem[mono] = val
             elif prev is not None:
                 del rem[mono]
     return scalar_poly(f.degree - 1, quot, f.tag)
+
+
+# -- the library API that no command runs ------------------------------------
+
+
+class DivisionByZero(ToolkitError, ZeroDivisionError):
+    pass
+
+
+def _scalar(x):
+    return x if isinstance(x, Scalar) else Scalar(x)
+
+
+def sub(x, y):
+    """x - y for Scalars, ints and Fractions."""
+    x, y = _scalar(x), _scalar(y)
+    return Scalar(x.a - y.a, x.b - y.b)
+
+
+def norm(x):
+    """Field norm a^2 - a*b + b^2 of a Scalar; zero iff the scalar is zero."""
+    return x.a * x.a - x.a * x.b + x.b * x.b
+
+
+def inverse(x):
+    n = norm(x)
+    if not n:
+        raise DivisionByZero("cannot invert zero")
+    return Scalar((x.a - x.b) / n, -x.b / n)
+
+
+def div(x, y):
+    """x / y for Scalars, ints and Fractions; DivisionByZero if y is 0."""
+    return _scalar(x) * inverse(_scalar(y))
+
+
+def coeffs(form):
+    """The Scalar coefficients of a line: `LinearForm.ints` / s, s its lead,
+    so the first nonzero coefficient is 1."""
+    s = next(a for a, _ in form.ints if a)
+    return tuple(Scalar(Fraction(a, s), Fraction(b, s)) for a, b in form.ints)
+
+
+def milnor_number(arrangement):
+    """Total Milnor number: sum of (multiplicity - 1)^2 over singular points.
+
+    For line arrangements this equals the total Tjurina number, every
+    singular point being quasi-homogeneous.
+    """
+    return weak_combinatorics(arrangement).mu
+
+
+def transform(arrangement, matrix):
+    """Apply the coordinate change x -> M x; lines map by row-vector action,
+    each Z[w] triple times M scaled to Z[w] integers."""
+    m = integer_pairs([_scalar(v) for row in matrix for v in row])
+    columns = [m[j::3] for j in range(3)]
+    new_lines = [LinearForm(*(_dot(form.ints, col) for col in columns))
+                 for form in arrangement.lines]
+    # a Q arrangement moves to the smallest field of its new lines
+    return LineArrangement(new_lines, None if arrangement.tag is FieldTag.Q else FieldTag.QW)
+
+
+def format_lines(arrangement):
+    """The `.lines` text of an arrangement; `parse_lines` reads it back."""
+    out = [f"field: {arrangement.tag.value}"]
+    for form in arrangement.lines:
+        out.append(" ".join(str(c) for c in coeffs(form)))
+    return "\n".join(out) + "\n"
+
+
+def no_exclusions():
+    return ExclusionConfig()
+
+
+def has_integer_root(d, t2, t3):
+    """Largest in-window integer r with eta(d, r) = t2 + 4*t3 + 1, if any.
+
+    The input must satisfy the pairs identity t2 + 3*t3 = C(d,2); anything
+    else is rejected rather than silently classified.
+    """
+    if t2 + 3 * t3 != comb(d, 2):
+        raise PairsIdentityViolated(
+            f"t2 + 3*t3 = {t2 + 3 * t3} but C({d},2) = {comb(d, 2)}"
+        )
+    # given the pairs identity, eta(d, r) = t2 + 4*t3 + 1 iff (t2, t3) is r's
+    # candidate, and enumerate_candidates keeps the largest such r
+    return next((rec.r for rec in enumerate_candidates(d, no_exclusions())
+                 if (rec.t2, rec.t3) == (t2, t3)), None)
+
+
+def check_combinatorics(d, t2, t3, config=None):
+    """Classify a user-supplied weak combinatorics."""
+    if config is None:
+        config = default_exclusions()
+    r = has_integer_root(d, t2, t3)
+    if r is None:
+        return CandidateRecord(d, t2, t3, None, CandidateStatus.EXCLUDED_NO_INTEGER_ROOT)
+    return _classify_candidate(d, t2, t3, r, config)

@@ -22,28 +22,29 @@ from nearfree import (
     defining_polynomial,
     deformation,
     delete_line,
-    has_integer_root,
     kernel_basis,
     mdr,
-    milnor_number,
     singular_points,
-    transform,
     weak_combinatorics,
 )
-from nearfree.classify import no_exclusions
 from nearfree.cli import main
 from nearfree.errors import NonGenericDeformation
 from nearfree.field import OMEGA, ONE
 from nearfree.poly import Poly
 
 from support import (
+    div,
     evaluate,
+    has_integer_root,
     jacobian_image,
+    milnor_number,
+    no_exclusions,
     poly_scale,
     random_arrangement,
     random_invertible_matrix,
     relation_rows,
     sparse_rows,
+    transform,
 )
 
 
@@ -187,7 +188,7 @@ FREE_DEFORMATIONS = {
     # name -> (triple point, line index, direction, eps)
     "A4_free": ((0, 0, 1), 2, "z", Scalar(1)),
     "A5_free": ((0, 0, 1), 2, "z", Scalar(1)),
-    "A1_6": ((1, 1, 1), 3, "y", Scalar(1, 0) / 2),
+    "A1_6": ((1, 1, 1), 3, "y", div(Scalar(1, 0), 2)),
     "B7_free": ((1, 1, -1), 5, "x-z", Scalar(1)),
 }
 
@@ -222,7 +223,7 @@ def test_criterion_10_deformation_contract():
         LinearForm.parse(t)
         for t in ["x", "y", "z", "x+y", "x-z", "y+z", "x+y+z"]
     ] + [LinearForm(ONE, OMEGA, ONE)]
-    eps_pool = [Scalar(1), Scalar(-1), Scalar(1, 0) / 2, OMEGA]
+    eps_pool = [Scalar(1), Scalar(-1), div(Scalar(1, 0), 2), OMEGA]
     attempts = successes = 0
     for sp in singular_points(hesse)[:4]:
         for index in sp.incident_lines:

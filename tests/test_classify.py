@@ -5,20 +5,19 @@ from nearfree import (
     VerdictKind,
     analyze_curve,
     catalog,
-    check_combinatorics,
     classify_all,
     default_exclusions,
     defining_polynomial,
     enumerate_candidates,
-    has_integer_root,
     mdr_window,
-    milnor_number,
     schonheim_u3,
     t3_lower_bound,
     weak_combinatorics,
 )
-from nearfree.classify import ExclusionConfig, no_exclusions, parse_exclusions
+from nearfree.classify import ExclusionConfig, parse_exclusions
 from nearfree.errors import OutOfRange, PairsIdentityViolated, ParseError
+
+from support import check_combinatorics, has_integer_root, milnor_number, no_exclusions
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from nearfree import (
     tau_bounds,
     verdict,
 )
-from nearfree.arrangement import catalog, catalog_names, defining_polynomial, milnor_number
+from nearfree.arrangement import catalog, catalog_names, defining_polynomial
 from nearfree.errors import OutOfRange, TauOutOfRange
 from nearfree.poly import graded_basis
 
@@ -24,6 +24,7 @@ from bareiss import rank
 from support import (
     CERTIFICATE,
     jacobian_image,
+    milnor_number,
     poly_mul,
     poly_scale,
     random_nonzero_scalar,

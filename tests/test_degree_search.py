@@ -44,6 +44,7 @@ from nearfree.field import integer_pairs
 from bareiss import exact_kernel
 from support import (
     CERTIFICATE,
+    coeffs,
     random_arrangement,
     random_nodal_arrangement,
     reflection_arrangement,
@@ -88,13 +89,13 @@ def _arrangement_search(a):
 
 
 def _ints(a):
-    return [integer_pairs(form.coeffs) for form in a.lines]
+    return [integer_pairs(coeffs(form)) for form in a.lines]
 
 
 def _off_the_lines(a):
     """The least c >= 0 for which x - c*y is not a line of a."""
     return next(c for c in count() if not any(
-        form.coeffs[2] == 0 and form.coeffs[1] == -c * form.coeffs[0] for form in a.lines))
+        coeffs(form)[2] == 0 and coeffs(form)[1] == -c * coeffs(form)[0] for form in a.lines))
 
 
 def _random_case(seed):

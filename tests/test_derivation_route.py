@@ -31,6 +31,7 @@ from nearfree.field import integer_pairs, pair_mul
 import bareiss
 from support import (
     CERTIFICATE,
+    coeffs,
     divide_exact,
     integer_terms,
     jacobian_image,
@@ -142,10 +143,10 @@ def _scalar_witness(a, r):
     # Scalar arithmetic over Q(w): theta_p0 from theta(alpha_0) = 0, and
     # g = sum theta(alpha_i)/alpha_i by exact division
     f = defining_polynomial(a)
-    ints = [integer_pairs(form.coeffs) for form in a.lines]
+    ints = [integer_pairs(coeffs(form)) for form in a.lines]
     vec = scalar_vector(kernel_basis(*derivation_rows(ints, r))[0])
     nb = len(vec) // 2
-    alpha0 = a.lines[0].coeffs
+    alpha0 = coeffs(a.lines[0])
     p0 = next(k for k in range(3) if alpha0[k])
     j1, j2 = (k for k in range(3) if k != p0)
     theta = [None] * 3
@@ -153,7 +154,7 @@ def _scalar_witness(a, r):
     theta[j2] = scalar_poly(r, dict(zip(graded_basis(r), vec[nb:])), f.tag)
     theta[p0] = poly_scale(poly_add(poly_scale(theta[j1], alpha0[j1]),
                                     poly_scale(theta[j2], alpha0[j2])), -1)
-    images = [poly_add(*map(poly_scale, theta, form.coeffs)) for form in a.lines[1:]]
+    images = [poly_add(*map(poly_scale, theta, coeffs(form))) for form in a.lines[1:]]
     if not r:  # a constant theta(alpha_i) in (alpha_i) is 0, and so is g
         assert not any(images)
         return tuple(theta)
@@ -271,13 +272,13 @@ def test_derivation_rows_shapes():
     # d = 8, r = 6: 7 lines times 7 rows on 2*C(8,2) unknowns
     a = random_nodal_arrangement(random.Random(9008), 8)
     # (rows, ncols), the shape of the dense rows they stand for
-    rows, ncols = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], 6)
+    rows, ncols = derivation_rows([integer_pairs(coeffs(form)) for form in a.lines], 6)
     assert (len(rows), ncols) == (49, 56)
     rows, ncols = derivation_rows(
-        [integer_pairs(form.coeffs) for form in reflection_arrangement(6, True).lines], 7)
+        [integer_pairs(coeffs(form)) for form in reflection_arrangement(6, True).lines], 7)
     assert (len(rows), ncols) == (160, 72)
     pencil = [LinearForm(1, -s, 0) for s in range(-29, 30)] + [LinearForm(1, 2, 1)]
-    rows, ncols = derivation_rows([integer_pairs(form.coeffs) for form in pencil], 1)
+    rows, ncols = derivation_rows([integer_pairs(coeffs(form)) for form in pencil], 1)
     assert (len(rows), ncols) == (118, 6)
 
 

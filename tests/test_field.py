@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 
 from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
-from nearfree.errors import DivisionByZero, ParseError
+from nearfree.errors import ParseError
 from nearfree.field import primitive_pairs, smallest_tag
 
-from support import conjugate_primitive_pairs, random_nonzero_scalar, random_scalar
+from support import (
+    DivisionByZero,
+    conjugate_primitive_pairs,
+    div,
+    inverse,
+    norm,
+    random_nonzero_scalar,
+    random_scalar,
+    sub,
+)
 
 
 def test_rational_addition():
@@ -21,7 +30,7 @@ def test_omega_square_is_minus_one_minus_omega():
 def test_additive_inverse_cancels():
     x = Scalar(1, 1)
     assert x + (-x) == ZERO
-    assert not (x - x)
+    assert not sub(x, x)
 
 
 def test_omega_cubed_is_one():
@@ -29,19 +38,19 @@ def test_omega_cubed_is_one():
 
 
 def test_inverse_of_rational():
-    assert Scalar(Fraction(2, 3)).inverse() == Scalar(Fraction(3, 2))
+    assert inverse(Scalar(Fraction(2, 3))) == Scalar(Fraction(3, 2))
 
 
 def test_inverse_of_omega():
-    assert OMEGA.inverse() == Scalar(-1, -1)
-    assert OMEGA * OMEGA.inverse() == ONE
+    assert inverse(OMEGA) == Scalar(-1, -1)
+    assert OMEGA * inverse(OMEGA) == ONE
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
-        ZERO.inverse()
+        inverse(ZERO)
     with pytest.raises(DivisionByZero):
-        Scalar(1) / ZERO
+        div(Scalar(1), ZERO)
 
 
 def test_parse_signed_rational():
@@ -98,8 +107,8 @@ def test_multiplicative_inverse_randomized():
     rng = random.Random(1002)
     for _ in range(100):
         x = random_nonzero_scalar(rng)
-        assert x * x.inverse() == ONE
-        assert x / x == ONE
+        assert x * inverse(x) == ONE
+        assert div(x, x) == ONE
 
 
 def test_canonical_form_stability():
@@ -116,15 +125,15 @@ def test_norm_multiplicativity_randomized():
     rng = random.Random(1004)
     for _ in range(150):
         x, y = random_scalar(rng), random_scalar(rng)
-        assert (x * y).norm() == x.norm() * y.norm()
+        assert norm(x * y) == norm(x) * norm(y)
 
 
 def test_norm_zero_only_at_zero():
     rng = random.Random(1005)
-    assert ZERO.norm() == 0
+    assert norm(ZERO) == 0
     for _ in range(100):
         x = random_nonzero_scalar(rng)
-        assert x.norm() != 0
+        assert norm(x) != 0
 
 
 def test_smallest_tag():

@@ -21,6 +21,9 @@ from nearfree.field import OMEGA, ONE, ZERO, integer_pairs, pair_mul
 
 from bareiss import _bareiss_kernel, exact_kernel, rank
 from support import (
+    coeffs,
+    dense_rows,
+    div,
     random_nonzero_scalar,
     random_rational_scalar,
     random_scalar,
@@ -28,7 +31,6 @@ from support import (
     reference_kernel_from_echelon,
     reflection_arrangement,
     scalar_vector,
-    dense_rows,
     sparse_rows,
     unlucky_primes_first,
     zw_rows,
@@ -252,7 +254,7 @@ def _kernel_with_denominators(rng, dens):
     mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
     rows = [[sum((c * r[j] for c, r in zip(mix[i][i + 1:], base[i + 1:])), base[i][j])
              for j in range(k + 1)] for i in range(k)]
-    v = [ONE] + [n / q for n, q in zip(numerators, dens)]
+    v = [ONE] + [div(n, q) for n, q in zip(numerators, dens)]
     return zw_rows(rows), v
 
 
@@ -328,7 +330,7 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
             s = next(a for a, b in ints if a or b)
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
             lead = Scalar(*next(x for x in exact if x != (0, 0)))
-            assert scalar_vector(ints) == [Scalar(a, b) / lead for a, b in exact]
+            assert scalar_vector(ints) == [div(Scalar(a, b), lead) for a, b in exact]
 
 
 def _annihilates(data, vectors):
@@ -628,7 +630,7 @@ def test_benchmark_rows_take_the_faster_route(monkeypatch):
         (reflection_arrangement(6, True), 7, "_echelon_sparse"),
         (_nodal_without_zero_coefficients(random.Random(3011), 8), 6, "_echelon_dense"),
     ]:
-        rows = derivation_rows([integer_pairs(form.coeffs) for form in a.lines], r)
+        rows = derivation_rows([integer_pairs(coeffs(form)) for form in a.lines], r)
         routes.clear()
         assert kernel_basis(*rows)
         assert routes and set(routes) == {route}

@@ -4,7 +4,8 @@ Each rule keeps one design decision from eroding: invariants are raised
 errors, no import is dead, linalg and criteria reach each other and the
 field only through their named entry points, the exact kernel check is a
 proof, the p-adic lift works over Q alone, f and the witness stay in Z[w]
-integers, and a line is scaled to integers once, when it is parsed."""
+integers, a line is scaled to integers once, when it is parsed, and the
+package holds only what its commands run."""
 
 import ast
 import pathlib
@@ -118,3 +119,52 @@ def test_no_integer_pairs_of_a_coeffs_expression_in_src():
     bad = [f"{p}:{n.lineno}" for p, n in calls for a in n.args for x in ast.walk(a)
            if isinstance(x, ast.Attribute) and x.attr == "coeffs"]
     assert bad == []
+
+
+# no command calls these; perfbench/tracer.py LAYERS wraps singular_points as
+# its lattice layer, so a traced run needs both until ROADMAP item 1 moves
+# that layer to _incidences
+UNREFERENCED_ALLOWED = {"singular_points", "SingularPoint"}
+
+
+def _definitions(tree):
+    """(definition, is a method) for every top-level def and class of a
+    module and every non-dunder method of its classes."""
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            yield n, False
+        if isinstance(n, ast.ClassDef):
+            yield from ((m, True) for m in n.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def test_every_definition_in_src_is_referenced():
+    # the package is what the commands run: a definition whose name src/
+    # never reads outside its own body is library API that belongs in
+    # tests/support.py. Reads inside such a definition do not count either,
+    # so a helper that only it calls is caught too. A method is read by an
+    # attribute of its name, anything else by a name or an attribute;
+    # __init__.py only re-exports
+    modules = {p.name: _tree(p) for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"}
+    defs = [(f"{name}:{d.lineno}: {d.name}", d, method)
+            for name, tree in modules.items() for d, method in _definitions(tree)]
+    reads = {}  # name -> [(node, is an attribute)]
+    for tree in modules.values():
+        for x in ast.walk(tree):
+            if isinstance(x, (ast.Name, ast.Attribute)) and isinstance(x.ctx, ast.Load):
+                is_attr = isinstance(x, ast.Attribute)
+                reads.setdefault(x.attr if is_attr else x.id, []).append((id(x), is_attr))
+    inside = {id(d): {id(x) for x in ast.walk(d)} for _, d, _ in defs}
+    unread = set()
+    while True:  # until the reads inside unread definitions change nothing
+        ignored = set().union(*(inside[i] for i in unread))
+        now = {id(d) for _, d, method in defs
+               if not any((is_attr or not method) and x not in inside[id(d)] and x not in ignored
+                          for x, is_attr in reads.get(d.name, ()))}
+        if now == unread:
+            break
+        unread = now
+    bad = [label for label, d, _ in defs if id(d) in unread and d.name not in UNREFERENCED_ALLOWED]
+    assert bad == []
+    # and the allow-list names only definitions that are there and unread
+    assert {d.name for _, d, _ in defs if id(d) in unread} == UNREFERENCED_ALLOWED
