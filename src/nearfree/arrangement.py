@@ -2,24 +2,24 @@
 
 An arrangement is an ordered list of pairwise distinct linear forms, each
 held as its primitive Z[w] triple (`LinearForm.ints`), which `parse_lines`
-builds straight from the integers when a line's tokens are plain ASCII
-integers. The intersection lattice is found by `_incidences` on those
-triples: each line i is crossed with every later line j that it does not
-already meet at a point found from an earlier line. Each cross product gets
-a canonical integer key (`field.primitive_pairs`, made unique up to scaling
-by the norm of its leading coordinate and the gcd), and the lines j of one
-key form one point with line i. Two lines meet in one point only, so the
-skipped pairs are exactly those on points already found, and the lattice
-takes sum over P of (m_P - 1) keys, not C(d, 2). The census and the Milnor
-number (`WeakCombinatorics.mu`) count the incidences alone, and
-`deformation` looks its point up by its key and moves its line as a Z[w]
-triple, so no command builds a Q(w) point. Only `singular_points`, which no
-command calls and which stays as the lattice layer that
-`perfbench/tracer.py` wraps, reads each Q(w) point off its key and sorts
-the points on integer keys (each key times L/N, L the lcm of the leads N
-of all keys), the lex order of those points. The defining polynomial is
-expanded in Z[w] integers too (`poly.product_of_forms`). Everything is
-exact; no tolerances are involved anywhere.
+builds from the Z[w] integers of a line's tokens (`field.parse_scalar`), by
+`int` when they are plain ASCII integers. The intersection lattice is found
+by `_incidences` on those triples: each line i is crossed with every later
+line j that it does not already meet at a point found from an earlier line.
+Each cross product gets a canonical integer key (`field.primitive_pairs`,
+made unique up to scaling by the norm of its leading coordinate and the
+gcd), and the lines j of one key form one point with line i. Two lines meet
+in one point only, so the skipped pairs are exactly those on points already
+found, and the lattice takes sum over P of (m_P - 1) keys, not C(d, 2). The
+census and the Milnor number (`WeakCombinatorics.mu`) count the incidences
+alone, and `deformation` looks its point up by its key and moves its line
+as a Z[w] triple, so no command builds a Q(w) point. Only
+`singular_points`, which no command calls and which stays as the lattice
+layer that `perfbench/tracer.py` wraps, reads each Q(w) point off its key
+and sorts the points on integer keys (each key times L/N, L the lcm of the
+leads N of all keys), the lex order of those points. The defining
+polynomial is expanded in Z[w] integers too (`poly.product_of_forms`).
+Everything is exact; no tolerances are involved anywhere.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from .field import (
     INTEGER,
     FieldTag,
     Scalar,
-    integer_pairs,
     pair_det2,
     pair_mul,
     parse_scalar,
     primitive_pairs,
+    scaled_pairs,
 )
 from .poly import LinearForm, Poly, product_of_forms
 
@@ -211,7 +211,7 @@ def deformation(
     point: Sequence,
     line_index: int,
     direction: LinearForm,
-    eps: Scalar,
+    eps: tuple,
 ) -> tuple:
     """Split one triple point into three nodes by replacing one of its lines.
 
@@ -219,21 +219,22 @@ def deformation(
     is accepted only if its multiplicity census is exactly (t2 + 3, t3 - 1)
     with everything else unchanged; any other outcome (including a duplicate
     line) raises NonGenericDeformation, and the caller may retry with a
-    different eps or direction. Returns (deformed arrangement, census
-    before, census after), so callers need not build either lattice again.
+    different eps or direction. The point is Z[w] pairs (any multiple) and
+    eps is ((a, b), n), meaning (a + b*w) / n. Returns (deformed
+    arrangement, census before, census after), so callers need not build
+    either lattice again.
     """
-    eps = eps if isinstance(eps, Scalar) else Scalar(eps)
-    if not eps:
+    (ea, eb), n = eps
+    if not (ea or eb):
         raise ValueError("eps must be nonzero")
     if not 0 <= line_index < arrangement.d:
         raise IndexOutOfRange(f"line index {line_index} out of range for d={arrangement.d}")
-    if arrangement.tag is FieldTag.Q and not (direction.is_rational() and eps.is_rational()):
+    if arrangement.tag is FieldTag.Q and not (direction.is_rational() and not eb):
         raise FieldMismatch("deformation data must stay in the arrangement's field")
-    coords = [c if isinstance(c, Scalar) else Scalar(c) for c in point]
-    if not any(coords):
+    if all(c == (0, 0) for c in point):
         raise ValueError("a projective point needs a nonzero coordinate")
     # the key `_incidences` gives this projective point
-    key = primitive_pairs(integer_pairs(coords))
+    key = primitive_pairs(point)
     found = _incidences(arrangement)
     incident = next((incident for k, incident in found if k == key), None)
     if incident is None or len(incident) != 3:
@@ -247,9 +248,8 @@ def deformation(
     # old vanishes at the point and direction does not, so it is nonzero
     old = arrangement.lines[line_index].ints
     s, t = (next(a for a, _ in ints if a) for ints in (old, direction.ints))
-    (e,) = integer_pairs([eps])
-    tn = t * lcm(eps.a.denominator, eps.b.denominator)
-    se = (s * e[0], s * e[1])
+    tn = t * n
+    se = (s * ea, s * eb)
     moved = LinearForm(*((tn * a + x, tn * b + y)
                          for (a, b), (x, y) in zip(old, (pair_mul(se, v) for v in direction.ints))))
     new_lines = list(arrangement.lines)
@@ -341,8 +341,9 @@ _FIELD_NAMES = {"Q": FieldTag.Q, "Qw": FieldTag.QW}
 def parse_lines(text: str) -> LineArrangement:
     """Parse the `.lines` format: optional `field:` header, `#` comments,
     then one line per linear form as three whitespace-separated scalars.
-    A scalar of an optional sign and ASCII digits is read by `int`, any
-    other by `parse_scalar`."""
+    A line of three integers (an optional sign and ASCII digits) is read by
+    `int`; in any other, `parse_scalar` reads the rest, and `scaled_pairs`
+    brings the three to one denominator."""
     tag = None
     forms, seen = [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -363,11 +364,14 @@ def parse_lines(text: str) -> LineArrangement:
                 f"expected three scalars, got {len(parts)}", line=lineno
             )
         try:
-            # a plain integer skips parse_scalar
-            coeffs = [int(p) if INTEGER.fullmatch(p) else parse_scalar(p) for p in parts]
+            # a line of plain integers skips parse_scalar
+            coeffs = [int(p) for p in parts if INTEGER.fullmatch(p)]
+            if len(coeffs) < 3:
+                coeffs = scaled_pairs([((int(p), 0), 1) if INTEGER.fullmatch(p) else parse_scalar(p)
+                                       for p in parts])
         except ParseError as exc:
             raise ParseError(f"bad scalar: {exc}", line=lineno)
-        if all(not c for c in coeffs):
+        if coeffs == [0, 0, 0] or coeffs == [(0, 0)] * 3:
             raise ParseError("zero line", line=lineno)
         form = LinearForm(*coeffs)
         if form in seen:

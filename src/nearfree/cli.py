@@ -23,7 +23,7 @@ from . import arrangement as arr
 from . import classify as cls
 from .criteria import AnalysisReport, analyze_curve
 from .errors import FieldMismatch, NonGenericDeformation, ToolkitError
-from .field import FieldTag, parse_scalar
+from .field import FieldTag, parse_scalar, scaled_pairs
 from .poly import LinearForm, format_poly, parse_poly
 
 CATALOG_PREFIX = "@catalog:"
@@ -197,7 +197,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_deform(args) -> int:
     a = _load_source(args.source, args.field)
-    point = [parse_scalar(p) for p in args.point.split(":")]
+    point = scaled_pairs([parse_scalar(p) for p in args.point.split(":")])
     if len(point) != 3:
         print("error: --point needs three ':'-separated scalars", file=sys.stderr)
         return 2
@@ -326,8 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a value that begins with '-' (not '--') for an option unless it
+    # reads as a negative number like -1: `--eps -1/2` goes as `--eps=-1/2`
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--eps", "--point", "--dir", "--poly") and arg[:1] == "-" != arg[1:2]:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

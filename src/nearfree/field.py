@@ -1,23 +1,21 @@
 """Exact coefficients over Q and over Q(w), where w^2 = -w - 1.
 
-Every scalar is stored as a pair (a, b) of `fractions.Fraction` values and
-means a + b*w with w a primitive cube root of unity kept purely symbolic.
-Rationals are the b == 0 case, so one type serves both fields; the
-`FieldTag` carried by polynomials and arrangements records the smallest
-field a given object actually needs. The arrangement path works on Z[w]
-integer pairs (a, b) instead, from the parsed line on: `integer_pairs`
-clears denominators, `pair_mul` multiplies, `pair_det2` takes a 2x2
+Every command computes on Z[w] integer pairs (a, b), meaning a + b*w with
+w a primitive cube root of unity kept symbolic, from the first character
+of its input: `tokenize` is the one tokenizer of scalar literals and
+expressions, and `parse_scalar` reads the scalar grammar from its tokens
+as ((a, b), den), meaning (a + b*w) / den, which `scaled_pairs` brings to
+one denominator. `pair_mul` multiplies, `pair_det2` takes a 2x2
 determinant and `primitive_pairs` gives a vector's canonical multiple,
 which is a line's identity (`poly.LinearForm.ints`), the key of a lattice
-point and the form of a kernel vector; a polynomial is Z[w] integer
-pairs over one denominator (`poly.Poly`). Scalars are made only where text
-enters the library or a value is read back out of a Z[w] form: parsed
-literals, the coefficients of a Poly (`Poly.coefficient`, which fills the
-`--poly` relation matrices) and the points of `arrangement.singular_points`.
-Scalar arithmetic runs only in the parsers (`parse_scalar` and the
-expression parser's term maps, `poly._map_*`), so a Scalar has only the
-operations they use: +, * and negation. The scalar grammar and `INTEGER`
-read ASCII digits only.
+point and the form of a kernel vector; a polynomial is Z[w] pairs over one
+denominator (`poly.Poly`). A `Scalar`, a pair of Fractions, is only a view
+of a value read back out: the coefficients of a Poly (`Poly.coefficient`,
+which fills the `--poly` relation matrices that `integer_pairs` scales
+back) and the points of `arrangement.singular_points`. No command does
+Scalar arithmetic; +, * and negation serve the tests' reference
+arithmetic. `FieldTag` records the smallest field an object needs. The
+tokens and `INTEGER` read ASCII digits only.
 """
 
 from __future__ import annotations
@@ -26,12 +24,11 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ParseError
 
 RationalLike = Union[int, Fraction]
-DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also admits '²' and '٣'
 INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII only: int() also takes '1_000' and '٣'
 
 
@@ -54,9 +51,6 @@ class Scalar:
         self.b = b if type(b) is Fraction else Fraction(b)
 
     # -- predicates ---------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -168,16 +162,8 @@ def primitive_pairs(vec: Sequence[tuple]) -> tuple:
     return tuple((a // g, b // g) for a, b in out)
 
 
-def smallest_tag(scalars: Iterable[Scalar]) -> FieldTag:
-    """Q if every scalar is rational, Qw otherwise."""
-    for s in scalars:
-        if s.b:
-            return FieldTag.QW
-    return FieldTag.Q
-
-
 def format_scalar(s: Scalar) -> str:
-    """Canonical text form; parse_scalar(format_scalar(s)) == s."""
+    """Canonical text form, which parse_scalar reads back as s."""
     if not s.b:
         return str(s.a)
     mag = abs(s.b)
@@ -188,83 +174,83 @@ def format_scalar(s: Scalar) -> str:
     return f"{s.a}{sign}{wpart}"
 
 
-def _scan_rational(text: str, i: int) -> tuple[Fraction, int]:
-    start = i
-    n = len(text)
-    while i < n and text[i] in DIGITS:
-        i += 1
-    if i == start:
-        raise ParseError("expected a digit", position=start)
-    num = int(text[start:i])
-    if i < n and text[i] == "/":
-        j = i + 1
-        while j < n and text[j] in DIGITS:
-            j += 1
-        if j == i + 1:
-            raise ParseError("expected digits after '/'", position=i + 1)
-        den = int(text[i + 1:j])
-        if den == 0:
-            raise ParseError("zero denominator", position=i + 1)
-        return Fraction(num, den), j
-    return Fraction(num), i
+# -- the one tokenizer, and the scalar grammar on its tokens ------------------
+
+NUM, VAR, W, OP, BAD = "num", "var", "w", "op", "bad"
+# a rational p or p/q, or one character; ASCII digits only, as str.isdigit()
+# also admits '²' and '٣'
+_TOKEN = re.compile(r"([0-9]+)(?:/([0-9]*))?|\S")
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar grammar: signed rationals and w-terms joined by +/-.
-
-    Accepted terms are `p/q`, `p/q*w`, and bare `w`; a sign may prefix the
-    first term. Anything else (in particular `w^2`) is a ParseError carrying
-    the offset of the offending character.
-    """
-    s = text.replace("−", "-")  # tolerate the typographic minus
-    n = len(s)
-    i = 0
-    result = Scalar(0)
-    first = True
-    while True:
-        while i < n and s[i].isspace():
-            i += 1
-        sign = 1
-        if first:
-            if i < n and s[i] in "+-":
-                if s[i] == "-":
-                    sign = -1
-                i += 1
-        else:
-            if i >= n:
+def tokenize(text: str) -> list:
+    """The tokens of a scalar literal or an expression, as (kind, payload,
+    offset): a rational p or p/q is NUM with the integers (p, q), q = 1 for
+    p; x, y, z, w and + - * ^ ( ) are VAR, W and OP with their character.
+    Whitespace separates tokens; the typographic minus reads as '-'. Any
+    other character, a '/' without digits or a zero denominator ends the
+    list as a BAD token holding its ParseError."""
+    out = []
+    for m in _TOKEN.finditer(text.replace("−", "-")):
+        p, q, i = m[1], m[2], m.start()
+        if p is None:
+            ch = m[0]
+            kind = OP if ch in "+-*^()" else VAR if ch in "xyz" else W if ch == "w" else None
+            if kind is None:
+                out.append((BAD, ParseError(f"unexpected character {ch!r}", position=i), i))
                 break
-            if s[i] == "+":
-                i += 1
-            elif s[i] == "-":
-                sign = -1
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {s[i]!r}", position=i)
-        while i < n and s[i].isspace():
-            i += 1
-        if i >= n:
-            raise ParseError("expected a term", position=i)
-        if s[i] == "w":
-            term = Scalar(0, sign)
-            i += 1
+            out.append((kind, ch, i))
+        elif q is None or q and int(q):
+            out.append((NUM, (int(p), int(q or 1)), i))
         else:
-            value, i = _scan_rational(s, i)
-            if i < n and s[i] == "*":
-                if i + 1 < n and s[i + 1] == "w":
-                    term = Scalar(0, sign * value)
-                    i += 2
-                else:
-                    raise ParseError("expected 'w' after '*'", position=i + 1)
-            else:
-                term = Scalar(sign * value)
-        if i < n and s[i] == "^":
-            raise ParseError("powers are not allowed in scalar literals", position=i)
-        result = result + term
-        first = False
-        while i < n and s[i].isspace():
-            i += 1
-        if i >= n:
+            error = "zero denominator" if q else "expected digits after '/'"
+            out.append((BAD, ParseError(error, position=m.start(2)), i))
             break
-        if s[i] not in "+-":
-            raise ParseError(f"unexpected character {s[i]!r}", position=i)
-    return result
+    return out
+
+
+def parse_scalar(text: str) -> tuple:
+    """Read the scalar grammar [+|-] term ((+|-) term)*, a term p/q, p/q*w
+    or w, from the tokens: the value ((a, b), den) of (a + b*w) / den, with
+    den > 0 and gcd(a, b, den) = 1. Anything else, `w^2` among it, is a
+    ParseError at the first token that does not fit (after a '*', at the
+    character that follows it)."""
+    tokens = tokenize(text) + [(None, None, len(text))]  # and the end
+    a = b = 0
+    den = sign = 1
+    k = 0
+    if tokens[0][1] in ("+", "-"):
+        sign, k = -1 if tokens[0][1] == "-" else 1, 1
+    while True:
+        kind, value, pos = tokens[k]
+        if kind is NUM:
+            p, q = value
+            if q != den:
+                m = lcm(den, q)
+                a, b, p, den = a * (m // den), b * (m // den), p * (m // q), m
+            if tokens[k + 1][1] != "*":
+                a, k = a + sign * p, k + 1
+            elif tokens[k + 2][0] is W:
+                b, k = b + sign * p, k + 3
+            else:
+                raise ParseError("expected 'w' after '*'", position=tokens[k + 1][2] + 1)
+        elif kind is W:
+            b, k = b + sign * den, k + 1
+        elif kind is BAD and value.position > pos:  # a '/' without digits, or over 0
+            raise value
+        else:
+            raise ParseError("expected a digit" if kind else "expected a term", position=pos)
+        kind, value, pos = tokens[k]
+        if kind is None:
+            g = gcd(a, b, den)
+            return (a // g, b // g), den // g
+        if value not in ("+", "-"):
+            raise ParseError("powers are not allowed in scalar literals" if value == "^"
+                             else f"unexpected character {text[pos]!r}", position=pos)
+        sign, k = -1 if value == "-" else 1, k + 1
+
+
+def scaled_pairs(values: Sequence[tuple]) -> list:
+    """Values ((a, b), den), as `parse_scalar` reads them, times the lcm of
+    their denominators: Z[w] pairs with the ratios of the values."""
+    scale = lcm(*(den for _, den in values))
+    return [(a * (scale // den), b * (scale // den)) for (a, b), den in values]

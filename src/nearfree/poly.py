@@ -7,9 +7,9 @@ immutable values held as Z[w] integers over one denominator: `Poly.terms`
 maps each monomial to a pair (a, b) meaning (a + b*w) / `Poly.den`. The
 product of an arrangement's lines (`product_of_forms`) is expanded from
 their primitive Z[w] triples (`LinearForm.ints`) on two term maps of Z[w]
-integers, the real and the w part. Scalars are made only where text
-enters: the expression parser works on Scalar term maps (`_map_add`,
-`_map_mul`) and converts its result once. `format_poly` prints from the
+integers, the real and the w part. The expression parser reads the
+tokens of `field.tokenize` into term maps of that form, Z[w] pairs over
+one denominator (`_map_add`, `_map_mul`). `format_poly` prints from the
 integers, and `Poly.coefficient`, the Scalar view, serves `--poly`
 relation matrices.
 """
@@ -28,14 +28,16 @@ from .errors import (
     ZeroDerivativeDomain,
 )
 from .field import (
-    DIGITS,
-    ONE,
+    BAD,
+    NUM,
+    OP,
+    VAR,
+    W,
     FieldTag,
     Scalar,
-    _scan_rational,
-    integer_pairs,
+    pair_mul,
     primitive_pairs,
-    smallest_tag,
+    tokenize,
 )
 
 Monomial = tuple  # (i, j, k) exponents
@@ -60,37 +62,46 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 # -- term-map arithmetic of the expression parser -----------------------------
+#
+# A term map is (terms, den): monomial -> Z[w] pair (a, b), meaning
+# (a + b*w) / den, den > 0. Zero pairs may stay in terms; parse_poly drops them.
 
 
 def _map_neg(m):
-    return {mono: -c for mono, c in m.items()}
+    terms, den = m
+    return {mono: (-a, -b) for mono, (a, b) in terms.items()}, den
 
 
 def _map_add(m1, m2):
-    out = dict(m1)
-    for mono, c in m2.items():
+    (t1, d1), (t2, d2) = m1, m2
+    den = lcm(d1, d2)
+    s1, s2 = den // d1, den // d2
+    out = dict(t1) if s1 == 1 else {mono: (a * s1, b * s1) for mono, (a, b) in t1.items()}
+    for mono, (a, b) in t2.items():
         prev = out.get(mono)
-        c = c if prev is None else prev + c
-        if c:
-            out[mono] = c
+        a, b = (a * s2, b * s2) if prev is None else (prev[0] + a * s2, prev[1] + b * s2)
+        if a or b:
+            out[mono] = (a, b)
         elif prev is not None:
             del out[mono]
-    return out
+    return out, den
 
 
 def _map_mul(m1, m2):
+    (t1, d1), (t2, d2) = m1, m2
     out: dict = {}
-    for mono1, c1 in m1.items():
-        for mono2, c2 in m2.items():
+    for mono1, c1 in t1.items():
+        for mono2, c2 in t2.items():
             mono = _mono_mul(mono1, mono2)
-            c = c1 * c2
+            a, b = pair_mul(c1, c2)
             prev = out.get(mono)
-            c = c if prev is None else prev + c
-            if c:
-                out[mono] = c
+            if prev is not None:
+                a, b = prev[0] + a, prev[1] + b
+            if a or b:
+                out[mono] = (a, b)
             elif prev is not None:
                 del out[mono]
-    return out
+    return out, d1 * d2
 
 
 @lru_cache(maxsize=None)
@@ -192,17 +203,15 @@ class LinearForm:
     """A projective line a*x + b*y + c*z = 0, held as `ints`, its primitive
     Z[w] triple (`field.primitive_pairs`: lead (s, 0) with s > 0, content 1).
     Q(w)-multiples of one line share it, so == and hash use it. The
-    coefficients are ints, Scalars or Fractions, or three Z[w] pairs."""
+    coefficients are three ints or three Z[w] pairs (a, b)."""
 
     __slots__ = ("ints",)
 
     def __init__(self, cx, cy, cz):
         if type(cx) is int and type(cy) is int and type(cz) is int:
             pairs = [(cx, 0), (cy, 0), (cz, 0)]
-        elif type(cx) is tuple:  # three Z[w] pairs (a, b), as `from_poly` passes them
-            pairs = [cx, cy, cz]
         else:
-            pairs = integer_pairs([c if isinstance(c, Scalar) else Scalar(c) for c in (cx, cy, cz)])
+            pairs = [cx, cy, cz]
         if pairs == [(0, 0)] * 3:
             raise ValueError("a linear form needs at least one nonzero coefficient")
         self.ints = primitive_pairs(pairs)
@@ -294,37 +303,9 @@ def product_of_forms(forms: Sequence[LinearForm], tag: FieldTag = None) -> Poly:
 # term   := factor ('*' factor)*
 # factor := base ('^' nat)?
 # base   := '(' expr ')' | 'x' | 'y' | 'z' | 'w' | rational
+#
+# over the tokens of `field.tokenize`, the reader of scalar literals too
 # ---------------------------------------------------------------------------
-
-_NUM, _VAR, _W, _OP = "num", "var", "w", "op"
-
-
-def _tokenize(text: str):
-    s = text.replace("−", "-")
-    tokens = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((_OP, ch, i))
-            i += 1
-        elif ch in "xyz":
-            tokens.append((_VAR, "xyz".index(ch), i))
-            i += 1
-        elif ch == "w":
-            tokens.append((_W, None, i))
-            i += 1
-        elif ch in DIGITS:
-            value, j = _scan_rational(s, i)
-            tokens.append((_NUM, value, i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", position=i)
-    return tokens
 
 
 class _Parser:
@@ -347,7 +328,7 @@ class _Parser:
 
     def _expect_op(self, symbol):
         tok = self._take()
-        if tok[0] is not _OP or tok[1] != symbol:
+        if tok[0] is not OP or tok[1] != symbol:
             raise ParseError(f"expected {symbol!r}", position=tok[2])
 
     def parse(self):
@@ -360,7 +341,7 @@ class _Parser:
     def expr(self):
         tok = self._peek()
         negate = False
-        if tok is not None and tok[0] is _OP and tok[1] == "-":
+        if tok is not None and tok[0] is OP and tok[1] == "-":
             self.pos += 1
             negate = True
         value = self.term()
@@ -368,7 +349,7 @@ class _Parser:
             value = _map_neg(value)
         while True:
             tok = self._peek()
-            if tok is None or tok[0] is not _OP or tok[1] not in "+-":
+            if tok is None or tok[0] is not OP or tok[1] not in "+-":
                 return value
             self.pos += 1
             rhs = self.term()
@@ -380,7 +361,7 @@ class _Parser:
         value = self.factor()
         while True:
             tok = self._peek()
-            if tok is None or tok[0] is not _OP or tok[1] != "*":
+            if tok is None or tok[0] is not OP or tok[1] != "*":
                 return value
             self.pos += 1
             value = _map_mul(value, self.factor())
@@ -388,33 +369,33 @@ class _Parser:
     def factor(self):
         value = self.base()
         tok = self._peek()
-        if tok is not None and tok[0] is _OP and tok[1] == "^":
+        if tok is not None and tok[0] is OP and tok[1] == "^":
             self.pos += 1
             exp_tok = self._take()
-            if exp_tok[0] is not _NUM or exp_tok[1].denominator != 1:
+            # a literal p/q is an exponent when q divides p: x^4/2 is x^2
+            if exp_tok[0] is not NUM or exp_tok[1][0] % exp_tok[1][1]:
                 raise ParseError("exponent must be a non-negative integer", position=exp_tok[2])
-            value = _map_pow(value, int(exp_tok[1]))
+            value = _map_pow(value, exp_tok[1][0] // exp_tok[1][1])
         return value
 
     def base(self):
         tok = self._take()
         kind, payload, pos = tok
-        if kind is _OP and payload == "(":
+        if kind is OP and payload == "(":
             value = self.expr()
             self._expect_op(")")
             return value
-        if kind is _VAR:
-            mono = tuple(1 if k == payload else 0 for k in range(3))
-            return {mono: ONE}
-        if kind is _W:
-            return {(0, 0, 0): Scalar(0, 1)}
-        if kind is _NUM:
-            return {(0, 0, 0): Scalar(payload)}
+        if kind is VAR:
+            return {tuple(int(v == payload) for v in "xyz"): (1, 0)}, 1
+        if kind is W:
+            return {(0, 0, 0): (0, 1)}, 1
+        if kind is NUM:
+            return {(0, 0, 0): (payload[0], 0)}, payload[1]
         raise ParseError(f"unexpected token {payload!r}", position=pos)
 
 
 def _map_pow(m, e):
-    out = {(0, 0, 0): ONE}
+    out = {(0, 0, 0): (1, 0)}, 1
     for _ in range(e):
         out = _map_mul(out, m)
     return out
@@ -423,14 +404,17 @@ def _map_pow(m, e):
 def parse_poly(text: str, tag: FieldTag = None) -> Poly:
     """Parse and expand an expression into a homogeneous polynomial.
 
-    With tag=None the smallest field is inferred from the result; an
-    explicit Q tag rejects any expression involving w with FieldMismatch.
+    With tag=None the smallest field is read off the w parts of the result;
+    an explicit Q tag rejects any expression involving w with FieldMismatch.
     A non-homogeneous expansion raises NotHomogeneous.
     """
-    terms = _Parser(_tokenize(text), len(text)).parse()
-    terms = {m: c for m, c in terms.items() if c}
+    tokens = tokenize(text)
+    if tokens and tokens[-1][0] is BAD:
+        raise tokens[-1][1]
+    terms, den = _Parser(tokens, len(text)).parse()
+    terms = {m: (a, b) for m, (a, b) in terms.items() if a or b}
     if tag is None:
-        tag = smallest_tag(terms.values())
+        tag = FieldTag.QW if any(b for _, b in terms.values()) else FieldTag.Q
     if not terms:
         return Poly(0, {}, tag)
     degrees = {sum(m) for m in terms}
@@ -438,8 +422,7 @@ def parse_poly(text: str, tag: FieldTag = None) -> Poly:
         raise NotHomogeneous(
             f"expression mixes degrees {sorted(degrees)}"
         )
-    den = lcm(*(c.a.denominator for c in terms.values()), *(c.b.denominator for c in terms.values()))
-    return Poly(degrees.pop(), dict(zip(terms, integer_pairs(list(terms.values())))), tag, den)
+    return Poly(degrees.pop(), terms, tag, den)
 
 
 def format_poly(f: Poly) -> str:

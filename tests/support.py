@@ -10,7 +10,14 @@ the per-vector loops that `nearfree.linalg` runs once per kernel
 `primitive_pairs` by the conjugate product alone
 (`conjugate_primitive_pairs`), and the Scalar deformation
 (`reference_deformation`, on `normalize_point` and `evaluate`) that
-`nearfree.arrangement.deformation` computes on Z[w] keys.
+`nearfree.arrangement.deformation` computes on Z[w] keys, and the
+character scanner that read scalar literals into Scalars
+(`reference_parse_scalar`) before `nearfree.field.parse_scalar` read them
+from the expression tokens into Z[w] integers. `LinearForm` takes ints or
+Z[w] pairs only: `scalar_form` builds one from Scalar, Fraction or int
+coefficients, `deform` calls `deformation` with a Scalar point and eps,
+and `scalar_of` and `value_of` turn a value ((a, b), den) of
+`parse_scalar` into a Scalar and back.
 
 The library API that no command runs lives here too, as the tests'
 reference: the Scalar subtraction, division, norm and inverse (`sub`,
@@ -26,10 +33,11 @@ nonzero cells, and `dense_rows` turns those back.
 
 `Poly` holds Z[w] integers over one denominator and has no arithmetic of
 its own. The reference arithmetic here works on its Scalar view, read
-through `Poly.coefficient` (`scalar_terms`), with the expression parser's
-term-map arithmetic, and builds the result with `scalar_poly`: sums,
-differences, scalings and products (`poly_add`, `poly_sub`, `poly_scale`,
-`poly_mul`) and a*f_x + b*f_y + c*f_z (`jacobian_image`)."""
+through `Poly.coefficient` (`scalar_terms`), with Scalar term maps
+(`_map_add`, `_map_mul`, `_map_neg`), and builds the result with
+`scalar_poly`: sums, differences, scalings and products (`poly_add`,
+`poly_sub`, `poly_scale`, `poly_mul`) and a*f_x + b*f_y + c*f_z
+(`jacobian_image`)."""
 
 import re
 from fractions import Fraction
@@ -39,12 +47,12 @@ from math import comb, gcd, lcm
 from nearfree import (
     OMEGA,
     ONE,
-    ZERO,
     FieldTag,
     LinearForm,
     LineArrangement,
     Poly,
     Scalar,
+    deformation,
     linalg,
     relation_matrix,
     singular_points,
@@ -68,11 +76,12 @@ from nearfree.errors import (
     NonGenericDeformation,
     NotATriplePoint,
     PairsIdentityViolated,
+    ParseError,
     ToolkitError,
 )
 from nearfree.criteria import _line_data
 from nearfree.field import format_scalar, integer_pairs, pair_mul
-from nearfree.poly import _map_add, _map_mul, _map_neg, _mono_str, graded_basis
+from nearfree.poly import _mono_mul, _mono_str, graded_basis
 
 # the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
 # records for a kernel its walk derived from the one above, and the two for
@@ -256,6 +265,37 @@ def scalar_poly(degree, terms, tag):
     return Poly(degree, dict(zip(terms, integer_pairs(list(terms.values())))), tag, den)
 
 
+def _map_neg(m):
+    return {mono: -c for mono, c in m.items()}
+
+
+def _map_add(m1, m2):
+    out = dict(m1)
+    for mono, c in m2.items():
+        prev = out.get(mono)
+        c = c if prev is None else prev + c
+        if c:
+            out[mono] = c
+        elif prev is not None:
+            del out[mono]
+    return out
+
+
+def _map_mul(m1, m2):
+    out: dict = {}
+    for mono1, c1 in m1.items():
+        for mono2, c2 in m2.items():
+            mono = _mono_mul(mono1, mono2)
+            c = c1 * c2
+            prev = out.get(mono)
+            c = c if prev is None else prev + c
+            if c:
+                out[mono] = c
+            elif prev is not None:
+                del out[mono]
+    return out
+
+
 def _common_tag(polys):
     tags = {p.tag for p in polys}
     if len(tags) > 1:
@@ -378,8 +418,7 @@ def reflection_arrangement(m, full):
     # unity zeta; A(m,1,3) adds the coordinate lines
     forms = []
     for zeta in roots_of_unity(m):
-        forms += [LinearForm(ONE, -zeta, ZERO), LinearForm(ZERO, ONE, -zeta),
-                  LinearForm(-zeta, ZERO, ONE)]
+        forms += [scalar_form(1, -zeta, 0), scalar_form(0, 1, -zeta), scalar_form(-zeta, 0, 1)]
     if full:
         forms += [LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(0, 0, 1)]
     return LineArrangement(forms)
@@ -445,7 +484,7 @@ def reference_deformation(arrangement, point, line_index, direction, eps):
         raise ValueError("eps must be nonzero")
     if not 0 <= line_index < arrangement.d:
         raise IndexOutOfRange(f"line index {line_index} out of range for d={arrangement.d}")
-    if arrangement.tag is FieldTag.Q and not (direction.is_rational() and eps.is_rational()):
+    if arrangement.tag is FieldTag.Q and not (direction.is_rational() and not eps.b):
         raise FieldMismatch("deformation data must stay in the arrangement's field")
     points = singular_points(arrangement)
     p = normalize_point(point)
@@ -458,7 +497,7 @@ def reference_deformation(arrangement, point, line_index, direction, eps):
         raise DirectionThroughPoint("direction form vanishes at the triple point")
     old = arrangement.lines[line_index]
     new_lines = list(arrangement.lines)
-    new_lines[line_index] = LinearForm(*(o + eps * v for o, v in zip(coeffs(old), coeffs(direction))))
+    new_lines[line_index] = scalar_form(*(o + eps * v for o, v in zip(coeffs(old), coeffs(direction))))
     try:
         deformed = LineArrangement(new_lines, arrangement.tag)
     except DuplicateLine as exc:
@@ -521,6 +560,92 @@ def divide_exact(f, form):
     return scalar_poly(f.degree - 1, quot, f.tag)
 
 
+# -- the scalar reader that `nearfree.field.parse_scalar` replaced -------------
+
+DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also admits '²' and '٣'
+
+
+def _scan_rational(text, i):
+    start = i
+    n = len(text)
+    while i < n and text[i] in DIGITS:
+        i += 1
+    if i == start:
+        raise ParseError("expected a digit", position=start)
+    num = int(text[start:i])
+    if i < n and text[i] == "/":
+        j = i + 1
+        while j < n and text[j] in DIGITS:
+            j += 1
+        if j == i + 1:
+            raise ParseError("expected digits after '/'", position=i + 1)
+        den = int(text[i + 1:j])
+        if den == 0:
+            raise ParseError("zero denominator", position=i + 1)
+        return Fraction(num, den), j
+    return Fraction(num), i
+
+
+def reference_parse_scalar(text):
+    """The character scanner that read scalar literals into a Scalar before
+    `nearfree.field.parse_scalar` read them from the expression tokens:
+    signed rationals and w-terms joined by +/-, a term `p/q`, `p/q*w` or
+    bare `w`, with whitespace around signs only. Anything else is a
+    ParseError at the offset of the offending character."""
+    s = text.replace("−", "-")  # tolerate the typographic minus
+    n = len(s)
+    i = 0
+    result = Scalar(0)
+    first = True
+    while True:
+        while i < n and s[i].isspace():
+            i += 1
+        sign = 1
+        if first:
+            if i < n and s[i] in "+-":
+                if s[i] == "-":
+                    sign = -1
+                i += 1
+        else:
+            if i >= n:
+                break
+            if s[i] == "+":
+                i += 1
+            elif s[i] == "-":
+                sign = -1
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {s[i]!r}", position=i)
+        while i < n and s[i].isspace():
+            i += 1
+        if i >= n:
+            raise ParseError("expected a term", position=i)
+        if s[i] == "w":
+            term = Scalar(0, sign)
+            i += 1
+        else:
+            value, i = _scan_rational(s, i)
+            if i < n and s[i] == "*":
+                if i + 1 < n and s[i + 1] == "w":
+                    term = Scalar(0, sign * value)
+                    i += 2
+                else:
+                    raise ParseError("expected 'w' after '*'", position=i + 1)
+            else:
+                term = Scalar(sign * value)
+        if i < n and s[i] == "^":
+            raise ParseError("powers are not allowed in scalar literals", position=i)
+        result = result + term
+        first = False
+        while i < n and s[i].isspace():
+            i += 1
+        if i >= n:
+            break
+        if s[i] not in "+-":
+            raise ParseError(f"unexpected character {s[i]!r}", position=i)
+    return result
+
+
 # -- the library API that no command runs ------------------------------------
 
 
@@ -553,6 +678,36 @@ def inverse(x):
 def div(x, y):
     """x / y for Scalars, ints and Fractions; DivisionByZero if y is 0."""
     return _scalar(x) * inverse(_scalar(y))
+
+
+def scalar_form(cx, cy, cz):
+    """The LinearForm of three Scalars, Fractions or ints: their Z[w] pairs
+    over the lcm of their denominators."""
+    return LinearForm(*integer_pairs([_scalar(c) for c in (cx, cy, cz)]))
+
+
+def scalar_of(value):
+    """A value ((a, b), den) of `nearfree.field.parse_scalar` as the Scalar
+    (a + b*w) / den."""
+    (a, b), den = value
+    return Scalar(Fraction(a, den), Fraction(b, den))
+
+
+def value_of(x):
+    """A Scalar, Fraction or int as the value ((a, b), den) that
+    `nearfree.field.parse_scalar` reads for it: den the lcm of the
+    denominators of its parts."""
+    x = _scalar(x)
+    (pair,) = integer_pairs([x])
+    return pair, lcm(x.a.denominator, x.b.denominator)
+
+
+def deform(arrangement, point, line_index, direction, eps):
+    """`nearfree.arrangement.deformation` called with a point of Scalars or
+    ints and a Scalar, Fraction or int eps, as `reference_deformation`
+    takes them: the point as its Z[w] pairs, eps as `value_of(eps)`."""
+    return deformation(arrangement, integer_pairs([_scalar(c) for c in point]), line_index,
+                       direction, value_of(eps))
 
 
 def coeffs(form):

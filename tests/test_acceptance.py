@@ -20,7 +20,6 @@ from nearfree import (
     catalog_names,
     classify_all,
     defining_polynomial,
-    deformation,
     delete_line,
     kernel_basis,
     mdr,
@@ -33,6 +32,7 @@ from nearfree.field import OMEGA, ONE
 from nearfree.poly import Poly
 
 from support import (
+    deform,
     div,
     evaluate,
     has_integer_root,
@@ -43,6 +43,7 @@ from support import (
     random_arrangement,
     random_invertible_matrix,
     relation_rows,
+    scalar_form,
     sparse_rows,
     transform,
 )
@@ -200,7 +201,7 @@ def test_criterion_10_deformation_contract():
         before_report = analyze_curve(defining_polynomial(a), tau=milnor_number(a))
         assert before_report.verdict.kind is VerdictKind.FREE
         assert before.t3 >= 1
-        deformed = deformation(a, point, index, LinearForm.parse(direction), eps)[0]
+        deformed = deform(a, point, index, LinearForm.parse(direction), eps)[0]
         after = weak_combinatorics(deformed)
         assert after.t3 == before.t3 - 1
         assert after.t2 == before.t2 + 3
@@ -222,7 +223,7 @@ def test_criterion_10_deformation_contract():
     directions = [
         LinearForm.parse(t)
         for t in ["x", "y", "z", "x+y", "x-z", "y+z", "x+y+z"]
-    ] + [LinearForm(ONE, OMEGA, ONE)]
+    ] + [scalar_form(ONE, OMEGA, ONE)]
     eps_pool = [Scalar(1), Scalar(-1), div(Scalar(1, 0), 2), OMEGA]
     attempts = successes = 0
     for sp in singular_points(hesse)[:4]:
@@ -233,7 +234,7 @@ def test_criterion_10_deformation_contract():
                 for eps in eps_pool:
                     attempts += 1
                     try:
-                        deformation(hesse, sp.point, index, direction, eps)
+                        deform(hesse, sp.point, index, direction, eps)
                         successes += 1
                     except NonGenericDeformation:
                         pass

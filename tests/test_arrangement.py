@@ -46,6 +46,7 @@ from nearfree.field import integer_pairs, parse_scalar, primitive_pairs
 
 from support import (
     coeffs,
+    deform,
     divide_exact,
     evaluate,
     format_lines,
@@ -63,6 +64,8 @@ from support import (
     random_scalar,
     reference_deformation,
     reflection_arrangement,
+    scalar_form,
+    scalar_of,
     transform,
 )
 
@@ -117,7 +120,7 @@ def test_singular_points_order_matches_the_scalar_sort_key():
             else:
                 coeffs = [random_fraction(rng, span=4, den=5) for _ in range(3)]
             if any(coeffs):
-                forms.append(LinearForm(*coeffs))
+                forms.append(scalar_form(*coeffs))
         points = singular_points(_distinct_lines(forms))
         keys = [_scalar_sort_key(sp) for sp in points]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
@@ -163,7 +166,7 @@ def _census_cases():
         while len(forms) < n:
             coeffs = [rng.choice(small) for _ in range(3)]
             if any(coeffs):
-                forms.append(LinearForm(*coeffs))
+                forms.append(scalar_form(*coeffs))
         cases.append(_distinct_lines(forms))
     return cases
 
@@ -194,11 +197,11 @@ def test_lattice_matches_scalar_reference_on_fractional_q_arrangements():
         while len(forms) < n:
             values = [random_fraction(rng, span=2, den=3) for _ in range(3)]
             if any(values):
-                forms.append(LinearForm(*values))
+                forms.append(scalar_form(*values))
         _brute_force_census(_distinct_lines(forms))
     for name in ["A1_6", "B7_free", "A6_deformed"]:
         moved = transform(catalog(name), random_invertible_matrix(rng))
-        lines = [LinearForm(*(c * Fraction(1, rng.randint(1, 5)) for c in coeffs(form)))
+        lines = [scalar_form(*(c * Fraction(1, rng.randint(1, 5)) for c in coeffs(form)))
                  for form in moved.lines]
         _brute_force_census(LineArrangement(lines))
 
@@ -211,10 +214,10 @@ def test_lattice_matches_scalar_reference_on_qw_arrangements():
         while len(forms) < n:
             coeffs = [rng.choice(small) for _ in range(3)]
             if any(coeffs):
-                forms.append(LinearForm(*coeffs))
+                forms.append(scalar_form(*coeffs))
         _brute_force_census(_distinct_lines(forms))
     for _ in range(10):
-        forms = [LinearForm(*(random_scalar(rng, span=2) for _ in range(3))) for _ in range(6)]
+        forms = [scalar_form(*(random_scalar(rng, span=2) for _ in range(3))) for _ in range(6)]
         _brute_force_census(_distinct_lines(forms))
     shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
     _brute_force_census(transform(catalog("DualHesse9"), shear))
@@ -241,7 +244,7 @@ def test_lattice_matches_scalar_reference_on_reflection_arrangements(m):
 def test_lattice_matches_scalar_reference_on_near_pencil():
     rng = random.Random(5005)
     slopes = rng.sample(range(-40, 41), 24)
-    forms = [LinearForm(1, Fraction(-s, 7), 0) for s in slopes] + [LinearForm(3, -2, 5)]
+    forms = [scalar_form(1, Fraction(-s, 7), 0) for s in slopes] + [LinearForm(3, -2, 5)]
     assert _brute_force_census(LineArrangement(forms)) == {24: 1, 2: 24}
 
 
@@ -262,8 +265,8 @@ def _deformed_span2():
         direction = random_form(rng)
         if evaluate(direction, triple.point):
             try:
-                return deformation(a, triple.point, triple.incident_lines[0],
-                                   direction, Scalar(rng.randint(1, 5)))[0]
+                return deform(a, triple.point, triple.incident_lines[0],
+                              direction, Scalar(rng.randint(1, 5)))[0]
             except NonGenericDeformation:
                 pass
 
@@ -445,8 +448,10 @@ def test_delete_line_bad_index():
 
 
 def test_deform_braid_reproduces_catalog_entry():
+    # the point and eps as the command passes them: Z[w] pairs, and
+    # ((a, b), n) for (a + b*w) / n
     deformed = deformation(
-        catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(Fraction(1, 2))
+        catalog("A1_6"), ((1, 0), (1, 0), (1, 0)), 3, LinearForm.parse("y"), ((1, 0), 2)
     )[0]
     assert deformed == catalog("A6_deformed")
     wc = weak_combinatorics(deformed)
@@ -454,7 +459,7 @@ def test_deform_braid_reproduces_catalog_entry():
 
 
 def test_deform_b7_free_gives_claimed_combinatorics():
-    deformed = deformation(
+    deformed = deform(
         catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(1)
     )[0]
     wc = weak_combinatorics(deformed)
@@ -464,35 +469,35 @@ def test_deform_b7_free_gives_claimed_combinatorics():
 
 def test_deform_rejects_node():
     with pytest.raises(NotATriplePoint):
-        deformation(
+        deform(
             catalog("A1_6"), (0, 1, 1), 0, LinearForm.parse("z"), Scalar(1)
         )
 
 
 def test_deform_rejects_missing_point():
     with pytest.raises(NotATriplePoint):
-        deformation(
+        deform(
             catalog("A1_6"), (1, 2, 3), 0, LinearForm.parse("z"), Scalar(1)
         )
 
 
 def test_deform_rejects_non_incident_line():
     with pytest.raises(LineNotIncident):
-        deformation(
+        deform(
             catalog("A1_6"), (1, 1, 1), 2, LinearForm.parse("y"), Scalar(1)
         )
 
 
 def test_deform_rejects_direction_through_point():
     with pytest.raises(DirectionThroughPoint):
-        deformation(
+        deform(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y-z"), Scalar(1)
         )
 
 
 def test_deform_rejects_zero_eps():
     with pytest.raises(ValueError):
-        deformation(
+        deform(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(0)
         )
 
@@ -501,7 +506,7 @@ def test_deform_rejects_non_generic_eps():
     # eps = -2 sends x - y to x + y - 2z, which passes through the node
     # (1:-1:0) of {z, x+y} and re-creates a triple there: census unchanged
     with pytest.raises(NonGenericDeformation):
-        deformation(
+        deform(
             catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(-2)
         )
 
@@ -510,7 +515,7 @@ def test_deform_validation_is_census_based():
     # direction z leaves both triples on x - y, but the moved line crosses
     # the old node (0:1:1) and forms a new triple there, so the census
     # deltas come out right and the operation accepts the result
-    deformed = deformation(
+    deformed = deform(
         catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("z"), Scalar(1)
     )[0]
     wc = weak_combinatorics(deformed)
@@ -521,7 +526,7 @@ def test_deform_validation_is_census_based():
 def test_deform_rejects_collision_with_existing_line():
     # eps = 1 along direction y turns x - y into x, which already exists
     with pytest.raises(NonGenericDeformation):
-        deformation(
+        deform(
             catalog("A1_6"), (1, 1, 1), 3, LinearForm.parse("y"), Scalar(1)
         )
 
@@ -550,9 +555,9 @@ def test_deformation_matches_the_scalar_reference(name):
             for index in sp.incident_lines:
                 for direction in directions:
                     for eps in epsilons:
-                        args = (a, point, index, direction, eps)
-                        got = _outcome(deformation, *args)
-                        assert got == _outcome(reference_deformation, *args)
+                        got = _outcome(deformation, a, integer_pairs(point), index, direction, eps)
+                        assert got == _outcome(reference_deformation, a, point, index, direction,
+                                               scalar_of(eps))
                         outcomes[got[0] if isinstance(got[0], type) else "deformed"] += 1
     assert outcomes[NonGenericDeformation] and outcomes[DirectionThroughPoint]
     if name != "DualHesse9":
@@ -573,7 +578,7 @@ def test_deformation_matches_the_scalar_reference(name):
 ])
 def test_deformation_errors_match_the_scalar_reference(point, index, direction, eps):
     args = (catalog("A1_6"), point, index, LinearForm.parse(direction), eps)
-    assert _outcome(deformation, *args) == _outcome(reference_deformation, *args)
+    assert _outcome(deform, *args) == _outcome(reference_deformation, *args)
 
 
 def test_tjurina_drop_check():
@@ -622,11 +627,11 @@ def test_catalog_field_tags():
 DERIVED_ENTRIES = {
     # split the triple at (0:0:1) of A5_free; direction z is generic there
     # with eps = 1
-    "A5_nearlyfree": lambda: deformation(
+    "A5_nearlyfree": lambda: deform(
         catalog("A5_free"), (0, 0, 1), 2, LinearForm.parse("z"), Scalar(1))[0],
     # move x - y off the triple at (1:1:-1) of B7_free along x - z; the
     # triple at (1:1:1) survives because the direction vanishes there
-    "B7_deformed": lambda: deformation(
+    "B7_deformed": lambda: deform(
         catalog("B7_free"), (1, 1, -1), 5, LinearForm.parse("x-z"), Scalar(1))[0],
     # deletion of the x - y line from the dual Hesse arrangement
     "MacLane8": lambda: delete_line(catalog("DualHesse9"), 0),
@@ -692,7 +697,7 @@ def test_transform_matches_the_scalar_row_action():
     for name in ["A1_6", "B7_free", "DualHesse9"]:
         a = catalog(name)
         for m in [shear] + [random_invertible_matrix(rng) for _ in range(3)]:
-            expected = [LinearForm(*(sum((c * m[i][j] for i, c in enumerate(coeffs(form))), ZERO)
+            expected = [scalar_form(*(sum((c * m[i][j] for i, c in enumerate(coeffs(form))), ZERO)
                                      for j in range(3))) for form in a.lines]
             assert transform(a, m).lines == tuple(expected)
 
@@ -747,7 +752,7 @@ def test_parse_lines_reads_integer_tokens_like_parse_scalar(monkeypatch, token):
     calls = _parse_scalar_calls(monkeypatch)
     fast = parse_lines(f"1 {token} {token}\n").lines[0]
     assert calls == []  # the integer tokens never reach parse_scalar
-    reference = LinearForm(*(parse_scalar(t) for t in ("1", token, token)))
+    reference = scalar_form(*(scalar_of(parse_scalar(t)) for t in ("1", token, token)))
     assert fast == reference and coeffs(fast) == coeffs(reference)
     assert str(fast) == str(reference)
 
@@ -756,7 +761,7 @@ def test_parse_lines_reads_integer_tokens_like_parse_scalar(monkeypatch, token):
 def test_parse_lines_sends_every_other_token_to_parse_scalar(monkeypatch, token):
     calls = _parse_scalar_calls(monkeypatch)
     try:
-        expected = f"{LinearForm(1, parse_scalar(token), 0)}"
+        expected = f"{scalar_form(1, scalar_of(parse_scalar(token)), 0)}"
     except ParseError as exc:
         expected = f"bad scalar: {exc} (line 1)"
     try:

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from types import CodeType
 
 import pytest
 
@@ -16,7 +15,6 @@ from nearfree import (
     catalog_names,
     criteria,
     defining_polynomial,
-    field,
     format_poly,
     linalg,
     parse_poly,
@@ -180,6 +178,27 @@ def test_non_ascii_digits_are_parse_errors_with_their_place(tmp_path):
     code, out, err = run_cli(["analyze", "--poly", "x^²*y", "--tau", "0"])
     assert (code, out) == (2, "")
     assert err == "error: unexpected character '²' (at position 2)\n"
+
+
+DEFORM_A1_6 = {"--point": "1:1:1", "--line": "3", "--dir": "y", "--eps": "1/2"}
+
+
+@pytest.mark.parametrize("option, value", [("--eps", "-1/2"), ("--point", "-1:-1:-1"),
+                                           ("--dir", "-y"), ("--poly", "-x*y*z")])
+def test_option_values_may_begin_with_a_minus(option, value):
+    # argparse takes such a value, unless it reads as a negative number like
+    # -1, for an option and exits 2; main attaches it to its option
+    if option == "--poly":
+        argv = ["analyze", "--tau", "3"]
+    else:
+        argv = ["deform", "@catalog:A1_6"]
+        argv += [arg for key, v in DEFORM_A1_6.items() if key != option for arg in (key, v)]
+    spaced = run_cli(argv + [option, value, "--json"])
+    assert spaced == run_cli(argv + [f"{option}={value}", "--json"])
+    assert spaced[0] == 0, spaced[2]
+    # an option still cannot stand for the value
+    code, out, err = run_cli(argv + [option, "--json"])
+    assert (code, out) == (2, "") and "expected one argument" in err
 
 
 def test_analyze_field_mismatch_exit_code():
@@ -480,38 +499,39 @@ def test_poly_route_checks_its_witness(monkeypatch):
 
 # the Scalar methods that do arithmetic, and those that do none
 SCALAR_ARITHMETIC = ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__")
-SCALAR_OTHER = ("__init__", "_coerce", "is_rational", "__bool__", "__eq__", "__hash__",
-                "__str__", "__repr__")
+SCALAR_OTHER = ("__init__", "_coerce", "__bool__", "__eq__", "__hash__", "__str__", "__repr__")
 
 
-def test_scalar_arithmetic_runs_only_in_the_parsers(monkeypatch, tmp_path):
-    # after parsing, the commands compute on Z[w] integers: a Scalar
-    # arithmetic method is entered only from parse_scalar, from the
-    # expression parser's term maps, or from another of these methods; every
-    # method of Scalar is on one of the two lists, so the spy misses none
+def test_no_command_enters_scalar_arithmetic(monkeypatch, tmp_path):
+    # the commands compute on Z[w] integers from the first character of
+    # their input on: no Scalar arithmetic method is entered, from anywhere,
+    # and only Poly.coefficient, the view that fills the --poly relation
+    # matrices, makes a Scalar; every method of Scalar is on one of the two
+    # lists, so the spy misses none
     methods = {name for name, v in vars(Scalar).items() if callable(v) or isinstance(v, staticmethod)}
     assert methods - set(SCALAR_OTHER) == set(SCALAR_ARITHMETIC)
-    originals = {name: vars(Scalar)[name] for name in SCALAR_ARITHMETIC}
-    allowed = {field.parse_scalar.__code__, *(f.__code__ for f in originals.values()),
-               *(f.__code__ for name, f in vars(poly).items() if name.startswith("_map_"))}
-    # with the comprehensions in them, which have code of their own before 3.12
-    allowed |= {c for code in allowed for c in code.co_consts if isinstance(c, CodeType)}
-    callers = set()
+    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
+    entered, makers = [], set()
 
-    def spy(method):
-        def entered(*args):
-            caller = sys._getframe(1).f_code
-            if caller not in allowed:
-                callers.add(f"{caller.co_filename}:{caller.co_firstlineno} {caller.co_name}")
+    def spy(name, method):
+        def arithmetic(*args):
+            entered.append(f"{name} from {sys._getframe(1).f_code.co_name}")
             return method(*args)
-        return entered
+        return arithmetic
 
-    for name, method in originals.items():
-        monkeypatch.setattr(Scalar, name, spy(method))
+    for name in SCALAR_ARITHMETIC:
+        monkeypatch.setattr(Scalar, name, spy(name, vars(Scalar)[name]))
+    init = Scalar.__init__
+
+    def made(self, *args):
+        makers.add(sys._getframe(1).f_code)
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", made)
     integers = tmp_path / "integers.lines"
     integers.write_text("1 0 0\n0 1 0\n0 0 1\n1 -1 0\n0 1 -1\n1 0 -1\n")
     qw = tmp_path / "qw.lines"
-    qw.write_text("field: Qw\n1 -w 0\n0 1 -1/2*w\n1 0 -1-w\n1 1 1\n")
+    qw.write_text("field: Qw\n1 -w 0\n0 1 -1/2*w\n1 0 -1-w\n1 1 1\n2/3 1/2+w 0\n")
     commands = [
         (["analyze", str(integers), "--witness"], 0),
         (["analyze", str(qw), "--witness"], 0),
@@ -519,6 +539,8 @@ def test_scalar_arithmetic_runs_only_in_the_parsers(monkeypatch, tmp_path):
         (["delete", "@catalog:DualHesse9", "--line", "0"], 0),
         (["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3", "--dir", "y",
           "--eps", "1/2"], 0),
+        (["deform", "@catalog:A1_6", "--field", "Qw", "--point", "2/3:2/3:2/3", "--line", "3",
+          "--dir", "1/2*y", "--eps", "1/2-1/3*w", "--witness"], 0),
         # (w:1:-1-w) is the triple point (1:-1-w:w) of lines 1, 4 and 7; no
         # deformation of the dual Hesse arrangement passes the census
         (["deform", "@catalog:DualHesse9", "--point", "w:1:-1-w", "--line", "1",
@@ -531,6 +553,8 @@ def test_scalar_arithmetic_runs_only_in_the_parsers(monkeypatch, tmp_path):
     for argv, expected in commands:
         code, _, err = run_cli(argv)
         assert code == expected, (argv, err)
-    shear = [[ONE, OMEGA, ZERO], [ZERO, ONE, Scalar(Fraction(2, 3))], [ZERO, ZERO, ONE]]
+    assert entered == []
+    assert makers == {poly.Poly.coefficient.__code__}
+    # nor does the coordinate change of the tests' reference
     transform(catalog("DualHesse9"), shear)
-    assert callers == set()
+    assert entered == []

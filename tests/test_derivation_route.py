@@ -44,6 +44,7 @@ from support import (
     random_poly,
     reference_derivation_rows,
     reflection_arrangement,
+    scalar_form,
     scalar_poly,
     scalar_vector,
     sparse_rows,
@@ -83,7 +84,7 @@ def _with_triple_points(rng, qw, count):
         while len(forms) < d:
             coeffs = [rng.choice(values) for _ in range(3)]
             if any(coeffs):
-                forms.add(LinearForm(*coeffs))
+                forms.add(scalar_form(*coeffs))
         a = LineArrangement(sorted(forms, key=lambda form: form.ints))
         if weak_combinatorics(a).t3 and (a.tag is FieldTag.QW) == qw:
             found.append(a)

@@ -3,18 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
+from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_poly, parse_scalar
 from nearfree.errors import ParseError
-from nearfree.field import primitive_pairs, smallest_tag
+from nearfree.arrangement import _CATALOG
+from nearfree.field import primitive_pairs
 
 from support import (
     DivisionByZero,
     conjugate_primitive_pairs,
     div,
+    format_lines,
     inverse,
     norm,
     random_nonzero_scalar,
     random_scalar,
+    reference_parse_scalar,
+    reflection_arrangement,
+    scalar_of,
     sub,
 )
 
@@ -54,16 +59,25 @@ def test_inverse_of_zero_raises():
 
 
 def test_parse_signed_rational():
-    assert parse_scalar("-1/2") == Scalar(Fraction(-1, 2))
+    assert scalar_of(parse_scalar("-1/2")) == Scalar(Fraction(-1, 2))
     # tolerate the typographic minus of printed sources
-    assert parse_scalar("−1/2") == Scalar(Fraction(-1, 2))
+    assert scalar_of(parse_scalar("−1/2")) == Scalar(Fraction(-1, 2))
 
 
 def test_parse_eisenstein_sum():
-    assert parse_scalar("1+2*w") == Scalar(1, 2)
-    assert parse_scalar("w") == OMEGA
-    assert parse_scalar("-w") == -OMEGA
-    assert parse_scalar("3/2-1/2*w") == Scalar(Fraction(3, 2), Fraction(-1, 2))
+    assert scalar_of(parse_scalar("1+2*w")) == Scalar(1, 2)
+    assert scalar_of(parse_scalar("w")) == OMEGA
+    assert scalar_of(parse_scalar("-w")) == -OMEGA
+    assert scalar_of(parse_scalar("3/2-1/2*w")) == Scalar(Fraction(3, 2), Fraction(-1, 2))
+
+
+def test_parse_scalar_gives_the_lowest_terms_over_a_positive_denominator():
+    # ((a, b), den) with den > 0 and gcd(a, b, den) = 1, so equal values
+    # read alike
+    assert parse_scalar("3/2-1/2*w") == ((3, -1), 2)
+    assert parse_scalar("2/4+6/4*w") == parse_scalar("1/2+3/2*w") == ((1, 3), 2)
+    assert parse_scalar("-0") == parse_scalar("0/7") == ((0, 0), 1)
+    assert parse_scalar("1/2+1/3-5/6*w") == ((5, -5), 6)
 
 
 def test_parse_rejects_powers_with_position():
@@ -88,8 +102,8 @@ def test_parse_rejects_garbage(bad):
 def test_format_parse_idempotent():
     samples = ["0", "5/6", "-3", "w", "-w", "1+2*w", "-1-w", "2/3-5*w", "7*w"]
     for s in samples:
-        once = format_scalar(parse_scalar(s))
-        assert format_scalar(parse_scalar(once)) == once
+        once = format_scalar(scalar_of(parse_scalar(s)))
+        assert format_scalar(scalar_of(parse_scalar(once))) == once
 
 
 def test_field_axioms_randomized():
@@ -136,9 +150,12 @@ def test_norm_zero_only_at_zero():
         assert norm(x) != 0
 
 
-def test_smallest_tag():
-    assert smallest_tag([Scalar(1), Scalar(Fraction(2, 3))]) is FieldTag.Q
-    assert smallest_tag([Scalar(1), OMEGA]) is FieldTag.QW
+def test_parse_poly_reads_the_tag_off_the_w_parts():
+    # Q when every coefficient is rational, Qw otherwise; a w that cancels
+    # leaves Q
+    assert parse_poly("x + 2/3*y").tag is FieldTag.Q
+    assert parse_poly("x + w*y").tag is FieldTag.QW
+    assert parse_poly("x + w*y - w*y").tag is FieldTag.Q
 
 
 def test_primitive_pairs_shortcut_matches_the_conjugate_product():
@@ -160,3 +177,64 @@ def test_primitive_pairs_shortcut_matches_the_conjugate_product():
         leads.add((lead[0] > 0, lead[1] == 0))
         assert primitive_pairs(vec) == conjugate_primitive_pairs(vec)
     assert leads == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# every string the parse tests above read
+PARSE_TEST_STRINGS = ["-1/2", "−1/2", "1+2*w", "w", "-w", "3/2-1/2*w", "w^2", "²", "٣", "1+٣*w",
+                      "1/²", "", "1+", "2*", "x", "1//2", "1/0", "w*2", "0", "5/6", "-3",
+                      "-1-w", "2/3-5*w", "7*w", "2/4+6/4*w", "1/2+3/2*w", "0/7", "-0",
+                      "1/2+1/3-5/6*w"]
+
+
+def _reading(read, text):
+    # the value as a Scalar, or the position and message of the error
+    try:
+        value = read(text)
+    except ParseError as exc:
+        return "error", exc.position, str(exc)
+    return "value", value if isinstance(value, Scalar) else scalar_of(value)
+
+
+def _file_tokens():
+    rows = [row for _, rows, _ in _CATALOG.values() for row in rows]
+    rows += [line for m in (2, 3, 6) for full in (False, True)
+             for line in format_lines(reflection_arrangement(m, full)).splitlines()[1:]]
+    return sorted({token for row in rows for token in row.split()})
+
+
+def test_parse_scalar_agrees_with_the_character_scanner():
+    # the token reader against the scanner it replaced: accept or reject,
+    # the value, and the position and message of the error, on the strings
+    # of the parse tests, the tokens of the catalog and of the reflection
+    # arrangements, random strings over the characters of both grammars,
+    # and random sums of terms with one character replaced
+    tokens = _file_tokens()
+    assert {"1+w", "-1-w", "w", "-w", "-1/2"} <= set(tokens)
+    rng = random.Random(1007)
+    alphabet = "0123456789/+-*w^x()²"
+    noise = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9))) for _ in range(3000)]
+    terms = ["w", "1", "0", "12", "3/4", "5/1", "2*w", "7/3*w", "0*w"]
+    near = []
+    for _ in range(2000):
+        text = rng.choice(["", "-", "+"]) + rng.choice(terms)
+        for _ in range(rng.randint(0, 3)):
+            text += rng.choice("+-") + rng.choice(terms)
+        if rng.random() < 0.3:  # one character replaced
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(alphabet) + text[k + 1:]
+        near.append(text)
+    outcomes = set()
+    for text in PARSE_TEST_STRINGS + tokens + noise + near:
+        got = _reading(parse_scalar, text)
+        assert got == _reading(reference_parse_scalar, text), text
+        outcomes.add(got[0])
+    assert outcomes == {"value", "error"}
+
+
+def test_whitespace_between_the_tokens_of_a_scalar_is_accepted():
+    # the one widening: whitespace between a scalar's tokens, which the
+    # scanner rejected, as an expression has always allowed
+    assert parse_scalar("2 * w") == parse_scalar("2*w") == ((0, 2), 1)
+    assert parse_scalar(" 1/2 - 3 * w ") == parse_scalar("1/2-3*w")
+    with pytest.raises(ParseError):
+        reference_parse_scalar("2 * w")

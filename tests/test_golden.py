@@ -11,8 +11,10 @@ arrangement of 8 lines, a near pencil of 40 lines), as they were before
 the arrangement path moved to Z[w] integer arithmetic. The
 `witness-poly-*.txt` files hold `analyze --poly ... --tau ... --witness` on
 five curves, the Jacobian route, as they were before its witness was
-checked by `verify_syzygy`. Any change to a report's bytes, the witness
-included, must show up here.
+checked by `verify_syzygy`. `witness-deform-A1_6-Qw.txt` holds the text
+report of `deform` over Q(w) with a fractional Q(w) `--eps`, as it was
+before scalar literals were read into Z[w] integers. Any change to a
+report's bytes, the witness included, must show up here.
 """
 
 import io
@@ -43,6 +45,8 @@ POLY = {
     "DualHesse9": ("(x^3-y^3)*(y^3-z^3)*(z^3-x^3)", 48),
     "Qw5": ("x*y*(x-y)*(x-w*y)*z", 13),
 }
+WITNESS["witness-deform-A1_6-Qw"] = ["deform", "@catalog:A1_6", "--field", "Qw", "--point", "1:1:1",
+                                     "--line", "3", "--dir", "y", "--eps", "1/2-1/3*w", "--witness"]
 WITNESS.update({f"witness-poly-{n}": ["analyze", "--poly", f, "--tau", str(tau), "--witness"]
                 for n, (f, tau) in POLY.items()})
 

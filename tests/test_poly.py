@@ -27,10 +27,10 @@ from nearfree.field import integer_pairs, primitive_pairs
 
 import support
 from support import (
-    NotDivisible,
     coeffs,
     divide_exact,
     jacobian_image,
+    NotDivisible,
     poly_add,
     poly_mul,
     poly_scale,
@@ -40,6 +40,7 @@ from support import (
     random_rational_scalar,
     reference_format_poly,
     reflection_arrangement,
+    scalar_form,
 )
 
 X, Y, Z = (parse_poly(v) for v in "xyz")
@@ -83,7 +84,7 @@ def test_partial_and_product_keep_the_denominator_in_lowest_terms():
     assert (f.partial(1).terms, f.partial(1).den) == ({(0, 1, 0): (2, 0)}, 3)
     # 3x + (1 - w)y has the Z[w] content 1 - w, and (1 - w)^2 = -3w, so its
     # square, over the leads' product 9, has all its coefficients divisible by 3
-    form = LinearForm(1, Scalar(Fraction(1, 3), Fraction(-1, 3)), 0)
+    form = scalar_form(1, Scalar(Fraction(1, 3), Fraction(-1, 3)), 0)
     square = product_of_forms([form, form])
     assert square.terms == {(2, 0, 0): (3, 0), (1, 1, 0): (2, -2), (0, 2, 0): (0, -1)}
     assert square.den == 3
@@ -146,31 +147,31 @@ def _expansion_cases():
     rng = random.Random(4401)
     cases = []
     for d in (3, 5, 7, 9):  # Q, fractional coefficients
-        cases.append([LinearForm(*(random_rational_scalar(rng) for _ in range(3)))
+        cases.append([scalar_form(*(random_rational_scalar(rng) for _ in range(3)))
                       for _ in range(d)])
     # Q(w); (1 - w)/3 scales to 1 - w beside the pivot 3, so the scaled
     # line has the Z[w] content 1 - w
     values = [ONE, -ONE, OMEGA, Scalar(1, 1), Scalar(Fraction(1, 3), Fraction(-1, 3)),
               Scalar(Fraction(2, 7), Fraction(5, 3)), Scalar(0)]
     for d in (4, 6, 8):
-        cases.append([LinearForm(ONE, rng.choice(values), rng.choice(values)) for _ in range(d)])
+        cases.append([scalar_form(ONE, rng.choice(values), rng.choice(values)) for _ in range(d)])
     for m in (2, 3, 6):
         for full in (False, True):
             cases.append(list(reflection_arrangement(m, full).lines))
     cases += [_near_pencil(rng, 40), _near_pencil(rng, 60)]
-    cases += [[LinearForm(0, 0, 1)], [LinearForm(3, Fraction(-1, 2), Scalar(0, 1))]]
+    cases += [[LinearForm(0, 0, 1)], [scalar_form(3, Fraction(-1, 2), Scalar(0, 1))]]
     # Q(w) lines whose pivot is y or z, so the first coefficients are zero
-    cases.append([LinearForm(0, 1, OMEGA), LinearForm(0, 0, 1), LinearForm(1, OMEGA, -ONE),
-                  LinearForm(0, 1, Scalar(Fraction(2, 3), -1))])
+    cases.append([scalar_form(0, 1, OMEGA), LinearForm(0, 0, 1), scalar_form(1, OMEGA, -ONE),
+                  scalar_form(0, 1, Scalar(Fraction(2, 3), -1))])
     # (x - y)(x - wy)(x - w^2 y) = x^3 - y^3: the middle terms cancel
-    cases.append([LinearForm(1, -ONE, 0), LinearForm(1, -OMEGA, 0),
-                  LinearForm(1, -OMEGA * OMEGA, 0), LinearForm(1, 0, 1)])
+    cases.append([scalar_form(1, -ONE, 0), scalar_form(1, -OMEGA, 0),
+                  scalar_form(1, -OMEGA * OMEGA, 0), LinearForm(1, 0, 1)])
     # coefficients near 2^40, so those of the products run to 160 bits
     big = 2**40
     cases.append([LinearForm(1, big - 3, -(big - 5))])
     cases.append([LinearForm(1, big - k, k - big) for k in range(1, 5)])
-    cases.append([LinearForm(1, Scalar(big - 7, big - 11), Scalar(-big, 3 - big)),
-                  LinearForm(1, Scalar(1 - big, big), -big)])
+    cases.append([scalar_form(1, Scalar(big - 7, big - 11), Scalar(-big, 3 - big)),
+                  scalar_form(1, Scalar(1 - big, big), -big)])
     return cases
 
 
@@ -207,7 +208,7 @@ def test_wide_line_keeps_exact_ints_through_parse_and_product():
     ("(2/5 - 1/5*w)*x + y", (Scalar(Fraction(2, 5), Fraction(-1, 5)), 1, 0)),
 ])
 def test_parsed_forms_with_fractions_equal_the_forms_of_their_coefficients(text, coeffs):
-    form, expected = LinearForm.parse(text), LinearForm(*coeffs)
+    form, expected = LinearForm.parse(text), scalar_form(*coeffs)
     assert form == expected and form.ints == expected.ints and support.coeffs(form) == support.coeffs(expected)
 
 
@@ -234,18 +235,18 @@ def test_ints_are_the_primitive_integer_pairs_of_the_coefficients():
 
 
 def test_multiples_of_a_line_are_equal_and_hash_alike():
-    assert LinearForm(OMEGA, 2 * OMEGA, 0) == LinearForm(1, 2, 0)
-    assert hash(LinearForm(OMEGA, 2 * OMEGA, 0)) == hash(LinearForm(1, 2, 0))
-    assert LinearForm(-3, Fraction(3, 2), 0) == LinearForm(2, -1, 0)
-    assert LinearForm(1, OMEGA, 0) != LinearForm(1, OMEGA * OMEGA, 0)
+    assert scalar_form(OMEGA, 2 * OMEGA, 0) == LinearForm(1, 2, 0)
+    assert hash(scalar_form(OMEGA, 2 * OMEGA, 0)) == hash(LinearForm(1, 2, 0))
+    assert scalar_form(-3, Fraction(3, 2), 0) == LinearForm(2, -1, 0)
+    assert scalar_form(1, OMEGA, 0) != scalar_form(1, OMEGA * OMEGA, 0)
     rng = random.Random(4402)
     for _ in range(30):
         if rng.random() < 0.5:
-            form = LinearForm(*(random_rational_scalar(rng) for _ in range(3)))
+            form = scalar_form(*(random_rational_scalar(rng) for _ in range(3)))
         else:
-            form = LinearForm(ONE, Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), OMEGA)
+            form = scalar_form(ONE, Scalar(rng.randint(-3, 3), rng.randint(-3, 3)), OMEGA)
         scalar = Scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-4, 4))
-        multiple = LinearForm(*(scalar * c for c in coeffs(form)))
+        multiple = scalar_form(*(scalar * c for c in coeffs(form)))
         assert multiple == form and hash(multiple) == hash(form)
         assert multiple.ints == form.ints and coeffs(multiple) == coeffs(form)
         assert str(multiple) == str(form)

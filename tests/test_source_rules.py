@@ -4,8 +4,9 @@ Each rule keeps one design decision from eroding: invariants are raised
 errors, no import is dead, linalg and criteria reach each other and the
 field only through their named entry points, the exact kernel check is a
 proof, the p-adic lift works over Q alone, f and the witness stay in Z[w]
-integers, a line is scaled to integers once, when it is parsed, and the
-package holds only what its commands run."""
+integers, a line is scaled to integers once, when it is parsed, a Scalar
+is made only where a value is read back out, and the package holds only
+what its commands run."""
 
 import ast
 import pathlib
@@ -118,6 +119,27 @@ def test_no_integer_pairs_of_a_coeffs_expression_in_src():
              and getattr(n.func, "id", getattr(n.func, "attr", None)) == "integer_pairs"]
     bad = [f"{p}:{n.lineno}" for p, n in calls for a in n.args for x in ast.walk(a)
            if isinstance(x, ast.Attribute) and x.attr == "coeffs"]
+    assert bad == []
+
+
+def test_scalars_are_made_only_by_the_views():
+    # text is read into Z[w] integers and every command computes on them; a
+    # Scalar is made, outside field.py, only where a value is read back out:
+    # Poly.coefficient, which fills the --poly relation matrices, and
+    # singular_points
+    allowed = {"Poly.coefficient", "singular_points"}
+    bad = []
+    for p in sorted(SRC.rglob("*.py")):
+        if p.name == "field.py":
+            continue
+        tree = _tree(p)
+        scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        scopes += [(f"{c.name}.{m.name}", m) for c in tree.body if isinstance(c, ast.ClassDef)
+                   for m in c.body if isinstance(m, ast.FunctionDef)]
+        inside = {id(x) for name, fn in scopes if name in allowed for x in ast.walk(fn)}
+        bad += [f"{p.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Scalar"
+                and id(n) not in inside]
     assert bad == []
 
 
