@@ -42,7 +42,7 @@ from .criteria import (
     verdict,
     verify_syzygy,
 )
-from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_scalar
+from .field import OMEGA, ONE, ZERO, FieldTag, Scalar, parse_scalar
 from .linalg import kernel_basis
 from .poly import (
     LinearForm,

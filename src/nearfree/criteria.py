@@ -52,13 +52,13 @@ arrangements that is a check of the invariant tau = mu.
 tau also orders the search: `mdr` walks the degrees from hi, the largest
 r that the bounds admit (0 without tau). Both spaces are modules over the
 polynomial ring, so a zero kernel at r proves every lower degree empty:
-step up. A nonzero kernel K_r ends the walk at r = 0 or above a known
-empty degree. Otherwise take l = x - c*y not a line (x on --poly); both
-spaces are saturated by l, so K_(r-1) = {theta : l*theta in K_r}. Divide
-the basis of K_r by l (`_divide_by_line`): the kernel of the remainders,
-one small elimination, ends the walk at r when it is zero, and otherwise
-its combinations of the quotients span K_(r-1): step down. r, the
-dimensions and the witness never depend on tau.
+step up. With l = x - c*y not a line (x on --poly), `kernel_basis`
+divides the kernel mod p by l (`_divide_by_line`): a nonzero K_r ends the
+walk above a known empty degree, or when those remainders prove K_(r-1) =
+0 (its first vector lifted alone). Else, both spaces saturated by l,
+K_(r-1) = {theta : l*theta in K_r}: the remainders of the whole exact
+basis have a zero kernel, ending the walk at r, or its vectors combine
+the quotients into a span of K_(r-1): step down. r and the witness ignore tau.
 """
 
 from __future__ import annotations
@@ -303,12 +303,12 @@ def verify_syzygy(f_terms: dict, witness: Sequence[dict]) -> None:
 class MdrResult:
     """Minimal syzygy degree with a verified witness.
 
-    relation_dims[k] is the kernel dimension in degree k for k = 0..r, of
-    the relation matrix for a polynomial or of derivation_rows for an
-    arrangement (the two are equal); it is zero below r and at least one
-    at r. certificates[k] is the certificate that settled that kernel, as
-    `nearfree.linalg.kernel_basis` names it: "full rank mod p" or
-    "verified reconstruction (mod p^s)". The walk of `mdr` records
+    certificates[k], k = 0..r, is how degree k was settled, for the
+    relation matrix of a polynomial or derivation_rows of an arrangement:
+    as `nearfree.linalg.kernel_basis` names it, "full rank mod p",
+    "verified reconstruction (mod p^s)" or, at r alone, "verified
+    reconstruction (mod p^s) of the first vector; remainders full rank mod
+    p", which also proves degree r-1 empty. The walk of `mdr` records
     "derived from the kernel at k+1" for a kernel it took from the one
     above, and for the degrees below r it never reached, "implied by the
     kernel at r" or, after a zero kernel at j, "implied by full rank at
@@ -322,7 +322,6 @@ class MdrResult:
 
     r: int
     witness: tuple  # (a, b, c) polynomials of degree r
-    relation_dims: list
     certificates: list
 
 
@@ -337,8 +336,7 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
 
     The walk over the degrees starts at hi, the largest r whose
     tau_bounds(d, r) admit tau (see the module docstring); without tau it
-    is the plain upward scan from 0. r, relation_dims and the witness do
-    not depend on tau.
+    is the plain upward scan from 0; r and the witness do not depend on tau.
     """
     d = f.degree
     if d < 2:
@@ -364,14 +362,14 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     kernels = {}
     while True:
         if r not in kernels:
-            kernels[r] = kernel_basis(*rows(r))
+            kernels[r] = kernel_basis(*rows(r), lambda vec: _divide_by_line(vec, r, c)[1])
         if not kernels[r]:
             r += 1
             if r == d:
                 raise NoSyzygyFound(
                     f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
-        elif not r or r - 1 in kernels:  # stepped up from r - 1, so it is empty
-            break
+        elif r - 1 in kernels or kernels[r].certificate.endswith("remainders full rank mod p"):
+            break  # degree r - 1 is empty: the walk stepped up from it, or the remainders prove it
         else:
             quotients, remainders = zip(*(_divide_by_line(vec, r, c) for vec in kernels[r]))
             rest = [_stored(row) for row in zip(*remainders)]
@@ -380,7 +378,6 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
             kernels[r - 1] = span_basis(combinations, quotients, f"derived from the kernel at {r}")
             r -= 1
     implied = f"implied by full rank at {r - 1}" if r - 1 in kernels else f"implied by the kernel at {r}"
-    dims = [len(kernels.get(k, ())) for k in range(r + 1)]
     certificates = [kernels[k].certificate if k in kernels else implied for k in range(r + 1)]
     vec = kernels[r][0]
     if lines is None:  # the three blocks of the vector, over its lead
@@ -390,7 +387,7 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     terms = tuple({mono: x for mono, x in zip(graded_basis(r), b) if x != (0, 0)} for b in blocks)
     verify_syzygy(f.terms, terms)
     witness = tuple(Poly(r, t, f.tag, den) for t in terms)
-    return MdrResult(r, witness, dims, certificates)
+    return MdrResult(r, witness, certificates)
 
 
 def _stored(row: Sequence) -> dict:

@@ -13,8 +13,8 @@ denominator (`poly.Poly`). A `Scalar`, a pair of Fractions, is only a view
 of a value read back out: the coefficients of a Poly (`Poly.coefficient`,
 which fills the `--poly` relation matrices that `integer_pairs` scales
 back) and the points of `arrangement.singular_points`. No command does
-Scalar arithmetic; +, * and negation serve the tests' reference
-arithmetic. `FieldTag` records the smallest field an object needs. The
+Scalar arithmetic or prints a Scalar; +, * and negation serve the tests'
+reference arithmetic. `FieldTag` records the smallest field an object needs. The
 tokens and `INTEGER` read ASCII digits only.
 """
 
@@ -102,12 +102,6 @@ class Scalar:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    def __str__(self):
-        return format_scalar(self)
-
-    def __repr__(self):
-        return f"Scalar({format_scalar(self)!r})"
-
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -162,18 +156,6 @@ def primitive_pairs(vec: Sequence[tuple]) -> tuple:
     return tuple((a // g, b // g) for a, b in out)
 
 
-def format_scalar(s: Scalar) -> str:
-    """Canonical text form, which parse_scalar reads back as s."""
-    if not s.b:
-        return str(s.a)
-    mag = abs(s.b)
-    wpart = "w" if mag == 1 else f"{mag}*w"
-    if not s.a:
-        return wpart if s.b > 0 else "-" + wpart
-    sign = "+" if s.b > 0 else "-"
-    return f"{s.a}{sign}{wpart}"
-
-
 # -- the one tokenizer, and the scalar grammar on its tokens ------------------
 
 NUM, VAR, W, OP, BAD = "num", "var", "w", "op", "bad"
@@ -212,8 +194,7 @@ def parse_scalar(text: str) -> tuple:
     """Read the scalar grammar [+|-] term ((+|-) term)*, a term p/q, p/q*w
     or w, from the tokens: the value ((a, b), den) of (a + b*w) / den, with
     den > 0 and gcd(a, b, den) = 1. Anything else, `w^2` among it, is a
-    ParseError at the first token that does not fit (after a '*', at the
-    character that follows it)."""
+    ParseError at the first token that does not fit."""
     tokens = tokenize(text) + [(None, None, len(text))]  # and the end
     a = b = 0
     den = sign = 1
@@ -232,7 +213,7 @@ def parse_scalar(text: str) -> tuple:
             elif tokens[k + 2][0] is W:
                 b, k = b + sign * p, k + 3
             else:
-                raise ParseError("expected 'w' after '*'", position=tokens[k + 1][2] + 1)
+                raise ParseError("expected 'w' after '*'", position=tokens[k + 2][2])
         elif kind is W:
             b, k = b + sign * den, k + 1
         elif kind is BAD and value.position > pos:  # a '/' without digits, or over 0

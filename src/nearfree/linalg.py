@@ -9,7 +9,7 @@ It returns the canonical kernel basis: pivot columns are taken left to
 right, one vector per free column with the other free coordinates zero,
 scaled to a first nonzero entry 1. The rows are eliminated once modulo a
 word-size prime p of `prime_stream` (proven by Proth's theorem, p = 1 mod
-3), w sent to a cube root of unity ω in F_p, and one of two checked
+3), w sent to a cube root of unity ω in F_p, and one of three checked
 certificates settles the kernel:
 
 * "full rank mod p" - reduction only lowers the rank, so the kernel is 0.
@@ -20,6 +20,17 @@ certificates settles the kernel:
   mod p, an upper bound, they span the exact kernel; a kernel vector whose
   last nonzero entry is at c makes column c free, so these are the exact
   free columns and the vectors the canonical basis.
+* "verified reconstruction (mod p^s) of the first vector; remainders full
+  rank mod p" (FIRST_VECTOR) - given `divide`, the remainders of a vector
+  on division by a line l monic in x, the k vectors v_j mod p are divided.
+  Remainders of full column rank mod p prove K' = {t : l*t in K} = 0: an
+  exact t != 0 in K', integral and not divisible by π, has l*t = sum u_j
+  v_j != 0 mod π, and division by l, linear, leaves sum u_j rem(v_j) = 0
+  with u != 0. This needs no saturation, so it holds on both routes and
+  for any p. Only the vector at the first free column f' mod p is then
+  lifted and checked: the first exact free column f is >= f' (columns
+  0..f stay dependent mod p), its last nonzero entry makes f' exactly
+  free, so f' = f, and as the columns left of f are independent it is v_f.
 
 Over Q(w), step 0 (s = 1) reads each residue as its nearest remainder mod
 π = gcd(p, w - ω) in Z[w]. Every other lift is over Q (`_padic_kernel`):
@@ -65,6 +76,7 @@ from .errors import ToolkitError
 from .field import primitive_pairs
 
 FULL_RANK_MOD_P = "full rank mod p"
+FIRST_VECTOR = "verified reconstruction (mod p^{}) of the first vector; remainders full rank mod p"
 
 # Every p = k*2^15 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
 # squares mod p and can never prove it prime; the bases start at 5.
@@ -95,10 +107,10 @@ def prime_stream():
 
 
 class Kernel(list):
-    """A kernel basis, a list of the canonical vectors in Z[w], with the
-    certificate that settled it. Each vector is the kernel vector with lead
-    entry 1 times the lcm s of its denominators: a tuple of integer pairs
-    with lead entry (s, 0) and no common factor (`field.primitive_pairs`)."""
+    """The canonical kernel vectors in Z[w] (the first alone under
+    FIRST_VECTOR) and the certificate that settled them. Each is the one
+    with lead entry 1 times the lcm s of its denominators: integer pairs,
+    lead entry (s, 0), no common factor (`field.primitive_pairs`)."""
 
     def __init__(self, vectors, certificate: str):
         super().__init__(primitive_pairs(vec) for vec in vectors)
@@ -460,20 +472,27 @@ def _real_rows(data: list) -> list:
     return real
 
 
-def _kernel_mod(data: list, ncols: int, p: int):
+def _kernel_mod(data: list, ncols: int, p: int, divide=None):
     """`kernel_basis` at the prime p, or None when p turns out bad."""
     w = _cube_root(p)
     echelon = pivots, rows, _, (qw, e, longest) = _echelon_mod(data, ncols, p, w)
     if len(pivots) == ncols:
         return Kernel([], FULL_RANK_MOD_P)
     free = sorted(set(range(ncols)).difference(pivots))
-    if qw:  # step 0: each residue u as its nearest remainder mod π, in Z[w]
-        width, pi, cap = 2 * p.bit_length() + ncols.bit_length(), _prime_element(p, w), isqrt(p // 2)
+    certificate, lifted = "verified reconstruction (mod p^{})", len(free)
+    if qw or divide:  # the kernel mod p, a residue vector per free column
+        width = 2 * p.bit_length() + ncols.bit_length()
         packed, mask = _kernel_from_echelon(pivots, rows, ncols, p, width, free), (1 << width) - 1
-        residues = ([x >> i & mask for x in packed] for i in range(0, len(free) * width, width))
-        vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues]
+        residues = [[x >> i & mask for x in packed] for i in range(0, len(free) * width, width)]
+        if divide:  # remainders of full column rank mod p prove K_(r-1) = 0: lift v_f alone
+            rest = zip(*(divide([(u, 0) for u in vec]) for vec in residues))
+            if len(_echelon_mod([dict(enumerate(row)) for row in rest], len(free), p, w)[0]) == len(free):
+                certificate, lifted = FIRST_VECTOR, 1
+    if qw:  # step 0: each residue u as its nearest remainder mod π, in Z[w]
+        pi, cap = _prime_element(p, w), isqrt(p // 2)
+        vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues[:lifted]]
         if all(abs(x) <= cap for vec in vectors for y in vec for x in y) and _annihilates(data, vectors, e, longest):
-            return Kernel(vectors, "verified reconstruction (mod p^1)")
+            return Kernel(vectors, certificate.format(1))
         # the real rows, whose free columns pair up as (2f, 2f + 1): lift those at 2f
         data, ncols = _real_rows(data), 2 * ncols
         echelon = _echelon_mod(data, ncols, p, w)
@@ -481,10 +500,10 @@ def _kernel_mod(data: list, ncols: int, p: int):
         if {c ^ 1 for c in paired} != paired:
             return None
         free = sorted(paired)[::2]
-    if found := _padic_kernel(data, ncols, p, echelon, free):
+    if found := _padic_kernel(data, ncols, p, echelon, free[:lifted]):
         s, vectors = found  # over Q(w), x_j at 2j and y_j at 2j + 1 back to x_j + y_j*w
         pairs = ([(x, y) for (x, _), (y, _) in zip(vec[::2], vec[1::2])] for vec in vectors)
-        return Kernel(pairs if qw else vectors, f"verified reconstruction (mod p^{s})")
+        return Kernel(pairs if qw else vectors, certificate.format(s))
 
 
 def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
@@ -515,15 +534,18 @@ def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
     return Kernel([reduced[j] for j in sorted(reduced)], certificate)
 
 
-def kernel_basis(data: list, ncols: int) -> Kernel:
+def kernel_basis(data: list, ncols: int, divide=None) -> Kernel:
     """Canonical basis of the right kernel, as Z[w] integer vectors of
     length ncols (see `Kernel`); rank + len(basis) == ncols. data is a list
     of sparse rows, dicts {column: (a, b)} of the nonzero Z[w] cells
     a + b*w with columns below ncols, such as
     `nearfree.criteria.derivation_rows` gives. The next prime of
     `prime_stream` is taken only when one turns out bad; the result's
-    `certificate` says how the kernel was settled (module docstring)."""
+    `certificate` says how the kernel was settled (module docstring).
+    divide, if given, maps a kernel vector mod p, as (x, 0) pairs, to its
+    remainders on division by a line; when those of the kernel mod p have
+    full column rank, the basis is cut to its first vector (FIRST_VECTOR)."""
     for p in prime_stream():
-        if (kernel := _kernel_mod(data, ncols, p)) is not None:
+        if (kernel := _kernel_mod(data, ncols, p, divide)) is not None:
             return kernel
     raise ToolkitError("internal: every prime of the stream is bad for these rows")

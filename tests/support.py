@@ -29,7 +29,13 @@ normalized Scalar coefficients (`coeffs`), `milnor_number`, `transform`,
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
 (rows, ncols) that `nearfree.linalg.kernel_basis` takes, dicts of the
-nonzero cells, and `dense_rows` turns those back.
+nonzero cells, and `dense_rows` turns those back. `mdr_rows` gives the
+rows `criteria.mdr` eliminates in each degree and `kernel_dims` their
+whole kernel dimensions, which `MdrResult` does not record, and
+`whole_bases` makes `mdr` lift every kernel whole, the plain scan with no
+remainder certificate; `window_top` is its hi and `off_the_lines` its c,
+found independently. `format_scalar` is the text of a Scalar, which no
+command prints.
 
 `Poly` holds Z[w] integers over one denominator and has no arithmetic of
 its own. The reference arithmetic here works on its Scalar view, read
@@ -41,7 +47,7 @@ through `Poly.coefficient` (`scalar_terms`), with Scalar term maps
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import comb, gcd, lcm
 
 from nearfree import (
@@ -52,10 +58,12 @@ from nearfree import (
     LineArrangement,
     Poly,
     Scalar,
+    criteria,
     deformation,
     linalg,
     relation_matrix,
     singular_points,
+    tau_bounds,
     weak_combinatorics,
 )
 from nearfree.arrangement import _dot
@@ -79,16 +87,31 @@ from nearfree.errors import (
     ParseError,
     ToolkitError,
 )
-from nearfree.criteria import _line_data
-from nearfree.field import format_scalar, integer_pairs, pair_mul
+from nearfree.criteria import _line_data, derivation_rows
+from nearfree.field import integer_pairs, pair_mul
 from nearfree.poly import _mono_mul, _mono_str, graded_basis
 
-# the two certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
+# the three certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
 # records for a kernel its walk derived from the one above, and the two for
 # the degrees below mdr that the walk never reached
+FIRST_VECTOR = re.compile(r"verified reconstruction \(mod p\^[1-9]\d*\) of the first vector;"
+                          r" remainders full rank mod p")
 CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \(mod p\^[1-9]\d*\)"
-                         r"|derived from the kernel at \d+"
+                         r"|" + FIRST_VECTOR.pattern + r"|derived from the kernel at \d+"
                          r"|implied by full rank at \d+|implied by the kernel at \d+")
+
+
+def format_scalar(s):
+    """The canonical text of a Scalar, which `parse_scalar` reads back as
+    s: the form the reference texts of polynomials and lines use."""
+    if not s.b:
+        return str(s.a)
+    mag = abs(s.b)
+    wpart = "w" if mag == 1 else f"{mag}*w"
+    if not s.a:
+        return wpart if s.b > 0 else "-" + wpart
+    sign = "+" if s.b > 0 else "-"
+    return f"{s.a}{sign}{wpart}"
 
 
 def scalar_vector(vec):
@@ -242,6 +265,45 @@ def relation_rows(f, r):
     `zw_rows`)."""
     m = relation_matrix(f, r)
     return zw_rows(m.entries[i:i + m.cols] for i in range(0, len(m.entries), m.cols))
+
+
+def window_top(d, tau):
+    """hi of `criteria.mdr`: the largest r whose tau_bounds admit tau."""
+    return max(r for r in range(d) if tau_bounds(d, r)[0] <= tau <= tau_bounds(d, r)[1])
+
+
+def off_the_lines(a):
+    """The least c >= 0 for which x - c*y is not a line of a, from the
+    Scalar coefficients."""
+    return next(c for c in count() if not any(
+        coeffs(form)[2] == 0 and coeffs(form)[1] == -c * coeffs(form)[0] for form in a.lines))
+
+
+def mdr_rows(f, lines=None):
+    """r -> the (rows, ncols) that `criteria.mdr` eliminates in degree r:
+    `derivation_rows` of the lines, else the relation matrix of f."""
+    if lines is not None:
+        ints = [form.ints for form in lines]
+        return lambda r: derivation_rows(ints, r)
+    return lambda r: sparse_rows(relation_rows(f, r))
+
+
+def kernel_dims(f, lines, r):
+    """The kernel dimension in each degree 0..r of the rows `criteria.mdr`
+    eliminates, by `kernel_basis` with no division, so every basis is
+    whole: `mdr` keeps only the first vector where the remainders certify
+    the degree below."""
+    rows = mdr_rows(f, lines)
+    return [len(linalg.kernel_basis(*rows(k))) for k in range(r + 1)]
+
+
+def whole_bases(monkeypatch):
+    """Make `criteria.mdr` eliminate with no division by its line, so each
+    nonzero kernel is lifted whole and, below hi, degree r - 1 is settled by
+    the walk's derived kernels alone: the plain scan with no remainder
+    certificate."""
+    monkeypatch.setattr(criteria, "kernel_basis",
+                        lambda rows, ncols, divide=None: linalg.kernel_basis(rows, ncols))
 
 
 def integer_terms(*polys):
@@ -741,7 +803,7 @@ def format_lines(arrangement):
     """The `.lines` text of an arrangement; `parse_lines` reads it back."""
     out = [f"field: {arrangement.tag.value}"]
     for form in arrangement.lines:
-        out.append(" ".join(str(c) for c in coeffs(form)))
+        out.append(" ".join(format_scalar(c) for c in coeffs(form)))
     return "\n".join(out) + "\n"
 
 

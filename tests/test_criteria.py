@@ -23,7 +23,9 @@ from nearfree.poly import graded_basis
 from bareiss import rank
 from support import (
     CERTIFICATE,
+    FIRST_VECTOR,
     jacobian_image,
+    kernel_dims,
     milnor_number,
     poly_mul,
     poly_scale,
@@ -103,9 +105,10 @@ def test_mdr_witness_satisfies_relation():
 
 
 def test_mdr_relation_dims_profile():
-    result = mdr(parse_poly(MACLANE_OCTIC))
-    assert result.relation_dims == [0, 0, 0, 0, 3]
-    assert all(d == 0 for d in result.relation_dims[:-1])
+    # mdr keeps the first vector at r; the whole kernels of the same rows
+    f = parse_poly(MACLANE_OCTIC)
+    assert mdr(f).r == 4
+    assert kernel_dims(f, None, 4) == [0, 0, 0, 0, 3]
 
 
 def test_mdr_records_how_each_degree_was_settled():
@@ -120,16 +123,21 @@ def test_mdr_exact_when_degrees_below_are_deficient_mod_p(monkeypatch, primes):
     # is rank-deficient mod the first prime and must be settled by the next
     f = parse_poly("7*" + BRAID_SEXTIC)
     want = mdr(f)
+    assert kernel_dims(f, None, 2) == [0, 0, 1]
     claims = unlucky_primes_first(monkeypatch, primes)
     result = mdr(f)
-    assert (result.r, result.relation_dims, result.witness) == (want.r, want.relation_dims, want.witness)
+    assert (result.r, result.witness) == (want.r, want.witness)
     assert result.r == 2
-    assert result.relation_dims == [0, 0, 1]
     assert jacobian_image(f, *result.witness).is_zero()
     assert all(CERTIFICATE.fullmatch(c) for c in result.certificates)
     assert result.certificates[:2] == [linalg.FULL_RANK_MOD_P] * 2
-    # no zero kernel is claimed mod 7; 13 settles the empty degrees
-    assert [p for p, _, _ in claims] == ([] if primes == (7,) else [13, 13])
+    assert FIRST_VECTOR.fullmatch(result.certificates[2])
+    # no zero kernel is claimed mod 7: its one full-rank claim is the
+    # remainders at degree 0 of the whole space, the kernel mod 7, before the
+    # lift drops 7; 13 settles the empty degrees (3 and 9 columns), and the
+    # remainders of its kernel at 2 (one vector) have full column rank
+    assert [(p, ncols) for p, _, ncols in claims] == [(7, 3)] + (
+        [] if primes == (7,) else [(13, 3), (13, 9), (13, 1)])
 
 
 def test_kernel_dimension_monotonicity_beyond_mdr():

@@ -9,19 +9,21 @@ so that x - c*y is not a line of the arrangement. x - c*y multiplies the
 kernel one degree lower onto the combinations of the basis whose
 remainders cancel, so a zero kernel of the remainders stops the walk at r,
 and otherwise the same combinations of the quotients span the kernel at
-r - 1, where the walk steps down without eliminating its rows. These tests
-check the remainders against Bareiss elimination and the derived kernels
-against direct elimination, and that rows are built only at hi.
+r - 1, where the walk steps down without eliminating its rows. Those
+divisions are of whole bases: where the remainders of the kernel mod p
+have full column rank, `kernel_basis` lifts the first vector alone and the
+walk ends at r (tests/test_first_vector.py). These tests check the
+remainders against Bareiss elimination and the derived kernels against
+direct elimination, and that rows are built only at hi.
 
-Whatever tau is, r, relation_dims and the witness must be those of the
-plain scan from degree 0; only the certificates of the degrees the walk
-never eliminated differ.
+Whatever tau is, r and the witness must be those of the plain scan from
+degree 0; only the certificates of the degrees the walk never eliminated
+differ.
 """
 
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import count
 
 import pytest
 
@@ -44,12 +46,15 @@ from nearfree.field import integer_pairs
 from bareiss import exact_kernel
 from support import (
     CERTIFICATE,
+    FIRST_VECTOR,
     coeffs,
+    off_the_lines,
     random_arrangement,
     random_nodal_arrangement,
     reflection_arrangement,
     relation_rows,
     sparse_rows,
+    window_top,
 )
 from test_golden import POLY
 
@@ -59,16 +64,11 @@ BRAID_SEXTIC = "x*y*z*(x-y)*(y-z)*(x-z)"
 BELOW_HI = [0, 17, 38, 68, 74, 83, 92, 96, 105, 112, 116, 119]
 
 
-def _window_top(d, tau):
-    return max(r for r in range(d) if tau_bounds(d, r)[0] <= tau <= tau_bounds(d, r)[1])
-
-
 def _walked_like_plain(f, lines, tau):
-    """mdr with tau equals mdr without in r, relation_dims and witness; each
-    certificate is the plain scan's or names what implied it."""
+    """mdr with tau equals mdr without in r and witness; each certificate
+    is the plain scan's or names what implied it."""
     plain, walked = mdr(f, lines), mdr(f, lines, tau=tau)
-    assert (walked.r, walked.relation_dims, walked.witness) == (
-        plain.r, plain.relation_dims, plain.witness)
+    assert (walked.r, walked.witness) == (plain.r, plain.witness)
     for got, want in zip(walked.certificates, plain.certificates, strict=True):
         assert got == want or got.startswith(("implied by ", "derived from "))
     assert all(CERTIFICATE.fullmatch(c) for c in walked.certificates)
@@ -79,7 +79,7 @@ def _walk_ends_at_hi(f, lines, tau):
     """mdr = hi on every input here, so the kernel at hi certifies the
     degrees below it."""
     walked = _walked_like_plain(f, lines, tau)
-    hi = _window_top(f.degree, tau)
+    hi = window_top(f.degree, tau)
     assert walked.r == hi
     assert walked.certificates[:hi] == [f"implied by the kernel at {hi}"] * hi
 
@@ -90,12 +90,6 @@ def _arrangement_search(a):
 
 def _ints(a):
     return [integer_pairs(coeffs(form)) for form in a.lines]
-
-
-def _off_the_lines(a):
-    """The least c >= 0 for which x - c*y is not a line of a."""
-    return next(c for c in count() if not any(
-        coeffs(form)[2] == 0 and coeffs(form)[1] == -c * coeffs(form)[0] for form in a.lines))
 
 
 def _random_case(seed):
@@ -169,7 +163,7 @@ CROSS_CHECK = [(name, catalog(name)) for name in catalog_names()] + [
 
 @pytest.mark.parametrize("a", [a for _, a in CROSS_CHECK], ids=[name for name, _ in CROSS_CHECK])
 def test_restriction_off_the_lines_has_the_kernel_one_degree_lower(a):
-    ints, c = _ints(a), _off_the_lines(a)
+    ints, c = _ints(a), off_the_lines(a)
     top = mdr(defining_polynomial(a), a.lines).r
     for r in range(top, min(top + 3, a.d)):
         restricted = _remainders(linalg.kernel_basis(*derivation_rows(ints, r)), r, c)
@@ -197,21 +191,31 @@ def test_restriction_to_a_line_can_have_a_larger_kernel(a, r, c, lower, restrict
     assert len(linalg.kernel_basis(*derivation_rows(ints, r - 1))) == lower
     kernel = linalg.kernel_basis(*derivation_rows(ints, r))
     assert len(exact_kernel(_remainders(kernel, r, c))) == restricted
-    assert len(exact_kernel(_remainders(kernel, r, _off_the_lines(a)))) == lower
+    assert len(exact_kernel(_remainders(kernel, r, off_the_lines(a)))) == lower
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_reflection_arrangements_certify_off_their_lines(monkeypatch, m):
-    # A(m,1,3) contains x and x - y, so the division is by x - 2y, and its
-    # remainders have full column rank in exact arithmetic
+    # A(m,1,3) contains x and x - y, so the division is by x - 2y: the
+    # kernel at mdr mod p, w sent to ω, is divided vector by vector, its
+    # remainders certify degree mdr - 1, and those of the exact kernel have
+    # full column rank too
     a = reflection_arrangement(m, True)
-    assert _off_the_lines(a) == 2
+    assert off_the_lines(a) == 2
     divisions, divide = [], criteria._divide_by_line
     monkeypatch.setattr(criteria, "_divide_by_line",
                         lambda vec, r, c: divisions.append((vec, r, c)) or divide(vec, r, c))
     result = mdr(defining_polynomial(a), a.lines, tau=weak_combinatorics(a).mu)
+    assert FIRST_VECTOR.fullmatch(result.certificates[result.r])
     kernel = linalg.kernel_basis(*derivation_rows(_ints(a), result.r))
-    assert divisions == [(vec, result.r, 2) for vec in kernel]
+    p = next(linalg.prime_stream())
+    omega = linalg._cube_root(p)
+    residues = []  # each vector mod p, w sent to ω, with 1 at its last nonzero entry
+    for vec in kernel:
+        la, lb = next(x for x in reversed(vec) if x != (0, 0))
+        unit = pow(la + lb * omega, -1, p)
+        residues.append([((xa + xb * omega) * unit % p, 0) for xa, xb in vec])
+    assert divisions == [(vec, result.r, 2) for vec in residues]
     assert not exact_kernel(_remainders(kernel, result.r, 2))
 
 
@@ -219,7 +223,7 @@ def test_reflection_arrangements_certify_off_their_lines(monkeypatch, m):
 def test_derived_kernels_equal_direct_elimination(a):
     ints = _ints(a)
     top = mdr(defining_polynomial(a), a.lines).r
-    assert _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, _off_the_lines(a), top)
+    assert _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, off_the_lines(a), top)
 
 
 def test_derived_kernels_equal_direct_elimination_on_random_arrangements():
@@ -227,7 +231,7 @@ def test_derived_kernels_equal_direct_elimination_on_random_arrangements():
         a = _random_case(seed)
         ints = _ints(a)
         top = mdr(defining_polynomial(a), a.lines).r
-        _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, _off_the_lines(a), top)
+        _derived_like_direct(lambda r: derivation_rows(ints, r), a.d, off_the_lines(a), top)
 
 
 def test_braid_sextic_walks_down_from_5_to_2_on_derived_kernels(monkeypatch):
@@ -238,8 +242,7 @@ def test_braid_sextic_walks_down_from_5_to_2_on_derived_kernels(monkeypatch):
     plain, built = mdr(f), _matrices_built(monkeypatch)
     walked = mdr(f, tau=10)
     assert built == [5]
-    assert (walked.r, walked.relation_dims, walked.witness) == (plain.r, plain.relation_dims,
-                                                                 plain.witness)
+    assert (walked.r, walked.witness) == (plain.r, plain.witness)
     assert walked.certificates == ["implied by the kernel at 2"] * 2 + ["derived from the kernel at 3"]
 
 
@@ -277,8 +280,7 @@ def _built_once_at_hi(built, f, lines):
         built.clear()
         walked = mdr(f, lines, tau=tau)
         assert built == [hi], (hi, tau)
-        assert (walked.r, walked.relation_dims, walked.witness) == (
-            plain.r, plain.relation_dims, plain.witness)
+        assert (walked.r, walked.witness) == (plain.r, plain.witness)
 
 
 def test_catalog_builds_rows_only_at_hi(monkeypatch):
@@ -299,7 +301,7 @@ def test_random_arrangements_below_hi_walk_down_one_degree(monkeypatch):
     for seed in range(120):
         a = _random_case(seed)
         tau = weak_combinatorics(a).mu
-        hi = _window_top(a.d, tau)
+        hi = window_top(a.d, tau)
         walked = _walked_like_plain(defining_polynomial(a), a.lines, tau)
         if walked.r == hi - 1:
             below.append(seed)
@@ -313,15 +315,16 @@ def test_random_arrangements_below_hi_walk_down_one_degree(monkeypatch):
 
 def test_first_stream_prime_multiple_is_settled_at_hi_by_later_primes():
     # p*f, p the first prime of the stream, makes every relation matrix
-    # vanish mod p, so the kernel at hi = 2 is settled by later primes; the
-    # remainders come from its primitive vectors and certify degree 1 at p
+    # vanish mod p, so the kernel at hi = 2 is settled by a later prime,
+    # whose kernel residues give the remainders that certify degree 1
     f = parse_poly(BRAID_SEXTIC)
     p = next(linalg.prime_stream())
     pf = parse_poly(f"{p}*{BRAID_SEXTIC}")
     assert all(a % p == 0 and b % p == 0 for row in relation_rows(pf, 2) for a, b in row)
     want, got = mdr(f), mdr(pf, tau=19)
-    assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
+    assert (got.r, got.witness) == (want.r, want.witness)
     assert got.certificates == ["implied by the kernel at 2"] * 2 + want.certificates[2:]
+    assert FIRST_VECTOR.fullmatch(got.certificates[2])
 
 
 @pytest.mark.parametrize("poly, tau, err", [

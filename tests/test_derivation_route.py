@@ -31,10 +31,13 @@ from nearfree.field import integer_pairs, pair_mul
 import bareiss
 from support import (
     CERTIFICATE,
+    FIRST_VECTOR,
     coeffs,
+    dense_rows,
     divide_exact,
     integer_terms,
     jacobian_image,
+    kernel_dims,
     poly_add,
     poly_mul,
     poly_scale,
@@ -65,7 +68,8 @@ def _both_routes(a):
     f = defining_polynomial(a)
     jacobian, derivation = mdr(f), mdr(f, a.lines)
     assert derivation.r == jacobian.r
-    assert derivation.relation_dims == jacobian.relation_dims
+    # both kernels at r whole: mdr keeps the first vector of each
+    assert kernel_dims(f, a.lines, derivation.r)[-1] == kernel_dims(f, None, jacobian.r)[-1]
     for result in (jacobian, derivation):
         assert all(p.degree == result.r and p.tag is f.tag for p in result.witness)
         assert any(result.witness)
@@ -122,21 +126,31 @@ def test_derivation_route_with_unlucky_primes(monkeypatch, primes):
     cases += [random_arrangement(random.Random(9200), 7, span=3), reflection_arrangement(3, True)]
     expected = [mdr(defining_polynomial(a), a.lines) for a in cases]
     claims = unlucky_primes_first(monkeypatch, primes)
-    certificates = []
+    certificates, row_claims = [], 0
     for a, want in zip(cases, expected):
+        ints, start = [form.ints for form in a.lines], len(claims)
         got = mdr(defining_polynomial(a), a.lines)
-        assert (got.r, got.relation_dims, got.witness) == (want.r, want.relation_dims, want.witness)
+        assert (got.r, got.witness) == (want.r, want.witness)
         certificates += got.certificates
+        if FIRST_VECTOR.fullmatch(got.certificates[-1]) and got.r:  # degree r - 1 is empty
+            rows, ncols = derivation_rows(ints, got.r - 1)
+            assert bareiss.rank(dense_rows(rows, ncols)) == ncols
+        # a claim is of the rows of a degree k (ncols = (k + 1)(k + 2)) or
+        # of the remainders of a kernel mod p
+        row_claims += sum(rows == dense_rows(*derivation_rows(ints, k)) for _, rows, ncols in claims[start:]
+                          for k in range(a.d) if (k + 1) * (k + 2) == ncols)
     assert all(CERTIFICATE.fullmatch(c) for c in certificates)
     # mod 7 a kernel of the catalog lifts 7-adically past its first step
-    assert any(c.startswith("verified reconstruction (mod p^") and not c.endswith("^1)")
-               for c in certificates)
-    # full rank mod a small prime is a proof too, and each zero kernel
-    # claimed there has full rank over Q(w); mod 7 alone one empty degree is
+    assert any(int(c.split("^")[1].split(")")[0]) > 1 for c in certificates if "^" in c)
+    # full rank mod a small prime is a proof too, and each matrix claimed
+    # there has full rank over Q(w); mod 7 alone one empty degree is
     # rank-deficient and a later prime settles it, with 13 next 13 does
     for _, rows, ncols in claims:
         assert len(bareiss._bareiss(rows, ncols)[0]) == ncols
-    assert len(claims) == certificates.count(linalg.FULL_RANK_MOD_P) - (primes == (7,))
+    assert row_claims == certificates.count(linalg.FULL_RANK_MOD_P) - (primes == (7,))
+    # the other claims are of remainders, whose full rank mod 7 proves the
+    # degree below empty whether or not 7 then lifts the kernel
+    assert len(claims) > row_claims
 
 
 def _scalar_witness(a, r):
@@ -285,8 +299,8 @@ def test_derivation_rows_shapes():
 
 def test_pencil_is_free_with_exponents_one_and_d_minus_two():
     pencil = LineArrangement([LinearForm(1, -s, 0) for s in range(-29, 30)] + [LinearForm(1, 2, 1)])
-    result = mdr(defining_polynomial(pencil), pencil.lines)
-    assert result.r == 1 and result.relation_dims == [0, 1]
+    f = defining_polynomial(pencil)
+    assert mdr(f, pencil.lines).r == 1 and kernel_dims(f, pencil.lines, 1) == [0, 1]
 
 
 def _near_pencil():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, format_scalar, parse_poly, parse_scalar
+from nearfree import OMEGA, ONE, ZERO, FieldTag, Scalar, parse_poly, parse_scalar
 from nearfree.errors import ParseError
 from nearfree.arrangement import _CATALOG
 from nearfree.field import primitive_pairs
@@ -13,6 +13,7 @@ from support import (
     conjugate_primitive_pairs,
     div,
     format_lines,
+    format_scalar,
     inverse,
     norm,
     random_nonzero_scalar,
@@ -238,3 +239,11 @@ def test_whitespace_between_the_tokens_of_a_scalar_is_accepted():
     assert parse_scalar(" 1/2 - 3 * w ") == parse_scalar("1/2-3*w")
     with pytest.raises(ParseError):
         reference_parse_scalar("2 * w")
+
+
+@pytest.mark.parametrize("text, position", [("2*x", 2), ("2* x", 3), ("2 *  x", 5), ("2*", 2), ("2* ", 3)])
+def test_a_star_not_followed_by_w_is_reported_at_the_next_token(text, position):
+    # at the offset of the token after the '*', or of the end
+    with pytest.raises(ParseError, match="expected 'w' after '\\*'") as err:
+        parse_scalar(text)
+    assert err.value.position == position
