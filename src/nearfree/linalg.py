@@ -59,8 +59,9 @@ Vectors stay Z[w] integers, times the lcm of their denominators (`Kernel`).
 
 Each elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
 of the nonzero residues, eliminated as they are when at most a third are
-nonzero (`_echelon_sparse`), else packed into big integers, a slot per
-column (`_echelon_dense`); both give the same pivots and kernel residues.
+nonzero (`_echelon_sparse`), else packed into big integers, a 64-bit slot
+per column, folded down by packed steps every few pivots, before a slot
+can carry (`_echelon_dense`); both give the same pivots and kernel residues.
 Back-substitution, the p-adic steps and the exact check (`_annihilates`,
 whose signed slots are wide enough for a proof) pack the k vectors by
 column too, and run once per kernel.
@@ -68,6 +69,8 @@ column too, and run once per kernel.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cache
 from math import gcd, isqrt
 from operator import mul
@@ -133,13 +136,11 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
     Pivot rows are full-length residue lists with 1 at the pivot and 0 to
     its left. The cells are reduced mod p once, into dicts of the nonzero
     residues; that pass gives cells = (qw, E, L): whether some b is nonzero,
-    the largest |a| | |b| and the most cells in a row. With at most a third
-    of them nonzero the dicts are eliminated as they are
-    (`_echelon_sparse`), else packed into big integers (`_echelon_dense`).
-    The routes may pick different pivot rows, not pivot columns: c is a
-    pivot iff it is not in the span mod p of the columns to its left. The
-    kernel vector with 1 at a free column and 0 at the others is unique, so
-    back-substitution gives the same residues on both routes. A row
+    the largest |a| | |b| and the most cells in a row. The two routes
+    (module docstring) may pick different pivot rows, not pivot columns: c
+    is a pivot iff it is not in the span mod p of the columns to its left.
+    The kernel vector with 1 at a free column and 0 at the others is unique,
+    so back-substitution gives the same residues on both routes. A row
     operation (i, inv, rows, leads) scales row i, the next pivot row, by inv
     and subtracts t times it from each of the rows (indices into data) whose
     lead t is nonzero; rows that are never a pivot row end as zero rows.
@@ -154,66 +155,63 @@ def _echelon_mod(data: list, ncols: int, p: int, w: int):
                 residues[j] = x
     # sparse when at most a third of the residues are nonzero: on the
     # perfbench matrices mod the stream's first prime (CPython 3.11, a shared
-    # 2-core VM), those up to 30% nonzero (reflection arrangements, pencils,
-    # the catalog) were eliminated 1.7-4.0x faster sparse, and the generic
-    # workload's nodal rows, 37-47% nonzero, 1.2-1.8x faster dense
+    # 2-core VM), those up to 33% nonzero were eliminated 1.1-2.7x faster
+    # sparse, and the generic workload's nodal rows, 37-47% nonzero, 1.9-2.9x
+    # faster dense (tiny ones, as the remainders' at most 16 x 7, 1.2-1.7x sparse)
     nonzero = sum(map(len, rows))
     route = _echelon_sparse if 3 * nonzero <= len(rows) * ncols else _echelon_dense
     return *route(rows, ncols, p), (qw != 0, e, max(map(len, data), default=0))
 
 
-def _pack_slots(values: list, nbytes: int) -> int:
-    """The non-negative integers `values` packed into one integer, value k in
-    the k-th slot of nbytes bytes, lowest slot first."""
-    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
-
-
-def _unpack_slots(packed: int, nslots: int, nbytes: int) -> list:
-    """The nslots slots of nbytes bytes of the non-negative packed integer,
-    lowest first; the inverse of _pack_slots, in one pass."""
-    raw = packed.to_bytes(nslots * nbytes, "little")
-    return [int.from_bytes(raw[k:k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+def _little(slots: array) -> array:
+    """slots with the little-endian byte order of the packed integers."""
+    if sys.byteorder == "big":  # array("Q") is native-endian
+        slots.byteswap()
+    return slots
 
 
 def _echelon_dense(rows: list, ncols: int, p: int):
-    """`_echelon_mod` on residue dicts, each pending row packed from its dict
-    into one integer, a fixed-width slot per column, so a row operation is one
-    big-integer multiply-add; the first row with a nonzero lead is the
-    pivot row.
-
-    Slots only ever grow by adding products of two residues, at most once
-    per pivot, so they stay below the slot width and never carry into each
-    other; they are reduced mod p only when read. The lowest slot is
-    shifted out after each column, so slot 0 always holds the current
-    column. Every pending row is shifted at every column, so the cost does
-    not fall with the share of zero cells.
-    """
-    nbytes = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
-    shift, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    pending, ids = [], []
-    for i, row in enumerate(rows):
-        if row:
-            full = [0] * ncols
-            for j, x in row.items():
-                full[j] = x
-            pending.append(_pack_slots(full, nbytes))
-            ids.append(i)
-    pivots, echelon, ops = [], [], []
+    """`_echelon_mod` on residue dicts, each pending row one integer with a
+    64-bit slot per column, packed from an `array("Q")` by one
+    `int.from_bytes` and read back by one `to_bytes`: a row operation is one
+    multiply-add, the pivot row the first with a nonzero lead, and slot 0
+    the current column, shifted out after it. An operation adds at most
+    (p - 1)^2 to a slot, so one below 2^(b+1), b = bits(p), takes `fresh`
+    with no carry, and so does one below 2^room. Every fresh pivots, packed
+    steps row -= q*p, q the bits b..63 of each slot, bring all rows below
+    2^room: q*p <= q*2^b <= the slot, so nothing borrows, and the slot keeps
+    its residue and becomes q*(2^b - p) + (the slot mod 2^b)."""
+    b = p.bit_length()
+    fresh = ((1 << 64) - (2 << b)) // (p - 1) ** 2
+    if not fresh or array("Q").itemsize != 8:
+        raise ToolkitError(f"internal: no 64-bit slots for a dense elimination mod {p}")
+    room = ((1 << 64) - fresh * (p - 1) ** 2).bit_length() - 1
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * ncols, "little")  # 1 in every slot
+    low, high, mask = ones * ((1 << 64 - b) - 1), ones * ((1 << 64) - (1 << room)), (1 << 64) - 1
+    ids, pending, pivots, echelon, ops = [i for i, row in enumerate(rows) if row], [], [], [], []
+    for i in ids:
+        slots = array("Q", bytes(8 * ncols))
+        for j, x in rows[i].items():
+            slots[j] = x
+        pending.append(int.from_bytes(_little(slots), "little"))
     for c in range(ncols):
-        if not pending:
-            break
         leads = [(row & mask) % p for row in pending]
         k = next((i for i, t in enumerate(leads) if t), None)
         if k is not None:
-            tail = _unpack_slots(pending.pop(k), ncols - c, nbytes)
+            slots = _little(array("Q", pending.pop(k).to_bytes(8 * (ncols - c), "little")))
             inv = pow(leads.pop(k), -1, p)
-            tail = [x * inv % p for x in tail]
+            tail = [x * inv % p for x in slots]
             pivots.append(c)
             echelon.append([0] * c + tail)
             ops.append((ids.pop(k), inv, tuple(ids), leads))
-            packed = _pack_slots(tail, nbytes)
+            packed = int.from_bytes(_little(array("Q", tail)), "little")
             pending = [row + (p - t) * packed if t else row for row, t in zip(pending, leads)]
-        pending = [row >> shift for row in pending]
+            if len(pivots) % fresh == 0:
+                for n, row in enumerate(pending):
+                    while row & high:
+                        row -= (row >> b & low) * p
+                    pending[n] = row
+        pending = [row >> 64 for row in pending]
     return pivots, echelon, ops
 
 
@@ -392,18 +390,19 @@ def _prime_element(p: int, w: int) -> tuple:
     return x
 
 
-def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, width: int, free: list):
+def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, width: int, free: list, first=None):
     """The packed p-adic digits of the kernel vectors of the integer rows
     A = data (cells (a, 0)) at the columns free, from their echelon form mod
-    p: the kernel mod p, then one step at a time, until a sign of a bad
-    prime. The vectors U so far have A*U = p^s*R. A step adds A times the
-    digits to R and divides by p, exact when every residue is 0 mod p, then
-    solves A*digits = -R mod p: R's residues follow the row operations (a
-    zero row must end at 0) into back-substitution, 0 at the free columns. A
-    slot of R stays below 2*L*E; made non-negative by a multiple of p near
-    2^(width-2), it and the products the row operations add fit the width."""
+    p: the kernel mod p (or first, if given), then one step at a time, until
+    a sign of a bad prime. The vectors U so far have A*U = p^s*R. A step adds
+    A times the digits to R and divides by p, exact when every residue is 0
+    mod p, then solves A*digits = -R mod p: R's residues follow the row
+    operations (a zero row must end at 0) into back-substitution, 0 at the
+    free columns. A slot of R stays below 2*L*E; made non-negative by a
+    multiple of p near 2^(width-2), it and the products the row operations
+    add fit the width."""
     pivots, rows, ops, _ = echelon
-    yield (digits := _kernel_from_echelon(pivots, rows, ncols, p, width, free))
+    yield (digits := first or _kernel_from_echelon(pivots, rows, ncols, p, width, free))
     shifts, mask = range(0, len(free) * width, width), (1 << width) - 1
     offset = (p << width - 2 - p.bit_length()) * sum(1 << shift for shift in shifts)
     zero_rows = set(range(len(data))).difference(op[0] for op in ops)
@@ -443,15 +442,16 @@ def _reconstruct(digits: list, p: int, m: int, ncols: int, width: int, free: lis
     return vectors
 
 
-def _padic_kernel(data: list, ncols: int, p: int, echelon: tuple, free: list):
+def _padic_kernel(data: list, ncols: int, p: int, echelon: tuple, free: list, first=None):
     """(s, vectors): the kernel vectors of the integer rows data at the
-    columns free, lifted from their echelon form mod p to p^s, s = 1, 2, 4,
-    ... and at the stop bound, and checked exactly; None if p turns out bad."""
+    columns free, lifted from their echelon form mod p (or first) to p^s, s
+    = 1, 2, 4, ... and at the stop bound, and checked exactly; None if p
+    turns out bad."""
     pivots, _, _, (_, e, longest) = echelon
     width = 2 * p.bit_length() + ncols.bit_length() + longest.bit_length() + e.bit_length() + 4
     # Hadamard's bound H^2 on an r x r minor: a row meets at most min(L, r) columns
     bound, digits, m = 3 * (min(longest, len(pivots)) * e * e) ** len(pivots), [], 1
-    for s, step in enumerate(_padic_digits(data, ncols, p, echelon, width, free), 1):
+    for s, step in enumerate(_padic_digits(data, ncols, p, echelon, width, free, first), 1):
         digits.append(step)
         m *= p
         if (done := m >= bound) or s & (s - 1) == 0:
@@ -479,7 +479,7 @@ def _kernel_mod(data: list, ncols: int, p: int, divide=None):
     if len(pivots) == ncols:
         return Kernel([], FULL_RANK_MOD_P)
     free = sorted(set(range(ncols)).difference(pivots))
-    certificate, lifted = "verified reconstruction (mod p^{})", len(free)
+    certificate, lifted, first = "verified reconstruction (mod p^{})", len(free), None
     if qw or divide:  # the kernel mod p, a residue vector per free column
         width = 2 * p.bit_length() + ncols.bit_length()
         packed, mask = _kernel_from_echelon(pivots, rows, ncols, p, width, free), (1 << width) - 1
@@ -487,7 +487,7 @@ def _kernel_mod(data: list, ncols: int, p: int, divide=None):
         if divide:  # remainders of full column rank mod p prove K_(r-1) = 0: lift v_f alone
             rest = zip(*(divide([(u, 0) for u in vec]) for vec in residues))
             if len(_echelon_mod([dict(enumerate(row)) for row in rest], len(free), p, w)[0]) == len(free):
-                certificate, lifted = FIRST_VECTOR, 1
+                certificate, lifted, first = FIRST_VECTOR, 1, None if qw else residues[0]  # digit 0
     if qw:  # step 0: each residue u as its nearest remainder mod π, in Z[w]
         pi, cap = _prime_element(p, w), isqrt(p // 2)
         vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues[:lifted]]
@@ -500,7 +500,7 @@ def _kernel_mod(data: list, ncols: int, p: int, divide=None):
         if {c ^ 1 for c in paired} != paired:
             return None
         free = sorted(paired)[::2]
-    if found := _padic_kernel(data, ncols, p, echelon, free[:lifted]):
+    if found := _padic_kernel(data, ncols, p, echelon, free[:lifted], first):
         s, vectors = found  # over Q(w), x_j at 2j and y_j at 2j + 1 back to x_j + y_j*w
         pairs = ([(x, y) for (x, _), (y, _) in zip(vec[::2], vec[1::2])] for vec in vectors)
         return Kernel(pairs if qw else vectors, certificate.format(s))

@@ -6,7 +6,8 @@ independent references `intersect`, `divide_exact` (Scalar arithmetic),
 `reference_derivation_rows` (dense rows from binomials and powers),
 `reference_format_poly` (the text of a polynomial from its Scalar view),
 the per-vector loops that `nearfree.linalg` runs once per kernel
-(`reference_kernel_from_echelon`, `reference_annihilates`),
+(`reference_kernel_from_echelon`, `reference_annihilates`), the dense
+elimination mod p on residue lists (`reference_echelon_dense`),
 `primitive_pairs` by the conjugate product alone
 (`conjugate_primitive_pairs`), and the Scalar deformation
 (`reference_deformation`, on `normalize_point` and `evaluate`) that
@@ -160,6 +161,27 @@ def reference_kernel_from_echelon(pivots, echelon, ncols, p):
                     support.append((pc, v))
         basis.append(vec)
     return basis
+
+
+def reference_echelon_dense(rows, ncols, p):
+    """`nearfree.linalg._echelon_dense` entry by entry: the residue dicts as
+    full lists, each entry reduced mod p at every step; at each column the
+    first pending row with a nonzero lead is the pivot row, and the record
+    (pivot row, inverse, pending rows, their leads) is the same."""
+    ids = [i for i, row in enumerate(rows) if row]
+    pending = [[rows[i].get(j, 0) for j in range(ncols)] for i in ids]
+    pivots, echelon, ops = [], [], []
+    for c in range(ncols):
+        leads = [row[c] for row in pending]
+        k = next((i for i, t in enumerate(leads) if t), None)
+        if k is not None:
+            inv = pow(leads.pop(k), -1, p)
+            pivot = [x * inv % p for x in pending.pop(k)]
+            pivots.append(c)
+            echelon.append(pivot)
+            ops.append((ids.pop(k), inv, tuple(ids), leads))
+            pending = [[(x - t * y) % p for x, y in zip(row, pivot)] for row, t in zip(pending, leads)]
+    return pivots, echelon, ops
 
 
 def reference_annihilates(data, vectors):

@@ -122,6 +122,24 @@ def test_first_vector_is_the_first_of_the_whole_basis():
         assert list(first) == whole[:1]
 
 
+def test_the_first_vector_is_back_substituted_once(monkeypatch):
+    # over Q the lift takes v_f mod p, whose remainders certified the
+    # kernel, as its digit 0: one back-substitution without targets (the k
+    # residue vectors) per certified kernel, none again for the lift
+    calls, back_substitute = [], linalg._kernel_from_echelon
+    monkeypatch.setattr(linalg, "_kernel_from_echelon",
+                        lambda *args: calls.append(len(args) == 6) or back_substitute(*args))
+    for a in [_random_draw(seed) for seed in range(20)]:
+        f = defining_polynomial(a)
+        r = mdr(f, a.lines).r
+        rows, ncols, c = *mdr_rows(f, a.lines)(r), off_the_lines(a)
+        calls.clear()
+        first = linalg.kernel_basis(rows, ncols, lambda vec: criteria._divide_by_line(vec, r, c)[1])
+        assert FIRST_VECTOR.fullmatch(first.certificate) and calls.count(True) == 1
+        calls.clear()
+        assert list(first) == linalg.kernel_basis(rows, ncols)[:1] and calls.count(True) == 1
+
+
 @pytest.mark.parametrize("primes", [(), (7,)])
 def test_fallback_below_hi_matches_the_plain_scan(monkeypatch, primes):
     # draw 112 has 11 lines and mdr = 5 < hi = 6: at hi the remainders are
@@ -139,8 +157,8 @@ def test_fallback_below_hi_matches_the_plain_scan(monkeypatch, primes):
         plain = mdr(f, a.lines)
     unlucky_primes_first(monkeypatch, primes)
     lifted, lift = [], linalg._padic_kernel
-    monkeypatch.setattr(linalg, "_padic_kernel", lambda data, ncols, p, echelon, free: lifted.append(
-        (p, len(free))) or lift(data, ncols, p, echelon, free))
+    monkeypatch.setattr(linalg, "_padic_kernel", lambda data, ncols, p, echelon, free, *first: lifted.append(
+        (p, len(free))) or lift(data, ncols, p, echelon, free, *first))
     kernel = linalg.kernel_basis(rows, ncols, lambda vec: criteria._divide_by_line(vec, hi, c)[1])
     assert list(kernel) == list(whole) and not FIRST_VECTOR.fullmatch(kernel.certificate)
     assert lifted == [(primes[0] if primes else next(linalg.prime_stream()), len(whole))]

@@ -1,7 +1,9 @@
 import random
+from array import array
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from nearfree import (
     linalg,
     weak_combinatorics,
 )
+from nearfree.errors import ToolkitError
 from nearfree.field import OMEGA, ONE, ZERO, integer_pairs, pair_mul
 
 from bareiss import _bareiss_kernel, exact_kernel, rank
@@ -24,10 +27,12 @@ from support import (
     coeffs,
     dense_rows,
     div,
+    random_arrangement,
     random_nonzero_scalar,
     random_rational_scalar,
     random_scalar,
     reference_annihilates,
+    reference_echelon_dense,
     reference_kernel_from_echelon,
     reflection_arrangement,
     scalar_vector,
@@ -444,6 +449,112 @@ def test_sparse_and_dense_eliminations_agree(prime):
             assert found[0] == found[1]
 
 
+def _fresh(p):
+    # the pivots a 64-bit slot below 2^(b+1) takes with no carry, b = bits(p)
+    return ((1 << 64) - (2 << p.bit_length())) // (p - 1) ** 2
+
+
+def _dense_cases(rng, p, n):
+    """n x n residue dicts (and the wide and tall cuts) of three kinds:
+    "worst", A = L*U with L unit lower and U unit upper triangular, 1 below
+    and -1 above the diagonal, so at every pivot the lead is 1 and every
+    pending slot gains exactly (p - 1)^2; "p - 1", a random support whose
+    residues are all p - 1; and "random", random residues in random places."""
+    worst = [[(1 - j if j <= i else -(i + 1)) % p for j in range(n)] for i in range(n)]
+    minus = [[p - 1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+    other = [[rng.randrange(1, p) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+    for kind, full in [("worst", worst), ("p - 1", minus), ("random", other)]:
+        for rows, ncols in [(full, n), (full[:n - 3], n), ([row[:n - 3] for row in full], n - 3)]:
+            yield kind, [{j: x for j, x in enumerate(row) if x} for row in rows], ncols
+
+
+def _check_dense_route(rows, ncols, p):
+    # the packed route keeps the reference's every pivot, echelon row and row
+    # operation, and the sparse route its pivots and kernel residues
+    found = linalg._echelon_dense([dict(row) for row in rows], ncols, p)
+    assert found == reference_echelon_dense(rows, ncols, p)
+    pivots, echelon, _ = found
+    sparse_pivots, sparse_echelon, _ = linalg._echelon_sparse([dict(row) for row in rows], ncols, p)
+    assert sparse_pivots == pivots
+    assert _kernel_residues(pivots, sparse_echelon, ncols, p) == _kernel_residues(pivots, echelon, ncols, p)
+    return pivots
+
+
+STREAM = list(linalg.prime_stream())
+
+
+@pytest.mark.parametrize("p", [STREAM[0], STREAM[-1], 3 * 2**30 + 1, 2**32 - 5, 7, 13],
+                         ids=["stream first", "stream last", "3*2^30+1", "2^32-5", "7", "13"])
+def test_dense_route_reduces_its_slots_without_changing_a_pivot(p):
+    # 52 columns give the stream's first prime (fresh = 16) its slot
+    # reduction at least three times; 3*2^30 + 1 and 2^32 - 5 (fresh = 1)
+    # reduce after every pivot; the others never fill a slot, and take the
+    # same route unreduced
+    assert [_fresh(q) for q in (STREAM[0], 3 * 2**30 + 1, 2**32 - 5)] == [16, 1, 1]
+    rng = random.Random(3020)
+    for kind, rows, ncols in _dense_cases(rng, p, 52):
+        pivots = _check_dense_route(rows, ncols, p)
+        if kind != "p - 1" and _fresh(p) <= 16:
+            assert len(pivots) >= 3 * _fresh(p)
+
+
+def test_dense_route_on_heavy_rows_forced_both_ways():
+    # random span-4 d = 16 at r = 13: 210 x 210 rows about a third nonzero,
+    # each route forced on them mod the stream's first prime
+    a = random_arrangement(random.Random(1), 16, span=4)
+    data, ncols = derivation_rows([integer_pairs(coeffs(form)) for form in a.lines], 13)
+    p = STREAM[0]
+    rows = [{j: x for j, (n, _) in row.items() if (x := n % p)} for row in data]
+    assert (len(rows), ncols) == (210, 210) and len(_check_dense_route(rows, ncols, p)) > 3 * _fresh(p)
+
+
+def test_dense_route_needs_64_bit_slots(monkeypatch):
+    # above 2^32 one product of residues fills a 64-bit slot, so no pivot fits
+    # (fresh = 0), and an array("Q") whose items are not 8 bytes packs no
+    # 64-bit slots: both are raised errors, not wrong pivots
+    with pytest.raises(ToolkitError, match="internal"):
+        linalg._echelon_dense([{0: 1}], 1, 2**32 + 15)
+    monkeypatch.setattr(linalg, "array", lambda code, *init: array("I", *init))
+    with pytest.raises(ToolkitError, match="internal"):
+        linalg._echelon_dense([{0: 1}], 1, STREAM[0])
+
+
+class _BigEndianSlots:
+    """array("Q") as a big-endian host lays it out, each slot's eight bytes
+    most significant first; int.from_bytes reads it through __bytes__."""
+    itemsize = 8
+
+    def __init__(self, code, init=b""):
+        assert code == "Q"
+        self.raw = bytearray(init if isinstance(init, bytes) else b"".join(x.to_bytes(8, "big") for x in init))
+
+    def __setitem__(self, k, x):
+        self.raw[8 * k:8 * k + 8] = x.to_bytes(8, "big")
+
+    def __iter__(self):
+        return (int.from_bytes(self.raw[k:k + 8], "big") for k in range(0, len(self.raw), 8))
+
+    def __bytes__(self):
+        return bytes(self.raw)
+
+    def byteswap(self):
+        for k in range(0, len(self.raw), 8):
+            self.raw[k:k + 8] = self.raw[k:k + 8][::-1]
+
+
+def test_dense_route_swaps_the_slot_bytes_on_a_big_endian_host(monkeypatch):
+    # with array("Q") laid out big-endian, the packed integers are still read
+    # and written little-endian: the same pivots, echelon rows and record
+    rng, p = random.Random(3021), STREAM[0]
+    cases = [(rows, ncols) for _, rows, ncols in _dense_cases(rng, p, 40)]
+    expected = [linalg._echelon_dense([dict(row) for row in rows], ncols, p) for rows, ncols in cases]
+    assert bytes(_BigEndianSlots("Q", [1, 2])) == bytes(7) + b"\1" + bytes(7) + b"\2"
+    monkeypatch.setattr(linalg, "array", _BigEndianSlots)
+    monkeypatch.setattr(linalg, "sys", SimpleNamespace(byteorder="big"))
+    for (rows, ncols), want in zip(cases, expected):
+        assert linalg._echelon_dense([dict(row) for row in rows], ncols, p) == want
+
+
 def _big(rng):
     """A nonzero integer of up to 200 bits, of either sign."""
     return rng.choice([-1, 1]) * rng.choice([1, 2, 3, rng.getrandbits(200) | 1 << 199])
@@ -618,8 +729,8 @@ def _nodal_without_zero_coefficients(rng, d):
 
 def test_benchmark_rows_take_the_faster_route(monkeypatch):
     # 9% of the cells of A(6,1,3)'s rows at its mdr 7 are nonzero, and the
-    # sparse route eliminated them about 3.5x faster; a nodal octic's rows at
-    # its mdr 6 are about 40% nonzero, and the dense route was 1.5x faster
+    # sparse route eliminated them about 2x faster; a nodal octic's rows at
+    # its mdr 6 are about 40% nonzero, and the dense route was 3.3x faster
     routes = []
     for name in ("_echelon_dense", "_echelon_sparse"):
         def spy(*args, name=name, eliminate=getattr(linalg, name)):
@@ -897,9 +1008,9 @@ def test_a_prime_with_one_deficient_embedding_is_dropped(monkeypatch):
     calls, steps = _counted_eliminations(monkeypatch), _targets_calls(monkeypatch)
     lifted = []
 
-    def lift_spy(data, ncols, p, echelon, free, lift=linalg._padic_kernel):
+    def lift_spy(data, ncols, p, echelon, free, *first, lift=linalg._padic_kernel):
         lifted.append(p)
-        return lift(data, ncols, p, echelon, free)
+        return lift(data, ncols, p, echelon, free, *first)
 
     monkeypatch.setattr(linalg, "_padic_kernel", lift_spy)
     for m, want in zip(cases, expected):

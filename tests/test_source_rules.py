@@ -3,10 +3,11 @@
 Each rule keeps one design decision from eroding: invariants are raised
 errors, no import is dead, linalg and criteria reach each other and the
 field only through their named entry points, the exact kernel check is a
-proof, the p-adic lift works over Q alone, f and the witness stay in Z[w]
-integers, a line is scaled to integers once, when it is parsed, a Scalar
-is made only where a value is read back out, and the package holds only
-what its commands run."""
+proof, the p-adic lift works over Q alone, the dense elimination converts
+whole rows to and from bytes, f and the witness stay in Z[w] integers, a
+line is scaled to integers once, when it is parsed, a Scalar is made only
+where a value is read back out, and the package holds only what its
+commands run."""
 
 import ast
 import pathlib
@@ -87,6 +88,28 @@ def test_only_step_0_uses_the_prime_element():
            for name in [getattr(n, "id", getattr(n, "attr", None))]
            if name in ("_prime_element", "_nearest_remainder", "_cube_root")]
     assert bad == []
+
+
+def test_dense_elimination_converts_whole_rows_to_and_from_bytes():
+    # `_echelon_dense` packs a row by one int.from_bytes and reads a pivot
+    # row back by one to_bytes: in linalg only it converts, never in a
+    # comprehension or a loop inside its row or column loop, which would be
+    # a call per slot
+    tree = _tree(SRC / "linalg.py")
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def visit(node, fn, loops, comprehension):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("to_bytes", "from_bytes"):
+            found.append((fn, node.lineno, loops, comprehension))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn, loops + isinstance(node, (ast.For, ast.While)),
+                  comprehension or isinstance(node, comprehensions))
+
+    for fn in tree.body:
+        visit(fn, getattr(fn, "name", None), 0, False)
+    assert {fn for fn, *_ in found} == {"_echelon_dense"}
+    assert [line for _, line, loops, comprehension in found if loops > 1 or comprehension] == []
 
 
 def test_criteria_imports_from_linalg_only_kernel_basis_and_span_basis():
