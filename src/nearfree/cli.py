@@ -9,7 +9,9 @@ du Plessis-Wall bounds) or a failed internal check such as NotASyzygy or
 NoSyzygyFound, 3 field mismatch, 4 rejected (non-generic) deformation.
 
 Arrangement commands pass the lines to `analyze_curve`, so mdr is found on
-the logarithmic derivations; `--poly` curves use the Jacobian route.
+the logarithmic derivations, and the census's largest multiplicity m, whose
+pencil bound d - m starts the search; `--poly` curves use the Jacobian
+route.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def _arrangement_report(
     if comb is None:
         comb = arr.weak_combinatorics(a)
     f = arr.defining_polynomial(a)
-    report = analyze_curve(f, tau=comb.mu, source=source, lines=a.lines)
+    report = analyze_curve(f, tau=comb.mu, source=source, lines=a.lines,
+                           m=max(dict(comb.counts), default=None))
     report.mu = comb.mu
     report.combinatorics = comb
     report.notes.insert(0, "tau taken equal to mu (arrangement singularities)")

@@ -34,11 +34,10 @@ against the total Tjurina number tau of the curve:
   theta is mapped to AR(f)_r by (a, b, c) = theta - (g/d)(x, y, z) with
   g = sum theta(alpha_i)/alpha_i, since theta(f) = g*f and E(f) = d*f.
 
-Either way each kernel is a canonical basis of Z[w] integer vectors with
-its certificate, from `nearfree.linalg`: `kernel_basis` eliminates sparse
-Z[w] rows, dicts of their nonzero cells, and `span_basis` canonicalises a
-kernel derived from the one above it. The witness stays in Z[w] integers
-over one denominator: `_derivation_witness` builds it on lists aligned
+Either way each kernel is settled by `nearfree.linalg.kernel_basis`, which
+eliminates sparse Z[w] rows, dicts of their nonzero cells, and lifts at
+most the first canonical vector. The witness stays in Z[w] integers over
+one denominator: `_derivation_witness` builds it on lists aligned
 with graded_basis, dividing each image theta(alpha_i) by its line in one
 Horner pass, and `verify_syzygy` checks a*f_x + b*f_y + c*f_z = 0 exactly
 on flat integer lists before its polynomials are built.
@@ -49,16 +48,31 @@ point of an arrangement is quasi-homogeneous. A tau outside the du
 Plessis-Wall bounds for the computed r is rejected with TauOutOfRange; for
 arrangements that is a check of the invariant tau = mu.
 
-tau also orders the search: `mdr` walks the degrees from hi, the largest
-r that the bounds admit (0 without tau). Both spaces are modules over the
-polynomial ring, so a zero kernel at r proves every lower degree empty:
-step up. With l = x - c*y not a line (x on --poly), `kernel_basis`
-divides the kernel mod p by l (`_divide_by_line`): a nonzero K_r ends the
-walk above a known empty degree, or when those remainders prove K_(r-1) =
-0 (its first vector lifted alone). Else, both spaces saturated by l,
-K_(r-1) = {theta : l*theta in K_r}: the remainders of the whole exact
-basis have a zero kernel, ending the walk at r, or its vectors combine
-the quotients into a span of K_(r-1): step down. r and the witness ignore tau.
+tau also orders the search: `mdr` walks the degrees from min(hi, d - m),
+hi the largest r that the bounds admit (0 without tau) and d - m the
+pencil bound below, given m, the largest multiplicity of a point of the
+lines. Both spaces are modules over the polynomial ring, so a zero kernel
+at r proves every lower degree empty: step up. Where degree r - 1 is known
+empty, at r = 0 or above a zero kernel, a nonzero kernel at r ends the
+walk, and `kernel_basis` lifts its first vector. Elsewhere, with l = x -
+c*y not a line (x on --poly), it divides the kernel mod p by l
+(`_remainders`): both spaces are saturated by l, so K_(r-1) = {theta :
+l*theta in K_r}, and remainders of full column rank mod p prove K_(r-1) =
+0, which ends the walk at r with the first vector lifted. Otherwise the
+kernel at r stays open, nothing is lifted, and the walk steps down to
+eliminate r - 1 mod p. So the walk ends at mdr from any start: r and the
+witness ignore tau and m.
+
+The pencil bound: mdr <= d - m for an arrangement with a point P of
+multiplicity m, by the pencil-type syzygy of Dimca ("Curve arrangements,
+pencils, and Jacobian syzygies", Michigan Math. J. 66, 2017). Let p be
+P's coordinate vector, h the product of the d - m lines not through P,
+and theta = h*(p_x d/dx + p_y d/dy + p_z d/dz). Then theta(alpha) =
+h*alpha(p) is 0 for a line alpha through P and a multiple of alpha for
+any other, so theta is in D(A)_(d-m). It is not in S*E: h*p
+= g*(x, y, z) with g != 0 would make x, y and z proportional. So
+D(A)_(d-m) is larger than S_(d-m-1) E, and D_H0(A)_(d-m), of the
+dimension of AR(f)_(d-m), is not 0.
 """
 
 from __future__ import annotations
@@ -72,7 +86,7 @@ from typing import Optional, Sequence
 
 from .errors import NoSyzygyFound, NotASyzygy, OutOfRange, TauOutOfRange
 from .field import ZERO, FieldTag, integer_pairs, pair_det2
-from .linalg import kernel_basis, span_basis
+from .linalg import kernel_basis
 from .poly import Poly, graded_basis
 
 
@@ -305,14 +319,13 @@ class MdrResult:
 
     certificates[k], k = 0..r, is how degree k was settled, for the
     relation matrix of a polynomial or derivation_rows of an arrangement:
-    as `nearfree.linalg.kernel_basis` names it, "full rank mod p",
-    "verified reconstruction (mod p^s)" or, at r alone, "verified
-    reconstruction (mod p^s) of the first vector; remainders full rank mod
-    p", which also proves degree r-1 empty. The walk of `mdr` records
-    "derived from the kernel at k+1" for a kernel it took from the one
-    above, and for the degrees below r it never reached, "implied by the
-    kernel at r" or, after a zero kernel at j, "implied by full rank at
-    j". It is not part of any report.
+    as `nearfree.linalg.kernel_basis` names it, "full rank mod p" below r
+    and at r "verified reconstruction (mod p^s) of the first vector", where
+    degree r-1 was known empty, or that and "; remainders full rank mod
+    p", which also proves degree r-1 empty. For the degrees below r that
+    the walk of `mdr` never reached it records "implied by the kernel at
+    r" or, after a zero kernel at j, "implied by full rank at j". It is not
+    part of any report.
     The witness (a, b, c) is the first canonical kernel vector on the
     Jacobian route; on the derivation route it is the first canonical
     derivation mapped to AR(f)_r, a different syzygy of the same degree.
@@ -325,7 +338,7 @@ class MdrResult:
     certificates: list
 
 
-def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
+def mdr(f: Poly, lines: Sequence = None, tau: int = None, m: int = None) -> MdrResult:
     """Smallest degree of a nonzero relation among the partials of f.
 
     With lines (the LinearForms whose product is f) the search runs on the
@@ -335,8 +348,10 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     degree. f is assumed reduced; that is not checked.
 
     The walk over the degrees starts at hi, the largest r whose
-    tau_bounds(d, r) admit tau (see the module docstring); without tau it
-    is the plain upward scan from 0; r and the witness do not depend on tau.
+    tau_bounds(d, r) admit tau, or at the pencil bound d - m if lower, m
+    the largest multiplicity of a point of the lines (see the module
+    docstring); without tau it is the plain upward scan from 0; r and the
+    witness depend on neither tau nor m.
     """
     d = f.degree
     if d < 2:
@@ -350,36 +365,31 @@ def mdr(f: Poly, lines: Sequence = None, tau: int = None) -> MdrResult:
     def rows(r):  # (sparse Z[w] rows, ncols), each relation row scaled by its own lcm
         if lines is not None:
             return derivation_rows(ints, r)
-        m = relation_matrix(f, r)
-        return [_stored(integer_pairs(m.entries[i:i + m.cols]))
-                for i in range(0, len(m.entries), m.cols)], m.cols
+        matrix = relation_matrix(f, r)
+        return [_stored(integer_pairs(matrix.entries[i:i + matrix.cols]))
+                for i in range(0, len(matrix.entries), matrix.cols)], matrix.cols
 
     # x - c*y with the least c >= 0 that is not one of the lines: x on --poly
     c = next(c for c in count() if ((1, 0), (-c, 0), (0, 0)) not in ints)
-    # hi, the largest r whose tau_bounds admit tau, or 0
-    r = max((k for k in range(d) if tau is not None
-             and tau_bounds(d, k)[0] <= tau <= tau_bounds(d, k)[1]), default=0)
+    # hi, the largest r whose tau_bounds admit tau, or 0; at most d - m
+    r = min(max((k for k in range(d) if tau is not None
+                 and tau_bounds(d, k)[0] <= tau <= tau_bounds(d, k)[1]), default=0), d - (m or 0))
     kernels = {}
     while True:
-        if r not in kernels:
-            kernels[r] = kernel_basis(*rows(r), lambda vec: _divide_by_line(vec, r, c)[1])
-        if not kernels[r]:
-            r += 1
-            if r == d:
-                raise NoSyzygyFound(
-                    f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
-        elif r - 1 in kernels or kernels[r].certificate.endswith("remainders full rank mod p"):
-            break  # degree r - 1 is empty: the walk stepped up from it, or the remainders prove it
-        else:
-            quotients, remainders = zip(*(_divide_by_line(vec, r, c) for vec in kernels[r]))
-            rest = [_stored(row) for row in zip(*remainders)]
-            if not (combinations := kernel_basis(rest, len(kernels[r]))):
-                break
-            kernels[r - 1] = span_basis(combinations, quotients, f"derived from the kernel at {r}")
+        # degree r - 1 is empty at r = 0 or when the walk stepped up from it, else the remainders decide
+        divide = None if r == 0 or r - 1 in kernels else lambda vec: _remainders(vec, r, c)
+        if kernel := kernel_basis(*rows(r), divide):
+            break
+        kernels[r] = kernel
+        if kernel.certificate.startswith("open"):
             r -= 1
+        elif (r := r + 1) == d:
+            raise NoSyzygyFound(
+                f"no syzygy found in degrees below d={d}, though (0, f_z, -f_y) is one")
     implied = f"implied by full rank at {r - 1}" if r - 1 in kernels else f"implied by the kernel at {r}"
-    certificates = [kernels[k].certificate if k in kernels else implied for k in range(r + 1)]
-    vec = kernels[r][0]
+    certificates = [kernels[k].certificate if k in kernels else implied for k in range(r)]
+    certificates.append(kernel.certificate)
+    vec = kernel[0]
     if lines is None:  # the three blocks of the vector, over its lead
         blocks, den = [vec[k * len(vec) // 3:] for k in range(3)], next(a for a, b in vec if a or b)
     else:
@@ -395,22 +405,20 @@ def _stored(row: Sequence) -> dict:
     return {j: x for j, x in enumerate(row) if x != (0, 0)}
 
 
-def _divide_by_line(vec: tuple, r: int, c: int) -> tuple:
-    """(quotient, remainder) of a degree-r vector, block by block, on
-    division by x - c*y, monic in x, so exact in Z[w]. With P_i the
-    coefficients of x^i y^(r-i-k) z^k in a block and Q_i the quotient's,
-    Q_(i-1) = P_i + c*Q_i from i = r down (Horner; Q_i is 0 at k = r-i),
-    and P_0 + c*Q_0 is the block on the line x = c*y. The quotient is in
-    graded_basis(r - 1) order, block by block; the remainder has an entry
-    per block and k.
+def _remainders(vec: list, r: int, c: int) -> list:
+    """The remainders of a degree-r vector of integers, block by block, on
+    division by x - c*y, monic in x: each block on the line x = c*y, an
+    entry per power of z. With P_i the coefficients of x^i y^(r-i-k) z^k in
+    a block and Q_i the quotient's, Q_(i-1) = P_i + c*Q_i from i = r down
+    (Horner; Q_i is 0 at k = r-i) ends at the remainder P_0 + c*Q_0.
     """
-    terms, quotient, remainder = iter(vec), [], []
+    terms, remainders = iter(vec), []
     for _ in range(0, len(vec), (r + 1) * (r + 2) // 2):  # each block
         q = []
-        for m in range(r + 1):  # the m + 1 terms of P_(r-m); zip stops at q before them
-            q = [(pa + c * qa, pb + c * qb) for (qa, qb), (pa, pb) in zip(q + [(0, 0)], terms)]
-            (quotient if m < r else remainder).extend(q)
-    return quotient, remainder
+        for _ in range(r + 1):  # P_r down to P_0, each a term longer than q, where zip stops
+            q = [t + c * x for x, t in zip(q + [0], terms)]
+        remainders.extend(q)
+    return remainders
 
 
 def eta(d: int, r: int) -> int:
@@ -482,16 +490,17 @@ class AnalysisReport:
 
 
 def analyze_curve(
-    f: Poly, tau: int, source: str = "polynomial", lines: Sequence = None
+    f: Poly, tau: int, source: str = "polynomial", lines: Sequence = None, m: int = None
 ) -> AnalysisReport:
     """Run the full numeric pipeline on a defining polynomial.
 
     tau must be supplied by the caller; for line arrangements use the total
     Milnor number, and pass the lines so that mdr searches the logarithmic
-    derivations. tau goes to mdr too, where it only orders the degree
-    search. tau must lie within tau_bounds(d, mdr), else TauOutOfRange is
-    raised. Degree < 2 input yields an Inapplicable report with a note
-    instead of an error so deletion chains can bottom out gracefully.
+    derivations, and m, their largest multiplicity of a point. tau and m go
+    to mdr too, where they only order the degree search. tau must lie
+    within tau_bounds(d, mdr), else TauOutOfRange is raised. Degree < 2
+    input yields an Inapplicable report with a note instead of an error so
+    deletion chains can bottom out gracefully.
     """
     d = f.degree
     report = AnalysisReport(source=source, field=f.tag, d=d, tau=tau)
@@ -501,7 +510,7 @@ def analyze_curve(
         )
         report.notes.append("degree < 2: verdict skipped")
         return report
-    result = mdr(f, lines, tau=tau)
+    result = mdr(f, lines, tau=tau, m=m)
     lower, upper = tau_bounds(d, result.r)
     if not lower <= tau <= upper:
         raise TauOutOfRange(

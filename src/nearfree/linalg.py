@@ -1,36 +1,35 @@
-"""Exact linear algebra: certified right-kernel bases.
+"""Exact linear algebra: certified first vectors of right kernels.
 
-`kernel_basis(rows, ncols)`, the one elimination entry point, takes sparse
-Z[w] rows: each a dict {column: (a, b)} of its nonzero cells a + b*w, with
-columns below ncols, which fixes the width (an empty dict is a zero row).
-Every pass below walks the stored cells only.
+`kernel_basis(rows, ncols, divide=None)`, the one elimination entry point,
+takes sparse Z[w] rows: each a dict {column: (a, b)} of its nonzero cells
+a + b*w, with columns below ncols, which fixes the width (an empty dict is
+a zero row). Every pass below walks the stored cells only.
 
-It returns the canonical kernel basis: pivot columns are taken left to
-right, one vector per free column with the other free coordinates zero,
-scaled to a first nonzero entry 1. The rows are eliminated once modulo a
-word-size prime p of `prime_stream` (proven by Proth's theorem, p = 1 mod
-3), w sent to a cube root of unity ω in F_p, and one of three checked
-certificates settles the kernel:
+It returns at most one vector of the canonical kernel basis, the first:
+pivot columns are taken left to right, and the vector of the first free
+column f has 1 at f and 0 at the other free columns. The rows are
+eliminated once modulo a word-size prime p of `prime_stream` (proven by
+Proth's theorem, p = 1 mod 3), w sent to a cube root of unity ω in F_p,
+and one of four checked certificates settles the kernel:
 
 * "full rank mod p" - reduction only lowers the rank, so the kernel is 0.
-* "verified reconstruction (mod p^s)" - the kernel mod p, one vector per
-  free column mod p, lifted to precision p^s and on to Z[w] vectors, each
-  checked exactly against every row (`_annihilates`) and with its last
-  nonzero entry at its own free column. As many as the kernel dimension
-  mod p, an upper bound, they span the exact kernel; a kernel vector whose
-  last nonzero entry is at c makes column c free, so these are the exact
-  free columns and the vectors the canonical basis.
-* "verified reconstruction (mod p^s) of the first vector; remainders full
-  rank mod p" (FIRST_VECTOR) - given `divide`, the remainders of a vector
-  on division by a line l monic in x, the k vectors v_j mod p are divided.
-  Remainders of full column rank mod p prove K' = {t : l*t in K} = 0: an
-  exact t != 0 in K', integral and not divisible by π, has l*t = sum u_j
-  v_j != 0 mod π, and division by l, linear, leaves sum u_j rem(v_j) = 0
-  with u != 0. This needs no saturation, so it holds on both routes and
-  for any p. Only the vector at the first free column f' mod p is then
-  lifted and checked: the first exact free column f is >= f' (columns
-  0..f stay dependent mod p), its last nonzero entry makes f' exactly
-  free, so f' = f, and as the columns left of f are independent it is v_f.
+* "verified reconstruction (mod p^s) of the first vector" (FIRST) - with
+  no divide, the kernel vector mod p at the first free column f' mod p,
+  lifted to precision p^s and on to a Z[w] vector, checked exactly against
+  every row (`_annihilates`) and with its last nonzero entry at f'. The
+  first exact free column f is >= f' (columns 0..f stay dependent mod p),
+  the vector's last nonzero entry makes f' exactly free, so f' = f, and as
+  the columns left of f are independent it is v_f.
+* FIRST_VECTOR, FIRST and "; remainders full rank mod p" - given divide,
+  the remainders of a vector on division by a line l monic in x, the k
+  vectors v_j mod p are divided. Remainders of full column rank mod p prove
+  K' = {t : l*t in K} = 0: an exact t != 0 in K', integral and not
+  divisible by π, has l*t = sum u_j v_j != 0 mod π, and division by l,
+  linear, leaves sum u_j rem(v_j) = 0 with u != 0. This needs no
+  saturation, so it holds on both routes and for any p. v_f is then lifted
+  as under FIRST.
+* "open: remainders not full rank mod p" (OPEN) - given divide, remainders
+  that do not prove K' = 0: nothing is lifted and no vector returned.
 
 Over Q(w), step 0 (s = 1) reads each residue as its nearest remainder mod
 π = gcd(p, w - ω) in Z[w]. Every other lift is over Q (`_padic_kernel`):
@@ -41,30 +40,28 @@ matrix of A in the coordinates x_j, y_j of x_j + y_j*w. Columns 2j, 2j + 1
 are the images of e_j, w*e_j; those left of them span a w-stable S, and
 over the field Q(w) u is in S iff w*u is in S + Q*u. So R's free columns
 pair up as (2f, 2f + 1), f free for A, with canonical vectors v_f (read as
-pairs) and w*v_f: only those at 2f are lifted. Mod p, where ω and ω² split
-F_p[w] into two fields, they pair iff both embeddings give the same pivots;
-else p is dropped. k' such pairs mod p bound 2*dim ker A, and k' verified
-vectors with last entries at distinct 2f make dim ker A >= k': the
-certificate's argument holds for R as a Q matrix.
+pairs) and w*v_f: the one at the first 2f is lifted. Mod p, where ω and ω²
+split F_p[w] into two fields, they pair iff both embeddings give the same
+pivots; else p is dropped. The first-vector argument holds for R as a Q
+matrix, and columns of A dependent over Q(w) left of f would make those
+of R left of 2f dependent over Q: read as pairs, R's v_2f is A's v_f.
 
 The loop ends. If p keeps the exact pivot columns, each canonical entry is
 a quotient of r x r minors (r the rank), at most H by Hadamard's bound, so
-`_lift` gives the exact basis once p^s reaches 3H^2 (for R, its own H at
+`_lift` gives the exact vector once p^s reaches 3H^2 (for R, its own H at
 rank 2r). There, or when a residual is not divisible or a zero row meets a
 nonzero right-hand side, p is dropped for the next prime. Each dropped
 prime (> 2^19) divides the nonzero norm (<= H^2) of an r x r minor, so the
 1652 primes run out only for H beyond 2^16000, and then `kernel_basis` raises.
 Vectors stay Z[w] integers, times the lcm of their denominators (`Kernel`).
-`span_basis` gives the canonical basis of a kernel known as a span.
 
 Each elimination mod p (`_echelon_mod`) reduces the stored cells to dicts
 of the nonzero residues, eliminated as they are when at most a third are
 nonzero (`_echelon_sparse`), else packed into big integers, a 64-bit slot
 per column, folded down by packed steps every few pivots, before a slot
 can carry (`_echelon_dense`); both give the same pivots and kernel residues.
-Back-substitution, the p-adic steps and the exact check (`_annihilates`,
-whose signed slots are wide enough for a proof) pack the k vectors by
-column too, and run once per kernel.
+Back-substitution packs the k residue vectors that divide takes by column
+too, and runs once per kernel.
 """
 
 from __future__ import annotations
@@ -79,7 +76,9 @@ from .errors import ToolkitError
 from .field import primitive_pairs
 
 FULL_RANK_MOD_P = "full rank mod p"
-FIRST_VECTOR = "verified reconstruction (mod p^{}) of the first vector; remainders full rank mod p"
+FIRST = "verified reconstruction (mod p^{}) of the first vector"
+FIRST_VECTOR = FIRST + "; remainders full rank mod p"
+OPEN = "open: remainders not full rank mod p"
 
 # Every p = k*2^15 + 1 with 3 | k is 1 mod 8 and 1 mod 3, so 2 and 3 are
 # squares mod p and can never prove it prime; the bases start at 5.
@@ -110,10 +109,10 @@ def prime_stream():
 
 
 class Kernel(list):
-    """The canonical kernel vectors in Z[w] (the first alone under
-    FIRST_VECTOR) and the certificate that settled them. Each is the one
-    with lead entry 1 times the lcm s of its denominators: integer pairs,
-    lead entry (s, 0), no common factor (`field.primitive_pairs`)."""
+    """The first canonical kernel vector in Z[w], or none, and the
+    certificate that settled it. The vector is the one with lead entry 1
+    times the lcm s of its denominators: integer pairs, lead entry (s, 0),
+    no common factor (`field.primitive_pairs`)."""
 
     def __init__(self, vectors, certificate: str):
         super().__init__(primitive_pairs(vec) for vec in vectors)
@@ -330,33 +329,14 @@ def _lift(residues: list, m: int):
     return out if max(map(abs, out)) <= bound else None
 
 
-def _annihilates(data: list, vectors: list, e: int, longest: int) -> bool:
-    """Exact check that every Z[w] vector kills every sparse Z[w] row: each
-    vector's sum of Z[w] products over the row's stored cells must be 0.
-    All at once: column j's a and b parts are each packed as sum_i x_i 2^(iS),
-    so a row's two sums hold vector i's sum y_i in signed slot i. A part of
-    y_i is at most 2*N*X <= 4*L*E*X < 2^(S-1), for N the row's L1 norm, L =
-    longest the most cells in a row, and E = e, X at least every |a| | |b|
-    (>= |a|, |b|) of the cells and of the entries. Below a top nonzero slot
-    m the others add up to less than 2^(S-1) * (2^(mS) - 1) / (2^S - 1) <
-    2^(mS), so a zero packed sum proves every y_i = 0, in Z[w] with no
-    modulus; one vector needs no bound."""
-    if not vectors:
-        return True
-    columns = vectors[0]
-    if len(vectors) > 1:
-        x = max([abs(a) | abs(b) for vec in vectors for a, b in vec])
-        width = e.bit_length() + x.bit_length() + longest.bit_length() + 3
-        columns = []
-        for column in zip(*vectors):
-            pa = pb = 0
-            for xa, xb in reversed(column):
-                pa, pb = (pa << width) + xa, (pb << width) + xb
-            columns.append((pa, pb))
+def _annihilates(data: list, vec: list) -> bool:
+    """Exact check that the Z[w] vector kills every sparse Z[w] row: its sum
+    of Z[w] products over the row's stored cells must be 0, in Z[w] with no
+    modulus."""
     for row in data:
         re = im = 0
         for j, (ra, rb) in row.items():
-            xa, xb = columns[j]
+            xa, xb = vec[j]
             # (ra + rb w)(xa + xb w) = ra xa - rb xb + (ra xb + rb xa - rb xb) w
             if rb:
                 t = rb * xb
@@ -390,21 +370,17 @@ def _prime_element(p: int, w: int) -> tuple:
     return x
 
 
-def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, width: int, free: list, first=None):
-    """The packed p-adic digits of the kernel vectors of the integer rows
-    A = data (cells (a, 0)) at the columns free, from their echelon form mod
-    p: the kernel mod p (or first, if given), then one step at a time, until
-    a sign of a bad prime. The vectors U so far have A*U = p^s*R. A step adds
-    A times the digits to R and divides by p, exact when every residue is 0
-    mod p, then solves A*digits = -R mod p: R's residues follow the row
-    operations (a zero row must end at 0) into back-substitution, 0 at the
-    free columns. A slot of R stays below 2*L*E; made non-negative by a
-    multiple of p near 2^(width-2), it and the products the row operations
-    add fit the width."""
+def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, f: int, first=None):
+    """The p-adic digits of the kernel vector of the integer rows A = data
+    (cells (a, 0)) at the free column f, from their echelon form mod p: v_f
+    mod p (or first, if given), then one step at a time, until a sign of a
+    bad prime. The vector u so far has A*u = p^s*R. A step adds A times the
+    digit to R and divides by p, exact when every entry is 0 mod p, then
+    solves A*digit = -R mod p: R's residues follow the row operations (a
+    zero row must end at 0) into back-substitution, 0 at the free columns."""
     pivots, rows, ops, _ = echelon
-    yield (digits := first or _kernel_from_echelon(pivots, rows, ncols, p, width, free))
-    shifts, mask = range(0, len(free) * width, width), (1 << width) - 1
-    offset = (p << width - 2 - p.bit_length()) * sum(1 << shift for shift in shifts)
+    width = 2 * p.bit_length() + ncols.bit_length()
+    yield (digit := first or _kernel_from_echelon(pivots, rows, ncols, p, width, [f]))
     zero_rows = set(range(len(data))).difference(op[0] for op in ops)
     cells = [(list(row), [a for a, _ in row.values()]) for row in data]
     ops = [(i, inv, [(j, p - t) for j, t in zip(others, leads) if t]) for i, inv, others, leads in ops]
@@ -412,52 +388,48 @@ def _padic_digits(data: list, ncols: int, p: int, echelon: tuple, width: int, fr
     while True:
         rhs = []
         for n, (columns, coeffs) in enumerate(cells):
-            re, x = divmod(residual[n] + sum(map(mul, map(digits.__getitem__, columns), coeffs)), p)
+            re, x = divmod(residual[n] + sum(map(mul, map(digit.__getitem__, columns), coeffs)), p)
             if x:
                 return
             residual[n] = re
-            rhs.append(re + offset)
+            rhs.append(re)
         for i, inv, updates in ops:
-            rhs[i] = y = _slot_residues(rhs[i], shifts, mask, p, inv)
+            rhs[i] = y = rhs[i] * inv % p
             for j, t in updates:
                 rhs[j] += t * y
-        if any(_slot_residues(rhs[i], shifts, mask, p, 1) for i in zero_rows):
+        if any(rhs[i] % p for i in zero_rows):
             return
-        yield (digits := _kernel_from_echelon(pivots, rows, ncols, p, width, free,
-                                              {c: rhs[op[0]] for c, op in zip(pivots, ops)}))
+        yield (digit := _kernel_from_echelon(pivots, rows, ncols, p, width, [f],
+                                             {c: rhs[op[0]] for c, op in zip(pivots, ops)}))
 
 
-def _reconstruct(digits: list, p: int, m: int, ncols: int, width: int, free: list):
-    """The vectors, one per column of free, as integer vectors (pairs (a, 0))
-    by `_lift` of sum p^i*digits_i mod m = p^s; None if one does not lift or
-    has a nonzero entry right of its free column."""
-    mask, vectors = (1 << width) - 1, []
-    for f, i in zip(free, range(0, len(free) * width, width)):
-        u = [0] * ncols
-        for columns in reversed(digits):
-            u = [a * p + (c >> i & mask) for a, c in zip(u, columns)]
-        if (v := _lift(u, m)) is None or any(v[f + 1:]):
-            return None
-        vectors.append([(a, 0) for a in v])
-    return vectors
+def _reconstruct(digits: list, p: int, m: int, f: int):
+    """The vector as integer pairs (a, 0), by `_lift` of sum p^i*digits_i
+    mod m = p^s; None if it does not lift or has a nonzero entry right of
+    its free column f."""
+    u = [0] * len(digits[0])
+    for digit in reversed(digits):
+        u = [a * p + x for a, x in zip(u, digit)]
+    if (v := _lift(u, m)) is None or any(v[f + 1:]):
+        return None
+    return [(a, 0) for a in v]
 
 
-def _padic_kernel(data: list, ncols: int, p: int, echelon: tuple, free: list, first=None):
-    """(s, vectors): the kernel vectors of the integer rows data at the
-    columns free, lifted from their echelon form mod p (or first) to p^s, s
-    = 1, 2, 4, ... and at the stop bound, and checked exactly; None if p
+def _padic_kernel(data: list, ncols: int, p: int, echelon: tuple, f: int, first=None):
+    """(s, vector): the kernel vector of the integer rows data at the free
+    column f, lifted from their echelon form mod p (or first) to p^s, s =
+    1, 2, 4, ... and at the stop bound, and checked exactly; None if p
     turns out bad."""
     pivots, _, _, (_, e, longest) = echelon
-    width = 2 * p.bit_length() + ncols.bit_length() + longest.bit_length() + e.bit_length() + 4
     # Hadamard's bound H^2 on an r x r minor: a row meets at most min(L, r) columns
     bound, digits, m = 3 * (min(longest, len(pivots)) * e * e) ** len(pivots), [], 1
-    for s, step in enumerate(_padic_digits(data, ncols, p, echelon, width, free, first), 1):
-        digits.append(step)
+    for s, digit in enumerate(_padic_digits(data, ncols, p, echelon, f, first), 1):
+        digits.append(digit)
         m *= p
         if (done := m >= bound) or s & (s - 1) == 0:
-            vectors = _reconstruct(digits, p, m, ncols, width, free)
-            if vectors is not None and _annihilates(data, vectors, e, longest):
-                return s, vectors
+            vec = _reconstruct(digits, p, m, f)
+            if vec is not None and _annihilates(data, vec):
+                return s, vec
             if done:
                 return None
 
@@ -475,76 +447,49 @@ def _real_rows(data: list) -> list:
 def _kernel_mod(data: list, ncols: int, p: int, divide=None):
     """`kernel_basis` at the prime p, or None when p turns out bad."""
     w = _cube_root(p)
-    echelon = pivots, rows, _, (qw, e, longest) = _echelon_mod(data, ncols, p, w)
+    echelon = pivots, rows, _, (qw, _, _) = _echelon_mod(data, ncols, p, w)
     if len(pivots) == ncols:
         return Kernel([], FULL_RANK_MOD_P)
-    free = sorted(set(range(ncols)).difference(pivots))
-    certificate, lifted, first = "verified reconstruction (mod p^{})", len(free), None
-    if qw or divide:  # the kernel mod p, a residue vector per free column
-        width = 2 * p.bit_length() + ncols.bit_length()
-        packed, mask = _kernel_from_echelon(pivots, rows, ncols, p, width, free), (1 << width) - 1
-        residues = [[x >> i & mask for x in packed] for i in range(0, len(free) * width, width)]
-        if divide:  # remainders of full column rank mod p prove K_(r-1) = 0: lift v_f alone
-            rest = zip(*(divide([(u, 0) for u in vec]) for vec in residues))
-            if len(_echelon_mod([dict(enumerate(row)) for row in rest], len(free), p, w)[0]) == len(free):
-                certificate, lifted, first = FIRST_VECTOR, 1, None if qw else residues[0]  # digit 0
+    free, certificate = sorted(set(range(ncols)).difference(pivots)), FIRST
+    k = len(free) if divide else 1  # the kernel mod p, a residue vector per free column, for divide
+    width = 2 * p.bit_length() + ncols.bit_length()
+    packed, mask = _kernel_from_echelon(pivots, rows, ncols, p, width, free[:k]), (1 << width) - 1
+    residues = [[x >> i & mask for x in packed] for i in range(0, k * width, width)]
+    if divide:  # remainders of full column rank mod p prove K_(r-1) = 0, else the kernel stays open
+        rest = zip(*map(divide, residues))
+        if len(_echelon_mod([{j: (x, 0) for j, x in enumerate(row)} for row in rest], k, p, w)[0]) < k:
+            return Kernel([], OPEN)
+        certificate = FIRST_VECTOR
+    first = residues[0]  # digit 0 of v_f
     if qw:  # step 0: each residue u as its nearest remainder mod π, in Z[w]
         pi, cap = _prime_element(p, w), isqrt(p // 2)
-        vectors = [[_nearest_remainder((u, 0), pi) if u else (0, 0) for u in vec] for vec in residues[:lifted]]
-        if all(abs(x) <= cap for vec in vectors for y in vec for x in y) and _annihilates(data, vectors, e, longest):
-            return Kernel(vectors, certificate.format(1))
-        # the real rows, whose free columns pair up as (2f, 2f + 1): lift those at 2f
+        vec = [_nearest_remainder((u, 0), pi) if u else (0, 0) for u in first]
+        if all(abs(x) <= cap for y in vec for x in y) and _annihilates(data, vec):
+            return Kernel([vec], certificate.format(1))
+        # the real rows, whose free columns pair up as (2f, 2f + 1): lift the first at 2f
         data, ncols = _real_rows(data), 2 * ncols
         echelon = _echelon_mod(data, ncols, p, w)
         paired = set(range(ncols)).difference(echelon[0])
         if {c ^ 1 for c in paired} != paired:
             return None
-        free = sorted(paired)[::2]
-    if found := _padic_kernel(data, ncols, p, echelon, free[:lifted], first):
-        s, vectors = found  # over Q(w), x_j at 2j and y_j at 2j + 1 back to x_j + y_j*w
-        pairs = ([(x, y) for (x, _), (y, _) in zip(vec[::2], vec[1::2])] for vec in vectors)
-        return Kernel(pairs if qw else vectors, certificate.format(s))
-
-
-def span_basis(combinations: list, vectors: list, certificate: str) -> Kernel:
-    """The canonical basis, as `kernel_basis` returns it, of the span of the
-    independent Z[w] vectors sum_j u_j*vectors[j], u in combinations, with
-    the given certificate. A fraction-free reduction leaves each vector a
-    last nonzero entry of its own, zero in the others: those are the free
-    columns, and `Kernel` scales each vector to its canonical form."""
-    def combine(terms):  # the sum of x*vec, (xa + xb w)(a + b w) with w^2 = -1 - w
-        out = [(0, 0)] * len(terms[0][1])
-        for (xa, xb), vec in terms:
-            out = [(sa + xa * a - xb * b, sb + xa * b + xb * a - xb * b)
-                   for (sa, sb), (a, b) in zip(out, vec)]
-        return out
-
-    def clear(vec, j, by):  # vec cleared at j by the vector by, which is nonzero there
-        a, b = vec[j]
-        return primitive_pairs(combine([(by[j], vec), ((-a, -b), by)])) if a or b else vec
-
-    reduced = {}  # last nonzero entry -> vector
-    for u in combinations:
-        vec = combine([(x, v) for x, v in zip(u, vectors) if x != (0, 0)])
-        for j, other in reduced.items():
-            vec = clear(vec, j, other)
-        j = max(k for k, x in enumerate(vec) if x != (0, 0))
-        reduced = {k: clear(other, j, vec) for k, other in reduced.items()}
-        reduced[j] = vec
-    return Kernel([reduced[j] for j in sorted(reduced)], certificate)
+        free, first = sorted(paired), None
+    if found := _padic_kernel(data, ncols, p, echelon, free[0], first):
+        s, vec = found  # over Q(w), x_j at 2j and y_j at 2j + 1 back to x_j + y_j*w
+        return Kernel([[(x, y) for (x, _), (y, _) in zip(vec[::2], vec[1::2])] if qw else vec],
+                      certificate.format(s))
 
 
 def kernel_basis(data: list, ncols: int, divide=None) -> Kernel:
-    """Canonical basis of the right kernel, as Z[w] integer vectors of
-    length ncols (see `Kernel`); rank + len(basis) == ncols. data is a list
-    of sparse rows, dicts {column: (a, b)} of the nonzero Z[w] cells
-    a + b*w with columns below ncols, such as
+    """The first canonical vector of the right kernel, as a Z[w] integer
+    vector of length ncols (see `Kernel`), or none when the kernel is 0 or
+    stays open. data is a list of sparse rows, dicts {column: (a, b)} of the
+    nonzero Z[w] cells a + b*w with columns below ncols, such as
     `nearfree.criteria.derivation_rows` gives. The next prime of
     `prime_stream` is taken only when one turns out bad; the result's
     `certificate` says how the kernel was settled (module docstring).
-    divide, if given, maps a kernel vector mod p, as (x, 0) pairs, to its
-    remainders on division by a line; when those of the kernel mod p have
-    full column rank, the basis is cut to its first vector (FIRST_VECTOR)."""
+    divide, if given, maps a kernel vector mod p, a residue list, to its
+    remainders on division by a line; unless those of the kernel mod p have
+    full column rank, nothing is lifted (OPEN)."""
     for p in prime_stream():
         if (kernel := _kernel_mod(data, ncols, p, divide)) is not None:
             return kernel

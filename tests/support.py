@@ -5,8 +5,9 @@ forms that kernel vectors and witnesses are compared in, and the
 independent references `intersect`, `divide_exact` (Scalar arithmetic),
 `reference_derivation_rows` (dense rows from binomials and powers),
 `reference_format_poly` (the text of a polynomial from its Scalar view),
-the per-vector loops that `nearfree.linalg` runs once per kernel
-(`reference_kernel_from_echelon`, `reference_annihilates`), the dense
+the per-vector back-substitution that `nearfree.linalg` packs into one
+pass (`reference_kernel_from_echelon`), the exact check of a list of
+vectors (`reference_annihilates`), the dense
 elimination mod p on residue lists (`reference_echelon_dense`),
 `primitive_pairs` by the conjugate product alone
 (`conjugate_primitive_pairs`), and the Scalar deformation
@@ -30,13 +31,17 @@ normalized Scalar coefficients (`coeffs`), `milnor_number`, `transform`,
 Tests build matrices as dense rows of Z[w] pairs, the format of the
 Bareiss reference (`tests/bareiss.py`); `sparse_rows` turns them into the
 (rows, ncols) that `nearfree.linalg.kernel_basis` takes, dicts of the
-nonzero cells, and `dense_rows` turns those back. `mdr_rows` gives the
-rows `criteria.mdr` eliminates in each degree and `kernel_dims` their
-whole kernel dimensions, which `MdrResult` does not record, and
-`whole_bases` makes `mdr` lift every kernel whole, the plain scan with no
-remainder certificate; `window_top` is its hi and `off_the_lines` its c,
-found independently. `format_scalar` is the text of a Scalar, which no
-command prints.
+nonzero cells, and `dense_rows` turns those back. `kernel_basis` lifts at
+most the first kernel vector, so whole kernels come from the Bareiss
+reference. `mdr_rows` gives the rows `criteria.mdr` eliminates in each
+degree and `kernel_dims` their whole kernel dimensions, which `MdrResult`
+does not record; `window_top` is its hi, `off_the_lines` its c, found
+independently, and `divide_by_line` the division by x - c*y whose
+remainders `mdr` takes mod p, with its quotient. `THIRTEEN` holds the 13
+lines ax + by + cz, a, b, c in {-1, 0, 1}, `thirteen_lines` builds the
+arrangement of a subset of them, with its census, and `thirteen_orbit`
+the subsets of its orbit under the signed permutations of (x, y, z). `format_scalar` is
+the text of a Scalar, which no command prints.
 
 `Poly` holds Z[w] integers over one denominator and has no arithmetic of
 its own. The reference arithmetic here works on its Scalar view, read
@@ -48,7 +53,7 @@ through `Poly.coefficient` (`scalar_terms`), with Scalar term maps
 
 import re
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, permutations, product
 from math import comb, gcd, lcm
 
 from nearfree import (
@@ -59,7 +64,6 @@ from nearfree import (
     LineArrangement,
     Poly,
     Scalar,
-    criteria,
     deformation,
     linalg,
     relation_matrix,
@@ -92,13 +96,15 @@ from nearfree.criteria import _line_data, derivation_rows
 from nearfree.field import integer_pairs, pair_mul
 from nearfree.poly import _mono_mul, _mono_str, graded_basis
 
-# the three certificates `linalg.kernel_basis` may give, the one `criteria.mdr`
-# records for a kernel its walk derived from the one above, and the two for
-# the degrees below mdr that the walk never reached
-FIRST_VECTOR = re.compile(r"verified reconstruction \(mod p\^[1-9]\d*\) of the first vector;"
-                          r" remainders full rank mod p")
-CERTIFICATE = re.compile(r"full rank mod p|verified reconstruction \(mod p\^[1-9]\d*\)"
-                         r"|" + FIRST_VECTOR.pattern + r"|derived from the kernel at \d+"
+from bareiss import exact_kernel
+
+# the four certificates `linalg.kernel_basis` may give, the last of them
+# ("open") never at or below mdr, and the two that `criteria.mdr` records for
+# the degrees below mdr that its walk never reached
+FIRST = re.compile(r"verified reconstruction \(mod p\^[1-9]\d*\) of the first vector")
+FIRST_VECTOR = re.compile(FIRST.pattern + r"; remainders full rank mod p")
+CERTIFICATE = re.compile(r"full rank mod p|" + FIRST.pattern + "|" + FIRST_VECTOR.pattern
+                         + r"|open: remainders not full rank mod p"
                          r"|implied by full rank at \d+|implied by the kernel at \d+")
 
 
@@ -185,9 +191,9 @@ def reference_echelon_dense(rows, ncols, p):
 
 
 def reference_annihilates(data, vectors):
-    """The per-vector exact check that `nearfree.linalg._annihilates` packs
-    into one pass: every Z[w] vector's sum of Z[w] products over every
-    sparse row's stored cells is 0."""
+    """The exact check of `nearfree.linalg._annihilates` for a list of
+    vectors: every Z[w] vector's sum of Z[w] products over every sparse
+    row's stored cells is 0."""
     for row in data:
         for vec in vectors:
             re = im = 0
@@ -310,22 +316,57 @@ def mdr_rows(f, lines=None):
     return lambda r: sparse_rows(relation_rows(f, r))
 
 
-def kernel_dims(f, lines, r):
-    """The kernel dimension in each degree 0..r of the rows `criteria.mdr`
-    eliminates, by `kernel_basis` with no division, so every basis is
-    whole: `mdr` keeps only the first vector where the remainders certify
-    the degree below."""
+def kernel_dims(f, lines, r, start=0):
+    """The kernel dimension in each degree start..r of the rows
+    `criteria.mdr` eliminates, by Bareiss elimination."""
     rows = mdr_rows(f, lines)
-    return [len(linalg.kernel_basis(*rows(k))) for k in range(r + 1)]
+    return [len(exact_kernel(dense_rows(*rows(k)))) for k in range(start, r + 1)]
 
 
-def whole_bases(monkeypatch):
-    """Make `criteria.mdr` eliminate with no division by its line, so each
-    nonzero kernel is lifted whole and, below hi, degree r - 1 is settled by
-    the walk's derived kernels alone: the plain scan with no remainder
-    certificate."""
-    monkeypatch.setattr(criteria, "kernel_basis",
-                        lambda rows, ncols, divide=None: linalg.kernel_basis(rows, ncols))
+def divide_by_line(vec, r, c):
+    """(quotient, remainder) of a degree-r Z[w] vector, block by block, on
+    division by x - c*y, monic in x, so exact in Z[w]. With P_i the
+    coefficients of x^i y^(r-i-k) z^k in a block and Q_i the quotient's,
+    Q_(i-1) = P_i + c*Q_i from i = r down (Horner; Q_i is 0 at k = r-i),
+    and P_0 + c*Q_0 is the block on the line x = c*y. The quotient is in
+    graded_basis(r - 1) order, block by block; the remainder has an entry
+    per block and k."""
+    terms, quotient, remainder = iter(vec), [], []
+    for _ in range(0, len(vec), (r + 1) * (r + 2) // 2):  # each block
+        q = []
+        for m in range(r + 1):  # the m + 1 terms of P_(r-m); zip stops at q before them
+            q = [(pa + c * qa, pb + c * qb) for (qa, qb), (pa, pb) in zip(q + [(0, 0)], terms)]
+            (quotient if m < r else remainder).extend(q)
+    return quotient, remainder
+
+
+# the primitive forms ax + by + cz, a, b, c in {-1, 0, 1}, first nonzero coefficient positive
+THIRTEEN = tuple(v for v in product((0, 1, -1), repeat=3) if any(v) and next(x for x in v if x) > 0)
+
+
+def thirteen_lines(mask):
+    """(arrangement, census) of the lines THIRTEEN[i] with bit i set in mask."""
+    a = LineArrangement([LinearForm(*v) for i, v in enumerate(THIRTEEN) if mask >> i & 1])
+    return a, weak_combinatorics(a)
+
+
+def _signed_permutations():
+    """The 48 signed permutations of (x, y, z), each as the permutation of
+    THIRTEEN that it induces on the lines."""
+    index = {v: i for i, v in enumerate(THIRTEEN)}
+    group = []
+    for order in permutations(range(3)):
+        for signs in product((1, -1), repeat=3):
+            images = [[s * v[k] for s, k in zip(signs, order)] for v in THIRTEEN]
+            group.append([index[tuple(x * next(y for y in u if y) for x in u)] for u in images])
+    return group
+
+
+def thirteen_orbit(mask):
+    """The masks of the images of a subset of THIRTEEN under the 48 signed
+    permutations of (x, y, z): the census, mdr and verdict are the same on
+    each."""
+    return {sum(1 << g[i] for i in range(13) if mask >> i & 1) for g in _signed_permutations()}
 
 
 def integer_terms(*polys):

@@ -5,6 +5,7 @@ import pytest
 from nearfree import (
     FieldTag,
     Poly,
+    Verdict,
     VerdictKind,
     analyze_curve,
     eta,
@@ -23,7 +24,7 @@ from nearfree.poly import graded_basis
 from bareiss import rank
 from support import (
     CERTIFICATE,
-    FIRST_VECTOR,
+    FIRST,
     jacobian_image,
     kernel_dims,
     milnor_number,
@@ -131,13 +132,10 @@ def test_mdr_exact_when_degrees_below_are_deficient_mod_p(monkeypatch, primes):
     assert jacobian_image(f, *result.witness).is_zero()
     assert all(CERTIFICATE.fullmatch(c) for c in result.certificates)
     assert result.certificates[:2] == [linalg.FULL_RANK_MOD_P] * 2
-    assert FIRST_VECTOR.fullmatch(result.certificates[2])
-    # no zero kernel is claimed mod 7: its one full-rank claim is the
-    # remainders at degree 0 of the whole space, the kernel mod 7, before the
-    # lift drops 7; 13 settles the empty degrees (3 and 9 columns), and the
-    # remainders of its kernel at 2 (one vector) have full column rank
-    assert [(p, ncols) for p, _, ncols in claims] == [(7, 3)] + (
-        [] if primes == (7,) else [(13, 3), (13, 9), (13, 1)])
+    assert FIRST.fullmatch(result.certificates[2])
+    # no zero kernel is claimed mod 7, and the plain scan divides nothing:
+    # 13 settles the empty degrees (3 and 9 columns)
+    assert [(p, ncols) for p, _, ncols in claims] == ([] if primes == (7,) else [(13, 3), (13, 9)])
 
 
 def test_kernel_dimension_monotonicity_beyond_mdr():
@@ -210,6 +208,14 @@ def test_verdict_exponent_sums():
     v = verdict(8, 4, 36)
     assert sum(v.exponents) == 8  # nearly free: d1 + d2 = d
     assert v.b == v.exponents[1] - 8 + 2
+
+
+def test_verdict_at_2r_equal_to_d():
+    # 2r = d is not free, whatever tau: eta(4, 2) = 7 = tau would make a
+    # free verdict at 2r <= d, and tau = eta - 1 is nearly free, with
+    # exponents (r, d - r) and b = 0
+    assert verdict(4, 2, 7).kind is VerdictKind.NEITHER
+    assert verdict(4, 2, 6) == Verdict(VerdictKind.NEARLY_FREE, exponents=(2, 2), b=0)
 
 
 def test_analyze_curve_cuspidal_cubic():

@@ -69,7 +69,7 @@ def _both_routes(a):
     jacobian, derivation = mdr(f), mdr(f, a.lines)
     assert derivation.r == jacobian.r
     # both kernels at r whole: mdr keeps the first vector of each
-    assert kernel_dims(f, a.lines, derivation.r)[-1] == kernel_dims(f, None, jacobian.r)[-1]
+    assert kernel_dims(f, a.lines, derivation.r, derivation.r) == kernel_dims(f, None, jacobian.r, jacobian.r)
     for result in (jacobian, derivation):
         assert all(p.degree == result.r and p.tag is f.tag for p in result.witness)
         assert any(result.witness)
@@ -126,31 +126,43 @@ def test_derivation_route_with_unlucky_primes(monkeypatch, primes):
     cases += [random_arrangement(random.Random(9200), 7, span=3), reflection_arrangement(3, True)]
     expected = [mdr(defining_polynomial(a), a.lines) for a in cases]
     claims = unlucky_primes_first(monkeypatch, primes)
-    certificates, row_claims = [], 0
+    certificates, full, row_claims, remainder_claims = [], 0, 0, 0
     for a, want in zip(cases, expected):
-        ints, start = [form.ints for form in a.lines], len(claims)
-        got = mdr(defining_polynomial(a), a.lines)
-        assert (got.r, got.witness) == (want.r, want.witness)
-        certificates += got.certificates
-        if FIRST_VECTOR.fullmatch(got.certificates[-1]) and got.r:  # degree r - 1 is empty
-            rows, ncols = derivation_rows(ints, got.r - 1)
-            assert bareiss.rank(dense_rows(rows, ncols)) == ncols
-        # a claim is of the rows of a degree k (ncols = (k + 1)(k + 2)) or
-        # of the remainders of a kernel mod p
-        row_claims += sum(rows == dense_rows(*derivation_rows(ints, k)) for _, rows, ncols in claims[start:]
-                          for k in range(a.d) if (k + 1) * (k + 2) == ncols)
+        ints, f = [form.ints for form in a.lines], defining_polynomial(a)
+
+        def of_rows(claim):  # the rows of a degree k, ncols = (k + 1)(k + 2), or remainders
+            _, rows, ncols = claim
+            return any(rows == dense_rows(*derivation_rows(ints, k)) for k in range(a.d)
+                       if (k + 1) * (k + 2) == ncols)
+
+        # the plain scan eliminates every degree up to mdr; the walk from hi,
+        # as the commands run it, divides the kernels mod p by a line
+        start = len(claims)
+        got = mdr(f, a.lines)
+        row_claims += sum(map(of_rows, claims[start:]))
+        full += got.certificates.count(linalg.FULL_RANK_MOD_P)
+        start = len(claims)
+        walked = mdr(f, a.lines, tau=weak_combinatorics(a).mu)
+        remainder_claims += sum(not of_rows(claim) for claim in claims[start:])
+        for result in got, walked:
+            assert (result.r, result.witness) == (want.r, want.witness)
+            certificates += result.certificates
+            if FIRST_VECTOR.fullmatch(result.certificates[-1]) and result.r:  # degree r - 1 is empty
+                rows, ncols = derivation_rows(ints, result.r - 1)
+                assert bareiss.rank(dense_rows(rows, ncols)) == ncols
     assert all(CERTIFICATE.fullmatch(c) for c in certificates)
     # mod 7 a kernel of the catalog lifts 7-adically past its first step
     assert any(int(c.split("^")[1].split(")")[0]) > 1 for c in certificates if "^" in c)
     # full rank mod a small prime is a proof too, and each matrix claimed
-    # there has full rank over Q(w); mod 7 alone one empty degree is
-    # rank-deficient and a later prime settles it, with 13 next 13 does
+    # there has full rank over Q(w); in the plain scans mod 7 alone one empty
+    # degree is rank-deficient and a later prime settles it, with 13 next
+    # 13 does
     for _, rows, ncols in claims:
         assert len(bareiss._bareiss(rows, ncols)[0]) == ncols
-    assert row_claims == certificates.count(linalg.FULL_RANK_MOD_P) - (primes == (7,))
-    # the other claims are of remainders, whose full rank mod 7 proves the
+    assert row_claims == full - (primes == (7,))
+    # the walks' claims are of remainders, whose full rank mod 7 proves the
     # degree below empty whether or not 7 then lifts the kernel
-    assert len(claims) > row_claims
+    assert remainder_claims > 0
 
 
 def _scalar_witness(a, r):

@@ -5,10 +5,15 @@ command as it was before mdr moved to the logarithmic-derivation route for
 arrangements; the `show-*.json` files, `catalog show NAME --json` on the 10
 catalog entries, as they were before the entries became `.lines` rows read
 by `parse_lines`. The `witness-*.txt` files hold the text report with
-`--witness` of `analyze` on the 10 catalog entries and on the three
-`.lines` files in golden/inputs (A(6,1,3) over Q(w), a seeded nodal
-arrangement of 8 lines, a near pencil of 40 lines), as they were before
-the arrangement path moved to Z[w] integer arithmetic. The
+`--witness` of `analyze` on the 10 catalog entries and on the `.lines`
+files in golden/inputs: A(6,1,3) over Q(w), a seeded nodal arrangement of
+8 lines and a near pencil of 40 lines, as they were before the
+arrangement path moved to Z[w] integer arithmetic, and two inputs on
+which the degree walk of `mdr` starts above mdr, as they were before that
+walk ran on eliminations mod p alone: a random draw of 12 lines (mdr 8,
+hi 9, pencil bound 8) and the 12 lines ax + by + cz, a, b, c in {-1, 0,
+1}, other than x (mdr 5, hi 6, pencil bound 8). `analyze-<input>.json`
+holds `analyze --json` on each of those five files, as it was then. The
 `witness-poly-*.txt` files hold `analyze --poly ... --tau ... --witness` on
 five curves, the Jacobian route, as they were before its witness was
 checked by `verify_syzygy`. `witness-deform-A1_6-Qw.txt` holds the text
@@ -27,15 +32,15 @@ from nearfree import catalog_names
 from nearfree.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-INPUTS = ("A6_1_3", "nodal8", "pencil40")
+INPUTS = ("A6_1_3", "nodal8", "pencil40", "span4_d12_s4", "lines13_minus_x")
 
 COMMANDS = {f"analyze-{n}": ["analyze", f"@catalog:{n}", "--json"] for n in catalog_names()}
 COMMANDS.update({f"show-{n}": ["catalog", "show", n, "--json"] for n in catalog_names()})
+COMMANDS.update({f"analyze-{s}": ["analyze", f"inputs/{s}.lines", "--json"] for s in INPUTS})
 COMMANDS["delete-DualHesse9-line0"] = ["delete", "@catalog:DualHesse9", "--line", "0", "--json"]
 COMMANDS["deform-A1_6"] = ["deform", "@catalog:A1_6", "--point", "1:1:1", "--line", "3",
                            "--dir", "y", "--eps", "1/2", "--json"]
 
-# run from golden/, so the `input:` row reads the same relative path
 WITNESS = {f"witness-{n}": ["analyze", f"@catalog:{n}", "--witness"] for n in catalog_names()}
 WITNESS.update({f"witness-{s}": ["analyze", f"inputs/{s}.lines", "--witness"] for s in INPUTS})
 POLY = {
@@ -63,8 +68,10 @@ def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(WITNESS)
 
 
+# run from golden/, which the inputs' relative paths and the `input:` row assume
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_json_report_matches_golden_bytes(name):
+def test_json_report_matches_golden_bytes(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     assert _stdout(COMMANDS[name]) == (GOLDEN / f"{name}.json").read_bytes()
 
 

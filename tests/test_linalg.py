@@ -31,7 +31,6 @@ from support import (
     random_nonzero_scalar,
     random_rational_scalar,
     random_scalar,
-    reference_annihilates,
     reference_echelon_dense,
     reference_kernel_from_echelon,
     reflection_arrangement,
@@ -53,24 +52,27 @@ def test_rank_dependent_rows():
 
 
 def test_rank_zero_row_matrix():
-    # mdr never builds a matrix without rows, so one zero row of width 4
+    # mdr never builds a matrix without rows, so one zero row of width 4:
+    # every column is free, and kernel_basis gives the first
     m = [[(0, 0)] * 4]
-    assert rank(m) == 0
-    assert len(kernel_basis(*sparse_rows(m))) == 4
+    assert rank(m) == 0 and len(exact_kernel(m)) == 4
+    assert kernel_basis(*sparse_rows(m)) == [((1, 0), (0, 0), (0, 0), (0, 0))]
 
 
 def test_kernel_of_zero_row():
-    basis = kernel_basis(*sparse_rows(zw_rows([[0, 0, 0]])))
-    assert len(basis) == 3
-    assert basis == [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0))]
-    expected = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    assert [scalar_vector(vec) for vec in basis] == expected
+    # the canonical basis is e_0, e_1, e_2, and kernel_basis gives the first
+    m = zw_rows([[0, 0, 0]])
+    assert exact_kernel(m) == [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0))]
+    basis = kernel_basis(*sparse_rows(m))
+    assert basis == [((1, 0), (0, 0), (0, 0))]
+    assert [scalar_vector(vec) for vec in basis] == [[ONE, ZERO, ZERO]]
 
 
 def test_kernel_vectors_lead_with_one():
     # in Z[w] the lead entry is (s, 0) with s > 0, so it reads 1 over s
-    kernels = [kernel_basis(*sparse_rows(zw_rows(rows))) for rows in ([[1, 2, 3], [0, 0, 1]], [[OMEGA, 1, 0]])]
-    assert [len(k) for k in kernels] == [1, 2]
+    matrices = [zw_rows(rows) for rows in ([[1, 2, 3], [0, 0, 1]], [[OMEGA, 1, 0]])]
+    kernels = [kernel_basis(*sparse_rows(m)) for m in matrices]
+    assert [len(exact_kernel(m)) for m in matrices] == [1, 2] and [len(k) for k in kernels] == [1, 1]
     for vec in kernels[0] + kernels[1]:
         lead = next(v for v in vec if v != (0, 0))
         assert lead[0] > 0 and lead[1] == 0
@@ -96,7 +98,7 @@ def test_kernel_annihilates_randomized():
         rows = _random_matrix(rng, nrows, ncols, rational)
         m = zw_rows(rows)
         basis = kernel_basis(*sparse_rows(m))
-        assert rank(m) + len(basis) == ncols
+        assert len(basis) == min(1, ncols - rank(m))
         for vec in basis:
             assert all(not v for v in _matvec(rows, scalar_vector(vec)))
 
@@ -133,7 +135,7 @@ def test_singular_square_matrices():
         rows = [[u[i] * v[j] for j in range(4)] for i in range(4)]
         m = zw_rows(rows)
         assert rank(m) <= 1
-        assert len(kernel_basis(*sparse_rows(m))) == 4 - rank(m)
+        assert kernel_basis(*sparse_rows(m)) == exact_kernel(m)[:1] and len(exact_kernel(m)) == 4 - rank(m)
 
 
 def test_prime_stream_is_proven_distinct_and_descending():
@@ -173,8 +175,9 @@ def _deficient_matrix(rng, make):
 
 def test_kernel_basis_takes_the_width_from_ncols():
     # a column that no row stores is a zero column and an empty dict a zero
-    # row: the kernel is the Bareiss basis of the dense rows, with the
-    # certificate of the same rows with every cell stored, zeros included
+    # row: the kernel vector is the first of the Bareiss basis of the dense
+    # rows, with the certificate of the same rows with every cell stored,
+    # zeros included
     rng = random.Random(3018)
     certificates = set()
     for trial in range(40):
@@ -186,14 +189,14 @@ def test_kernel_basis_takes_the_width_from_ncols():
         assert {} in rows and not any(j >= ncols - empty for row in rows for j in row)
         kernel = kernel_basis(rows, ncols)
         stored = kernel_basis([dict(enumerate(row)) for row in dense], ncols)
-        assert kernel == stored == exact_kernel(dense)
+        assert kernel == stored == exact_kernel(dense)[:1]
         assert kernel.certificate == stored.certificate
         certificates.add(kernel.certificate)
     assert len(certificates) >= 2
     # only empty rows, or none: every column is free
     for rows, ncols in [([{}], 1), ([{}, {}, {}], 4), ([], 3)]:
-        kernel = kernel_basis(rows, ncols)
-        assert kernel == exact_kernel([[(0, 0)] * ncols]) and len(kernel) == ncols
+        kernel, exact = kernel_basis(rows, ncols), exact_kernel([[(0, 0)] * ncols])
+        assert kernel == exact[:1] and len(exact) == ncols
 
 def test_modular_matches_bareiss():
     rng = random.Random(3004)
@@ -218,10 +221,10 @@ def test_modular_matches_bareiss():
             ncols, nrows = rng.randint(1, 6), rng.randint(1, 6)
             m = zw_rows([[make() for _ in range(ncols)] for _ in range(nrows)])
         kernel = kernel_basis(*sparse_rows(m))
-        assert kernel == exact_kernel(m)
+        assert kernel == exact_kernel(m)[:1]
         certificates.add(kernel.certificate)
     assert linalg.FULL_RANK_MOD_P in certificates
-    assert "verified reconstruction (mod p^1)" in certificates
+    assert linalg.FIRST.format(1) in certificates
     assert {_precision(c) for c in certificates} >= {1, 2, 4, 8, 16, 32, 64}
 
 
@@ -235,11 +238,10 @@ def test_unlucky_primes_are_never_trusted(monkeypatch, primes):
     expected = [kernel_basis(*sparse_rows(m)) for m in matrices]
     claims = unlucky_primes_first(monkeypatch, primes)
     kernels = [kernel_basis(*sparse_rows(m)) for m in matrices]
-    assert kernels == expected == [exact_kernel(m) for m in matrices]
+    assert kernels == expected == [exact_kernel(m)[:1] for m in matrices]
     assert kernels[-1] == [((0, 0), (0, 0), (1, 0))]
     # the lift from 7 fails its check, and the next prime starts afresh
-    assert [k.certificate for k in kernels] == [linalg.FULL_RANK_MOD_P] * 3 + [
-        "verified reconstruction (mod p^1)"]
+    assert [k.certificate for k in kernels] == [linalg.FULL_RANK_MOD_P] * 3 + [linalg.FIRST.format(1)]
     # no zero kernel is claimed mod 7; 13 is a lucky prime for them all
     assert [p for p, _, _ in claims] == ([] if primes == (7,) else [13, 13, 13])
 
@@ -277,8 +279,8 @@ def _counted_eliminations(monkeypatch):
 
 
 def _precision(certificate):
-    # s of "verified reconstruction (mod p^s)", 0 for "full rank mod p"
-    return int(certificate.split("^")[1].rstrip(")")) if "^" in certificate else 0
+    # s of "verified reconstruction (mod p^s) ...", 0 for "full rank mod p"
+    return int(certificate.split("^")[1].split(")")[0]) if "^" in certificate else 0
 
 
 @pytest.mark.parametrize("dens, certificate", [
@@ -304,7 +306,7 @@ def test_kernel_with_distinct_denominators_matches_bareiss(monkeypatch, dens, ce
         kernel = kernel_basis(*sparse_rows(m))
         assert len(calls) == (2 if qw else 1)
         assert kernel == exact_kernel(m)
-        assert kernel.certificate == certificate
+        assert kernel.certificate == certificate + " of the first vector"
         (vec,) = kernel
         s = vec[0][0]
         assert [Scalar(Fraction(a, s), Fraction(b, s)) for a, b in vec] == v
@@ -323,14 +325,23 @@ def test_lift_bounds_the_common_denominator():
     assert linalg._lift([2**62 % m, pow(q1, -1, m)], m) is None
 
 
+def test_lift_runs_to_the_stop_bound_of_its_minors():
+    # one row (a, b) with a, b near 2^49: the kernel vector (b, -a) needs
+    # p^s >= 2*a*b, which only the fourth p-adic step reaches; the stop 3H^2,
+    # H = a | b here, lets it, while a stop at H would drop every prime
+    a, b = 3**31 + 2, 5**21 + 7
+    kernel = kernel_basis([{0: (a, 0), 1: (b, 0)}], 2)
+    assert kernel == [((b, 0), (-a, 0))] and kernel.certificate == linalg.FIRST.format(4)
+
+
 def test_integral_vectors_are_the_scaled_canonical_basis():
-    # against Bareiss's own kernel vectors, divided by their lead in Q(w)
+    # against Bareiss's own first kernel vector, divided by its lead in Q(w)
     rng = random.Random(3007)
     for _ in range(30):
         m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
         kernel = kernel_basis(*sparse_rows(m))
         raw = _bareiss_kernel([list(row) for row in m], len(m[0]))
-        assert len(kernel) == len(raw)
+        assert len(kernel) == min(1, len(raw))
         for ints, exact in zip(kernel, raw):
             s = next(a for a, b in ints if a or b)
             assert s > 0 and gcd(*(x for pair in ints for x in pair)) == 1
@@ -339,13 +350,8 @@ def test_integral_vectors_are_the_scaled_canonical_basis():
 
 
 def _annihilates(data, vectors):
-    # linalg._annihilates with E and L read off the cells, as `_echelon_mod`
-    # gives them to it
-    e = 0
-    for row in data:
-        for a, b in row.values():
-            e |= abs(a) | abs(b)
-    return linalg._annihilates(data, vectors, e, max(map(len, data), default=0))
+    # linalg._annihilates, which checks one vector, on each of the vectors
+    return all(linalg._annihilates(data, vec) for vec in vectors)
 
 
 def _annihilated_by_scalars(rows, vectors):
@@ -607,114 +613,6 @@ def test_packed_back_substitution_matches_the_per_vector_loop(prime):
     assert {0, 1, 2, 7} <= seen and max(seen) >= 10
 
 
-def _one_failing_row(rng, ncols, k, qw):
-    """Dense Z[w] rows A and one more row r0, such that A and r0 have a
-    kernel of dimension k and A alone one of dimension k + 1: the canonical
-    basis of the first kernel, and a vector u of the second that r0 does
-    not kill."""
-    while True:
-        rows = _ranked_rows(rng, ncols - k, ncols, ncols - k, qw)
-        base, r0 = rows[1:], rows[0]
-        identity = [[(int(i == j), 0) for j in range(ncols)] for i in range(ncols)]
-        wider = exact_kernel(base) if base else identity
-        kernel = exact_kernel(rows)
-        if len(kernel) == k and len(wider) == k + 1:
-            u = next(v for v in wider if not reference_annihilates(sparse_rows([r0])[0], [v]))
-            return base, r0, [list(v) for v in kernel], list(u)
-
-
-@pytest.mark.parametrize("qw", [False, True])
-def test_packed_check_finds_the_one_failing_pair_in_every_slot(qw):
-    # k kernel vectors, which kill every row, then the same with a multiple
-    # of u added to vector i, which then fails on row r0 alone: at every
-    # slot i, the last included, with r0 anywhere among the rows
-    rng = random.Random(3021 + qw)
-    for ncols, k in [(3, 0), (3, 1), (4, 2), (9, 7), (11, 9), (12, 1), (12, 3)]:
-        base, r0, kernel, u = _one_failing_row(rng, ncols, k, qw)
-        rows = base[:]
-        rows.insert(rng.randint(0, len(rows)), r0)
-        data = sparse_rows(rows)[0]
-        vectors = [[(a * t, b * t) for a, b in vec] for vec, t in zip(kernel, (_big(rng) for _ in kernel))]
-        assert _annihilates(data, vectors) is reference_annihilates(data, vectors) is True
-        for i in range(k):
-            c = (_big(rng), rng.randint(-2, 2) if qw else 0)
-            failing = [list(vec) for vec in vectors]
-            failing[i] = [(a + x, b + y) for (a, b), (x, y) in zip(failing[i], (pair_mul(c, e) for e in u))]
-            assert _annihilates(data, failing) is reference_annihilates(data, failing) is False
-
-
-@pytest.mark.parametrize("side", ["row", "vector"])
-@pytest.mark.parametrize("part", [0, 1])
-def test_packed_check_is_exact_when_a_sum_is_a_power_of_two_times_the_next(side, part):
-    # one row and two vectors with sums 2^t and -1 in the a or the w part,
-    # which slots of exactly t bits would add up to 0. The factor 2^t sits
-    # in the row or in the vector, for every t up to 260, and zero vectors
-    # around the two put them in any two neighbouring slots
-    rng = random.Random(3023)
-
-    def cell(n):
-        return (n, 0) if part == 0 else (0, n)
-
-    zero = [(0, 0), (0, 0)]
-    for t in range(261):
-        if side == "row":
-            row, pair = {0: (1 << t, 0), 1: (1, 0)}, [[cell(1), (0, 0)], [(0, 0), cell(-1)]]
-        else:
-            row, pair = {0: (1, 0)}, [[cell(1 << t), (0, 0)], [cell(-1), (0, 0)]]
-        before, after = [zero] * rng.randint(0, 3), [zero] * rng.randint(0, 3)
-        assert reference_annihilates([row], before + pair + after) is False
-        assert _annihilates([row], before + pair + after) is False
-        assert _annihilates([row], before + [zero, zero] + after) is True
-
-
-def test_packed_check_at_the_largest_sums_its_bound_allows():
-    # cells a + b*w with |a| = |b| = E and entries a + b*w with |a|, |b| in
-    # {0, X}: a product's w part reaches 3*E*X in absolute value. Rows and
-    # vectors of every sign pattern, and pairs of vectors that cancel
-    rng = random.Random(3024)
-    E, X = (1 << 200) - 1, (1 << 150) + 7
-    outcomes = set()
-    for trial in range(200):
-        ncols = rng.randint(1, 6)
-        data = [{j: (rng.choice([-E, E]), rng.choice([-E, E])) for j in range(ncols)}
-                for _ in range(rng.randint(1, 3))]
-        vectors = [[(rng.choice([-X, 0, X]), rng.choice([-X, 0, X])) for _ in range(ncols)]
-                   for _ in range(rng.randint(2, 5))]
-        if trial % 3 == 0:
-            # two equal cells, and each vector x at one and -x at the other
-            data = [{0: (E, -E), 1: (E, -E)}]
-            vectors = [[(x, y), (-x, -y)] for x, y in ((rng.choice([-X, X]), rng.choice([-X, 0, X]))
-                                                    for _ in range(rng.randint(2, 5)))]
-        expected = reference_annihilates(data, vectors)
-        assert _annihilates(data, vectors) is expected
-        outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
-def test_span_basis_is_the_canonical_basis_of_any_basis_of_the_span():
-    # the rows of a triangular matrix with a nonzero diagonal, shuffled, are
-    # independent combinations of a kernel basis in any order of their last
-    # nonzero entries; span_basis must give back the basis kernel_basis gave
-    rng = random.Random(3017)
-    seen = set()
-    for trial in range(60):
-        qw = trial % 2 == 1
-        ncols = rng.randint(3, 8)
-        rows = [[(rng.randint(-3, 3), rng.randint(-3, 3) if qw else 0) for _ in range(ncols)]
-                for _ in range(rng.randint(1, ncols - 2))]
-        kernel = kernel_basis(*sparse_rows(rows))
-        n = len(kernel)
-        combinations = []
-        for k in range(n):
-            u = [(rng.randint(-4, 4), rng.randint(-4, 4) if qw else 0) for _ in range(k)]
-            combinations.append(u + [(rng.choice([-2, -1, 1, 3]), 1 if qw else 0)] + [(0, 0)] * (n - 1 - k))
-        rng.shuffle(combinations)
-        derived = linalg.span_basis(combinations, kernel, "given")
-        assert list(derived) == list(kernel) and derived.certificate == "given"
-        seen.add(n)
-    assert max(seen) >= 3
-
-
 def _nodal_without_zero_coefficients(rng, d):
     """d lines with coefficients in [-4, 4] other than 0 and only nodes, like
     the arrangements of the benchmark's generic workload."""
@@ -805,15 +703,14 @@ def test_one_embedding_settles_the_qw_kernels_at_and_below_mdr(monkeypatch):
     calls = _counted_eliminations(monkeypatch)
     for a, r, shuffled in cases:
         ints = [form.ints for form in a.lines]
-        for degree, certificate in [(r - 1, linalg.FULL_RANK_MOD_P),
-                                    (r, "verified reconstruction (mod p^1)")]:
+        for degree, certificate in [(r - 1, linalg.FULL_RANK_MOD_P), (r, linalg.FIRST.format(1))]:
             rows, ncols = derivation_rows(ints, degree)
             calls.clear()
             kernel = kernel_basis(rows, ncols)
             assert len(calls) == 1
             assert kernel.certificate == certificate
             if not shuffled:
-                assert kernel == exact_kernel(dense_rows(rows, ncols))
+                assert kernel == exact_kernel(dense_rows(rows, ncols))[:1]
 
 
 def _integral_kernel_rows(rng, rank, nfree):
@@ -849,7 +746,7 @@ def _canonical_is_integral(kernel):
 
 
 def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypatch):
-    # an integral canonical basis takes one elimination; one with
+    # an integral first canonical vector takes one elimination; one with
     # denominators takes a second one, of the real rows, and p-adic steps
     rng = random.Random(3014)
     calls = _counted_eliminations(monkeypatch)
@@ -861,7 +758,7 @@ def test_random_qw_kernels_with_and_without_denominators_match_bareiss(monkeypat
             m = _deficient_matrix(rng, lambda: random_scalar(rng, 4))
         calls.clear()
         kernel = kernel_basis(*sparse_rows(m))
-        assert kernel == exact_kernel(m)
+        assert kernel == exact_kernel(m)[:1]
         if not kernel or not any(b for row in m for _, b in row):
             continue
         integral = _canonical_is_integral(kernel)
@@ -924,10 +821,10 @@ def test_padic_kernels_match_bareiss(monkeypatch, qw):
         if not rows:
             continue
         routes.clear()
-        kernel = kernel_basis(*sparse_rows(rows))
-        assert kernel == exact_kernel(rows)
+        kernel, exact = kernel_basis(*sparse_rows(rows)), exact_kernel(rows)
+        assert kernel == exact[:1]
         seen["route"] |= set(routes)
-        seen["dim"].add(len(kernel))
+        seen["dim"].add(len(exact))
         seen["precision"].add(_precision(kernel.certificate))
         seen["shape"].add("tall" if len(rows) > rank else "wide")
     assert seen["route"] == {"_echelon_dense", "_echelon_sparse"} and seen["shape"] == {"tall", "wide"}
@@ -980,9 +877,9 @@ def test_qw_denominators_lift_through_the_real_rows(monkeypatch):
         rows = _lifted_kernel_rows(rng, rank, nfree, True, rng.choice([0.15, 0.9]), den)
         routes.clear()
         real.clear()
-        kernel = kernel_basis(*sparse_rows(rows))
-        assert kernel == exact_kernel(rows)
-        seen["dim"].add(len(kernel))
+        kernel, exact = kernel_basis(*sparse_rows(rows)), exact_kernel(rows)
+        assert kernel == exact[:1]
+        seen["dim"].add(len(exact))
         if real:
             seen["precision"].add(_precision(kernel.certificate))
             seen["real routes"] |= {name for name, ncols in routes if ncols == 2 * (rank + nfree)}
@@ -1056,7 +953,7 @@ def test_bad_primes_are_dropped_for_the_next(monkeypatch, rows, steps_at_7):
     unlucky_primes_first(monkeypatch, (7,))
     calls, steps = _counted_eliminations(monkeypatch), _targets_calls(monkeypatch)
     kernel = kernel_basis(*sparse_rows(m))
-    assert kernel == expected
+    assert kernel == expected[:1]
     primes = [p for p, _ in calls]
     assert primes[0] == 7 and primes == sorted(primes) and set(primes) == {7, first}
     assert (7 in steps) is steps_at_7

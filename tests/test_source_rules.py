@@ -112,12 +112,12 @@ def test_dense_elimination_converts_whole_rows_to_and_from_bytes():
     assert [line for _, line, loops, comprehension in found if loops > 1 or comprehension] == []
 
 
-def test_criteria_imports_from_linalg_only_kernel_basis_and_span_basis():
-    # the degree walk eliminates rows only through kernel_basis and brings
-    # derived kernels to the canonical basis through span_basis; any other
-    # linalg entry point would be a second route to a kernel
+def test_criteria_imports_from_linalg_only_kernel_basis():
+    # the degree walk settles every degree by eliminating its rows mod p
+    # through kernel_basis; any other linalg entry point would be a second
+    # route to a kernel
     bad = [(line, name) for line, name in _imported_names(_tree(SRC / "criteria.py"), "linalg")
-           if name not in ("kernel_basis", "span_basis")]
+           if name != "kernel_basis"]
     assert bad == []
 
 
