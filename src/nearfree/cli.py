@@ -4,9 +4,12 @@ Subcommands: analyze, classify, bounds, deform, delete, catalog. Every
 subcommand accepts --json for a machine-readable report with a fixed key
 order, so output bytes are identical across runs on the same input.
 
-Exit codes: 0 success, 2 input error (including a tau outside the
-du Plessis-Wall bounds) or a failed internal check such as NotASyzygy or
-NoSyzygyFound, 3 field mismatch, 4 rejected (non-generic) deformation.
+A command reports an error by raising it; `main` alone prints it as one
+`error: ...` line on stderr and maps it to the exit code, by `EXIT_CODES`:
+0 success, 2 input error (including a tau outside the du Plessis-Wall
+bounds), 3 field mismatch, 4 rejected (non-generic) deformation, 5 internal
+fault, a broken invariant such as NotASyzygy or NoSyzygyFound. Any other
+exception is a bug and propagates.
 
 Arrangement commands pass the lines to `analyze_curve`, so mdr is found on
 the logarithmic derivations, and the census's largest multiplicity m, whose
@@ -24,11 +27,14 @@ import sys
 from . import arrangement as arr
 from . import classify as cls
 from .criteria import AnalysisReport, analyze_curve
-from .errors import FieldMismatch, NonGenericDeformation, ToolkitError
+from .errors import FieldMismatch, InternalFault, NonGenericDeformation, ToolkitError
 from .field import FieldTag, parse_scalar, scaled_pairs
 from .poly import LinearForm, format_poly, parse_poly
 
 CATALOG_PREFIX = "@catalog:"
+# the exit code of an error a command raises, by its first matching class
+EXIT_CODES = ((FieldMismatch, 3), (NonGenericDeformation, 4), (InternalFault, 5),
+              ((ToolkitError, ValueError, OSError), 2))
 
 
 def _load_source(source: str, field: str = None) -> arr.LineArrangement:
@@ -109,31 +115,26 @@ def _print_report(report: AnalysisReport, as_json: bool, witness: bool = False):
             print(f"{'witness ' + name + ':':<15}{format_poly(p)}")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     if args.poly is not None:
         if args.source is not None:
-            print("error: give either a source or --poly, not both", file=sys.stderr)
-            return 2
+            raise ToolkitError("give either a source or --poly, not both")
         if args.tau is None:
-            print("error: --tau is required with --poly", file=sys.stderr)
-            return 2
+            raise ToolkitError("--tau is required with --poly")
         tag = {"Q": FieldTag.Q, "Qw": FieldTag.QW, None: None}[args.field]
         f = parse_poly(args.poly, tag)
         if f.degree == 0:
             raise ToolkitError("--poly is zero or a constant, which defines no curve")
         report = analyze_curve(f, tau=args.tau, source="--poly")
         _print_report(report, args.json, args.witness)
-        return 0
+        return
     if args.source is None:
-        print("error: need a source or --poly", file=sys.stderr)
-        return 2
+        raise ToolkitError("need a source or --poly")
     if args.tau is not None:
-        print("error: --tau is only for --poly input; arrangements compute it", file=sys.stderr)
-        return 2
+        raise ToolkitError("--tau is only for --poly input; arrangements compute it")
     a = _load_source(args.source, args.field)
     report = _arrangement_report(a, args.source)
     _print_report(report, args.json, args.witness)
-    return 0
 
 
 def _record_json(rec: cls.CandidateRecord) -> dict:
@@ -153,30 +154,23 @@ def _resolve_exclusions(choice: str) -> cls.ExclusionConfig:
     return cls.load_exclusions(choice)
 
 
-def cmd_classify(args) -> int:
-    if args.dmin > args.dmax or args.dmin < 2:
-        print("error: need 2 <= dmin <= dmax", file=sys.stderr)
-        return 2
+def cmd_classify(args) -> None:
     config = _resolve_exclusions(args.exclusions)
     records = cls.classify_all(args.dmin, args.dmax, config)
     if args.json:
         print(json.dumps([_record_json(r) for r in records], separators=(",", ":")))
-        return 0
+        return
     print(f"{'d':>3} {'t2':>4} {'t3':>4} {'r':>3}  status")
     for rec in records:
         tail = f"  # {rec.citation}" if rec.citation else ""
         print(f"{rec.d:>3} {rec.t2:>4} {rec.t3:>4} {rec.r:>3}  {rec.status.value}{tail}")
     admissible = sum(1 for r in records if r.status is cls.CandidateStatus.ADMISSIBLE)
     print(f"admissible: {admissible}")
-    return 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     d = args.d
-    if d < 2:
-        print("error: need d >= 2", file=sys.stderr)
-        return 2
-    lower = cls.t3_lower_bound(d)
+    lower = cls.t3_lower_bound(d)  # raises OutOfRange below d = 2
     upper = cls.schonheim_u3(d)
     window = cls.mdr_window(d)
     consistent = lower <= upper
@@ -189,21 +183,19 @@ def cmd_bounds(args) -> int:
             "consistent": consistent,
         }
         print(json.dumps(payload, separators=(",", ":")))
-        return 0
+        return
     print(f"{'d:':<16}{d}")
     print(f"{'t3 lower bound:':<16}{lower}")
     print(f"{'schonheim U3:':<16}{upper}")
     print(f"{'mdr window:':<16}{f'[{window[0]}, {window[1]}]' if window else 'empty'}")
     print(f"{'verdict:':<16}{'consistent' if consistent else 'contradiction'}")
-    return 0
 
 
-def cmd_deform(args) -> int:
+def cmd_deform(args) -> None:
     a = _load_source(args.source, args.field)
     point = scaled_pairs([parse_scalar(p) for p in args.point.split(":")])
     if len(point) != 3:
-        print("error: --point needs three ':'-separated scalars", file=sys.stderr)
-        return 2
+        raise ToolkitError("--point needs three ':'-separated scalars")
     direction = LinearForm.parse(args.dir)
     eps = parse_scalar(args.eps)
     deformed, census_before, census_after = arr.deformation(a, point, args.line, direction, eps)
@@ -225,24 +217,22 @@ def cmd_deform(args) -> int:
             "eta_after": report.eta_value,
         }
         print(json.dumps(payload, separators=(",", ":")))
-        return 0
+        return
     print(f"{'before:':<15}{before}  tau={tau_before}  eta={eta_before}")
     print(f"{'after:':<15}{after}  tau={report.tau}  eta={report.eta_value}")
     print(f"{'tau drop:':<15}{tau_before - report.tau}")
     print(f"{'eta preserved:':<15}{'yes' if eta_before == report.eta_value else 'no'}")
     _print_report(report, False, args.witness)
-    return 0
 
 
-def cmd_delete(args) -> int:
+def cmd_delete(args) -> None:
     a = _load_source(args.source, args.field)
     smaller = arr.delete_line(a, args.line)
     report = _arrangement_report(smaller, f"{args.source} minus line {args.line}")
     _print_report(report, args.json, args.witness)
-    return 0
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> None:
     if args.action == "list":
         names = arr.catalog_names()
         if args.json:
@@ -250,11 +240,10 @@ def cmd_catalog(args) -> int:
         else:
             for name in names:
                 print(name)
-        return 0
+        return
     name = args.name
     if name is None:
-        print("error: catalog show needs a name", file=sys.stderr)
-        return 2
+        raise ToolkitError("catalog show needs a name")
     a = arr.catalog(name)
     comb = arr.weak_combinatorics(a)
     if args.json:
@@ -267,13 +256,12 @@ def cmd_catalog(args) -> int:
             "lines": [str(form) for form in a.lines],
         }
         print(json.dumps(payload, separators=(",", ":")))
-        return 0
+        return
     print(f"{'name:':<15}{name}")
     print(f"{'field:':<15}{a.tag.value}")
     print(f"{'combinatorics:':<15}{comb}")
     for k, form in enumerate(a.lines):
         print(f"{k:>3}: {form}")
-    return 0
 
 
 @functools.cache  # parse_args keeps no state, so repeated main() calls share one parser
@@ -342,16 +330,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except FieldMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonGenericDeformation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        args.func(args)
     except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

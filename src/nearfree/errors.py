@@ -75,9 +75,13 @@ class CatalogCensusMismatch(ToolkitError):
     """A catalog entry's computed lattice census differs from the recorded one."""
 
 
-class NotASyzygy(ToolkitError):
+class InternalFault(ToolkitError):
+    """A broken invariant of the package itself, not of its input."""
+
+
+class NotASyzygy(InternalFault):
     """A syzygy witness fails a*f_x + b*f_y + c*f_z = 0 in the exact check."""
 
 
-class NoSyzygyFound(ToolkitError):
+class NoSyzygyFound(InternalFault):
     """mdr found no syzygy below degree d, where (0, f_z, -f_y) always is one."""

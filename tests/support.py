@@ -562,19 +562,33 @@ def unlucky_primes_first(monkeypatch, primes):
     `nearfree.linalg`. Returns a list that records, as the kernels are
     computed, each zero-kernel claim made at one of those primes, as
     (p, dense integer-pair rows, column count). Every claim is an
-    elimination mod p under one embedding of w (`linalg._echelon_mod`)
-    that finds a pivot in every column."""
-    stream, echelon_mod = linalg.prime_stream, linalg._echelon_mod
-    claims = []
+    elimination that finds a pivot in every column: of rows mod p under one
+    embedding of w (`linalg._echelon_mod`), or of the remainders of a
+    kernel mod p, which `_echelon_sparse` ranks on its own."""
+    stream, echelon_mod, sparse = linalg.prime_stream, linalg._echelon_mod, linalg._echelon_sparse
+    claims, inside = [], []
+
+    def claim(found, p, rows, ncols):
+        if len(found[0]) == ncols and p in primes:
+            claims.append((p, dense_rows(rows, ncols), ncols))
+        return found
 
     def spy(data, ncols, p, w):
-        found = echelon_mod(data, ncols, p, w)
-        if len(found[0]) == ncols and p in primes:
-            claims.append((p, dense_rows(data, ncols), ncols))
-        return found
+        inside.append(p)
+        try:
+            return claim(echelon_mod(data, ncols, p, w), p, data, ncols)
+        finally:
+            inside.pop()
+
+    def sparse_spy(rows, ncols, p):
+        if inside:  # a route of _echelon_mod, whose rows spy records
+            return sparse(rows, ncols, p)
+        residues = [{j: (x, 0) for j, x in row.items()} for row in rows]  # before they are consumed
+        return claim(sparse(rows, ncols, p), p, residues, ncols)
 
     monkeypatch.setattr(linalg, "prime_stream", lambda: chain(primes, stream()))
     monkeypatch.setattr(linalg, "_echelon_mod", spy)
+    monkeypatch.setattr(linalg, "_echelon_sparse", sparse_spy)
     return claims
 
 

@@ -10,7 +10,10 @@ checks:
   Neither and 1366 Inapplicable;
 * mdr and the witness of the report, whose degree walk starts at
   min(hi, d - m), against the plain scan `mdr(f, lines)` from degree 0;
-* the pencil bound mdr <= d - m, m the largest multiplicity of a point.
+* the pencil bound mdr <= d - m, m the largest multiplicity of a point;
+* that census, mdr and verdict are the same on each orbit of the family
+  under the 48 signed permutations (`support.thirteen_orbit`); the number
+  of orbits is printed, and each split orbit is a disagreement.
 
 Each disagreement is printed on a line of its own. The last line reads
 "N disagreements"; the exit code is 0 when N is 0 and 1 otherwise.
@@ -32,7 +35,7 @@ from nearfree import defining_polynomial, mdr
 from nearfree.cli import main
 from nearfree.poly import format_poly
 
-from support import THIRTEEN, thirteen_lines
+from support import THIRTEEN, thirteen_lines, thirteen_orbit
 
 VERDICTS = {"Free": 1996, "NearlyFree": 2700, "Neither": 2038, "Inapplicable": 1366}
 
@@ -48,15 +51,17 @@ def _report(path: Path) -> dict:
 
 
 def main_sweep() -> int:
-    verdicts, problems = Counter(), []
+    verdicts, problems, seen = Counter(), [], {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "subset.lines"
         for d in range(3, 14):
             for subset in combinations(range(13), d):
-                a, census = thirteen_lines(sum(1 << i for i in subset))
+                mask = sum(1 << i for i in subset)
+                a, census = thirteen_lines(mask)
                 path.write_text("".join(" ".join(map(str, THIRTEEN[i])) + "\n" for i in subset))
                 rows = {key: value.strip() for key, value in _report(path).items()}
                 verdicts[rows["verdict"]] += 1
+                seen[mask] = (rows["combinatorics"], rows["mdr"], rows["verdict"])
                 plain = mdr(defining_polynomial(a), a.lines)
                 walked = (int(rows["mdr"]), tuple(rows[f"witness {name}"] for name in "abc"))
                 if walked != (plain.r, tuple(map(format_poly, plain.witness))):
@@ -66,6 +71,11 @@ def main_sweep() -> int:
                 if plain.r > d - m:
                     problems.append(f"{subset}: mdr {plain.r} exceeds the pencil bound {d - m}")
     print(f"{sum(verdicts.values())} subsets: " + ", ".join(f"{verdicts[k]} {k}" for k in VERDICTS))
+    orbits = {frozenset(thirteen_orbit(mask)) for mask in seen}
+    print(f"{len(orbits)} orbits under the signed permutations")
+    for orbit in sorted(orbits, key=min):
+        if len({seen.get(mask) for mask in orbit}) > 1:
+            problems.append(f"orbit of mask {min(orbit)}: census, mdr or verdict differ on it")
     if dict(verdicts) != VERDICTS:
         problems.append(f"verdict counts {dict(verdicts)}, expected {VERDICTS}")
     for problem in problems:

@@ -13,14 +13,16 @@ from nearfree import (
     arrangement,
     catalog,
     catalog_names,
+    classify,
     criteria,
     defining_polynomial,
+    errors,
     format_poly,
     linalg,
     parse_poly,
     poly,
 )
-from nearfree.cli import main
+from nearfree.cli import EXIT_CODES, main
 from nearfree.errors import NotASyzygy
 from nearfree.field import OMEGA, ONE, ZERO, Scalar
 
@@ -254,8 +256,9 @@ def test_classify_without_exclusions(tmp_path):
 
 
 def test_classify_bad_range():
-    code, _, _ = run_cli(["classify", "--dmin", "9", "--dmax", "4"])
-    assert code == 2
+    # classify_all's own range check is the command's
+    code, out, err = run_cli(["classify", "--dmin", "9", "--dmax", "4"])
+    assert (code, out, err) == (2, "", "error: need 2 <= d_min <= d_max, got 9..4\n")
 
 
 def test_bounds_contradictions():
@@ -280,8 +283,8 @@ def test_bounds_trivial_small_d():
     payload = json.loads(run_cli(["bounds", "--d", "2", "--json"])[1])
     assert payload["t3_lower_bound"] == 0
     assert payload["consistent"] is True
-    code, _, _ = run_cli(["bounds", "--d", "1"])
-    assert code == 2
+    # t3_lower_bound's own check is the command's
+    assert run_cli(["bounds", "--d", "1"]) == (2, "", "error: need d >= 2\n")
 
 
 def test_deform_braid():
@@ -477,7 +480,7 @@ def test_missing_syzygy_is_an_error_not_a_traceback(monkeypatch, args):
     empty = linalg.Kernel([], linalg.FULL_RANK_MOD_P)
     monkeypatch.setattr(criteria, "kernel_basis", lambda rows, ncols, divide: empty)
     code, out, err = run_cli(["analyze"] + args)
-    assert (code, out) == (2, "")
+    assert (code, out) == (5, "")  # an internal fault, not an input error
     assert err.startswith("error: no syzygy found in degrees below d=")
 
 
@@ -492,7 +495,7 @@ def test_poly_route_checks_its_witness(monkeypatch):
     with pytest.raises(NotASyzygy):
         criteria.mdr(parse_poly("y^2*z - x^3"))
     code, out, err = run_cli(["analyze", "--poly", "y^2*z - x^3", "--tau", "2", "--witness"])
-    assert (code, out) == (2, "")
+    assert (code, out) == (5, "")  # an internal fault, not an input error
     assert err.startswith("error: the witness does not satisfy")
 
 
@@ -557,3 +560,49 @@ def test_no_command_enters_scalar_arithmetic(monkeypatch, tmp_path):
     # nor does the coordinate change of the tests' reference
     transform(catalog("DualHesse9"), shear)
     assert entered == []
+
+
+# main's table, read as the documented exit codes: every class a command
+# may raise, the base classes and some of their subclasses
+RAISED = [
+    (errors.FieldMismatch("needs field Qw"), 3),
+    (errors.NonGenericDeformation("not generic"), 4),
+    (errors.InternalFault("internal: a fault"), 5),
+    (errors.NotASyzygy("the witness does not satisfy"), 5),
+    (errors.NoSyzygyFound("no syzygy found"), 5),
+    (errors.ToolkitError("an input error"), 2),
+    (errors.TauOutOfRange("tau out of range"), 2),
+    (errors.OutOfRange("need d >= 2"), 2),
+    (errors.ParseError("bad token", position=3), 2),
+    (ValueError("a value error"), 2),
+    (OSError("an OS error"), 2),
+    (FileNotFoundError(2, "No such file or directory", "x.lines"), 2),
+]
+
+
+@pytest.mark.parametrize("exc, code", RAISED, ids=[type(e).__name__ for e, _ in RAISED])
+def test_main_maps_each_raised_error_to_its_exit_code(monkeypatch, exc, code):
+    # a command reports an error by raising it; main prints one line for it
+    # on stderr, and nothing reaches stdout
+    def fail(d):
+        raise exc
+
+    monkeypatch.setattr(classify, "t3_lower_bound", fail)
+    assert run_cli(["bounds", "--d", "5"]) == (code, "", f"error: {exc}\n")
+
+
+def test_exit_code_table_is_covered():
+    # every class of main's table is raised by a case above
+    kinds = {k for kind, _ in EXIT_CODES for k in (kind if isinstance(kind, tuple) else (kind,))}
+    assert kinds <= {type(e) for e, _ in RAISED}
+    assert sorted({code for _, code in EXIT_CODES}) == [2, 3, 4, 5]
+
+
+def test_other_exceptions_are_not_swallowed(monkeypatch):
+    # anything outside the table is a bug of the program: it propagates
+    def fail(d):
+        raise KeyError("unexpected")
+
+    monkeypatch.setattr(classify, "t3_lower_bound", fail)
+    with pytest.raises(KeyError):
+        run_cli(["bounds", "--d", "5"])

@@ -139,6 +139,28 @@ def test_the_first_vector_is_back_substituted_once(monkeypatch):
         assert list(first) == linalg.kernel_basis(rows, ncols) and calls.count(True) == 1
 
 
+def test_remainders_are_eliminated_sparse(monkeypatch):
+    # the remainders of a nodal kernel, up to 16 x 7 and about two thirds
+    # nonzero, are ranked by the sparse route alone, 1.2-1.7x faster there
+    # than dense; the relation rows themselves, 37-47% nonzero, still go
+    # dense, and they are eliminated before divide is first called
+    routes, divided = [], []
+    for name in ("_echelon_dense", "_echelon_sparse"):
+        def spy(*args, name=name, eliminate=getattr(linalg, name)):
+            routes.append((name, bool(divided)))
+            return eliminate(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    for d in (6, 7, 8):
+        a = random_nodal_arrangement(random.Random(d), d)
+        r, c = d - 2, off_the_lines(a)
+        routes.clear()
+        divided.clear()
+        kernel = linalg.kernel_basis(*mdr_rows(defining_polynomial(a), a.lines)(r),
+                                     lambda vec: divided.append(vec) or criteria._remainders(vec, r, c))
+        assert FIRST_VECTOR.fullmatch(kernel.certificate)
+        assert routes == [("_echelon_dense", False), ("_echelon_sparse", True)]
+
+
 @pytest.mark.parametrize("primes", [(), (7,)])
 def test_fallback_below_hi_matches_the_plain_scan(monkeypatch, primes):
     # draw 112 has 11 lines and mdr = 5 < hi = 6: at hi the remainders are

@@ -19,7 +19,7 @@ from nearfree import (
     linalg,
     weak_combinatorics,
 )
-from nearfree.errors import ToolkitError
+from nearfree.errors import InternalFault
 from nearfree.field import OMEGA, ONE, ZERO, integer_pairs, pair_mul
 
 from bareiss import _bareiss_kernel, exact_kernel, rank
@@ -518,10 +518,10 @@ def test_dense_route_needs_64_bit_slots(monkeypatch):
     # above 2^32 one product of residues fills a 64-bit slot, so no pivot fits
     # (fresh = 0), and an array("Q") whose items are not 8 bytes packs no
     # 64-bit slots: both are raised errors, not wrong pivots
-    with pytest.raises(ToolkitError, match="internal"):
+    with pytest.raises(InternalFault, match="internal"):
         linalg._echelon_dense([{0: 1}], 1, 2**32 + 15)
     monkeypatch.setattr(linalg, "array", lambda code, *init: array("I", *init))
-    with pytest.raises(ToolkitError, match="internal"):
+    with pytest.raises(InternalFault, match="internal"):
         linalg._echelon_dense([{0: 1}], 1, STREAM[0])
 
 

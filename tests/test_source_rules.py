@@ -6,8 +6,8 @@ field only through their named entry points, the exact kernel check is a
 proof, the p-adic lift works over Q alone, the dense elimination converts
 whole rows to and from bytes, f and the witness stay in Z[w] integers, a
 line is scaled to integers once, when it is parsed, a Scalar is made only
-where a value is read back out, and the package holds only what its
-commands run."""
+where a value is read back out, the package holds only what its
+commands run, and only the command line's `main` chooses an exit code."""
 
 import ast
 import pathlib
@@ -118,6 +118,21 @@ def test_criteria_imports_from_linalg_only_kernel_basis():
     # route to a kernel
     bad = [(line, name) for line, name in _imported_names(_tree(SRC / "criteria.py"), "linalg")
            if name != "kernel_basis"]
+    assert bad == []
+
+
+def test_only_main_writes_to_stderr_or_chooses_an_exit_code():
+    # a command reports an error by raising it, and main alone maps it to
+    # one stderr line and an exit code: no other code of cli.py reads
+    # sys.stderr or returns a nonzero integer literal
+    tree = _tree(SRC / "cli.py")
+    mains = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    assert len(mains) == 1
+    inside = {id(x) for x in ast.walk(mains[0])}
+    bad = [n.lineno for n in ast.walk(tree) if id(n) not in inside and (
+        isinstance(n, ast.Attribute) and n.attr == "stderr"
+        or isinstance(n, ast.Return) and isinstance(n.value, ast.Constant)
+        and isinstance(n.value.value, int) and n.value.value)]
     assert bad == []
 
 
